@@ -17,6 +17,7 @@ Run::
     python examples/anomaly_hunt.py
 """
 
+from repro.replication import SystemSpec
 from repro.replication.eager_group import EagerGroupSystem
 from repro.replication.eager_master import EagerMasterSystem
 from repro.replication.lazy_group import LazyGroupSystem
@@ -33,8 +34,8 @@ STRATEGIES = [
 
 
 def hunt(name: str, cls, extra: dict) -> None:
-    system = cls(num_nodes=3, db_size=8, action_time=0.002, seed=11,
-                 record_history=True, retry_deadlocks=True, **extra)
+    system = cls(SystemSpec(num_nodes=3, db_size=8, action_time=0.002, seed=11,
+                            record_history=True, retry_deadlocks=True, **extra))
     workload = WorkloadGenerator(
         system,
         uniform_update_profile(actions=2, db_size=8, commutative=True),

@@ -51,10 +51,8 @@ class TwoTierSystem(LazyMasterSystem):
     mastered per the placement (round-robin over base nodes under full
     replication) unless overridden by ``mobile_mastered`` ("A mobile node
     may be the master of some data items").  Base transactions retry
-    deadlocks by default, per the paper.
-
-    The legacy ``TwoTierSystem(num_base, num_mobile, db_size, ...)``
-    signature still works through the deprecation shim.
+    deadlocks by default, per the paper.  Remaining keyword arguments are
+    :class:`~repro.replication.lazy_master.LazyMasterSystem`'s.
     """
 
     name = "two-tier"
@@ -62,59 +60,38 @@ class TwoTierSystem(LazyMasterSystem):
 
     def __init__(
         self,
-        spec: Optional[SystemSpec] = None,
-        num_mobile: Optional[int] = None,
-        db_size: Optional[int] = None,
+        spec: SystemSpec,
+        *,
+        num_base: int = 1,
         mobile_mastered: Optional[Dict[int, int]] = None,
         cascade_rejections: bool = False,
-        num_base: Optional[int] = None,
         **kwargs,
     ):
-        if isinstance(spec, SystemSpec):
-            if num_mobile is not None or db_size is not None:
-                raise ConfigurationError(
-                    "with a SystemSpec, pass num_base only — mobiles are "
-                    "spec.num_nodes - num_base"
-                )
-            base_count = 1 if num_base is None else num_base
-            mobile_count = spec.num_nodes - base_count
-        else:
-            # legacy signature: (num_base, num_mobile, db_size, ...)
-            base_count = spec if spec is not None else num_base
-            mobile_count = num_mobile
-            if base_count is None or mobile_count is None or db_size is None:
-                raise ConfigurationError(
-                    "num_base, num_mobile, and db_size are required"
-                )
-            spec = None
-        if base_count <= 0:
+        num_nodes = spec.num_nodes
+        if num_base <= 0:
             raise ConfigurationError("need at least one base node")
-        if mobile_count < 0:
+        if num_base > num_nodes:
             raise ConfigurationError("num_mobile must be >= 0")
-        num_nodes = base_count + mobile_count
         for oid, owner in (mobile_mastered or {}).items():
-            if not base_count <= owner < num_nodes:
+            if not num_base <= owner < num_nodes:
                 raise ConfigurationError(
                     f"mobile_mastered[{oid}] = {owner} is not a mobile node id"
                 )
         # set before super().__init__: the placement binds against the base
         # tier, via our _placement_scope_nodes override
-        self.num_base = base_count
-        self.num_mobile = mobile_count
-        if spec is None:
-            super().__init__(num_nodes, db_size, **kwargs)
-        else:
-            super().__init__(spec, **kwargs)
+        self.num_base = num_base
+        self.num_mobile = num_nodes - num_base
+        super().__init__(spec, **kwargs)
         self.cascade_rejections = cascade_rejections
-        self.base_ids = list(range(base_count))
+        self.base_ids = list(range(num_base))
         # mobile mastership overrides the placement-derived (base-tier)
         # default; mobiles hold full replicas, so the owner always has a copy
         for oid, owner in (mobile_mastered or {}).items():
             self.ownership[oid] = owner
         self.scope = TransactionScope(self.ownership, self.base_ids)
         self.mobiles: Dict[int, MobileNode] = {
-            mid: MobileNode(self, mid, host_base_id=(mid - base_count) % base_count)
-            for mid in range(base_count, num_nodes)
+            mid: MobileNode(self, mid, host_base_id=(mid - num_base) % num_base)
+            for mid in range(num_base, num_nodes)
         }
 
     def _placement_scope_nodes(self) -> int:

@@ -15,15 +15,26 @@ The base class's ``_run`` drives the composition.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import (
+    Any,
+    Callable,
+    Container,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.exceptions import (
     ConfigurationError,
     CrashAbort,
     DeadlockAbort,
     InvalidStateError,
+    MasterUnavailableError,
 )
 from repro.faults.plan import FaultPlan
 from repro.metrics.counters import Metrics
@@ -31,12 +42,14 @@ from repro.network.message import Message
 from repro.network.network import Network
 from repro.placement import FullReplication, Placement
 from repro.replication.pipeline import TxnContext
+from repro.replication.reconciliation import Outcome
 from repro.sim.engine import Engine
 from repro.sim.process import Process
 from repro.sim.protocol import EngineProtocol
 from repro.sim.random_source import RandomSource
 from repro.storage.deadlock import DeadlockDetector, youngest_victim
-from repro.storage.lock_manager import LockManager
+from repro.storage.lock_manager import LockManager, LockMode
+from repro.storage.record import Record
 from repro.storage.store import ObjectStore, divergence
 from repro.storage.versioning import Timestamp, TimestampGenerator
 from repro.storage.wal import WriteAheadLog
@@ -122,34 +135,6 @@ class SystemSpec:
                 f"or HashShardPlacement(k)), got {self.placement!r}"
             )
 
-    #: the positional order of the legacy ``ReplicatedSystem(...)`` signature
-    _LEGACY_FIELDS = (
-        "num_nodes", "db_size", "action_time", "message_delay", "seed",
-        "lock_reads", "retry_deadlocks", "max_retries", "victim_policy",
-        "initial_value", "engine", "record_history", "tracer", "telemetry",
-    )
-
-    @classmethod
-    def from_legacy(cls, *args, **kwargs) -> "SystemSpec":
-        """Adapt the pre-SystemSpec constructor arguments (shim support)."""
-        if len(args) > len(cls._LEGACY_FIELDS):
-            raise ConfigurationError(
-                f"too many positional arguments ({len(args)}) for the legacy "
-                "system signature"
-            )
-        merged: Dict[str, Any] = dict(zip(cls._LEGACY_FIELDS, args))
-        for name, value in kwargs.items():
-            if name in merged:
-                raise ConfigurationError(
-                    f"argument {name!r} given positionally and by keyword"
-                )
-            merged[name] = value
-        if "num_nodes" not in merged or "db_size" not in merged:
-            raise ConfigurationError(
-                "num_nodes and db_size are required to build a system"
-            )
-        return cls(**merged)
-
 
 @dataclass(frozen=True)
 class ReplicaUpdate:
@@ -188,10 +173,19 @@ class ReplicatedSystem:
 
         system = LazyGroupSystem(SystemSpec(num_nodes=3, db_size=100))
 
-    Strategy-specific options stay keyword arguments on the concrete class
-    (``EagerGroupSystem(spec, quorum=True)``).  The old positional
-    signature (``LazyGroupSystem(num_nodes, db_size, ...)``) still works
-    through a deprecation shim, emitting a :class:`DeprecationWarning`.
+    The spec is the only positional argument; strategy-specific options
+    stay keyword arguments on the concrete class
+    (``EagerGroupSystem(spec, quorum=True)``).
+
+    A concrete strategy writes only its ``PHASES`` tuple, its Table-1
+    deltas — where writes execute, which node a fan-out leaves out, how an
+    arriving update is judged — and its message-kind dispatch.  The
+    mechanisms those deltas plug into exist once, here: admission refusal
+    (:meth:`_refuse`), lock-free execution (:meth:`_execute_optimistic`),
+    the default commit phase, the placement-aware fan-out
+    (:meth:`_fan_out`), the replica-apply housekeeping transaction
+    (:meth:`_apply_shipped`) and, for the master column,
+    :class:`MasterOwnership`.
 
     The spec's ``placement`` decides which nodes hold each object: under
     :class:`~repro.placement.FullReplication` (the default) every node
@@ -212,22 +206,11 @@ class ReplicatedSystem:
     #: every other strategy surfaces deadlocks as failed transactions
     default_retry_deadlocks = False
 
-    def __init__(self, spec: Optional[SystemSpec] = None, *args, **kwargs):
+    def __init__(self, spec: SystemSpec):
         if not isinstance(spec, SystemSpec):
-            if spec is not None:
-                args = (spec,) + args
-            warnings.warn(
-                f"{type(self).__name__}(num_nodes, db_size, ...) is "
-                "deprecated; pass a SystemSpec as the only constructor "
-                "argument",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            spec = SystemSpec.from_legacy(*args, **kwargs)
-        elif args or kwargs:
             raise ConfigurationError(
-                "a SystemSpec cannot be mixed with legacy constructor "
-                f"arguments (got extras {list(kwargs) or list(args)!r})"
+                f"{type(self).__name__} takes a SystemSpec as its only "
+                f"positional argument, got {spec!r}"
             )
         self.spec = spec
         self.engine = spec.engine or Engine()
@@ -252,6 +235,8 @@ class ReplicatedSystem:
         self.rng = RandomSource(spec.seed)
         self.detector = DeadlockDetector(victim_policy=spec.victim_policy)
         self.crashed: set = set()
+        #: shipped updates abandoned after ``max_retries`` deadlocks
+        self.replica_updates_dropped = 0
         # per-node live user-transaction processes, insertion-ordered so a
         # crash interrupts them deterministically (a set of Process objects
         # would iterate in id() order, which differs run to run)
@@ -519,8 +504,10 @@ class ReplicatedSystem:
         generator (anything that waits); the driver adds *no* engine
         interaction of its own, so a composition is byte-for-byte the
         inlined lifecycle it replaced.  A phase setting ``ctx.finished``
-        short-circuits the rest (admission failure, deadlock, certification
-        abort).
+        short-circuits the rest (admission failure, certification abort);
+        a phase that loses the transaction to a :class:`DeadlockAbort` —
+        deadlock victim or crash interrupt — just lets it escape, and the
+        driver undoes the transaction at every node in ``ctx.touched``.
         """
         pipeline = self._pipeline
         if pipeline is None:
@@ -532,12 +519,15 @@ class ReplicatedSystem:
                     f"{type(self).__name__} declares no PHASES"
                 )
         ctx = TxnContext(origin=origin, ops=ops, label=label)
-        for phase in pipeline:
-            step = phase(ctx)
-            if step is not None:
-                yield from step
-            if ctx.finished:
-                break
+        try:
+            for phase in pipeline:
+                step = phase(ctx)
+                if step is not None:
+                    yield from step
+                if ctx.finished:
+                    break
+        except DeadlockAbort as exc:
+            self._abort_everywhere(ctx.txn, ctx.touched, reason=exc.reason)
         return ctx.txn
 
     def handle_message(self, node: NodeContext, msg: Message):
@@ -548,8 +538,217 @@ class ReplicatedSystem:
         raise NotImplementedError(f"{self.name} received unexpected {msg.kind}")
 
     # ------------------------------------------------------------------ #
+    # shared phase bodies
+    # ------------------------------------------------------------------ #
+
+    def _refuse(self, ctx: TxnContext, reason: str) -> None:
+        """Admission failure: the transaction is born aborted at its
+        origin (it still gets an id, a trace and an abort count)."""
+        ctx.txn = self.nodes[ctx.origin].tm.begin(label=ctx.label)
+        self._abort_everywhere(ctx.txn, [], reason=reason)
+        ctx.finished = True
+
+    def _execute_optimistic(self, ctx: TxnContext, compute_time: float):
+        """Lock-free execution at the origin against committed replica
+        state (the execute phase of the certification strategies).
+
+        Writes are buffered and the version of everything observed is
+        recorded: ``ctx.scratch["reads"]`` holds ``(oid, observed_ts)``
+        pairs and ``ctx.scratch["writes"]`` holds ``(oid, observed_ts,
+        new_value, op)`` for the certify phase.  A non-resident object is
+        served by its master replica, one RPC round away (same cost model
+        as lazy-group).  ``compute_time`` is what each update action costs
+        at the origin before anything is installed anywhere.
+        """
+        node = self.nodes[ctx.origin]
+        txn = ctx.txn = node.tm.begin(label=ctx.label)
+        reads: List[Tuple[int, Timestamp]] = []
+        writes: List[Tuple[int, Timestamp, Any, Operation]] = []
+        for op in ctx.ops:
+            site = self._site_for(ctx.origin, op.oid)
+            if site is not node and self.network.message_delay > 0:
+                yield self.engine.timeout(self.network.message_delay)
+            record = site.store.read(op.oid)
+            if op.is_read:
+                txn.record_read(record.value)
+                if self.history is not None:
+                    self.history.record_read(site.node_id, txn.txn_id, op.oid)
+                reads.append((op.oid, record.ts))
+                continue
+            if compute_time > 0:
+                yield self.engine.timeout(compute_time)
+            if op.reads_state and self.history is not None:
+                self.history.record_read(site.node_id, txn.txn_id, op.oid)
+            writes.append((op.oid, record.ts, op.apply(record.value), op))
+        ctx.scratch["reads"] = reads
+        ctx.scratch["writes"] = writes
+
+    def _phase_commit(self, ctx: TxnContext) -> None:
+        """Default commit phase: commit at every node in the release set."""
+        self._commit_everywhere(ctx.txn, ctx.touched)
+
+    # ------------------------------------------------------------------ #
+    # shipping committed updates: fan-out and replica apply
+    # ------------------------------------------------------------------ #
+
+    def _shipped_updates(self, txn: Transaction) -> List[ReplicaUpdate]:
+        """A committed transaction's updates as Figure 4 message bodies."""
+        return [
+            ReplicaUpdate(
+                oid=u.oid,
+                old_ts=u.old_ts,
+                new_ts=u.new_ts,
+                new_value=u.new_value,
+                op=u.op,
+                root_txn_id=txn.txn_id,
+            )
+            for u in txn.updates
+        ]
+
+    def _needed_by_holder(
+        self,
+        updates: Sequence[ReplicaUpdate],
+        current_at: Callable[[ReplicaUpdate], Container[int]],
+    ) -> Iterator[Tuple[int, List[ReplicaUpdate]]]:
+        """Group shipped updates by the nodes that must receive them.
+
+        Yields ``(node_id, updates that node needs)`` in ascending node
+        order, which keeps delivery deterministic.  An update's holders are
+        its object's replica set plus every node outside the placement
+        scope (two-tier mobiles hold full replicas); ``current_at(update)``
+        names the nodes already current for it — the strategy's delta —
+        and they are left out, as is any node left needing nothing.  Under
+        a partial placement recipients come from the updates' replica sets
+        (O(updates·k)) rather than a scan over all N nodes, so a commit in
+        a 10k-node system costs what its replica sets cost.
+        """
+        current = [current_at(update) for update in updates]
+        placement = self.placement
+        if placement.is_full:
+            for node_id in range(self.num_nodes):
+                needed = [
+                    update for update, skip in zip(updates, current)
+                    if node_id not in skip
+                ]
+                if needed:
+                    yield node_id, needed
+            return
+        extra_holders = tuple(range(placement.num_nodes, self.num_nodes))
+        needed_by_node: Dict[int, List[ReplicaUpdate]] = {}
+        for update, skip in zip(updates, current):
+            for node_id in placement.replicas(update.oid) + extra_holders:
+                if node_id not in skip:
+                    needed_by_node.setdefault(node_id, []).append(update)
+        for node_id in sorted(needed_by_node):
+            yield node_id, needed_by_node[node_id]
+
+    def _fan_out(
+        self,
+        sender: int,
+        kind: str,
+        updates: Sequence[ReplicaUpdate],
+        current_at: Callable[[ReplicaUpdate], Container[int]] = lambda update: (),
+    ) -> None:
+        """Send each holder the updates it needs as one ``kind`` message
+        from ``sender`` (attempt 0 of :meth:`_apply_shipped`)."""
+        for node_id, needed in self._needed_by_holder(updates, current_at):
+            self.network.send(sender, node_id, kind, (needed, 0))
+
+    def _takes_shipped(self, oid: int, node_id: int) -> bool:
+        """Does a shipped update for ``oid`` still apply at ``node_id``?
+
+        Not once the object migrated away while the update was in flight
+        or parked: the record travelled to its new holder at move time, so
+        applying here would resurrect a copy the directory no longer
+        routes to.
+        """
+        return self.placement.is_full or self._node_holds(oid, node_id)
+
+    def _thomas_write_rule(
+        self, node: NodeContext, local: Record, update: ReplicaUpdate
+    ) -> Outcome:
+        """Judge an arriving update by timestamp alone: "If the record
+        timestamp is newer than a replica update timestamp, the update is
+        'stale' and can be ignored."  An equal timestamp is a duplicate or
+        reordered delivery of what is already installed, not a stale one.
+        """
+        if local.ts < update.new_ts:
+            return Outcome.APPLY
+        if local.ts != update.new_ts:
+            self.metrics.stale_updates += 1
+        return Outcome.DISCARD
+
+    def _apply_shipped(
+        self,
+        node: NodeContext,
+        msg: Message,
+        judge: Callable[[NodeContext, Record, ReplicaUpdate], Outcome],
+    ):
+        """Apply one message of shipped updates as a housekeeping
+        transaction at ``node`` (the replica-update transactions of
+        Figure 1, quorum catch-up, certified write-sets).
+
+        Each update is X-locked, then ``judge(node, local_record, update)``
+        decides its fate — the strategy's delta: ``APPLY`` installs the
+        shipped value, ``MERGE`` re-applies the shipped operation when
+        there is one, anything else keeps the local version.  A deadlock
+        restarts the whole message transparently (re-sent to self with
+        ``attempt + 1``) up to ``max_retries`` times; after that the
+        updates are dropped and counted in ``replica_updates_dropped``.
+        """
+        updates, attempt = msg.payload
+        txn = node.tm.begin(label=msg.kind)
+        try:
+            for update in updates:
+                if not self._takes_shipped(update.oid, node.node_id):
+                    continue
+                event = node.locks.acquire(txn, update.oid, LockMode.EXCLUSIVE)
+                if event is not None:
+                    yield event
+                    txn.require_active()
+                outcome = judge(node, node.store.read(update.oid), update)
+                root = update.root_txn_id if update.root_txn_id >= 0 else None
+                if outcome is Outcome.MERGE and update.op is not None:
+                    yield from node.tm.execute_transform(
+                        txn, update.op, update.new_ts, root_txn_id=root
+                    )
+                elif outcome is Outcome.APPLY or outcome is Outcome.MERGE:
+                    yield from node.tm.execute_install(
+                        txn, update.oid, update.new_value, update.new_ts,
+                        root_txn_id=root,
+                    )
+                else:
+                    continue
+                self.metrics.actions += 1
+            node.tm.commit(txn)
+            self.metrics.replica_updates += 1
+        except DeadlockAbort as exc:
+            node.tm.abort(txn, reason=exc.reason)
+            if attempt < self.max_retries:
+                self.metrics.restarts += 1
+                self.network.send(
+                    node.node_id, node.node_id, msg.kind,
+                    (updates, attempt + 1),
+                )
+            else:
+                self.replica_updates_dropped += 1
+
+    # ------------------------------------------------------------------ #
     # shared helpers
     # ------------------------------------------------------------------ #
+
+    def master_of(self, oid: int) -> NodeContext:
+        """The node holding ``oid``'s master copy (the placement's
+        deterministic first replica unless a strategy keeps its own map)."""
+        return self.nodes[self.placement.master(oid)]
+
+    def _site_for(self, origin: int, oid: int) -> NodeContext:
+        """Where a transaction rooted at ``origin`` touches ``oid`` without
+        a routing rule of its own: the origin when it holds a replica of
+        the object, otherwise the object's master replica."""
+        if self._node_holds(oid, origin):
+            return self.nodes[origin]
+        return self.master_of(oid)
 
     def _execute_local(self, node: NodeContext, txn: Transaction,
                        ops: Sequence[Operation]):
@@ -666,12 +865,6 @@ class ReplicatedSystem:
         if pending is not None:
             value, ts = pending
         self.placement.move(oid, src, dst)
-        # master strategies snapshot oid -> owner at construction; rebind
-        # the moved entry so writes keep routing to a node that holds a
-        # copy (the directory preserves the master position on move)
-        ownership = getattr(self, "ownership", None)
-        if ownership is not None and ownership.get(oid) == src:
-            ownership[oid] = self.placement.master(oid)
         self.network.send(
             src, dst, "record-transfer", (oid, value, ts)
         )
@@ -752,3 +945,66 @@ class ReplicatedSystem:
             f"<{type(self).__name__} nodes={self.num_nodes} "
             f"db={self.db_size} t={self.engine.now:.4g}>"
         )
+
+
+class MasterOwnership:
+    """The master column of Table 1: every object has one owner node.
+
+    Mixed in ahead of :class:`ReplicatedSystem`, this owns the ``oid ->
+    master node id`` map, its validation, the routing and reachability
+    questions asked of it, and its upkeep when an object migrates.
+    """
+
+    def _bind_ownership(self, ownership: Optional[Dict[int, int]]) -> None:
+        """Adopt ``ownership``, or default it from the placement directory.
+
+        Full replication yields the classic round-robin ``oid % nodes``; a
+        partial placement masters each object at the first node of its
+        replica set (the HRW winner), so the owner always holds a copy.
+        """
+        self.ownership = (
+            dict(ownership)
+            if ownership is not None
+            else {oid: self.placement.master(oid) for oid in range(self.db_size)}
+        )
+        partial = not self.placement.is_full
+        for oid in range(self.db_size):
+            master = self.ownership.get(oid)
+            if master is None or not 0 <= master < self.num_nodes:
+                raise MasterUnavailableError(
+                    f"object {oid} has no valid master (got {master!r})"
+                )
+            if partial and not self._node_holds(oid, master):
+                raise MasterUnavailableError(
+                    f"object {oid} is mastered at node {master}, which holds "
+                    "no replica of it under the configured placement"
+                )
+
+    def master_of(self, oid: int) -> NodeContext:
+        return self.nodes[self.ownership[oid]]
+
+    def _mastered_at(self, update: ReplicaUpdate) -> Tuple[int]:
+        """The fan-out exclusion of the lazy master strategies: the master
+        copy took the write itself and is already current."""
+        return (self.ownership[update.oid],)
+
+    def _takes_shipped(self, oid: int, node_id: int) -> bool:
+        # the master copy is the source of truth already
+        return self.ownership[oid] != node_id and super()._takes_shipped(
+            oid, node_id
+        )
+
+    def _reachable(self, origin: int, masters: Iterable[int]) -> bool:
+        """"A node wanting to update an object must be connected to the
+        object owner": is ``origin`` up, and every node in ``masters``?"""
+        if not self.network.is_connected(origin):
+            return False
+        return all(self.network.is_connected(m) for m in masters)
+
+    def migrate(self, oid: int, src: int, dst: int) -> None:
+        super().migrate(oid, src, dst)
+        # the map snapshots oid -> owner at construction; rebind the moved
+        # entry so writes keep routing to a node that holds a copy (the
+        # directory preserves the master position on move)
+        if self.ownership.get(oid) == src:
+            self.ownership[oid] = self.placement.master(oid)

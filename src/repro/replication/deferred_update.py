@@ -33,13 +33,17 @@ apply leg running as housekeeping transactions at each replica.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from repro.exceptions import DeadlockAbort, ReplicationError
 from repro.network.message import Message
-from repro.replication.base import NodeContext, ReplicatedSystem, ReplicaUpdate
+from repro.replication.base import (
+    NodeContext,
+    ReplicatedSystem,
+    ReplicaUpdate,
+    SystemSpec,
+)
 from repro.replication.pipeline import TxnContext
-from repro.storage.lock_manager import LockMode
 from repro.storage.versioning import Timestamp
 
 
@@ -57,8 +61,8 @@ class DeferredUpdateSystem(ReplicatedSystem):
     name = "deferred-update"
     PHASES = ("execute", "certify", "commit")
 
-    def __init__(self, *args, certifier: int = 0, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, spec: SystemSpec, *, certifier: int = 0):
+        super().__init__(spec)
         if not 0 <= certifier < self.num_nodes:
             raise ReplicationError(
                 f"certifier node {certifier} outside the system's "
@@ -72,7 +76,6 @@ class DeferredUpdateSystem(ReplicatedSystem):
         #: origin-side decision events, keyed by txn id
         self._decisions: Dict[int, object] = {}
         self.certified = 0
-        self.replica_updates_dropped = 0
 
     def _register_probes(self, telemetry) -> None:
         super()._register_probes(telemetry)
@@ -90,46 +93,11 @@ class DeferredUpdateSystem(ReplicatedSystem):
 
     def _phase_execute(self, ctx: TxnContext):
         """Lock-free local execution against committed replica state."""
-        origin = ctx.origin
-        node = self.nodes[origin]
-        txn = ctx.txn = node.tm.begin(label=ctx.label)
-        reads: List[Tuple[int, Timestamp]] = []
-        writes: List[Tuple[int, Timestamp, object, object]] = []
-        try:
-            for op in ctx.ops:
-                if self._node_holds(op.oid, origin):
-                    site = node
-                else:
-                    # non-resident object: read the master replica's
-                    # committed state (one RPC round, same cost model as
-                    # lazy-group)
-                    site = self.nodes[self.placement.master(op.oid)]
-                    if self.network.message_delay > 0:
-                        yield self.engine.timeout(self.network.message_delay)
-                record = site.store.read(op.oid)
-                if op.is_read:
-                    txn.record_read(record.value)
-                    if self.history is not None:
-                        self.history.record_read(
-                            site.node_id, txn.txn_id, op.oid
-                        )
-                    reads.append((op.oid, record.ts))
-                    continue
-                # the compute cost of the action is paid here; the install
-                # cost is paid at apply time by every replica, like any
-                # lazy stream
-                if self.action_time > 0:
-                    yield self.engine.timeout(self.action_time)
-                if op.reads_state and self.history is not None:
-                    self.history.record_read(site.node_id, txn.txn_id, op.oid)
-                writes.append((op.oid, record.ts, op.apply(record.value), op))
-        except DeadlockAbort as exc:  # CrashAbort: origin died mid-run;
-            # lock-free execution holds nothing, so the undo set is empty
-            self._abort_everywhere(txn, [], reason=exc.reason)
-            ctx.finished = True
-            return
-        ctx.scratch["reads"] = reads
-        ctx.scratch["writes"] = writes
+        # the compute cost of each action is paid here; the install cost
+        # is paid at apply time by every replica, like any lazy stream.
+        # Lock-free execution holds nothing, so a crash of the origin
+        # mid-run leaves an empty undo set.
+        return self._execute_optimistic(ctx, compute_time=self.action_time)
 
     def _phase_certify(self, ctx: TxnContext):
         """Ship the read/write set to the certifier and await its verdict."""
@@ -149,11 +117,9 @@ class DeferredUpdateSystem(ReplicatedSystem):
         )
         try:
             committed = yield event
-        except DeadlockAbort as exc:  # CrashAbort: origin died waiting
+        except DeadlockAbort:  # CrashAbort: origin died waiting
             self._decisions.pop(txn.txn_id, None)
-            self._abort_everywhere(txn, [], reason=exc.reason)
-            ctx.finished = True
-            return
+            raise
         if not committed:
             self.metrics.bump("cert_aborts")
             self._abort_everywhere(txn, [], reason="certification")
@@ -179,8 +145,9 @@ class DeferredUpdateSystem(ReplicatedSystem):
                 event.succeed(ok)
             return None
         if msg.kind == "du-apply":
-            updates, attempt = msg.payload
-            return self._apply_updates(node, updates, attempt)
+            # certified timestamps are monotone in certification order,
+            # so stale suppression settles duplicates and reordering
+            return self._apply_shipped(node, msg, self._thomas_write_rule)
         raise ReplicationError(f"deferred-update got unexpected {msg.kind}")
 
     def _certify(self, node: NodeContext, payload) -> None:
@@ -227,68 +194,6 @@ class DeferredUpdateSystem(ReplicatedSystem):
         self.certified += 1
         self._trace("certify", txn=txn_id, writes=len(updates))
         self.network.send(node.node_id, origin, "du-decision", (txn_id, True))
-        self._fan_out(node.node_id, updates)
-
-    def _fan_out(self, certifier: int, updates: List[ReplicaUpdate]) -> None:
-        """Send each certified write to every replica holding its object."""
-        placement = self.placement
-        if placement.is_full:
-            for node_id in range(self.num_nodes):
-                self.network.send(
-                    certifier, node_id, "du-apply", (updates, 0)
-                )
-            return
-        extra_holders = range(placement.num_nodes, self.num_nodes)
-        needed_by_node: Dict[int, List[ReplicaUpdate]] = {}
-        for u in updates:
-            holders = placement.replicas(u.oid)
-            for node_id in (
-                holders if not extra_holders
-                else list(holders) + list(extra_holders)
-            ):
-                needed_by_node.setdefault(node_id, []).append(u)
-        for node_id in sorted(needed_by_node):
-            self.network.send(
-                certifier, node_id, "du-apply", (needed_by_node[node_id], 0)
-            )
-
-    def _apply_updates(
-        self, node: NodeContext, updates: List[ReplicaUpdate], attempt: int
-    ):
-        """Install certified writes as a housekeeping transaction."""
-        txn = node.tm.begin(label="du-apply")
-        try:
-            for update in updates:
-                if not self.placement.is_full and not self._node_holds(
-                    update.oid, node.node_id
-                ):
-                    # migrated away while the apply was in flight
-                    continue
-                event = node.locks.acquire(txn, update.oid, LockMode.EXCLUSIVE)
-                if event is not None:
-                    yield event
-                    txn.require_active()
-                local = node.store.read(update.oid)
-                if local.ts >= update.new_ts:
-                    if local.ts != update.new_ts:
-                        self.metrics.stale_updates += 1
-                    continue  # duplicate or reordered delivery
-                yield from node.tm.execute_install(
-                    txn, update.oid, update.new_value, update.new_ts,
-                    root_txn_id=(
-                        update.root_txn_id if update.root_txn_id >= 0 else None
-                    ),
-                )
-                self.metrics.actions += 1
-            node.tm.commit(txn)
-            self.metrics.replica_updates += 1
-        except DeadlockAbort as exc:
-            node.tm.abort(txn, reason=exc.reason)
-            if attempt < self.max_retries:
-                self.metrics.restarts += 1
-                self.network.send(
-                    node.node_id, node.node_id, "du-apply",
-                    (updates, attempt + 1),
-                )
-            else:
-                self.replica_updates_dropped += 1
+        # every replica holding a written object applies it — the origin's
+        # own store included, so nobody is left out of the fan-out
+        self._fan_out(node.node_id, "du-apply", updates)

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.exceptions import DeadlockAbort, MasterUnavailableError
+from repro.exceptions import MasterUnavailableError
 from repro.network.message import Message
-from repro.replication.base import NodeContext, ReplicatedSystem, ReplicaUpdate
+from repro.replication.base import NodeContext, ReplicatedSystem, SystemSpec
 from repro.replication.pipeline import TxnContext
 from repro.replication.quorum import QuorumConfig
 from repro.txn.ops import Operation
@@ -43,9 +43,9 @@ class EagerGroupSystem(ReplicatedSystem):
     #: catch-up is the only post-commit propagation
     PHASES = ("admission", "execute", "commit", "propagate")
 
-    def __init__(self, *args, quorum: bool = False,
-                 parallel_updates: bool = False, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, spec: SystemSpec, *, quorum: bool = False,
+                 parallel_updates: bool = False):
+        super().__init__(spec)
         self.quorum_enabled = quorum
         self.quorum_config = QuorumConfig.majority(self.num_nodes)
         self.parallel_updates = parallel_updates
@@ -60,10 +60,7 @@ class EagerGroupSystem(ReplicatedSystem):
         if participants is None:
             # cannot form a quorum (or, without quorums, somebody is down)
             self.blocked_by_disconnect += 1
-            ctx.txn = self.nodes[ctx.origin].tm.begin(label=ctx.label)
-            self._abort_everywhere(ctx.txn, [], reason="no-quorum")
-            ctx.finished = True
-            return
+            return self._refuse(ctx, "no-quorum")
         ctx.scratch["participants"] = participants
         ctx.txn = self.nodes[ctx.origin].tm.begin(label=ctx.label)
         # the origin is always in the release set: serializable reads take
@@ -76,56 +73,39 @@ class EagerGroupSystem(ReplicatedSystem):
         is_full = self.placement.is_full
         if not is_full:
             participant_ids = {node.node_id for node in participants}
-        try:
-            for op in ctx.ops:
-                if op.is_read:
-                    yield from self._read_site(origin, op.oid).tm.execute(
-                        txn, op
-                    )
-                    continue
-                # under a partial placement only the object's replicas are
-                # updated; with full replication this is all participants.
-                # Sites come from the op's replica set (O(k log k)), not a
-                # scan of all participants — same order as the old filter:
-                # origin first, then ascending node id.
-                if is_full:
-                    sites = participants
-                else:
-                    replica_ids = self.placement.replicas(op.oid)
-                    sites = [
-                        self.nodes[node_id]
-                        for node_id in sorted(replica_ids)
-                        if node_id in participant_ids and node_id != origin
-                    ]
-                    if origin in replica_ids:
-                        sites.insert(0, self.nodes[origin])
+        for op in ctx.ops:
+            if op.is_read:
+                # committed read at the origin, or at the object's master
+                # replica when the origin holds no copy
+                yield from self._site_for(origin, op.oid).tm.execute(txn, op)
+                continue
+            # under a partial placement only the object's replicas are
+            # updated; with full replication this is all participants.
+            # Sites come from the op's replica set (O(k log k)), not a
+            # scan of all participants — same order as the old filter:
+            # origin first, then ascending node id.
+            if is_full:
+                sites = participants
+            else:
+                replica_ids = self.placement.replicas(op.oid)
+                sites = [
+                    self.nodes[node_id]
+                    for node_id in sorted(replica_ids)
+                    if node_id in participant_ids and node_id != origin
+                ]
+                if origin in replica_ids:
+                    sites.insert(0, self.nodes[origin])
+            for node in sites:
+                if node not in touched:
+                    touched.append(node)
+            if self.parallel_updates:
+                yield from self._apply_parallel(txn, op, sites)
+            else:
+                # Figure 1: Write A at every node, then Write B at every
+                # node, ... — sequential replica updates, origin first.
                 for node in sites:
-                    if node not in touched:
-                        touched.append(node)
-                if self.parallel_updates:
-                    yield from self._apply_parallel(txn, op, sites)
-                else:
-                    # Figure 1: Write A at every node, then Write B at every
-                    # node, ... — sequential replica updates, origin first.
-                    for node in sites:
-                        yield from node.tm.execute(txn, op)
-                        self.metrics.actions += 1
-        except DeadlockAbort as exc:
-            self._abort_everywhere(txn, touched, reason=exc.reason)
-            ctx.finished = True
-
-    def _phase_commit(self, ctx: TxnContext) -> None:
-        self._commit_everywhere(ctx.txn, ctx.touched)
-
-    def _phase_propagate(self, ctx: TxnContext) -> None:
-        self._send_catchup(ctx.origin, ctx.txn, ctx.scratch["participants"])
-
-    def _read_site(self, origin: int, oid: int) -> NodeContext:
-        """Committed-read site: the origin when it holds a replica of the
-        object, otherwise the object's (deterministic) master replica."""
-        if self._node_holds(oid, origin):
-            return self.nodes[origin]
-        return self.nodes[self.placement.master(oid)]
+                    yield from node.tm.execute(txn, op)
+                    self.metrics.actions += 1
 
     def _apply_parallel(self, txn: Transaction, op, participants):
         """Footnote 2: broadcast one action to every replica at once.
@@ -196,8 +176,7 @@ class EagerGroupSystem(ReplicatedSystem):
     # quorum catch-up
     # ------------------------------------------------------------------ #
 
-    def _send_catchup(self, origin: int, txn: Transaction,
-                      participants: Sequence[NodeContext]) -> None:
+    def _phase_propagate(self, ctx: TxnContext) -> None:
         """Queue committed updates for replicas outside the write quorum.
 
         "When a node joins the quorum, the quorum sends the new node all
@@ -206,63 +185,19 @@ class EagerGroupSystem(ReplicatedSystem):
         partial placement each absent node receives only the updates for
         objects it replicates.
         """
+        participants = ctx.scratch["participants"]
         if len(participants) == self.num_nodes:
             return
+        # everyone in the quorum was written inside the transaction
         participant_ids = {node.node_id for node in participants}
-        updates = [
-            ReplicaUpdate(
-                oid=u.oid,
-                old_ts=u.old_ts,
-                new_ts=u.new_ts,
-                new_value=u.new_value,
-                op=u.op,
-                root_txn_id=txn.txn_id,
-            )
-            for u in txn.updates
-        ]
-        for node in self.nodes:
-            if node.node_id in participant_ids:
-                continue
-            if self.placement.is_full:
-                needed = updates
-            else:
-                needed = [
-                    u for u in updates
-                    if self._node_holds(u.oid, node.node_id)
-                ]
-                if not needed:
-                    continue
-            self.network.send(origin, node.node_id, "catchup", needed)
+        self._fan_out(
+            ctx.origin, "catchup", self._shipped_updates(ctx.txn),
+            lambda update: participant_ids,
+        )
 
     def handle_message(self, node: NodeContext, msg: Message):
         if msg.kind != "catchup":
             raise MasterUnavailableError(f"unexpected message {msg.kind}")
-        return self._apply_catchup(node, msg.payload)
-
-    def _apply_catchup(self, node: NodeContext, updates: List[ReplicaUpdate]):
-        """Install quorum catch-up updates as a housekeeping transaction."""
-        txn = node.tm.begin(label="catchup")
-        try:
-            for update in updates:
-                if not self.placement.is_full and not self._node_holds(
-                    update.oid, node.node_id
-                ):
-                    # migrated away while the catch-up was parked; the
-                    # record travelled to its new holder at move time
-                    continue
-                if node.store.timestamp(update.oid) >= update.new_ts:
-                    self.metrics.stale_updates += 1
-                    continue
-                yield from node.tm.execute_install(
-                    txn, update.oid, update.new_value, update.new_ts,
-                    root_txn_id=(
-                        update.root_txn_id if update.root_txn_id >= 0 else None
-                    ),
-                )
-                self.metrics.actions += 1
-            node.tm.commit(txn)
-            self.metrics.replica_updates += 1
-        except DeadlockAbort as exc:
-            node.tm.abort(txn, reason=exc.reason)
-            # housekeeping transactions restart transparently
-            self.network.send(node.node_id, node.node_id, "catchup", updates)
+        # catch-up installs are housekeeping transactions like any lazy
+        # stream's; a copy the node already has is suppressed by timestamp
+        return self._apply_shipped(node, msg, self._thomas_write_rule)

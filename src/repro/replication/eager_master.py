@@ -15,8 +15,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.exceptions import DeadlockAbort, MasterUnavailableError
-from repro.replication.base import NodeContext, ReplicatedSystem
+from repro.exceptions import MasterUnavailableError
+from repro.replication.base import (
+    MasterOwnership,
+    NodeContext,
+    ReplicatedSystem,
+    SystemSpec,
+)
 from repro.replication.pipeline import TxnContext
 from repro.txn.ops import Operation
 
@@ -32,7 +37,7 @@ def single_master_ownership(db_size: int, master: int = 0) -> Dict[int, int]:
     return {oid: master for oid in range(db_size)}
 
 
-class EagerMasterSystem(ReplicatedSystem):
+class EagerMasterSystem(MasterOwnership, ReplicatedSystem):
     """Master-owned eager replication (Table 1: eager / master).
 
     Args:
@@ -45,41 +50,10 @@ class EagerMasterSystem(ReplicatedSystem):
     #: master-first locking *is* the certification; no post-commit traffic
     PHASES = ("admission", "execute", "commit")
 
-    def __init__(self, *args, ownership: Optional[Dict[int, int]] = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.ownership = (
-            dict(ownership)
-            if ownership is not None
-            else self._placement_ownership()
-        )
-        self._validate_ownership()
-
-    def _placement_ownership(self) -> Dict[int, int]:
-        """Default ownership from the placement directory.
-
-        Full replication yields the classic round-robin ``oid % nodes``;
-        a partial placement masters each object at the first node of its
-        replica set (the HRW winner), so the owner always holds a copy.
-        """
-        return {
-            oid: self.placement.master(oid) for oid in range(self.db_size)
-        }
-
-    def _validate_ownership(self) -> None:
-        for oid in range(self.db_size):
-            master = self.ownership.get(oid)
-            if master is None or not 0 <= master < self.num_nodes:
-                raise MasterUnavailableError(
-                    f"object {oid} has no valid master (got {master!r})"
-                )
-            if not self._node_holds(oid, master):
-                raise MasterUnavailableError(
-                    f"object {oid} is mastered at node {master}, which holds "
-                    "no replica of it under the configured placement"
-                )
-
-    def master_of(self, oid: int) -> NodeContext:
-        return self.nodes[self.ownership[oid]]
+    def __init__(self, spec: SystemSpec, *,
+                 ownership: Optional[Dict[int, int]] = None):
+        super().__init__(spec)
+        self._bind_ownership(ownership)
 
     # ------------------------------------------------------------------ #
     # transaction execution
@@ -87,10 +61,7 @@ class EagerMasterSystem(ReplicatedSystem):
 
     def _phase_admission(self, ctx: TxnContext) -> None:
         if not self._all_masters_reachable(ctx.origin, ctx.ops):
-            ctx.txn = self.nodes[ctx.origin].tm.begin(label=ctx.label)
-            self._abort_everywhere(ctx.txn, [], reason="master-unreachable")
-            ctx.finished = True
-            return
+            return self._refuse(ctx, "master-unreachable")
         ctx.txn = self.nodes[ctx.origin].tm.begin(label=ctx.label)
         # the origin is always in the release set: serializable reads take
         # shared locks there even when the transaction writes elsewhere
@@ -98,36 +69,24 @@ class EagerMasterSystem(ReplicatedSystem):
 
     def _phase_execute(self, ctx: TxnContext):
         origin, txn, touched = ctx.origin, ctx.txn, ctx.touched
-        try:
-            for op in ctx.ops:
-                if op.is_read:
-                    site = (
-                        self.nodes[origin]
-                        if self._node_holds(op.oid, origin)
-                        else self.master_of(op.oid)
-                    )
-                    yield from site.tm.execute(txn, op)
-                    continue
-                # master first — the deadlock-avoidance mechanism — then the
-                # remaining replicas, all inside this transaction.  Under a
-                # partial placement "the remaining replicas" is the object's
-                # replica set, not the whole system.
-                master = self.master_of(op.oid)
-                replicas = [master] + [
-                    n for n in self._replica_nodes(op.oid)
-                    if n.node_id != master.node_id
-                ]
-                for node in replicas:
-                    if node not in touched:
-                        touched.append(node)
-                    yield from node.tm.execute(txn, op)
-                    self.metrics.actions += 1
-        except DeadlockAbort as exc:
-            self._abort_everywhere(txn, touched, reason=exc.reason)
-            ctx.finished = True
-
-    def _phase_commit(self, ctx: TxnContext) -> None:
-        self._commit_everywhere(ctx.txn, ctx.touched)
+        for op in ctx.ops:
+            if op.is_read:
+                yield from self._site_for(origin, op.oid).tm.execute(txn, op)
+                continue
+            # master first — the deadlock-avoidance mechanism — then the
+            # remaining replicas, all inside this transaction.  Under a
+            # partial placement "the remaining replicas" is the object's
+            # replica set, not the whole system.
+            master = self.master_of(op.oid)
+            replicas = [master] + [
+                n for n in self._replica_nodes(op.oid)
+                if n.node_id != master.node_id
+            ]
+            for node in replicas:
+                if node not in touched:
+                    touched.append(node)
+                yield from node.tm.execute(txn, op)
+                self.metrics.actions += 1
 
     def _replica_nodes(self, oid: int) -> List[NodeContext]:
         """The nodes holding ``oid``, in node-id order."""

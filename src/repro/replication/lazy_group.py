@@ -19,19 +19,23 @@ Modes:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
-from repro.exceptions import DeadlockAbort, ReplicationError
+from repro.exceptions import ReplicationError
 from repro.network.message import Message
-from repro.replication.base import NodeContext, ReplicatedSystem, ReplicaUpdate
+from repro.replication.base import (
+    NodeContext,
+    ReplicatedSystem,
+    ReplicaUpdate,
+    SystemSpec,
+)
 from repro.replication.pipeline import TxnContext
 from repro.replication.reconciliation import (
     Outcome,
     ReconciliationRule,
     default_rule,
 )
-from repro.storage.lock_manager import LockMode
-from repro.txn.ops import Operation
+from repro.storage.record import Record
 
 
 class LazyGroupSystem(ReplicatedSystem):
@@ -45,15 +49,14 @@ class LazyGroupSystem(ReplicatedSystem):
 
     def __init__(
         self,
-        *args,
+        spec: SystemSpec,
+        *,
         rule: Optional[ReconciliationRule] = None,
         propagate_ops: bool = False,
-        **kwargs,
     ):
-        super().__init__(*args, **kwargs)
+        super().__init__(spec)
         self.rule = rule if rule is not None else default_rule()
         self.propagate_ops = propagate_ops
-        self.replica_updates_dropped = 0
 
     def _register_probes(self, telemetry) -> None:
         super()._register_probes(telemetry)
@@ -78,96 +81,37 @@ class LazyGroupSystem(ReplicatedSystem):
         # placement ops on non-resident objects execute at the object's
         # master replica, which then joins the set
         touched = ctx.touched = [node]
-        try:
-            if self.placement.is_full:
-                yield from self._execute_local(node, txn, ctx.ops)
-            else:
-                for op in ctx.ops:
-                    if self._node_holds(op.oid, origin):
-                        site = node
-                    else:
-                        site = self.nodes[self.placement.master(op.oid)]
-                        if site not in touched:
-                            touched.append(site)
-                        if self.network.message_delay > 0:
-                            # RPC round to the remote replica (same cost
-                            # model as lazy-master's remote-owner writes)
-                            yield self.engine.timeout(
-                                self.network.message_delay
-                            )
-                    yield from site.tm.execute(txn, op)
-                    if not op.is_read:
-                        self.metrics.actions += 1
-        except DeadlockAbort as exc:
-            # local-only undo, in site order (predates _abort_everywhere's
-            # mark-first ordering; kept verbatim — goldens pin the traces)
-            for site in touched:
-                site.tm.finish_abort_local(txn)
-            txn.mark_aborted(self.engine.now, reason=exc.reason)
-            self.metrics.aborts += 1
-            self._trace("abort", txn=txn.txn_id, reason=exc.reason,
-                        node=txn.origin_node, start=txn.start_time)
-            ctx.finished = True
-
-    def _phase_commit(self, ctx: TxnContext) -> None:
-        self._commit_everywhere(ctx.txn, ctx.touched)
+        if self.placement.is_full:
+            yield from self._execute_local(node, txn, ctx.ops)
+            return
+        for op in ctx.ops:
+            site = self._site_for(origin, op.oid)
+            if site is not node:
+                if site not in touched:
+                    touched.append(site)
+                if self.network.message_delay > 0:
+                    # RPC round to the remote replica (same cost model as
+                    # lazy-master's remote-owner writes)
+                    yield self.engine.timeout(self.network.message_delay)
+            yield from site.tm.execute(txn, op)
+            if not op.is_read:
+                self.metrics.actions += 1
 
     def _phase_propagate(self, ctx: TxnContext) -> None:
-        self._propagate(ctx.origin, ctx.txn)
-
-    def _propagate(self, origin: int, txn) -> None:
         """One lazy replica-update transaction per remote node (Figure 1).
 
         Under a partial placement each update travels only to the other
         members of its object's replica set; nodes holding none of the
         written objects receive nothing.
         """
-        if not txn.updates:
-            return
-        updates = [
-            ReplicaUpdate(
-                oid=u.oid,
-                old_ts=u.old_ts,
-                new_ts=u.new_ts,
-                new_value=u.new_value,
-                op=u.op,
-                root_txn_id=txn.txn_id,
-            )
-            for u in txn.updates
-        ]
-        if self.placement.is_full:
-            for node in self.nodes:
-                if node.node_id == origin:
-                    continue
-                self.network.send(
-                    origin, node.node_id, "replica-update", (updates, 0)
-                )
-            return
+        origin = ctx.origin
         # where did the root execute each update?  that replica is already
         # current and must not receive a redundant (and reconciliation-
-        # counting) copy.  Recipients come from the updates' replica sets
-        # (O(updates·k)) rather than a scan over all N nodes, so a commit
-        # in a 10k-node system costs what its replica sets cost — sends
-        # stay in ascending node order to keep delivery deterministic.
-        placement = self.placement
-        extra_holders = range(placement.num_nodes, self.num_nodes)
-        needed_by_node: dict = {}
-        for u in updates:
-            executed_at = (
-                origin if self._node_holds(u.oid, origin)
-                else placement.master(u.oid)
-            )
-            holders = placement.replicas(u.oid)
-            for node_id in (
-                holders if not extra_holders
-                else list(holders) + list(extra_holders)
-            ):
-                if node_id != executed_at:
-                    needed_by_node.setdefault(node_id, []).append(u)
-        for node_id in sorted(needed_by_node):
-            self.network.send(
-                origin, node_id, "replica-update", (needed_by_node[node_id], 0)
-            )
+        # counting) copy
+        self._fan_out(
+            origin, "replica-update", self._shipped_updates(ctx.txn),
+            lambda update: (self._site_for(origin, update.oid).node_id,),
+        )
 
     # ------------------------------------------------------------------ #
     # replica application
@@ -176,87 +120,46 @@ class LazyGroupSystem(ReplicatedSystem):
     def handle_message(self, node: NodeContext, msg: Message):
         if msg.kind != "replica-update":
             raise ReplicationError(f"lazy-group got unexpected {msg.kind}")
-        updates, attempt = msg.payload
-        return self._apply_replica_updates(node, updates, attempt)
+        return self._apply_shipped(node, msg, self._figure4_test)
 
-    def _apply_replica_updates(
-        self, node: NodeContext, updates: List[ReplicaUpdate], attempt: int
-    ):
-        """Apply one replica-update transaction, counting reconciliations.
+    def _figure4_test(
+        self, node: NodeContext, local: Record, update: ReplicaUpdate
+    ) -> Outcome:
+        """Judge one arriving replica update, counting reconciliations.
 
         Figure 4's test: if the local replica's timestamp equals the update's
         old timestamp, the update is safe; otherwise it is dangerous and the
         reconciliation rule decides its fate.
         """
-        txn = node.tm.begin(label="replica-update")
-        try:
-            for update in updates:
-                if not self.placement.is_full and not self._node_holds(
-                    update.oid, node.node_id
-                ):
-                    # the object migrated away while this update was in
-                    # flight; the record travelled to its new holder at
-                    # move time, so applying here would resurrect a copy
-                    # the directory no longer routes to
-                    continue
-                event = node.locks.acquire(txn, update.oid, LockMode.EXCLUSIVE)
-                if event is not None:
-                    yield event
-                    txn.require_active()
-                local = node.store.read(update.oid)
-                if local.ts == update.new_ts:
-                    continue  # duplicate delivery; already applied
-                if local.ts == update.old_ts:
-                    # safe: replica exactly at the version the root saw
-                    yield from self._apply(node, txn, update, merge=False)
-                    continue
-                self.metrics.reconciliations += 1
-                outcome = self.rule.resolve(local, update)
-                self._trace(
-                    "reconcile", node=node.node_id, oid=update.oid,
-                    txn=update.root_txn_id, outcome=outcome.value,
-                )
-                if outcome is Outcome.APPLY:
-                    yield from self._apply(node, txn, update, merge=False)
-                elif outcome is Outcome.MERGE:
-                    yield from self._apply(node, txn, update, merge=True)
-                else:
-                    # DISCARD and DEFER keep the local version; DEFER
-                    # represents an unresolved conflict awaiting a human
-                    # (system delusion shows up as divergence in the
-                    # end-state check).  Either way the rejection itself is
-                    # recorded as precedence evidence for the verifier.
-                    if self.history is not None and update.root_txn_id >= 0:
-                        self.history.record_conflict(
-                            node.node_id, update.root_txn_id, update.oid
-                        )
-            node.tm.commit(txn)
-            self.metrics.replica_updates += 1
-        except DeadlockAbort as exc:
-            node.tm.abort(txn, reason=exc.reason)
-            if attempt < self.max_retries:
-                self.metrics.restarts += 1
-                self.network.send(
-                    node.node_id, node.node_id, "replica-update",
-                    (updates, attempt + 1),
-                )
-            else:
-                self.replica_updates_dropped += 1
-
-    def _apply(self, node: NodeContext, txn, update: ReplicaUpdate, merge: bool):
-        root = update.root_txn_id if update.root_txn_id >= 0 else None
-        wants_transform = merge or (
-            self.propagate_ops
-            and update.op is not None
-            and update.op.commutative
-        )
-        if wants_transform and update.op is not None:
-            yield from node.tm.execute_transform(
-                txn, update.op, update.new_ts, root_txn_id=root
-            )
+        if local.ts == update.new_ts:
+            return Outcome.DISCARD  # duplicate delivery; already applied
+        if local.ts == update.old_ts:
+            # safe: replica exactly at the version the root saw
+            outcome = Outcome.APPLY
         else:
-            yield from node.tm.execute_install(
-                txn, update.oid, update.new_value, update.new_ts,
-                root_txn_id=root,
+            self.metrics.reconciliations += 1
+            outcome = self.rule.resolve(local, update)
+            self._trace(
+                "reconcile", node=node.node_id, oid=update.oid,
+                txn=update.root_txn_id, outcome=outcome.value,
             )
-        self.metrics.actions += 1
+        if outcome is Outcome.APPLY:
+            if (
+                self.propagate_ops
+                and update.op is not None
+                and update.op.commutative
+            ):
+                # ship-the-operation mode: a commutative update is
+                # re-applied to the local value, not installed over it
+                return Outcome.MERGE
+        elif outcome is not Outcome.MERGE:
+            # DISCARD and DEFER keep the local version; DEFER represents an
+            # unresolved conflict awaiting a human (system delusion shows up
+            # as divergence in the end-state check).  Either way the
+            # rejection itself is recorded as precedence evidence for the
+            # verifier.
+            if self.history is not None and update.root_txn_id >= 0:
+                self.history.record_conflict(
+                    node.node_id, update.root_txn_id, update.oid
+                )
+        return outcome

@@ -17,16 +17,20 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.exceptions import DeadlockAbort, MasterUnavailableError, ReplicationError
+from repro.exceptions import ReplicationError
 from repro.network.message import Message
-from repro.replication.base import NodeContext, ReplicatedSystem, ReplicaUpdate
-from repro.replication.eager_master import round_robin_ownership
+from repro.replication.base import (
+    MasterOwnership,
+    NodeContext,
+    ReplicatedSystem,
+    ReplicaUpdate,
+    SystemSpec,
+)
 from repro.replication.pipeline import TxnContext
-from repro.storage.lock_manager import LockMode
-from repro.txn.ops import Operation
+from repro.txn.transaction import Transaction
 
 
-class LazyMasterSystem(ReplicatedSystem):
+class LazyMasterSystem(MasterOwnership, ReplicatedSystem):
     """Master-owned lazy replication (Table 1: lazy / master).
 
     Args:
@@ -53,31 +57,14 @@ class LazyMasterSystem(ReplicatedSystem):
 
     def __init__(
         self,
-        *args,
+        spec: SystemSpec,
+        *,
         ownership: Optional[Dict[int, int]] = None,
         require_connected_masters: bool = True,
         master_broadcasts: bool = False,
-        **kwargs,
     ):
-        super().__init__(*args, **kwargs)
-        self.ownership = (
-            dict(ownership)
-            if ownership is not None
-            # placement default: round-robin under full replication, the
-            # HRW winner of each object's replica set under partial
-            else {
-                oid: self.placement.master(oid)
-                for oid in range(self.db_size)
-            }
-        )
-        if not self.placement.is_full:
-            for oid, master in self.ownership.items():
-                if not self._node_holds(oid, master):
-                    raise MasterUnavailableError(
-                        f"object {oid} is mastered at node {master}, which "
-                        "holds no replica of it under the configured "
-                        "placement"
-                    )
+        super().__init__(spec)
+        self._bind_ownership(ownership)
         self.require_connected_masters = require_connected_masters
         self.master_broadcasts = master_broadcasts
         self.blocked_by_disconnect = 0
@@ -87,9 +74,6 @@ class LazyMasterSystem(ReplicatedSystem):
         # stale propagated updates suppressed at replicas: the lazy-master
         # analogue of lazy-group's reconciliations
         telemetry.counter_rate("stale_rate", lambda: self.metrics.stale_updates)
-
-    def master_of(self, oid: int) -> NodeContext:
-        return self.nodes[self.ownership[oid]]
 
     # ------------------------------------------------------------------ #
     # root (master) transaction
@@ -103,10 +87,7 @@ class LazyMasterSystem(ReplicatedSystem):
             ctx.origin, masters_needed
         ):
             self.blocked_by_disconnect += 1
-            ctx.txn = self.nodes[ctx.origin].tm.begin(label=ctx.label)
-            self._abort_everywhere(ctx.txn, [], reason="master-unreachable")
-            ctx.finished = True
-            return
+            return self._refuse(ctx, "master-unreachable")
         ctx.txn = self.nodes[ctx.origin].tm.begin(label=ctx.label)
         # unlike the group strategies the release set starts empty: a
         # committed-read origin that masters nothing holds nothing
@@ -114,107 +95,62 @@ class LazyMasterSystem(ReplicatedSystem):
 
     def _phase_execute(self, ctx: TxnContext):
         origin, txn, involved = ctx.origin, ctx.txn, ctx.touched
-        try:
-            for op in ctx.ops:
-                master = self.master_of(op.oid)
-                if op.is_read:
-                    # committed-read at the local replica unless read locks
-                    # are on, in which case the read-lock RPC goes to the
-                    # master ("a read action should send read-lock RPCs to
-                    # the masters of any objects it reads").  A node holding
-                    # no replica of the object reads at the master too.
-                    if self.nodes[origin].tm.lock_reads:
-                        target = master
-                        if target not in involved:
-                            involved.append(target)  # S locks need releasing
-                    elif self._node_holds(op.oid, origin):
-                        target = self.nodes[origin]
-                    else:
-                        target = master
-                    yield from target.tm.execute(txn, op)
-                    continue
-                if (
-                    master.node_id != origin
-                    and self.network.message_delay > 0
-                ):
-                    # RPC round to the owner
-                    yield self.engine.timeout(self.network.message_delay)
-                if master not in involved:
-                    involved.append(master)
-                yield from master.tm.execute(txn, op)
-                self.metrics.actions += 1
-        except DeadlockAbort as exc:
-            self._abort_everywhere(txn, involved, reason=exc.reason)
-            ctx.finished = True
-
-    def _phase_commit(self, ctx: TxnContext) -> None:
-        self._commit_everywhere(ctx.txn, ctx.touched)
+        for op in ctx.ops:
+            master = self.master_of(op.oid)
+            if op.is_read:
+                # committed-read at the local replica unless read locks
+                # are on, in which case the read-lock RPC goes to the
+                # master ("a read action should send read-lock RPCs to
+                # the masters of any objects it reads").  A node holding
+                # no replica of the object reads at the master too.
+                if self.nodes[origin].tm.lock_reads:
+                    target = master
+                    if target not in involved:
+                        involved.append(target)  # S locks need releasing
+                else:
+                    target = self._site_for(origin, op.oid)
+                yield from target.tm.execute(txn, op)
+                continue
+            if (
+                master.node_id != origin
+                and self.network.message_delay > 0
+            ):
+                # RPC round to the owner
+                yield self.engine.timeout(self.network.message_delay)
+            if master not in involved:
+                involved.append(master)
+            yield from master.tm.execute(txn, op)
+            self.metrics.actions += 1
 
     def _phase_propagate(self, ctx: TxnContext) -> None:
         self._propagate_to_slaves(ctx.origin, ctx.txn)
 
-    def _reachable(self, origin: int, masters: set) -> bool:
-        if not self.network.is_connected(origin):
-            return False
-        return all(self.network.is_connected(m) for m in masters)
-
-    def _propagate_to_slaves(self, origin: int, txn) -> None:
+    def _propagate_to_slaves(self, origin: int, txn: Transaction) -> None:
         """Ship committed master updates to every other replica.
 
         Default: one broadcast from the originator per destination.  With
         ``master_broadcasts``: each object's master sends its own slice, so
         every (master, slave) pair is a FIFO commit-order stream.
+
+        A node that masters every written object is already current;
+        everyone else (including the originator, for remote-mastered
+        objects) gets a slave refresh — N transactions total (Table 1).
         """
-        if not txn.updates:
+        updates = self._shipped_updates(txn)
+        if not self.master_broadcasts:
+            self._fan_out(origin, "slave-update", updates, self._mastered_at)
             return
-        updates = [
-            ReplicaUpdate(
-                oid=u.oid,
-                old_ts=u.old_ts,
-                new_ts=u.new_ts,
-                new_value=u.new_value,
-                op=u.op,
-                root_txn_id=txn.txn_id,
-            )
-            for u in txn.updates
-        ]
-        if self.placement.is_full:
-            recipient_ids = range(self.num_nodes)
-        else:
-            # a partial placement prunes the broadcast: recipients come
-            # from the updates' replica sets plus any nodes outside the
-            # placement scope (two-tier mobiles hold full replicas), not
-            # a scan over all N nodes — ascending order keeps delivery
-            # deterministic
-            holders = set(range(self.placement.num_nodes, self.num_nodes))
-            for u in updates:
-                holders.update(self.placement.replicas(u.oid))
-            recipient_ids = sorted(holders)
-        for node_id in recipient_ids:
-            # a node that masters every written object is already current;
-            # everyone else (including the originator, for remote-mastered
-            # objects) gets a slave refresh — N transactions total (Table 1).
-            needed = [
-                u for u in updates
-                if self.ownership[u.oid] != node_id
-                and self._node_holds(u.oid, node_id)
-            ]
-            if not needed:
-                continue
-            if self.master_broadcasts:
-                by_master: Dict[int, List[ReplicaUpdate]] = {}
-                for update in needed:
-                    by_master.setdefault(
-                        self.ownership[update.oid], []
-                    ).append(update)
-                for master_id, slice_updates in by_master.items():
-                    self.network.send(
-                        master_id, node_id, "slave-update",
-                        (slice_updates, 0),
-                    )
-            else:
+        for node_id, needed in self._needed_by_holder(
+            updates, self._mastered_at
+        ):
+            by_master: Dict[int, List[ReplicaUpdate]] = {}
+            for update in needed:
+                by_master.setdefault(
+                    self.ownership[update.oid], []
+                ).append(update)
+            for master_id, slice_updates in by_master.items():
                 self.network.send(
-                    origin, node_id, "slave-update", (needed, 0)
+                    master_id, node_id, "slave-update", (slice_updates, 0)
                 )
 
     # ------------------------------------------------------------------ #
@@ -224,46 +160,6 @@ class LazyMasterSystem(ReplicatedSystem):
     def handle_message(self, node: NodeContext, msg: Message):
         if msg.kind != "slave-update":
             raise ReplicationError(f"lazy-master got unexpected {msg.kind}")
-        updates, attempt = msg.payload
-        return self._apply_slave_updates(node, updates, attempt)
-
-    def _apply_slave_updates(
-        self, node: NodeContext, updates: List[ReplicaUpdate], attempt: int
-    ):
-        txn = node.tm.begin(label="slave-update")
-        try:
-            for update in updates:
-                if self.ownership[update.oid] == node.node_id:
-                    continue  # master copy is the source of truth already
-                if not self.placement.is_full and not self._node_holds(
-                    update.oid, node.node_id
-                ):
-                    # migrated away while the update was in flight; the
-                    # record travelled to its new holder at move time
-                    continue
-                event = node.locks.acquire(txn, update.oid, LockMode.EXCLUSIVE)
-                if event is not None:
-                    yield event
-                    txn.require_active()
-                local = node.store.read(update.oid)
-                if local.ts >= update.new_ts:
-                    if local.ts != update.new_ts:
-                        self.metrics.stale_updates += 1
-                    continue
-                yield from node.tm.execute_install(
-                    txn, update.oid, update.new_value, update.new_ts,
-                    root_txn_id=(
-                        update.root_txn_id if update.root_txn_id >= 0 else None
-                    ),
-                )
-                self.metrics.actions += 1
-            node.tm.commit(txn)
-            self.metrics.replica_updates += 1
-        except DeadlockAbort as exc:
-            node.tm.abort(txn, reason=exc.reason)
-            if attempt < self.max_retries:
-                self.metrics.restarts += 1
-                self.network.send(
-                    node.node_id, node.node_id, "slave-update",
-                    (updates, attempt + 1),
-                )
+        # "If the record timestamp is newer than a replica update
+        # timestamp, the update is 'stale' and can be ignored."
+        return self._apply_shipped(node, msg, self._thomas_write_rule)

@@ -23,9 +23,9 @@ without adding any engine interaction of its own, which is what lets the
 five legacy strategies keep byte-identical determinism fingerprints after
 the refactor.
 
-A phase ends the transaction early — admission failure, deadlock abort,
-certification abort — by setting ``ctx.finished = True``; the driver then
-skips the remaining phases.
+A phase ends the transaction early — admission failure, certification
+abort — by setting ``ctx.finished = True``; a ``DeadlockAbort`` escaping a
+phase makes the driver undo the transaction at every ``ctx.touched`` node.
 """
 
 from __future__ import annotations

@@ -24,11 +24,13 @@ lost.
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
-from repro.replication.base import ReplicaUpdate
 from repro.storage.record import Record
 from repro.storage.versioning import Timestamp
+
+if TYPE_CHECKING:  # base imports Outcome from here; annotations only
+    from repro.replication.base import ReplicaUpdate
 
 
 class Outcome(enum.Enum):

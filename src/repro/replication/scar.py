@@ -29,50 +29,34 @@ propagate``.  Reads never take locks (the strategy ignores
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.exceptions import (
-    DeadlockAbort,
-    MasterUnavailableError,
-    ReplicationError,
-)
+from repro.exceptions import ReplicationError
 from repro.network.message import Message
-from repro.replication.base import NodeContext, ReplicatedSystem, ReplicaUpdate
+from repro.replication.base import (
+    MasterOwnership,
+    NodeContext,
+    ReplicatedSystem,
+    ReplicaUpdate,
+    SystemSpec,
+)
 from repro.replication.pipeline import TxnContext
 from repro.storage.lock_manager import LockMode
-from repro.storage.versioning import Timestamp
 
 
-class ScarSystem(ReplicatedSystem):
+class ScarSystem(MasterOwnership, ReplicatedSystem):
     """Stale reads + commit-time timestamp validation at the masters."""
 
     name = "scar"
     PHASES = ("execute", "certify", "commit", "propagate")
 
-    def __init__(self, *args, ownership: Optional[Dict[int, int]] = None,
-                 **kwargs):
-        super().__init__(*args, **kwargs)
-        # master copies hold the authoritative timestamps; migrate()
-        # rebinds moved entries through the shared ownership hook
-        self.ownership = (
-            dict(ownership)
-            if ownership is not None
-            else {
-                oid: self.placement.master(oid)
-                for oid in range(self.db_size)
-            }
-        )
-        if not self.placement.is_full:
-            for oid, master in self.ownership.items():
-                if not self._node_holds(oid, master):
-                    raise MasterUnavailableError(
-                        f"object {oid} is mastered at node {master}, which "
-                        "holds no replica of it under the configured "
-                        "placement"
-                    )
+    def __init__(self, spec: SystemSpec, *,
+                 ownership: Optional[Dict[int, int]] = None):
+        super().__init__(spec)
+        # master copies hold the authoritative timestamps
+        self._bind_ownership(ownership)
         self.validated = 0
         self.blocked_by_disconnect = 0
-        self.replica_updates_dropped = 0
 
     def _register_probes(self, telemetry) -> None:
         super()._register_probes(telemetry)
@@ -84,48 +68,16 @@ class ScarSystem(ReplicatedSystem):
             "replica_update_rate", lambda: self.metrics.replica_updates
         )
 
-    def master_of(self, oid: int) -> NodeContext:
-        return self.nodes[self.ownership[oid]]
-
     # ------------------------------------------------------------------ #
     # pipeline phases
     # ------------------------------------------------------------------ #
 
     def _phase_execute(self, ctx: TxnContext):
         """Coordination-free execution against local (possibly stale) state."""
-        origin = ctx.origin
-        node = self.nodes[origin]
-        txn = ctx.txn = node.tm.begin(label=ctx.label)
-        ctx.touched = []  # masters join during certification
-        reads: List[Tuple[int, Timestamp]] = []
-        writes: List[Tuple[int, Timestamp, object, object]] = []
-        try:
-            for op in ctx.ops:
-                if self._node_holds(op.oid, origin):
-                    site = node
-                else:
-                    # no local replica: fetch from the master (RPC round)
-                    site = self.master_of(op.oid)
-                    if self.network.message_delay > 0:
-                        yield self.engine.timeout(self.network.message_delay)
-                record = site.store.read(op.oid)
-                if op.is_read:
-                    txn.record_read(record.value)
-                    if self.history is not None:
-                        self.history.record_read(
-                            site.node_id, txn.txn_id, op.oid
-                        )
-                    reads.append((op.oid, record.ts))
-                    continue
-                if op.reads_state and self.history is not None:
-                    self.history.record_read(site.node_id, txn.txn_id, op.oid)
-                writes.append((op.oid, record.ts, op.apply(record.value), op))
-        except DeadlockAbort as exc:  # CrashAbort: origin died mid-run
-            self._abort_everywhere(txn, ctx.touched, reason=exc.reason)
-            ctx.finished = True
-            return
-        ctx.scratch["reads"] = reads
-        ctx.scratch["writes"] = writes
+        # nothing is charged or locked here: the action's cost is paid
+        # when the masters install it, and they join the release set only
+        # during certification
+        return self._execute_optimistic(ctx, compute_time=0.0)
 
     def _phase_certify(self, ctx: TxnContext):
         """Lock written objects at their masters, then validate timestamps.
@@ -153,26 +105,22 @@ class ScarSystem(ReplicatedSystem):
             self._abort_everywhere(txn, ctx.touched, reason="master-unreachable")
             ctx.finished = True
             return
-        try:
-            for oid in write_oids:
-                master = self.master_of(oid)
-                if (
-                    master.node_id != ctx.origin
-                    and self.network.message_delay > 0
-                ):
-                    # lock-request RPC to the master
-                    yield self.engine.timeout(self.network.message_delay)
-                event = master.locks.acquire(txn, oid, LockMode.EXCLUSIVE)
-                if event is not None:
-                    yield event
-                    txn.require_active()
-                if master not in ctx.touched:
-                    ctx.touched.append(master)
-        except DeadlockAbort as exc:  # crash interrupt, or a cycle against
-            # a non-SCAR housekeeping transaction
-            self._abort_everywhere(txn, ctx.touched, reason=exc.reason)
-            ctx.finished = True
-            return
+        # a DeadlockAbort here is a crash interrupt, or a cycle against a
+        # non-SCAR housekeeping transaction
+        for oid in write_oids:
+            master = self.master_of(oid)
+            if (
+                master.node_id != ctx.origin
+                and self.network.message_delay > 0
+            ):
+                # lock-request RPC to the master
+                yield self.engine.timeout(self.network.message_delay)
+            event = master.locks.acquire(txn, oid, LockMode.EXCLUSIVE)
+            if event is not None:
+                yield event
+                txn.require_active()
+            if master not in ctx.touched:
+                ctx.touched.append(master)
         stale = None
         for oid, observed_ts in reads:
             if self.master_of(oid).store.read(oid).ts != observed_ts:
@@ -195,54 +143,28 @@ class ScarSystem(ReplicatedSystem):
         """Install validated writes at the masters, then commit."""
         txn = ctx.txn
         updates: List[ReplicaUpdate] = []
-        try:
-            for oid, observed_ts, value, op in ctx.scratch.get("writes", ()):
-                master = self.master_of(oid)
-                new_ts = master.clock.tick()
-                # the X lock from certification makes this a fast path
-                yield from master.tm.execute_install(txn, oid, value, new_ts)
-                self.metrics.actions += 1
-                updates.append(
-                    ReplicaUpdate(
-                        oid=oid, old_ts=observed_ts, new_ts=new_ts,
-                        new_value=value, op=op, root_txn_id=txn.txn_id,
-                    )
+        for oid, observed_ts, value, op in ctx.scratch.get("writes", ()):
+            master = self.master_of(oid)
+            new_ts = master.clock.tick()
+            # the X lock from certification makes this a fast path (only a
+            # crash interrupt can abort the install)
+            yield from master.tm.execute_install(txn, oid, value, new_ts)
+            self.metrics.actions += 1
+            updates.append(
+                ReplicaUpdate(
+                    oid=oid, old_ts=observed_ts, new_ts=new_ts,
+                    new_value=value, op=op, root_txn_id=txn.txn_id,
                 )
-        except DeadlockAbort as exc:  # crash interrupt during install
-            self._abort_everywhere(txn, ctx.touched, reason=exc.reason)
-            ctx.finished = True
-            return
+            )
         ctx.scratch["updates"] = updates
         self._commit_everywhere(txn, ctx.touched)
 
     def _phase_propagate(self, ctx: TxnContext) -> None:
         """Asynchronously refresh the non-master replicas."""
-        updates = ctx.scratch.get("updates")
-        if not updates:
-            return
-        if self.placement.is_full:
-            recipient_ids = range(self.num_nodes)
-        else:
-            holders = set(range(self.placement.num_nodes, self.num_nodes))
-            for u in updates:
-                holders.update(self.placement.replicas(u.oid))
-            recipient_ids = sorted(holders)
-        for node_id in recipient_ids:
-            needed = [
-                u for u in updates
-                if self.ownership[u.oid] != node_id
-                and self._node_holds(u.oid, node_id)
-            ]
-            if not needed:
-                continue
-            self.network.send(
-                ctx.origin, node_id, "scar-update", (needed, 0)
-            )
-
-    def _reachable(self, origin: int, masters: set) -> bool:
-        if not self.network.is_connected(origin):
-            return False
-        return all(self.network.is_connected(m) for m in masters)
+        self._fan_out(
+            ctx.origin, "scar-update", ctx.scratch["updates"],
+            self._mastered_at,
+        )
 
     # ------------------------------------------------------------------ #
     # replica application
@@ -251,46 +173,5 @@ class ScarSystem(ReplicatedSystem):
     def handle_message(self, node: NodeContext, msg: Message):
         if msg.kind != "scar-update":
             raise ReplicationError(f"scar got unexpected {msg.kind}")
-        updates, attempt = msg.payload
-        return self._apply_updates(node, updates, attempt)
-
-    def _apply_updates(
-        self, node: NodeContext, updates: List[ReplicaUpdate], attempt: int
-    ):
-        txn = node.tm.begin(label="scar-update")
-        try:
-            for update in updates:
-                if self.ownership[update.oid] == node.node_id:
-                    continue  # master copy already authoritative
-                if not self.placement.is_full and not self._node_holds(
-                    update.oid, node.node_id
-                ):
-                    continue  # migrated away while in flight
-                event = node.locks.acquire(txn, update.oid, LockMode.EXCLUSIVE)
-                if event is not None:
-                    yield event
-                    txn.require_active()
-                local = node.store.read(update.oid)
-                if local.ts >= update.new_ts:
-                    if local.ts != update.new_ts:
-                        self.metrics.stale_updates += 1
-                    continue  # duplicate or reordered delivery
-                yield from node.tm.execute_install(
-                    txn, update.oid, update.new_value, update.new_ts,
-                    root_txn_id=(
-                        update.root_txn_id if update.root_txn_id >= 0 else None
-                    ),
-                )
-                self.metrics.actions += 1
-            node.tm.commit(txn)
-            self.metrics.replica_updates += 1
-        except DeadlockAbort as exc:
-            node.tm.abort(txn, reason=exc.reason)
-            if attempt < self.max_retries:
-                self.metrics.restarts += 1
-                self.network.send(
-                    node.node_id, node.node_id, "scar-update",
-                    (updates, attempt + 1),
-                )
-            else:
-                self.replica_updates_dropped += 1
+        # lazy-master-style stale suppression at the receivers
+        return self._apply_shipped(node, msg, self._thomas_write_rule)

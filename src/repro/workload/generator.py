@@ -21,7 +21,7 @@ class WorkloadGenerator:
 
     Example::
 
-        system = LazyMasterSystem(num_nodes=4, db_size=200)
+        system = LazyMasterSystem(SystemSpec(num_nodes=4, db_size=200))
         profile = uniform_update_profile(actions=4, db_size=200)
         workload = WorkloadGenerator(system, profile, tps=5.0)
         workload.start(duration=100.0)

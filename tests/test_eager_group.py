@@ -3,7 +3,8 @@
 import pytest
 
 from repro.replication.eager_group import EagerGroupSystem
-from repro.replication import SystemSpec
+from repro.replication import ReplicaUpdate, SystemSpec
+from repro.storage.versioning import Timestamp
 from repro.txn.ops import IncrementOp, ReadOp, WriteOp
 
 
@@ -147,3 +148,17 @@ def test_catchup_is_idempotent_under_duplicate_timestamps():
     # stale catch-up (same ts) must not re-apply
     assert system.metrics.stale_updates == 0
     assert system.converged()
+
+
+def test_same_catchup_delivered_twice_is_a_duplicate_not_a_stale_update():
+    system = make(num_nodes=3, quorum=True)
+    update = ReplicaUpdate(
+        oid=1, old_ts=Timestamp.ZERO, new_ts=Timestamp(4, 0), new_value=5
+    )
+    for _delivery in range(2):
+        system.network.send(0, 2, "catchup", ([update], 0))
+        system.run()
+    assert system.metrics.replica_updates == 2
+    assert system.metrics.actions == 1  # installed once
+    assert system.nodes[2].store.value(1) == 5
+    assert system.metrics.stale_updates == 0

@@ -61,6 +61,22 @@ def test_every_registered_strategy_declares_a_pipeline():
         assert indices == sorted(indices), f"{name} phases out of order"
 
 
+def test_every_declared_phase_resolves_and_handlers_are_per_class():
+    """Two fixed points later deletion passes must not break silently: the
+    driver looks phases up as ``_phase_<name>``, and the layer ladder wraps
+    ``handle_message`` on the class that defines it."""
+    for name, cls in STRATEGY_CLASSES.items():
+        for phase in describe_pipeline(cls):
+            assert callable(getattr(cls, f"_phase_{phase}", None)), (
+                f"{name} declares phase {phase!r} but has no _phase_{phase}"
+            )
+        ships_messages = {"certify", "propagate"} & set(describe_pipeline(cls))
+        if ships_messages:
+            assert "handle_message" in vars(cls), (
+                f"{name} ships messages but inherits handle_message"
+            )
+
+
 def test_markov_track_covers_the_whole_registry():
     assert MARKOV_STRATEGIES == STRATEGIES
     assert set(MARKOV_REFERENCE) == set(STRATEGIES)

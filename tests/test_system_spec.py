@@ -1,9 +1,9 @@
-"""SystemSpec construction API: new spec path, legacy shim, validation.
+"""SystemSpec construction API: the spec path, its validation, and the
+absence of any other path.
 
-The strategy constructors now take one :class:`~repro.replication.SystemSpec`.
-The old ``Cls(num_nodes, db_size, ...)`` signature still works through a
-deprecation shim and must build an *identical* system — same topology, same
-seeded behaviour — so downstream callers can migrate at their own pace.
+Every strategy constructor takes one :class:`~repro.replication.SystemSpec`
+and nothing else positionally; the pre-spec ``Cls(num_nodes, db_size, ...)``
+forms are rejected outright.
 """
 
 import warnings
@@ -12,46 +12,35 @@ import pytest
 
 from repro.core.protocol import TwoTierSystem
 from repro.exceptions import ConfigurationError
+from repro.harness.experiment import STRATEGY_CLASSES
 from repro.placement import HashShardPlacement
 from repro.replication import (
     EagerGroupSystem,
-    EagerMasterSystem,
     LazyGroupSystem,
     LazyMasterSystem,
     SystemSpec,
 )
 
-_FLAT = (EagerGroupSystem, EagerMasterSystem, LazyGroupSystem, LazyMasterSystem)
 
-
-def _drive(system, n_txns: int = 30):
-    from repro.workload.generator import WorkloadGenerator
-    from repro.workload.profiles import uniform_update_profile
-
-    profile = uniform_update_profile(actions=3, db_size=system.db_size)
-    WorkloadGenerator(system, profile, tps=5.0).start(5.0)
-    system.run()
-    return system.metrics.as_dict()
-
-
-@pytest.mark.parametrize("cls", _FLAT)
-def test_legacy_signature_warns_and_matches_spec_signature(cls):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        legacy = cls(num_nodes=3, db_size=40, seed=11, action_time=0.004)
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught), (
-        f"{cls.__name__} legacy constructor should warn"
-    )
-    modern = cls(SystemSpec(num_nodes=3, db_size=40, seed=11, action_time=0.004))
-    assert _drive(legacy) == _drive(modern)
-
-
-def test_legacy_positional_arguments_still_work():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        system = LazyMasterSystem(4, 50)
-    assert system.num_nodes == 4
-    assert system.db_size == 50
+@pytest.mark.parametrize("name", sorted(STRATEGY_CLASSES))
+def test_pre_spec_constructor_forms_are_rejected(name):
+    cls = STRATEGY_CLASSES[name]
+    spec = SystemSpec(num_nodes=3, db_size=40)
+    rejected = (TypeError, ConfigurationError)
+    with pytest.raises(rejected):
+        cls(3, 40)
+    with pytest.raises(rejected):
+        cls(num_nodes=3, db_size=40)
+    # a spec cannot be topped up with the old arguments either
+    with pytest.raises(rejected):
+        cls(spec, 40)
+    with pytest.raises(rejected):
+        cls(spec, db_size=40)
+    if cls is TwoTierSystem:
+        with pytest.raises(rejected):
+            cls(num_base=2, num_mobile=1, db_size=100)
+        with pytest.raises(rejected):
+            cls(spec, num_mobile=2)
 
 
 def test_spec_signature_does_not_warn():
@@ -60,19 +49,13 @@ def test_spec_signature_does_not_warn():
         LazyGroupSystem(SystemSpec(num_nodes=3, db_size=40))
 
 
-def test_spec_plus_legacy_extras_is_an_error():
-    spec = SystemSpec(num_nodes=3, db_size=40)
-    with pytest.raises(ConfigurationError):
-        LazyGroupSystem(spec, 40)
-    with pytest.raises(ConfigurationError):
-        LazyGroupSystem(spec, db_size=40)
-
-
 def test_spec_validation():
     with pytest.raises(ConfigurationError, match="num_nodes"):
         SystemSpec(num_nodes=0, db_size=10)
     with pytest.raises(ConfigurationError):
         SystemSpec(num_nodes=2, db_size=10, placement="hash:k=3")  # not parsed
+    with pytest.raises(ConfigurationError, match="SystemSpec"):
+        LazyGroupSystem(3)  # the spec itself is not optional
 
 
 def test_retry_deadlocks_tristate_defaults():
@@ -95,19 +78,6 @@ def test_two_tier_spec_counts_base_plus_mobiles():
     assert system.num_base == 2
     assert system.num_mobile == 3
     assert system.num_nodes == 5
-
-
-def test_two_tier_legacy_signature_still_works():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        system = TwoTierSystem(num_base=2, num_mobile=1, db_size=100)
-    assert system.num_base == 2
-    assert system.num_mobile == 1
-
-
-def test_two_tier_rejects_mixing_spec_and_legacy_counts():
-    with pytest.raises(ConfigurationError):
-        TwoTierSystem(SystemSpec(num_nodes=3, db_size=20), num_mobile=2)
 
 
 def test_spec_carries_placement_through_to_stores():
