@@ -348,20 +348,7 @@ class TwoTierSystem(LazyMasterSystem):
         system-delusion test restricted to the master tier (mobiles may be
         legitimately stale while dark).  Under a partial base placement
         each object is compared only across its base replica set."""
-        if self.placement.is_full:
-            from repro.storage.store import divergence
-
-            return divergence(self.nodes[i].store for i in self.base_ids)
-        differing = 0
-        for oid in range(self.db_size):
-            replicas = self.placement.replicas(oid)
-            if len(replicas) < 2:
-                continue
-            values = [self.nodes[n].store.value(oid) for n in replicas]
-            first = values[0]
-            if any(value != first for value in values[1:]):
-                differing += 1
-        return differing
+        return self.divergence(self.base_ids)
 
     def base_converged(self) -> bool:
         return self.base_divergence() == 0

@@ -49,12 +49,16 @@ class OracleVerdict:
             (False under lossy plans, where divergence is legitimate).
         failures: human-readable invariant violations.
         checked: names of the invariants that ran.
+        diverged: what the convergence check counted — ``divergence()``,
+            or ``base_divergence()`` for two-tier; None when convergence
+            was not required and no audit ran.
     """
 
     ok: bool
     expected_convergence: bool
     failures: List[str] = field(default_factory=list)
     checked: List[str] = field(default_factory=list)
+    diverged: Optional[int] = None
 
     def describe(self) -> str:
         if self.ok:
@@ -100,6 +104,7 @@ def evaluate(
         expected_convergence=expected_convergence,
         failures=list(report.failures),
         checked=list(report.checked),
+        diverged=report.diverged,
     )
 
 
@@ -110,8 +115,8 @@ def _check_convergence(system) -> InvariantReport:
 
     if not isinstance(system, TwoTierSystem):
         return check_converged(system)
-    report = InvariantReport(checked=["base-tier"])
     diverged = system.base_divergence()
+    report = InvariantReport(checked=["base-tier"], diverged=diverged)
     if diverged:
         report.failures.append(
             f"{diverged} objects diverged across the base tier"

@@ -350,12 +350,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         ),
     )
 
+    # the oracle's convergence check already ran the replica audit (over
+    # the base tier for two-tier): reuse its count, and audit here only what
+    # it did not cover or a lossy plan excused
+    audited = verdict.diverged
+    two_tier = isinstance(system, TwoTierSystem)
+    if audited is None:
+        audited = system.base_divergence() if two_tier else system.divergence()
+
     extra: Dict[str, Any] = {
-        "base_divergence": (
-            system.base_divergence()
-            if isinstance(system, TwoTierSystem)
-            else None
-        ),
+        "base_divergence": audited if two_tier else None,
         "oracle_ok": verdict.ok,
         "oracle_expected_convergence": verdict.expected_convergence,
         "oracle_failures": verdict.failures or None,
@@ -395,7 +399,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         metrics=metrics,
         rates=summarize(metrics, config.duration),
         horizon=config.duration,
-        divergence=system.divergence(),
+        divergence=system.divergence() if two_tier else audited,
         end_time=system.engine.now,
         extra=extra,
         system=system,

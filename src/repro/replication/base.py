@@ -283,13 +283,6 @@ class ReplicatedSystem:
         tier; mobiles always hold full replicas)."""
         return self.num_nodes
 
-    def _resident_oids(self, node_id: int):
-        """Objects materialised at ``node_id`` (None means the whole db)."""
-        if node_id >= self.placement.num_nodes:
-            # outside the placement scope — a two-tier mobile: full replica
-            return None
-        return self.placement.objects_at(node_id)
-
     def _make_store(self, node_id: int, db_size: int, initial_value: Any) -> ObjectStore:
         placement = self.placement
         if node_id >= placement.num_nodes or placement.is_full:
@@ -305,14 +298,15 @@ class ReplicatedSystem:
         # system allocates only what its transactions actually read
         return ObjectStore(
             node_id, db_size, initial_value=initial_value,
-            resident=lambda oid, _p=placement, _n=node_id: _p.is_replica(oid, _n),
+            resident=lambda oid, _replicas=placement.replicas, _n=node_id: (
+                _n in _replicas(oid)
+            ),
         )
 
     def _node_holds(self, oid: int, node_id: int) -> bool:
         """Does ``node_id`` materialise a copy of ``oid``?"""
-        if node_id >= self.placement.num_nodes:
-            return True
-        return self.placement.is_replica(oid, node_id)
+        placement = self.placement
+        return node_id >= placement.num_nodes or node_id in placement.replicas(oid)
 
     def _make_node(
         self,
@@ -745,10 +739,18 @@ class ReplicatedSystem:
     def _site_for(self, origin: int, oid: int) -> NodeContext:
         """Where a transaction rooted at ``origin`` touches ``oid`` without
         a routing rule of its own: the origin when it holds a replica of
-        the object, otherwise the object's master replica."""
-        if self._node_holds(oid, origin):
-            return self.nodes[origin]
-        return self.master_of(oid)
+        the object, otherwise the object's master replica — both answered
+        from one directory lookup."""
+        placement = self.placement
+        if origin < placement.num_nodes:
+            replicas = placement.replicas(oid)
+            if origin not in replicas:
+                return self._master_among(oid, replicas)
+        return self.nodes[origin]
+
+    def _master_among(self, oid: int, replicas: Tuple[int, ...]) -> NodeContext:
+        """:meth:`master_of`, given ``oid``'s master-first replica tuple."""
+        return self.nodes[replicas[0]]
 
     def _execute_local(self, node: NodeContext, txn: Transaction,
                        ops: Sequence[Operation]):
@@ -884,40 +886,51 @@ class ReplicatedSystem:
         """Run until no events remain (all propagation drained)."""
         return self.engine.run(until=None if self.engine.peek() else max_time)
 
-    def divergence(self) -> int:
-        """Objects whose value differs across their replicas (delusion).
+    def diverged_objects(
+        self, node_ids: Optional[Sequence[int]] = None
+    ) -> Iterator[Tuple[int, Tuple[int, ...], List[Any]]]:
+        """The replica audit: ``(oid, holders, values)`` for every object
+        whose holders disagree, in ascending oid order.
 
-        Under full replication every node holds every object, so this is a
-        straight store comparison.  Under a partial placement each object
-        is compared only across its own replica set (plus any nodes outside
-        the placement scope, i.e. two-tier mobiles, which hold full
-        replicas) — non-replicas never materialise the object and have no
-        opinion about its value.
+        An object's holders are its replica set plus every node outside
+        the placement scope (two-tier mobiles hold full replicas),
+        narrowed to ``node_ids`` when given.  An object no compared store
+        has materialised reads ``initial_value`` at every holder, so only
+        the union of materialised oids is visited — O(touched) under lazy
+        stores — and each holder is probed with ``peek``, which must not
+        materialise anything (the directory just vouched for residency).
         """
         placement = self.placement
-        if placement.is_full:
-            return divergence(node.store for node in self.nodes)
         stores = [node.store for node in self.nodes]
+        compared = range(self.num_nodes) if node_ids is None else set(node_ids)
         extra_holders = tuple(range(placement.num_nodes, self.num_nodes))
-        differing = 0
-        for oid in range(self.db_size):
+        visited = set().union(
+            *(stores[node_id].materialized_oids() for node_id in compared)
+        )
+        for oid in sorted(visited):
             holders = placement.replicas(oid) + extra_holders
-            if len(holders) < 2:
-                continue
+            if node_ids is not None:
+                holders = tuple(n for n in holders if n in compared)
             try:
-                # peek, not value: probing must not materialise records in
-                # lazy stores (a full-keyspace sweep would allocate db_size
-                # records per node and defeat the laziness)
-                values = [stores[node_id].peek(oid) for node_id in holders]
+                # True = resident: the directory has just named each holder
+                values = [stores[node_id].peek(oid, True) for node_id in holders]
             except KeyError:
                 raise InvalidStateError(
                     f"object {oid} is missing from one of its replica "
                     f"stores {holders} — placement and stores disagree"
                 )
-            first = values[0]
-            if any(value != first for value in values[1:]):
-                differing += 1
-        return differing
+            if values and values.count(values[0]) != len(values):
+                yield oid, holders, values
+
+    def divergence(self, node_ids: Optional[Sequence[int]] = None) -> int:
+        """Objects whose value differs across their replicas (delusion),
+        over all nodes or only ``node_ids``: a straight store comparison
+        under full replication, else a count of :meth:`diverged_objects`.
+        """
+        if self.placement.is_full:
+            compared = range(self.num_nodes) if node_ids is None else node_ids
+            return divergence(self.nodes[node_id].store for node_id in compared)
+        return sum(1 for _ in self.diverged_objects(node_ids))
 
     def converged(self) -> bool:
         return self.divergence() == 0
@@ -982,6 +995,9 @@ class MasterOwnership:
 
     def master_of(self, oid: int) -> NodeContext:
         return self.nodes[self.ownership[oid]]
+
+    def _master_among(self, oid: int, replicas: Tuple[int, ...]) -> NodeContext:
+        return self.master_of(oid)
 
     def _mastered_at(self, update: ReplicaUpdate) -> Tuple[int]:
         """The fan-out exclusion of the lazy master strategies: the master

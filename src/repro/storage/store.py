@@ -26,7 +26,7 @@ class ObjectStore:
       front.  Reading a non-resident object raises ``KeyError``, which is
       a routing bug, not a data condition.
     * ``resident=...`` — **lazy**: residency is a membership predicate
-      (normally ``placement.is_replica``) and records materialise on
+      (normally over ``placement.replicas``) and records materialise on
       first touch from ``initial_value``.  A million-object k-of-N store
       allocates only what it reads; ``len(store)`` counts *materialised*
       records while :meth:`oids`/:meth:`snapshot`/``in`` answer for the
@@ -105,23 +105,23 @@ class ObjectStore:
         except KeyError:
             return self._miss(oid).ts
 
-    def peek(self, oid: int) -> Any:
+    def peek(self, oid: int, resident: bool = False) -> Any:
         """The committed value of ``oid`` *without* materialising it.
 
-        Divergence/oracle sweeps walk the whole keyspace; under a lazy
-        store a plain :meth:`value` would allocate a record per probed
-        object and defeat the laziness.  ``peek`` answers from the
-        materialised record when there is one, from ``initial_value``
-        for a resident-but-untouched object, and raises ``KeyError`` for
-        a non-resident one.
+        A divergence/oracle audit probes every holder of every object
+        it visits; under a lazy store a plain :meth:`value` would
+        allocate a record per probe and defeat the laziness.  ``peek``
+        answers from the materialised record when there is one, from
+        ``initial_value`` for a resident-but-untouched object, and raises
+        ``KeyError`` for a non-resident one.  ``resident=True`` says the
+        caller has the directory's word already, so a lazy store need not
+        ask again; an eager store without the record still raises.
         """
         record = self._records.get(oid)
         if record is not None:
             return record.value
-        if (
-            self._resident is not None
-            and 0 <= oid < self.db_size
-            and self._resident(oid)
+        if self._resident is not None and (
+            resident or (0 <= oid < self.db_size and self._resident(oid))
         ):
             return self._initial_value
         raise KeyError(oid)
@@ -205,6 +205,10 @@ class ObjectStore:
         if self._resident is None:
             return {oid: rec.value for oid, rec in self._records.items()}
         return {oid: self.peek(oid) for oid in self.oids()}
+
+    def materialized_oids(self) -> Iterable[int]:
+        """Objects with an allocated record here (all an audit visits)."""
+        return self._records.keys()
 
     @property
     def materialized(self) -> int:

@@ -13,6 +13,7 @@ after any simulation::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Dict, List, Optional
 
 from repro.exceptions import InvalidStateError
@@ -24,6 +25,8 @@ class InvariantReport:
 
     failures: List[str] = field(default_factory=list)
     checked: List[str] = field(default_factory=list)
+    #: objects the convergence check counted as diverged (None: none ran)
+    diverged: Optional[int] = None
 
     @property
     def ok(self) -> bool:
@@ -40,6 +43,7 @@ class InvariantReport:
         return InvariantReport(
             failures=self.failures + other.failures,
             checked=self.checked + other.checked,
+            diverged=other.diverged if self.diverged is None else self.diverged,
         )
 
 
@@ -61,8 +65,8 @@ def check_quiescent(system) -> InvariantReport:
 
 def check_converged(system) -> InvariantReport:
     """Every replica agrees on every object's value."""
-    report = InvariantReport(checked=["converged"])
     diverged = system.divergence()
+    report = InvariantReport(checked=["converged"], diverged=diverged)
     if diverged:
         details = divergence_report(system, limit=5)
         report.failures.append(
@@ -126,22 +130,16 @@ def check_all(system, expect_serializable: bool = False) -> InvariantReport:
 def divergence_report(system, limit: int = 10) -> Dict[int, List[Any]]:
     """Map of diverged oid -> per-holder values (up to ``limit`` objects).
 
-    Under a partial placement only the nodes actually holding an object
-    are compared (a shard that never stored the object is not divergence);
-    under full replication every node holds everything and the report is
-    the classic all-nodes comparison.
+    The first ``limit`` items of the audit ``system.divergence()`` counts
+    (:meth:`~repro.replication.base.ReplicatedSystem.diverged_objects`): each
+    object is compared across its own holders only — its replica set under
+    a partial placement, every node under full replication — and nothing
+    is materialised or snapshotted to build the report.
     """
-    snapshots = [node.store.snapshot() for node in system.nodes]
-    out: Dict[int, List[Any]] = {}
-    if not snapshots:
-        return out
-    for oid in sorted(set().union(*(snap.keys() for snap in snapshots))):
-        values = [snap[oid] for snap in snapshots if oid in snap]
-        if any(v != values[0] for v in values):
-            out[oid] = values
-            if len(out) >= limit:
-                break
-    return out
+    return {
+        oid: values
+        for oid, _holders, values in islice(system.diverged_objects(), limit)
+    }
 
 
 def conservation_total(system) -> Any:
