@@ -607,54 +607,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok and graph.is_serializable() else 1
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the kernel hot-path benchmark and write BENCH_kernel.json."""
-    from pathlib import Path
-
-    from repro.harness import bench
-
-    baseline = None
-    if args.baseline is not None:
-        baseline = bench.load(Path(args.baseline))
-        if baseline is None:
-            print(f"warning: baseline {args.baseline} missing or unreadable; "
-                  "skipping regression check", file=sys.stderr)
-
-    payload = bench.collect(
-        events=args.events,
-        repeats=args.repeats,
-        workloads=not args.micro_only,
-    )
-
-    micro = payload["engine_micro"]
-    print(f"engine microbench ({micro['events']} events, "
-          f"best of {micro['repeats']}):")
-    print(f"  current kernel: {micro['current_events_per_sec']:>12,.0f} events/sec")
-    print(f"  legacy kernel:  {micro['legacy_events_per_sec']:>12,.0f} events/sec")
-    print(f"  speedup:        {micro['speedup']:>12.2f}x")
-    for name, wl in payload["workloads"].items():
-        print(f"workload {name}: {wl['events_per_sec']:,.0f} events/sec, "
-              f"{wl['txns_per_sec']:,.1f} txns/sec "
-              f"({wl['events']} events in {wl['wall_seconds']:.2f}s wall)")
-
-    if args.out is not None:
-        bench.write(Path(args.out), payload)
-        print(f"wrote {args.out}")
-
-    if baseline is not None:
-        failures = bench.check_regression(
-            payload, baseline, max_regression=args.max_regression
-        )
-        for failure in failures:
-            print(f"PERF REGRESSION: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"perf gate ok: speedup {micro['speedup']:.2f}x vs baseline "
-              f"{baseline['engine_micro']['speedup']:.2f}x "
-              f"(tolerance {args.max_regression:.0%})")
-    return 0
-
-
 def _progress_line(total: int):
     """Progress callback printing a single overwriting status line."""
     def report(outcome, done: int, _total: int) -> None:
@@ -930,27 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--duration", type=float, default=30.0)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(fn=cmd_verify)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="measure kernel events/sec vs the frozen pre-refactor baseline",
-    )
-    p_bench.add_argument("--events", type=int, default=200_000,
-                         help="microbench event count (default 200000)")
-    p_bench.add_argument("--repeats", type=int, default=3,
-                         help="microbench rounds, best-of (default 3)")
-    p_bench.add_argument("--micro-only", action="store_true",
-                         help="skip the eager-group/two-tier workload benches")
-    p_bench.add_argument("--out", default=None, metavar="PATH",
-                         help="write the payload as JSON (BENCH_kernel.json)")
-    p_bench.add_argument("--baseline", default=None, metavar="PATH",
-                         help="committed BENCH_kernel.json to gate against "
-                              "(compares the machine-independent speedup "
-                              "ratio; exit 1 on regression)")
-    p_bench.add_argument("--max-regression", type=float, default=0.20,
-                         help="allowed fractional speedup drop vs baseline "
-                              "(default 0.20)")
-    p_bench.set_defaults(fn=cmd_bench)
 
     p_serve = sub.add_parser(
         "serve",

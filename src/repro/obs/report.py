@@ -241,16 +241,16 @@ def build_report(
 def service_report_markdown(payload: Dict[str, Any]) -> str:
     """Render a ``repro loadtest`` result JSON as a markdown section.
 
-    Accepts the dict a load-test run writes with ``--out`` (or the
-    ``BENCH_service.json`` payload, which embeds the same fields): offered
-    vs committed throughput, the latency percentiles, the rejection rate,
-    and the drained-state oracle verdict.
+    Accepts the dict a load-test run writes with ``--out`` — offered vs
+    committed throughput, the latency percentiles, the rejection rate, and
+    the drained-state oracle verdict — and nothing else: any other JSON
+    raises :class:`ValueError`.
     """
-    if payload.get("kind") not in ("service-loadtest", None) and \
-            payload.get("benchmark") != "service-gateway":
+    kind = payload.get("kind") if isinstance(payload, dict) else None
+    if kind != "service-loadtest":
         raise ValueError(
             "not a service loadtest result: expected kind="
-            f"'service-loadtest', got {payload.get('kind')!r}"
+            f"'service-loadtest', got {kind!r}"
         )
     config = payload.get("config") or {}
     latency = payload.get("latency_ms") or {}

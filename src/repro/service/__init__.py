@@ -14,8 +14,6 @@ package serves it on *real* time:
   client (``repro loadtest``) with the end-to-end lost-update oracle.
 * :mod:`~repro.service.histogram` — O(1)-memory log-bucketed latency
   histograms behind the reported percentiles.
-* :mod:`~repro.service.bench` — the ``BENCH_service.json`` producer and
-  its CI gate.
 
 Wall-clock mode is additive: nothing in the simulator defaults to it, and
 the determinism goldens pin the sim kernel byte-for-byte.

@@ -166,27 +166,39 @@ async def _open_connection(host, port, unix_path):
     return await asyncio.open_connection(host or "127.0.0.1", port)
 
 
+class _StartBarrier:
+    """Opens when the last of ``parties`` clients has read its welcome, so
+    the measured window reflects steady concurrency, not a connection ramp."""
+
+    def __init__(self, parties: int):
+        self._missing = parties
+        self._open = asyncio.Event()
+
+    async def arrive(self) -> None:
+        self._missing -= 1
+        if self._missing == 0:
+            self._open.set()
+        await self._open.wait()
+
+
 async def _client_run(
     config: LoadtestConfig,
     index: int,
     host: Optional[str],
     port: Optional[int],
     unix_path: Optional[str],
-    start_barrier: asyncio.Event,
+    start_barrier: _StartBarrier,
 ) -> Tuple[_ClientStats, Dict[str, Any]]:
     stats = _ClientStats()
     factory = _TxnFactory(config, index)
     reader, writer = await _open_connection(host, port, unix_path)
-    welcome = json.loads(await reader.readline())
-    await start_barrier.wait()
 
     loop = asyncio.get_running_loop()
     pending: Dict[str, Tuple[float, float]] = {}  # id -> (sent_at, delta)
     client_rate = config.rate / config.clients
-    deadline = loop.time() + config.duration
     sender_done = asyncio.Event()
 
-    async def sender() -> None:
+    async def sender(deadline: float) -> None:
         seq = 0
         next_at = loop.time()
         try:
@@ -253,7 +265,11 @@ async def _client_run(
                 stats.errors += 1
 
     try:
-        await asyncio.gather(sender(), receiver())
+        welcome = json.loads(await reader.readline())
+        await start_barrier.arrive()
+        await asyncio.gather(
+            sender(loop.time() + config.duration), receiver()
+        )
     finally:
         writer.close()
         try:
@@ -296,18 +312,22 @@ async def run_loadtest(
     unix_path: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Drive the gateway and return the result document (see docs/service.md)."""
-    start_barrier = asyncio.Event()
+    start_barrier = _StartBarrier(config.clients)
     tasks = [
         asyncio.ensure_future(
             _client_run(config, i, host, port, unix_path, start_barrier)
         )
         for i in range(config.clients)
     ]
-    # all connections established before anyone sends: the measured window
-    # reflects steady concurrency, not a connection ramp
-    await asyncio.sleep(0)
-    start_barrier.set()
-    outcomes = await asyncio.gather(*tasks)
+    try:
+        outcomes = await asyncio.gather(*tasks)
+    except BaseException:
+        # one client failed (say, could not connect): the barrier would
+        # never open for the rest, so end them and fail the run now
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        raise
 
     histogram = LatencyHistogram()
     sent = accepted = rejected = errors = lost = 0

@@ -31,11 +31,10 @@ Example::
 from repro.sim.engine import Engine
 from repro.sim.events import SimEvent, Timeout
 from repro.sim.process import Process
-from repro.sim.protocol import CORE_ENGINE_MEMBERS, EngineProtocol
+from repro.sim.protocol import EngineProtocol
 from repro.sim.random_source import RandomSource
 
 __all__ = [
-    "CORE_ENGINE_MEMBERS",
     "Engine",
     "EngineProtocol",
     "SimEvent",

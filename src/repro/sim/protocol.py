@@ -1,27 +1,19 @@
 """The explicit engine interface: what every kernel must provide.
 
-Three kernels live in this repo — the slotted hot-path
-:class:`~repro.sim.engine.Engine`, the frozen
-:class:`~repro.sim.legacy_kernel.LegacyEngine` benchmark reference, and the
+Two kernels live in this repo — the slotted hot-path
+:class:`~repro.sim.engine.Engine` that runs every simulation, and the
 asyncio-backed :class:`~repro.service.wallclock.WallClockEngine` that serves
 real traffic.  Strategies, the fault injector, and the observability layers
-were all written against the *implicit* interface the first two share; this
-module makes that contract explicit so a new kernel cannot silently drift:
-the conformance test (``tests/test_engine_protocol.py``) checks every kernel
+were written against the interface ``Engine`` happened to have; this module
+makes that contract explicit so a new kernel cannot silently drift: the
+conformance test (``tests/test_engine_protocol.py``) checks both kernels
 against it structurally.
 
-Two tiers of contract:
-
-* :data:`CORE_ENGINE_MEMBERS` — the scheduling core every kernel has had
-  since the seed: the clock, ``schedule``/``schedule_now``, ``timeout``,
-  ``event``, ``process``, ``run``, ``peek``, ``queued_events``.
-* :class:`EngineProtocol` — the full surface the system layers require
-  today.  Beyond the core it includes ``schedule_at`` (fault timetables,
-  telemetry ticks), the trusted-spawn ``_spawn`` fast path (network
-  delivery, transaction submission), ``events_scheduled`` (the benchmark
-  base), and the ``profiler`` dispatch tap.  ``LegacyEngine`` predates
-  these additions and is only driven by the microbench, so it conforms to
-  the core tier alone.
+:class:`EngineProtocol` is the whole contract: the clock, ``schedule`` /
+``schedule_now`` / ``schedule_at`` (fault timetables, telemetry ticks),
+``timeout``, ``event``, ``process`` and its trusted-spawn ``_spawn`` fast
+path (network delivery, transaction submission), ``run``, ``peek``,
+``queued_events``, ``events_scheduled`` and the ``profiler`` dispatch tap.
 
 Annotations across ``network/``, ``storage/``, ``txn/``, ``replication/``,
 ``obs/``, and ``faults/`` reference :class:`EngineProtocol` rather than the
@@ -43,20 +35,6 @@ from typing import (
 
 from repro.sim.events import SimEvent, Timeout
 from repro.sim.process import Process
-
-#: the scheduling core shared by every kernel, including the frozen legacy
-#: one — the conformance test checks ``LegacyEngine`` against these names
-CORE_ENGINE_MEMBERS = (
-    "now",
-    "schedule",
-    "schedule_now",
-    "timeout",
-    "event",
-    "process",
-    "run",
-    "peek",
-    "queued_events",
-)
 
 
 @runtime_checkable

@@ -117,8 +117,11 @@ def test_parser_rejects_unknown_strategy():
 
 
 def test_parser_requires_command():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args([])
+    # no verb, or the retired ``bench`` verb: argparse usage error, exit 2
+    for argv in ([], ["bench"]):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
 
 def test_message_delay_help_names_both_paths():

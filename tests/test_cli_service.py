@@ -73,9 +73,11 @@ def test_report_rejects_missing_or_foreign_json(tmp_path):
     with pytest.raises(SystemExit, match="cannot read"):
         main(["report", "--loadtest", str(tmp_path / "nope.json")])
     foreign = tmp_path / "foreign.json"
-    foreign.write_text(json.dumps({"kind": "campaign"}), encoding="utf-8")
-    with pytest.raises(SystemExit, match="not a service loadtest"):
-        main(["report", "--loadtest", str(foreign)])
+    for payload in ({"kind": "campaign"}, {},
+                    {"benchmark": "kernel-hotpath"}, []):
+        foreign.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(SystemExit, match="not a service loadtest"):
+            main(["report", "--loadtest", str(foreign)])
 
 
 def test_markdown_marks_undrained_runs(tmp_path):

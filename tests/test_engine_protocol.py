@@ -1,15 +1,13 @@
 """Conformance tests for the explicit engine interface (sim/protocol.py).
 
-Three kernels, one contract: the slotted ``Engine``, the asyncio-backed
-``WallClockEngine``, and (core tier only) the frozen ``LegacyEngine``.
-These tests are structural — a kernel that forgets a member fails here
-before any strategy trips over it at runtime.
+Two kernels, one contract: the slotted ``Engine`` and the asyncio-backed
+``WallClockEngine``.  These tests are structural — a kernel that forgets a
+member fails here before any strategy trips over it at runtime.
 """
 
 import pytest
 
-from repro.sim import CORE_ENGINE_MEMBERS, Engine, EngineProtocol
-from repro.sim.legacy_kernel import LegacyEngine
+from repro.sim import Engine, EngineProtocol
 from repro.service import WallClockEngine
 
 
@@ -19,22 +17,6 @@ def test_engine_satisfies_full_protocol():
 
 def test_wallclock_engine_satisfies_full_protocol():
     assert isinstance(WallClockEngine(), EngineProtocol)
-
-
-def test_legacy_engine_satisfies_core_tier():
-    # the frozen benchmark reference predates schedule_at/_spawn/profiler;
-    # it must keep the scheduling core it has always had, nothing more
-    legacy = LegacyEngine()
-    missing = [name for name in CORE_ENGINE_MEMBERS
-               if not hasattr(legacy, name)]
-    assert not missing, f"LegacyEngine lost core members: {missing}"
-
-
-def test_core_members_are_a_subset_of_the_full_protocol():
-    engine = Engine()
-    missing = [name for name in CORE_ENGINE_MEMBERS
-               if not hasattr(engine, name)]
-    assert not missing
 
 
 def test_incomplete_kernel_fails_the_protocol_check():

@@ -7,9 +7,7 @@ Covers the refactor's satellite fixes and observability guarantees:
   gauge over it) immediately — no dead heap entries inflating depth,
 * ``Timeout`` instances are cached per delay,
 * the profiler still buckets the refactored resume path under meaningful
-  process names (no ``<lambda>`` / ``partial`` collapse),
-* the frozen legacy kernel stays importable and behaviourally equivalent
-  on the basics (it is the perf gate's reference point).
+  process names (no ``<lambda>`` / ``partial`` collapse).
 """
 
 import pytest
@@ -240,27 +238,3 @@ class TestProfilerBucketing:
         assert bucket_name(
             engine._resume_timer, (proc, 0)
         ) == "replica-update"
-
-
-class TestLegacyKernelReference:
-    def test_legacy_kernel_runs_the_same_simulation(self):
-        from repro.sim.legacy_kernel import LegacyEngine
-
-        def program(engine):
-            log = []
-
-            def worker(tag):
-                yield engine.timeout(1.0)
-                log.append((tag, engine.now))
-                yield engine.timeout(0.5)
-                log.append((tag, engine.now))
-
-            engine.process(worker("a"))
-            engine.process(worker("b"))
-            engine.run()
-            return log, engine.now
-
-        new_log, new_now = program(Engine())
-        old_log, old_now = program(LegacyEngine())
-        assert new_log == old_log
-        assert new_now == old_now

@@ -314,3 +314,55 @@ class TestLiveLoadtest:
         )
         assert "oracle" not in result
         assert result["completed"] > 0
+
+    def test_nobody_sends_before_the_slowest_client_connects(
+            self, tmp_path, monkeypatch):
+        from repro.service import loadtest
+
+        real_open, real_client = loadtest._open_connection, loadtest._client_run
+        opened, connected_at, first_sends = [], [], []
+
+        async def slow_first_open(*args):
+            opened.append(None)
+            if len(opened) == 1:
+                await asyncio.sleep(0.3)
+            connection = await real_open(*args)
+            connected_at.append(asyncio.get_running_loop().time())
+            return connection
+
+        async def recording_client(*args):
+            stats, welcome = await real_client(*args)
+            first_sends.append(stats.first_send)
+            return stats, welcome
+
+        monkeypatch.setattr(loadtest, "_open_connection", slow_first_open)
+        monkeypatch.setattr(loadtest, "_client_run", recording_client)
+        result = _run_pair(
+            GatewayConfig(db_size=100),
+            LoadtestConfig(clients=4, rate=400.0, duration=0.5,
+                           workload="uniform", db_size=100, drain=False),
+            tmp_path,
+        )
+        assert result["completed"] == result["sent"] > 0
+        assert len(first_sends) == 4 and None not in first_sends
+        assert min(first_sends) >= max(connected_at)
+
+    def test_a_client_that_cannot_connect_fails_the_run_promptly(
+            self, tmp_path, monkeypatch):
+        from repro.service import loadtest
+
+        real_open = loadtest._open_connection
+        opened = []
+
+        async def refuse_the_third(*args):
+            opened.append(None)
+            if len(opened) == 3:
+                raise ConnectionRefusedError("no route to gateway")
+            return await real_open(*args)
+
+        monkeypatch.setattr(loadtest, "_open_connection", refuse_the_third)
+        # duration far beyond the test's patience: only an early exit passes
+        config = LoadtestConfig(clients=4, rate=100.0, duration=60.0,
+                                workload="uniform", db_size=100, drain=False)
+        with pytest.raises(ConnectionRefusedError):
+            _run_pair(GatewayConfig(db_size=100), config, tmp_path)
