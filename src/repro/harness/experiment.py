@@ -364,6 +364,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "oracle_expected_convergence": verdict.expected_convergence,
         "oracle_failures": verdict.failures or None,
         "submitted": getattr(driver, "submitted", None),
+        "engine_events": system.engine.events_scheduled,
     }
     # max/mean/total report the placement's *nominal* shard sizes (stable
     # across eager and lazy stores, pinned by the partial goldens); the

@@ -24,6 +24,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -136,8 +137,7 @@ class SystemSpec:
             )
 
 
-@dataclass(frozen=True)
-class ReplicaUpdate:
+class ReplicaUpdate(NamedTuple):
     """One object update shipped to a replica (the Figure 4 message body).
 
     ``old_ts`` is the timestamp the root transaction observed before writing;
@@ -589,12 +589,7 @@ class ReplicatedSystem:
         """A committed transaction's updates as Figure 4 message bodies."""
         return [
             ReplicaUpdate(
-                oid=u.oid,
-                old_ts=u.old_ts,
-                new_ts=u.new_ts,
-                new_value=u.new_value,
-                op=u.op,
-                root_txn_id=txn.txn_id,
+                u.oid, u.old_ts, u.new_ts, u.new_value, u.op, txn.txn_id
             )
             for u in txn.updates
         ]

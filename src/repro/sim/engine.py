@@ -15,6 +15,11 @@ Hot-path design (see docs/simulator.md, "Kernel architecture & hot path"):
   sleep is a heap entry carrying ``(process, timer_generation)`` — no
   ``TimerEvent``, no closure; an event wait parks the process on the event's
   waiter list.
+* A sleep costs one event when it can.  A deadline that arrives with no
+  other entry queued at its instant steps the process straight from the run
+  loop; only a deadline that shares its instant with a queued peer takes the
+  second hop through ``_resume_timer``, which re-queues the step behind that
+  peer.  Either way the process resumes at the position FIFO order gives it.
 * Cancelled sleeps are invalidated *in place* by bumping the process's timer
   generation.  The engine counts dead entries so :attr:`queued_events` stays
   truthful immediately, drops them at the heap head without advancing the
@@ -83,7 +88,7 @@ class Engine:
 
     def schedule(self, delay: float, callback: Callable, *args: Any) -> None:
         """Run ``callback(*args)`` after ``delay`` units of virtual time."""
-        if delay < 0:
+        if not delay >= 0:  # also refuses NaN, which would poison the heap
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
@@ -178,7 +183,8 @@ class Engine:
         except StopIteration as stop:
             process.succeed(stop.value)
             return
-        except BaseException as exc:  # noqa: BLE001 - process death is data
+        except Exception as exc:  # noqa: BLE001 - process death is data
+            # KeyboardInterrupt / SystemExit are not: they leave run()
             process.fail(exc)
             return
         try:
@@ -193,7 +199,6 @@ class Engine:
             # a sleep is just a heap entry: (process, generation) — no event
             # object, no closure; interrupt invalidates it via the generation
             process.waiting_on = TIMER_WAIT
-            process._timer_armed = True
             seq = self._seq
             self._seq = seq + 1
             heappush(
@@ -218,16 +223,20 @@ class Engine:
         )
 
     def _resume_timer(self, process: Process, generation: int) -> None:
-        """A sleep deadline arrived: schedule the process's next step.
+        """A sleep deadline arrived beside a queued peer: schedule the step.
 
         The step is scheduled (not run inline) so that peers already queued
-        at this instant keep their FIFO position — the same two-hop shape as
-        the pre-refactor ``TimerEvent.succeed`` path, preserving sequence
-        numbering bit-for-bit.
+        at this instant keep their FIFO position.  :meth:`run` takes this
+        hop only when such a peer exists; with none, the step it would push
+        is by construction the next entry popped, so ``run`` steps the
+        process itself and the order is the same with one event fewer.
+        ``WallClockEngine.run_async`` always comes through here.
         """
         if generation != process._timer_gen:
             return  # stale entry that slipped past the queue-head filter
-        process._timer_armed = False
+        # the sleep is over: until its step runs the process is runnable,
+        # not waiting, so an interrupt cannot land on a timer already spent
+        process.waiting_on = None
         self.schedule_now(self._step, process, None, None)
 
     def _timer_cancelled(self) -> None:
@@ -267,30 +276,37 @@ class Engine:
         self._running = True
         queue = self._queue
         resume_timer = self._resume_timer
+        step = self._step
         profiler = None  # re-read each iteration: install mid-run is allowed
         try:
             while queue:
                 head = queue[0]
                 at = head[0]
-                if head[2] is resume_timer:
-                    entry_args = head[3]
-                    if entry_args[1] != entry_args[0]._timer_gen:
-                        # dead timer from an interrupted wait: drop it
-                        # without advancing the clock
-                        heappop(queue)
-                        self._dead_timers -= 1
-                        continue
+                callback = head[2]
+                args = head[3]
+                if callback is resume_timer and args[1] != args[0]._timer_gen:
+                    # dead timer from an interrupted wait: drop it
+                    # without advancing the clock
+                    heappop(queue)
+                    self._dead_timers -= 1
+                    continue
                 if until is not None and at > until:
                     break
                 heappop(queue)
                 if at < self.now:
                     raise SimulationError("event queue time went backwards")
                 self.now = at
+                if callback is resume_timer and (not queue or queue[0][0] > at):
+                    # a live sleep with no peer at its instant: the step
+                    # _resume_timer would push is the next entry popped,
+                    # so run it now — same order, no second heap entry
+                    callback = step
+                    args = (args[0], None, None)
                 profiler = self.profiler
                 if profiler is None:
-                    head[2](*head[3])
+                    callback(*args)
                 else:
-                    profiler.dispatch(head[2], head[3])
+                    profiler.dispatch(callback, args)
             if until is not None and self.now < until:
                 self.now = until
         finally:

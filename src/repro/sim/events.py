@@ -66,7 +66,7 @@ class Timeout:
     __slots__ = ("delay",)
 
     def __init__(self, delay: float):
-        if delay < 0:
+        if not delay >= 0:  # also refuses NaN, which would poison the heap
             raise SimulationError(f"timeout delay must be >= 0, got {delay}")
         self.delay = float(delay)
 

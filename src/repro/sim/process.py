@@ -34,7 +34,7 @@ class Process(SimEvent):
             timeout sleep.
     """
 
-    __slots__ = ("generator", "engine", "waiting_on", "_timer_gen", "_timer_armed")
+    __slots__ = ("generator", "engine", "waiting_on", "_timer_gen")
 
     def __init__(self, engine, generator: Generator[Any, Any, Any], name: str = ""):
         super().__init__(name=name or getattr(generator, "__name__", "process"))
@@ -42,7 +42,6 @@ class Process(SimEvent):
         self.engine = engine
         self.waiting_on: Optional[SimEvent] = None
         self._timer_gen = 0  # bumped to invalidate an armed sleep
-        self._timer_armed = False  # a live timer entry sits in the heap
 
     @property
     def alive(self) -> bool:
@@ -72,9 +71,7 @@ class Process(SimEvent):
             # invalidate the sleep: the stale heap entry no longer matches
             # the generation, and the engine drops it without running it
             self._timer_gen += 1
-            if self._timer_armed:
-                self._timer_armed = False
-                self.engine._timer_cancelled()
+            self.engine._timer_cancelled()
         else:
             target.remove_waiter(self)
         self.engine.schedule_now(self.engine._step, self, None, exception)

@@ -22,7 +22,7 @@ Key points:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.exceptions import DeadlockAbort, LockError
@@ -54,12 +54,14 @@ class LockRequest:
     upgrade: bool = False
 
 
-@dataclass
 class _LockEntry:
     """State of one lockable object: current holders plus the wait queue."""
 
-    holders: Dict[Any, LockMode] = field(default_factory=dict)
-    queue: List[LockRequest] = field(default_factory=list)
+    __slots__ = ("holders", "queue")
+
+    def __init__(self) -> None:
+        self.holders: Dict[Any, LockMode] = {}
+        self.queue: List[LockRequest] = []
 
     def conflicts_with_holders(self, txn: Any, mode: LockMode) -> List[Any]:
         """Holders (other than txn) whose mode conflicts with ``mode``."""
@@ -234,8 +236,15 @@ class LockManager:
                         request.event.fail(DeadlockAbort("owner aborted"))
                 self._promote_waiters(oid)
         self.detector.clear_waits(txn)
+        table = self._table
         for oid in oids:
-            self._promote_waiters(oid)
+            entry = table.get(oid)
+            if entry is None:
+                continue
+            if entry.queue:
+                self._promote_waiters(oid)
+            elif not entry.holders:
+                del table[oid]  # nobody waits: all promotion would do is reap
 
     def _promote_waiters(self, oid: int) -> None:
         """Grant every queued request that has become grantable, in order."""

@@ -14,22 +14,19 @@ testing to distinguish genuine conflicts from stale echoes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Optional
+from typing import Dict, Iterator, Mapping, NamedTuple, Optional
 
 
-@dataclass(frozen=True, order=True)
-class Timestamp:
+class Timestamp(NamedTuple):
     """A Lamport timestamp: ``(counter, node_id)``.
 
     Ordering is lexicographic, so timestamps are totally ordered and two
     distinct events never compare equal (node id breaks counter ties).
+    ``Timestamp.ZERO``, assigned below the class, precedes every tick.
     """
 
     counter: int
     node_id: int
-
-    ZERO: "Timestamp" = None  # type: ignore[assignment] # set below
 
     def next_at(self, node_id: int) -> "Timestamp":
         """The smallest timestamp at ``node_id`` strictly after ``self``."""

@@ -16,8 +16,7 @@ normal abort path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Any, Dict, List, NamedTuple
 
 from repro.exceptions import CrashAbort, InvalidStateError
 from repro.storage.store import ObjectStore
@@ -29,8 +28,7 @@ CRASHED = "crashed"
 RECOVERING = "recovering"
 
 
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(NamedTuple):
     """Before/after image of one write."""
 
     txn_id: int
@@ -75,15 +73,14 @@ class WriteAheadLog:
         if self.state != ACTIVE:
             raise CrashAbort(f"write lost: node log is {self.state}")
         entry = LogEntry(
-            txn_id=txn_id,
-            oid=oid,
-            before_value=before_value,
-            before_ts=before_ts,
-            after_value=after_value,
-            after_ts=after_ts,
-            seq=self.total_entries,
+            txn_id, oid, before_value, before_ts, after_value, after_ts,
+            self.total_entries,
         )
-        self._by_txn.setdefault(txn_id, []).append(entry)
+        entries = self._by_txn.get(txn_id)
+        if entries is None:
+            self._by_txn[txn_id] = [entry]
+        else:
+            entries.append(entry)
         self.total_entries += 1
         return entry
 

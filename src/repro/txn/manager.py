@@ -116,49 +116,44 @@ class TransactionManager:
         """Run one operation for ``txn`` at this node.
 
         Yields while waiting for locks or consuming action time.  Returns the
-        value read (for reads) or written (for updates).
+        value read (for reads) or written (for updates).  A lock wait may
+        raise :class:`~repro.exceptions.DeadlockAbort` at its ``yield``.
         """
         txn.require_active()
+        oid = op.oid
         if op.is_read:
-            return (yield from self._execute_read(txn, op))
-        return (yield from self._execute_update(txn, op))
-
-    def _execute_read(self, txn: Transaction, op: Operation):
-        if self.lock_reads:
-            yield from self._lock(txn, op.oid, LockMode.SHARED)
-        value = self.store.value(op.oid)
-        txn.record_read(value)
-        if self.history is not None:
-            self.history.record_read(self.node_id, txn.txn_id, op.oid)
-        return value
-
-    def _execute_update(self, txn: Transaction, op: Operation):
-        yield from self._lock(txn, op.oid, LockMode.EXCLUSIVE)
+            if self.lock_reads:
+                event = self.locks.acquire(txn, oid, LockMode.SHARED)
+                if event is not None:
+                    yield event
+                    txn.require_active()
+            value = self.store.value(oid)
+            txn.record_read(value)
+            if self.history is not None:
+                self.history.record_read(self.node_id, txn.txn_id, oid)
+            return value
+        event = self.locks.acquire(txn, oid, LockMode.EXCLUSIVE)
+        if event is not None:
+            yield event
+            txn.require_active()
         if self.action_time > 0:
             yield self.engine.timeout(self.action_time)
         txn.require_active()
-        record = self.store.read(op.oid)
+        record = self.store.read(oid)
         old_value, old_ts = record.value, record.ts
         new_ts = self.clock.tick()
         new_value = op.apply(old_value)
-        self.wal.record(txn.txn_id, op.oid, old_value, old_ts, new_value, new_ts)
-        self.store.write(op.oid, new_value, new_ts)
+        self.wal.record(txn.txn_id, oid, old_value, old_ts, new_value, new_ts)
+        self.store.write(oid, new_value, new_ts)
         txn.record_update(
-            UpdateRecord(
-                oid=op.oid,
-                op=op,
-                old_value=old_value,
-                old_ts=old_ts,
-                new_value=new_value,
-                new_ts=new_ts,
-            )
+            UpdateRecord(oid, op, old_value, old_ts, new_value, new_ts)
         )
         if self.history is not None:
             if op.reads_state:
                 # an increment is a read-modify-write; the verifier needs
                 # the implicit read to reconstruct conflicts faithfully
-                self.history.record_read(self.node_id, txn.txn_id, op.oid)
-            self.history.record_write(self.node_id, txn.txn_id, op.oid)
+                self.history.record_read(self.node_id, txn.txn_id, oid)
+            self.history.record_write(self.node_id, txn.txn_id, oid)
         return new_value
 
     def execute_install(
@@ -178,7 +173,10 @@ class TransactionManager:
         root transaction's write, carried to this replica.
         """
         txn.require_active()
-        yield from self._lock(txn, oid, LockMode.EXCLUSIVE)
+        event = self.locks.acquire(txn, oid, LockMode.EXCLUSIVE)
+        if event is not None:
+            yield event
+            txn.require_active()
         if self.action_time > 0:
             yield self.engine.timeout(self.action_time)
         txn.require_active()
@@ -209,7 +207,10 @@ class TransactionManager:
         timestamp regardless of application order.
         """
         txn.require_active()
-        yield from self._lock(txn, op.oid, LockMode.EXCLUSIVE)
+        event = self.locks.acquire(txn, op.oid, LockMode.EXCLUSIVE)
+        if event is not None:
+            yield event
+            txn.require_active()
         if self.action_time > 0:
             yield self.engine.timeout(self.action_time)
         txn.require_active()
@@ -228,12 +229,6 @@ class TransactionManager:
                 op.oid,
             )
         return new_value
-
-    def _lock(self, txn: Transaction, oid: int, mode: LockMode):
-        event = self.locks.acquire(txn, oid, mode)
-        if event is not None:
-            yield event  # may raise DeadlockAbort
-            txn.require_active()
 
     # ------------------------------------------------------------------ #
     # introspection

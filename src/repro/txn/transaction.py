@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, List, NamedTuple, Optional
 
 from repro.exceptions import InvalidStateError
 from repro.storage.versioning import Timestamp
@@ -32,8 +31,7 @@ class TxnState(enum.Enum):
     ABORTED = "aborted"
 
 
-@dataclass(frozen=True)
-class UpdateRecord:
+class UpdateRecord(NamedTuple):
     """One committed-to-be write, with the versioning data replicas need.
 
     ``old_ts`` is the timestamp the root transaction saw before its write —

@@ -7,15 +7,22 @@ Covers the refactor's satellite fixes and observability guarantees:
   gauge over it) immediately — no dead heap entries inflating depth,
 * ``Timeout`` instances are cached per delay,
 * the profiler still buckets the refactored resume path under meaningful
-  process names (no ``<lambda>`` / ``partial`` collapse).
+  process names (no ``<lambda>`` / ``partial`` collapse),
+* a sleep whose deadline has no peer at its instant costs one event, and
+  every process still resumes where the two-hop loop resumed it.
 """
 
+from heapq import heappop
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ProcessKilled, SimulationError
 from repro.obs.profiler import Profiler, bucket_name
 from repro.obs.samplers import Telemetry
 from repro.sim import Engine
+from repro.sim.events import TIMER_WAIT
 
 
 class TestScheduleAtEpsilon:
@@ -54,8 +61,10 @@ class TestScheduleAtEpsilon:
         engine = Engine()
         engine.schedule(1.0, lambda: None)
         engine.run()
-        with pytest.raises(SimulationError):
-            engine.schedule_at(0.5, lambda: None)
+        for at in (0.5, float("nan")):  # NaN is no instant at all
+            with pytest.raises(SimulationError):
+                engine.schedule_at(at, lambda: None)
+        assert engine.queued_events == 0
 
 
 class TestQueuedEventsTruthful:
@@ -173,8 +182,10 @@ class TestTimeoutCache:
 
     def test_negative_delay_still_rejected(self):
         engine = Engine()
-        with pytest.raises(SimulationError):
-            engine.timeout(-0.1)
+        for delay in (-0.1, float("nan")):  # NaN never hits the cache
+            with pytest.raises(SimulationError):
+                engine.timeout(delay)
+        assert not engine._timeout_cache
 
 
 class TestProfilerBucketing:
@@ -238,3 +249,184 @@ class TestProfilerBucketing:
         assert bucket_name(
             engine._resume_timer, (proc, 0)
         ) == "replica-update"
+
+
+class TwoHopEngine(Engine):
+    """Reference kernel: every live sleep deadline takes the second hop.
+
+    ``_resume_timer`` queues the process's step behind whatever else is due
+    at that instant — the order :class:`Engine` must reproduce with fewer
+    events.
+    """
+
+    def run(self, until=None):
+        queue = self._queue
+        while queue:
+            head = queue[0]
+            if (head[2] is self._resume_timer
+                    and head[3][1] != head[3][0]._timer_gen):
+                heappop(queue)
+                self._dead_timers -= 1
+                continue
+            if until is not None and head[0] > until:
+                break
+            heappop(queue)
+            self.now = head[0]
+            head[2](*head[3])
+        if until is not None and self.now < until:
+            self.now = until
+        return self.now
+
+
+_DELAYS = st.sampled_from([0.0, 1.0, 2.0])  # three values: ties are common
+_STEPS = st.one_of(
+    st.tuples(st.just("sleep"), _DELAYS),
+    st.tuples(st.just("wait"), st.integers(0, 2)),
+    st.tuples(st.just("fire"), st.integers(0, 2)),
+    st.tuples(st.just("fire-later"), st.integers(0, 2), _DELAYS),
+    st.tuples(st.just("interrupt"), st.integers(0, 5)),
+)
+_SCENARIOS = st.tuples(
+    st.lists(st.lists(_STEPS, max_size=8), min_size=1, max_size=6),
+    st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 5.0]), max_size=4),
+)
+
+
+def _play(engine, scripts, horizons):
+    """Run one scenario; returns (resume log, clock after each run slice)."""
+    log = []
+    events = [engine.event(name=f"e{i}") for i in range(3)]
+    procs = []
+
+    def fire(index, value):
+        if events[index].pending:
+            events[index].succeed(value)
+
+    def body(name, script):
+        for step in script:
+            kind = step[0]
+            try:
+                if kind == "sleep":
+                    yield engine.timeout(step[1])
+                elif kind == "wait":
+                    yield events[step[1]]
+                elif kind == "fire":
+                    fire(step[1], name)
+                    continue
+                elif kind == "fire-later":
+                    engine.schedule(step[2], fire, step[1], name)
+                    continue
+                else:
+                    target = procs[step[1] % len(procs)]
+                    if target.waiting_on is TIMER_WAIT:
+                        target.interrupt()
+                    continue
+            except ProcessKilled:
+                log.append((engine.now, name + "!"))
+            else:
+                log.append((engine.now, name))
+
+    for index, script in enumerate(scripts):
+        name = f"p{index}"
+        procs.append(engine.process(body(name, script), name=name))
+    clocks = [engine.run(until=until) for until in sorted(horizons)]
+    clocks.append(engine.run())
+    return log, clocks
+
+
+class TestOneHopSleep:
+    def test_sleeper_resumes_after_a_peer_queued_at_its_instant(self):
+        """The rule may only fire when nothing shares the deadline: two
+        sleepers armed before a bare callback lands on their instant still
+        resume behind it, in arming order — the two-hop order."""
+        engine = Engine()
+        log = []
+
+        def sleeper(name):
+            yield engine.timeout(1.0)
+            log.append((engine.now, name))
+            yield engine.timeout(1.0)
+            log.append((engine.now, name))
+
+        engine.process(sleeper("first"))
+        engine.process(sleeper("second"))
+        engine.run(until=0.5)  # both timers are armed for t=1.0 ...
+        engine.schedule(0.5, lambda: log.append((engine.now, "peer")))
+        engine.run()  # ... and the callback is queued there behind them
+        assert log == [
+            (1.0, "peer"), (1.0, "first"), (1.0, "second"),
+            (2.0, "first"), (2.0, "second"),
+        ]
+
+    def test_a_sleeper_whose_deadline_arrived_is_runnable_not_sleeping(self):
+        """Between a shared deadline and the step queued behind the peer the
+        timer is spent: ``kill`` leaves the process alone, as it does any
+        runnable process, instead of cancelling a timer that is gone (which
+        drove ``queued_events`` negative and woke the sleeper twice)."""
+        engine = Engine()
+        log = []
+
+        def sleeper():
+            for _ in range(2):
+                yield engine.timeout(1.0)
+                log.append((engine.now, "woke"))
+
+        proc = engine.process(sleeper())
+        engine.run(until=0.5)
+
+        def poke():
+            log.append((engine.now, "kill", proc.kill()))
+            with pytest.raises(SimulationError):
+                proc.interrupt()
+
+        engine.schedule(0.5, lambda: None)  # the peer that forces two hops
+        engine.schedule(0.5, poke)  # runs after the deadline, before the step
+        assert engine.run() == 2.0
+        assert log == [(1.0, "kill", False), (1.0, "woke"), (2.0, "woke")]
+        assert engine.queued_events == 0 and engine._dead_timers == 0
+
+    def test_lone_sleeper_costs_one_event_per_sleep(self):
+        engine = Engine()
+
+        def worker():
+            for _ in range(3):
+                yield engine.timeout(1.0)
+
+        engine.process(worker())
+        assert engine.run() == 3.0
+        assert engine.events_scheduled == 1 + 3  # the spawn, then each sleep
+        assert engine.queued_events == 0
+
+    def test_eager_workload_stays_under_sixteen_events_per_transaction(self):
+        """The count the rule exists for, on the ladder's ``des_eager_hot``
+        shape: 12 action sleeps, an arrival sleep and the spawns come to
+        ~14 events per transaction; with a second hop per sleep it is 26.6.
+        A count, not a timing — the same on every machine."""
+        from repro.analytic.parameters import ModelParameters
+        from repro.harness import ExperimentConfig, run_experiment
+
+        result = run_experiment(
+            ExperimentConfig(
+                strategy="eager-group",
+                params=ModelParameters(
+                    db_size=100, nodes=3, tps=40, actions=4,
+                    action_time=0.002, message_delay=0.001,
+                ),
+                duration=20.0,
+                seed=11,
+            )
+        )
+        finished = result.metrics.commits + result.metrics.aborts
+        assert finished > 2000
+        assert result.extra["engine_events"] / finished <= 16
+
+    @settings(max_examples=300, deadline=None)
+    @given(_SCENARIOS)
+    def test_resume_order_matches_the_two_hop_loop(self, scenario):
+        scripts, horizons = scenario
+        one_hop, two_hop = Engine(), TwoHopEngine()
+        assert _play(one_hop, scripts, horizons) == _play(
+            two_hop, scripts, horizons
+        )
+        assert one_hop.queued_events == 0 and two_hop.queued_events == 0
+        assert one_hop.events_scheduled <= two_hop.events_scheduled

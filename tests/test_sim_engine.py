@@ -21,8 +21,10 @@ def test_schedule_runs_callback_at_delay():
 
 def test_schedule_negative_delay_rejected():
     engine = Engine()
-    with pytest.raises(SimulationError):
-        engine.schedule(-1.0, lambda: None)
+    for delay in (-1.0, float("nan")):  # NaN would sit unordered in the heap
+        with pytest.raises(SimulationError):
+            engine.schedule(delay, lambda: None)
+    assert engine.queued_events == 0
 
 
 def test_same_time_events_run_fifo():
@@ -245,6 +247,33 @@ def test_reentrant_run_rejected():
         engine.run()
 
 
+def test_keyboard_interrupt_in_a_process_leaves_run():
+    """Ctrl-C while a process body runs is not that process's failure: it
+    propagates out of run(), nothing runs past that instant, and the engine
+    can be driven again."""
+    engine = Engine()
+    log = []
+
+    def interrupted():
+        yield engine.timeout(1.0)
+        raise KeyboardInterrupt
+
+    def sibling():
+        for _ in range(5):
+            yield engine.timeout(1.0)
+            log.append(engine.now)
+
+    victim = engine.process(interrupted())
+    engine.process(sibling())
+    with pytest.raises(KeyboardInterrupt):
+        engine.run()
+    assert engine.now == 1.0
+    assert log == []  # the sibling's t=1.0 wake-up was queued behind it
+    assert victim.pending  # not recorded as a process failure
+    assert engine.run() == 5.0  # not refused as re-entrant
+    assert log == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+
 def test_zero_delay_timeout_allowed():
     engine = Engine()
 
@@ -258,8 +287,9 @@ def test_zero_delay_timeout_allowed():
 
 
 def test_negative_timeout_rejected():
-    with pytest.raises(SimulationError):
-        Timeout(-0.5)
+    for delay in (-0.5, float("nan")):
+        with pytest.raises(SimulationError):
+            Timeout(delay)
 
 
 def test_determinism_two_identical_runs():
