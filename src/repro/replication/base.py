@@ -166,6 +166,16 @@ class NodeContext:
     tm: TransactionManager
 
 
+#: the judge outcomes that write the local replica
+_WRITES = (Outcome.APPLY, Outcome.MERGE)
+
+
+def _failed_handler(exc: Exception):
+    """A message-handler generator whose process fails with ``exc``."""
+    raise exc
+    yield  # pragma: no cover - marks this function as a generator
+
+
 class ReplicatedSystem:
     """Base class for the Table 1 strategies.
 
@@ -673,20 +683,54 @@ class ReplicatedSystem:
         msg: Message,
         judge: Callable[[NodeContext, Record, ReplicaUpdate], Outcome],
     ):
-        """Apply one message of shipped updates as a housekeeping
-        transaction at ``node`` (the replica-update transactions of
-        Figure 1, quorum catch-up, certified write-sets).
+        """Apply one message of shipped updates at ``node`` (the
+        replica-update transactions of Figure 1, quorum catch-up, certified
+        write-sets); ``judge(node, local_record, update)`` — the strategy's
+        delta — decides each update's fate.
 
-        Each update is X-locked, then ``judge(node, local_record, update)``
-        decides its fate — the strategy's delta: ``APPLY`` installs the
-        shipped value, ``MERGE`` re-applies the shipped operation when
-        there is one, anything else keeps the local version.  A deadlock
-        restarts the whole message transparently (re-sent to self with
-        ``attempt + 1``) up to ``max_retries`` times; after that the
-        updates are dropped and counted in ``replica_updates_dropped``.
+        Returns :meth:`_shipped_txn`'s generator for the network to run as
+        a handler process, unless nothing in that transaction could wait —
+        an action takes no time, every shipped object is free.  Then the
+        message is applied on the spot and ``None`` returned: nothing else
+        runs inside the delivering dispatch, so the lock entries, undo
+        records and ``Transaction`` go unbuilt and only the counters move.
+        (An update with no root id under a recorded history needs the
+        transaction's id for its write.)  An exception on the spot
+        surfaces as one in the transaction does: a failed handler process,
+        earlier writes in place, the engine running on.
+        """
+        updates = msg.payload[0]
+        tm, is_free = node.tm, node.locks.is_free
+        if tm.action_time > 0 or not all(
+            is_free(update.oid)
+            and (update.root_txn_id >= 0 or tm.history is None)
+            for update in updates
+        ):
+            return self._shipped_txn(node, msg, judge)
+        try:
+            for update in updates:
+                if self._takes_shipped(update.oid, node.node_id):
+                    self._install_judged(
+                        node, None, update,
+                        judge(node, node.store.read(update.oid), update),
+                    )
+        except Exception as exc:  # noqa: BLE001 - handler death is data
+            return _failed_handler(exc)
+        tm.begun += 1
+        tm.committed += 1
+        self.metrics.replica_updates += 1
+        return None
+
+    def _shipped_txn(self, node: NodeContext, msg: Message, judge: Callable):
+        """:meth:`_apply_shipped` as a transaction: each update is X-locked,
+        judged, and costs one action if it writes.  A deadlock restarts the
+        whole message transparently (re-sent to self with ``attempt + 1``)
+        up to ``max_retries`` times; after that the updates are dropped and
+        counted in ``replica_updates_dropped``.
         """
         updates, attempt = msg.payload
-        txn = node.tm.begin(label=msg.kind)
+        tm = node.tm
+        txn = tm.begin(label=msg.kind)
         try:
             for update in updates:
                 if not self._takes_shipped(update.oid, node.node_id):
@@ -696,23 +740,14 @@ class ReplicatedSystem:
                     yield event
                     txn.require_active()
                 outcome = judge(node, node.store.read(update.oid), update)
-                root = update.root_txn_id if update.root_txn_id >= 0 else None
-                if outcome is Outcome.MERGE and update.op is not None:
-                    yield from node.tm.execute_transform(
-                        txn, update.op, update.new_ts, root_txn_id=root
-                    )
-                elif outcome is Outcome.APPLY or outcome is Outcome.MERGE:
-                    yield from node.tm.execute_install(
-                        txn, update.oid, update.new_value, update.new_ts,
-                        root_txn_id=root,
-                    )
-                else:
-                    continue
-                self.metrics.actions += 1
-            node.tm.commit(txn)
+                if tm.action_time > 0 and outcome in _WRITES:
+                    yield self.engine.timeout(tm.action_time)
+                    txn.require_active()
+                self._install_judged(node, txn, update, outcome)
+            tm.commit(txn)
             self.metrics.replica_updates += 1
         except DeadlockAbort as exc:
-            node.tm.abort(txn, reason=exc.reason)
+            tm.abort(txn, reason=exc.reason)
             if attempt < self.max_retries:
                 self.metrics.restarts += 1
                 self.network.send(
@@ -721,6 +756,23 @@ class ReplicatedSystem:
                 )
             else:
                 self.replica_updates_dropped += 1
+
+    def _install_judged(self, node: NodeContext, txn: Optional[Transaction],
+                        update: ReplicaUpdate, outcome: Outcome) -> None:
+        """Carry out a judge's verdict: ``APPLY`` installs the shipped
+        value, ``MERGE`` re-applies the shipped operation when there is
+        one, anything else keeps the local version.  ``txn`` holds the X
+        lock; ``None`` on the spot, where there is nothing to undo."""
+        if outcome not in _WRITES:
+            return
+        root = update.root_txn_id if update.root_txn_id >= 0 else None
+        if outcome is Outcome.MERGE and update.op is not None:
+            node.tm.transform(txn, update.op, update.new_ts, root)
+        else:
+            node.tm.install(
+                txn, update.oid, update.new_value, update.new_ts, root
+            )
+        self.metrics.actions += 1
 
     # ------------------------------------------------------------------ #
     # shared helpers

@@ -17,17 +17,21 @@ paper's full two-tier cycle as one engine process:
    ``pop_notice`` — the reply's diagnostic comes from the same notice path
    the simulator's reconnect exchange uses, not from a shortcut.
 
-Backpressure: a global in-flight semaphore; when full, the per-connection
-reader stops reading and the kernel's TCP window pushes back on the
-client.  Drain: stop admitting, wait for in-flight work, stop the
-telemetry ticker, spin the engine dry, then report the drained state
-(store checksum, base divergence, WAL quiescence, latency summary) — the
-oracle input for the service smoke test.
+The reply is that process's completion callback: one ``write``, no task.
+Backpressure: a global in-flight semaphore, its slot freed when the
+transaction completes; when it is full, or while a connection's own peer
+is not reading its replies, the connection's reader stops reading and the
+kernel's TCP window pushes back on the client.  Drain: stop admitting,
+wait for in-flight work, stop the telemetry ticker, spin the engine dry,
+then report the drained state (store checksum, base divergence, WAL
+quiescence, latency summary) — the oracle input for the service smoke
+test.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -216,15 +220,32 @@ class ServiceGateway:
         conn_id = next(self._conn_seq)
         self.connections_total += 1
         mobile_id = next(self._next_mobile)
-        write_lock = asyncio.Lock()
         conn_task = asyncio.current_task()
         if conn_task is not None:
             self._conn_tasks.add(conn_task)
+        unanswered = 0  # transactions spawned here whose reply is not written
+        all_answered: Optional[asyncio.Event] = None  # awaited at EOF only
 
         async def reply(message: Dict[str, Any]) -> None:
-            async with write_lock:
-                writer.write(encode_line(message))
-                await writer.drain()
+            writer.write(encode_line(message))
+            await writer.drain()
+
+        def answer(request_id: Any, start: float, proc) -> None:
+            """``proc``'s completion callback: write its reply, free its
+            slot.  Runs in the engine's dispatch, so nothing may escape."""
+            nonlocal unanswered
+            try:
+                frame = self._result_frame(request_id, start, proc)
+                if not writer.is_closing():  # a peer that left still counted
+                    writer.write(encode_line(frame))
+            except Exception:  # noqa: BLE001 - contain, count, keep serving
+                self.errors += 1
+            finally:
+                self._inflight -= 1
+                self._inflight_sem.release()
+                unanswered -= 1
+                if all_answered is not None and not unanswered:
+                    all_answered.set()
 
         try:
             await reply(
@@ -238,12 +259,11 @@ class ServiceGateway:
                     "initial_value": self.config.initial_value,
                 }
             )
-            pending = set()
             while True:
                 try:
                     line = await reader.readline()
-                except (ValueError, ConnectionError):
-                    break  # oversized line or peer reset
+                except ValueError:
+                    break  # oversized line
                 if not line:
                     break
                 try:
@@ -260,14 +280,27 @@ class ServiceGateway:
                             error_reply("draining", message.get("id"))
                         )
                         continue
-                    # backpressure: block the reader until a slot frees
+                    try:
+                        ops = decode_ops(message.get("ops"))
+                        acceptance = decode_acceptance(message.get("acceptance"))
+                    except ProtocolError as exc:
+                        self.errors += 1
+                        await reply(error_reply(str(exc), message.get("id")))
+                        continue
+                    # backpressure: block the reader until a slot frees ...
                     await self._inflight_sem.acquire()
                     self._inflight += 1
-                    task = asyncio.ensure_future(
-                        self._run_txn(mobile_id, message, reply)
+                    unanswered += 1
+                    start = time.monotonic()
+                    self.engine.process(
+                        self._serve_txn(mobile_id, ops, acceptance,
+                                        str(message.get("label", ""))),
+                        name="serve-txn",
+                    ).add_callback(
+                        functools.partial(answer, message.get("id"), start)
                     )
-                    pending.add(task)
-                    task.add_done_callback(pending.discard)
+                    # ... and while this peer is not reading its replies
+                    await writer.drain()
                 elif kind == "ping":
                     await reply({"type": "pong", "id": message.get("id")})
                 elif kind == "stats":
@@ -283,10 +316,11 @@ class ServiceGateway:
                         error_reply(f"unknown frame type {kind!r}",
                                     message.get("id"))
                     )
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        except asyncio.CancelledError:
-            pass  # server shutdown closes lingering connections
+            if unanswered:  # a half-closed client still gets its replies
+                all_answered = asyncio.Event()
+                await all_answered.wait()
+        except (asyncio.CancelledError, ConnectionError):
+            pass  # server shutdown, or a write to a peer that has left
         finally:
             if conn_task is not None:
                 self._conn_tasks.discard(conn_task)
@@ -301,60 +335,38 @@ class ServiceGateway:
     # transactions
     # ------------------------------------------------------------------ #
 
-    async def _run_txn(self, mobile_id: int, message: Dict[str, Any], reply):
-        request_id = message.get("id")
-        try:
-            try:
-                ops = decode_ops(message.get("ops"))
-                acceptance = decode_acceptance(message.get("acceptance"))
-            except ProtocolError as exc:
-                self.errors += 1
-                await reply(error_reply(str(exc), request_id))
-                return
-            start = time.monotonic()
-            proc = self.engine.process(
-                self._serve_txn(mobile_id, ops, acceptance,
-                                str(message.get("label", ""))),
-                name="serve-txn",
-            )
-            future = self.engine.wait_process(proc)
-            self.engine.kick()
-            try:
-                record, notice = await future
-            except Exception as exc:  # noqa: BLE001 - report, don't die
-                self.errors += 1
-                await reply(error_reply(f"{type(exc).__name__}: {exc}",
-                                        request_id))
-                return
-            latency = time.monotonic() - start
-            self.histogram.record(latency)
-            self.served += 1
-            if record.status is TentativeStatus.ACCEPTED:
-                self.accepted += 1
-                status = "accepted"
-            else:
-                self.rejected += 1
-                status = "rejected"
-            result = {
-                "type": "result",
-                "id": request_id,
-                "status": status,
-                "seq": record.seq,
-                "mobile": record.mobile_id,
-                "latency_ms": round(latency * 1000.0, 4),
-                # the acknowledgement really did travel base -> mobile as a
-                # tentative-notice message (satellite: diagnostics round-trip)
-                "noticed": notice is not None,
-            }
-            if record.diagnostic:
-                result["diagnostic"] = record.diagnostic
-            try:
-                await reply(result)
-            except (ConnectionError, BrokenPipeError):
-                pass  # client went away; the txn still counted
-        finally:
-            self._inflight -= 1
-            self._inflight_sem.release()
+    def _result_frame(
+        self, request_id: Any, start: float, proc
+    ) -> Dict[str, Any]:
+        """Account one finished ``serve-txn`` process and build its reply."""
+        if proc.exception is not None:  # report, don't die
+            self.errors += 1
+            exc = proc.exception
+            return error_reply(f"{type(exc).__name__}: {exc}", request_id)
+        record, notice = proc.value
+        latency = time.monotonic() - start
+        self.histogram.record(latency)
+        self.served += 1
+        if record.status is TentativeStatus.ACCEPTED:
+            self.accepted += 1
+            status = "accepted"
+        else:
+            self.rejected += 1
+            status = "rejected"
+        result = {
+            "type": "result",
+            "id": request_id,
+            "status": status,
+            "seq": record.seq,
+            "mobile": record.mobile_id,
+            "latency_ms": round(latency * 1000.0, 4),
+            # the acknowledgement really did travel base -> mobile as a
+            # tentative-notice message (satellite: diagnostics round-trip)
+            "noticed": notice is not None,
+        }
+        if record.diagnostic:
+            result["diagnostic"] = record.diagnostic
+        return result
 
     def _serve_txn(self, mobile_id: int, ops, acceptance, label: str):
         """Engine process: one transaction through the full two-tier cycle."""

@@ -340,8 +340,13 @@ class LockManager:
         self.detector.abort_waiting_txn(victim, DeadlockAbort())
 
     # ------------------------------------------------------------------ #
-    # introspection (tests)
+    # introspection
     # ------------------------------------------------------------------ #
+
+    def is_free(self, oid: int) -> bool:
+        """Does nobody hold or wait for ``oid``?  (Entries are reaped once
+        empty, so an absent entry is a free object.)"""
+        return oid not in self._table
 
     def holders(self, oid: int) -> Dict[Any, LockMode]:
         entry = self._table.get(oid)

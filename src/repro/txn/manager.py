@@ -164,14 +164,7 @@ class TransactionManager:
         new_ts: Timestamp,
         root_txn_id: Optional[int] = None,
     ) -> Generator[Any, Any, Any]:
-        """Install a shipped replica value (lazy propagation, Figure 1/4).
-
-        The value arrives with the *root* transaction's timestamp so that all
-        replicas converge to identical (value, ts) pairs; the local Lamport
-        clock witnesses the foreign timestamp.  When a history is being
-        recorded, the install is attributed to ``root_txn_id`` — it is the
-        root transaction's write, carried to this replica.
-        """
+        """X-lock ``oid``, spend one action, then :meth:`install`."""
         txn.require_active()
         event = self.locks.acquire(txn, oid, LockMode.EXCLUSIVE)
         if event is not None:
@@ -180,17 +173,7 @@ class TransactionManager:
         if self.action_time > 0:
             yield self.engine.timeout(self.action_time)
         txn.require_active()
-        record = self.store.read(oid)
-        self.wal.record(txn.txn_id, oid, record.value, record.ts, value, new_ts)
-        self.store.write(oid, value, new_ts)
-        self.clock.witness(new_ts)
-        if self.history is not None:
-            self.history.record_write(
-                self.node_id,
-                root_txn_id if root_txn_id is not None else txn.txn_id,
-                oid,
-            )
-        return value
+        return self.install(txn, oid, value, new_ts, root_txn_id)
 
     def execute_transform(
         self,
@@ -199,13 +182,7 @@ class TransactionManager:
         new_ts: Timestamp,
         root_txn_id: Optional[int] = None,
     ) -> Generator[Any, Any, Any]:
-        """Apply a shipped *commutative* operation to the local replica.
-
-        Used by convergent schemes that propagate transformations rather than
-        values (section 6).  The replica timestamp becomes the max of the
-        current and shipped timestamps, so replicas agree on the final
-        timestamp regardless of application order.
-        """
+        """X-lock ``op.oid``, spend one action, then :meth:`transform`."""
         txn.require_active()
         event = self.locks.acquire(txn, op.oid, LockMode.EXCLUSIVE)
         if event is not None:
@@ -214,21 +191,66 @@ class TransactionManager:
         if self.action_time > 0:
             yield self.engine.timeout(self.action_time)
         txn.require_active()
-        record = self.store.read(op.oid)
-        final_ts = max(record.ts, new_ts)
-        new_value = op.apply(record.value)
-        self.wal.record(
-            txn.txn_id, op.oid, record.value, record.ts, new_value, final_ts
+        return self.transform(txn, op, new_ts, root_txn_id)
+
+    def install(
+        self,
+        txn: Optional[Transaction],
+        oid: int,
+        value: Any,
+        new_ts: Timestamp,
+        root_txn_id: Optional[int] = None,
+    ) -> Any:
+        """Install a shipped replica value (lazy propagation, Figure 1/4).
+
+        The value arrives with the *root* transaction's timestamp so that all
+        replicas converge to identical (value, ts) pairs; the local Lamport
+        clock witnesses the foreign timestamp.  When a history is being
+        recorded, the install is attributed to ``root_txn_id`` — it is the
+        root transaction's write, carried to this replica.
+
+        The caller has ``oid`` to itself: under ``txn``'s X lock, or, with
+        ``txn`` ``None``, because nothing else runs before it is done — then
+        no undo record is written and ``root_txn_id`` must name the write.
+        """
+        return self._write_shipped(
+            txn, self.store.read(oid), value, new_ts, new_ts, root_txn_id
         )
-        self.store.write(op.oid, new_value, final_ts)
-        self.clock.witness(new_ts)
+
+    def transform(
+        self,
+        txn: Optional[Transaction],
+        op: Operation,
+        new_ts: Timestamp,
+        root_txn_id: Optional[int] = None,
+    ) -> Any:
+        """Apply a shipped *commutative* operation to the local replica.
+
+        Used by convergent schemes that propagate transformations rather than
+        values (section 6).  The replica timestamp becomes the max of the
+        current and shipped timestamps, so replicas agree on the final
+        timestamp regardless of application order.  ``txn`` is as for
+        :meth:`install`.
+        """
+        record = self.store.read(op.oid)
+        return self._write_shipped(
+            txn, record, op.apply(record.value), max(record.ts, new_ts),
+            new_ts, root_txn_id,
+        )
+
+    def _write_shipped(self, txn, record, value, ts, shipped_ts, root_txn_id):
+        oid = record.oid
+        if txn is not None:
+            self.wal.record(txn.txn_id, oid, record.value, record.ts, value, ts)
+        self.store.write(oid, value, ts)
+        self.clock.witness(shipped_ts)
         if self.history is not None:
             self.history.record_write(
                 self.node_id,
                 root_txn_id if root_txn_id is not None else txn.txn_id,
-                op.oid,
+                oid,
             )
-        return new_value
+        return value
 
     # ------------------------------------------------------------------ #
     # introspection

@@ -129,6 +129,23 @@ class TestRelease:
     def test_release_without_holdings_is_safe(self, lm):
         lm.release_all(FakeTxn())  # must not raise
 
+    def test_is_free_means_neither_held_nor_queued(self, lm):
+        a, b = FakeTxn(), FakeTxn()
+        assert lm.is_free(1)
+        lm.acquire(a, 1, LockMode.SHARED)
+        assert not lm.is_free(1) and lm.is_free(2)
+        lm.acquire(b, 1, LockMode.EXCLUSIVE)  # queues behind a
+        lm.release_all(a)  # b is promoted: still not free
+        assert not lm.is_free(1)
+        lm.release_all(b)
+        assert lm.is_free(1)  # the empty entry was reaped
+        lm.acquire(a, 1, LockMode.EXCLUSIVE)
+        waiting = lm.acquire(b, 1, LockMode.EXCLUSIVE)
+        lm.release_all(b)  # a waiter that gives up leaves the holder
+        assert waiting.settled and not lm.is_free(1)
+        lm.release_all(a)
+        assert lm.is_free(1)
+
 
 class TestUpgrade:
     def test_sole_shared_holder_upgrades_immediately(self, lm):

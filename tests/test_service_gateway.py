@@ -9,6 +9,7 @@ path exactly as they do through the simulator's reconnect path.
 
 import asyncio
 import json
+import socket
 
 import pytest
 
@@ -238,6 +239,131 @@ class TestConcurrency:
         gateway, results = with_gateway(config)(scenario, tmp_path)
         assert all(s == "accepted" for batch in results for s in batch)
         assert gateway.system.nodes[0].store.value(0) == 20
+
+    def test_client_that_stops_reading_stalls_only_itself(self, tmp_path):
+        """A flood that never reads its replies stops its own connection's
+        reader once its reply buffer is full; the global slots it took are
+        freed as its transactions finish, so everyone else is served."""
+        pad = "x" * 4000  # echoed in every reply: buffers fill in ~500 frames
+
+        async def scenario(gateway, path):
+            slow = await Client.connect(path)
+            sent = 0
+            while sent < 20_000:
+                for _ in range(100):
+                    slow.writer.write(json.dumps({
+                        "type": "txn", "id": [sent, pad], "ops": [["inc", 0, 1]],
+                    }).encode() + b"\n")
+                    sent += 1
+                try:
+                    await asyncio.wait_for(slow.writer.drain(), 0.25)
+                except asyncio.TimeoutError:
+                    break  # the server stopped reading this connection
+            other = await Client.connect(path)
+            reply = await asyncio.wait_for(other.txn([["inc", 1, 1]]), 1.0)
+            await other.send(type="stats")
+            stats = await other.recv()
+            await other.close()
+            # the slow client finally reads: nothing it sent went unanswered
+            answered = set()
+            for _ in range(sent):
+                answer = await asyncio.wait_for(slow.recv(), 5.0)
+                assert answer["type"] == "result"
+                answered.add(answer["id"][0])
+            await slow.close()
+            return sent, answered, reply, stats
+
+        sent, answered, reply, stats = with_gateway()(scenario, tmp_path)
+        assert sent < 20_000, "the flood never felt backpressure"
+        assert reply["status"] == "accepted"
+        assert stats["inflight"] <= 16  # the cap is 256
+        assert answered == set(range(sent))
+
+    def test_unwritable_reply_is_counted_and_contained(
+        self, tmp_path, monkeypatch
+    ):
+        """The reply is written inside the engine's dispatch: a write that
+        raises must cost one error, not the engine task."""
+        real_write = asyncio.StreamWriter.write
+        failures = []
+
+        def write(self, data):
+            if b'"type":"result"' in data and not failures:
+                failures.append(data)
+                raise OSError("transport fell over")
+            return real_write(self, data)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "write", write)
+
+        async def scenario(gateway, path):
+            unlucky = await Client.connect(path)
+            await unlucky.send(type="txn", ops=[["inc", 0, 1]])
+            other = await Client.connect(path)
+            reply = await asyncio.wait_for(other.txn([["inc", 0, 1]]), 1.0)
+            await unlucky.close()
+            await other.close()
+            return gateway, reply
+
+        gateway, reply = with_gateway()(scenario, tmp_path)
+        assert len(failures) == 1
+        assert reply["status"] == "accepted"
+        assert gateway.errors == 1
+        assert gateway.served == 2  # both transactions committed
+        assert gateway._inflight == 0
+        assert gateway.system.nodes[0].store.value(0) == 102
+
+    def test_connect_and_leave_is_a_disconnect_not_an_exception(self, tmp_path):
+        """A readiness probe connects and closes before the welcome is
+        flushed; that is a visit, not an unhandled exception."""
+        async def scenario(gateway, path):
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            for _ in range(5):
+                probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                probe.connect(path)
+                probe.close()
+            for _ in range(200):
+                if gateway.connections_total == 5 and not gateway._conn_tasks:
+                    break
+                await asyncio.sleep(0.005)
+            return unhandled, gateway.connections_total
+
+        unhandled, visits = with_gateway()(scenario, tmp_path)
+        assert visits == 5
+        assert unhandled == []
+
+    def test_events_per_served_transaction(self, tmp_path):
+        """Count gate, svc_uniform's shape on the default system (1 base,
+        4 mobiles): a served commit is 8 engine events — its own spawn,
+        sleep and wake, and one delivery per message — because a replica
+        refresh that cannot wait spawns nothing (12 with a handler process
+        per refresh).  Machine-independent."""
+        async def scenario(gateway, path):
+            clients = [await Client.connect(path) for _ in range(2)]
+            before = gateway.engine.events_scheduled
+            for i in range(200):
+                await clients[i % 2].send(
+                    type="txn", id=i, acceptance="always",
+                    ops=[["inc", i % 50, 1], ["inc", (i + 7) % 50, 2]],
+                )
+            replies = [await clients[i % 2].recv() for i in range(200)]
+            events = gateway.engine.events_scheduled - before
+            for client in clients:
+                await client.close()
+            return gateway, replies, events, await gateway.drain()
+
+        gateway, replies, events, drained = with_gateway()(scenario, tmp_path)
+        assert all(reply["noticed"] is True for reply in replies)
+        assert gateway.served == 200
+        assert events / gateway.served <= 8
+        assert drained["store_sum"] == 50 * 100 + 200 * 3
+        assert drained["base_divergence"] == 0
+        assert drained["wal_quiescent"] is True
+        snapshots = [node.store.snapshot() for node in gateway.system.nodes]
+        assert len(snapshots) == 5
+        assert all(snapshot == snapshots[0] for snapshot in snapshots)
 
     def test_drain_refuses_new_transactions(self, tmp_path):
         async def scenario(gateway, path):
