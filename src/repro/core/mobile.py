@@ -14,7 +14,7 @@ re-execution.
 from __future__ import annotations
 
 import itertools
-from typing import Any, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.acceptance import AcceptanceCriterion, AlwaysAccept
 from repro.core.tentative import (
@@ -23,6 +23,7 @@ from repro.core.tentative import (
     TentativeTransaction,
 )
 from repro.exceptions import InvalidStateError
+from repro.sim.events import SimEvent
 from repro.txn.ops import Operation
 
 
@@ -40,6 +41,7 @@ class MobileNode:
         self.tentative = TentativeStore(self.context.store)
         self.log: List[TentativeTransaction] = []
         self.notices: List[tuple] = []
+        self._notice_events: Dict[int, SimEvent] = {}  # awaited, by seq
         self._seq = itertools.count(1)
 
     # ------------------------------------------------------------------ #
@@ -140,24 +142,23 @@ class MobileNode:
     def accepted_transactions(self) -> List[TentativeTransaction]:
         return [t for t in self.log if t.status is TentativeStatus.ACCEPTED]
 
+    def notice_event(self, seq: int) -> SimEvent:
+        """An engine event that succeeds with tentative ``seq``'s notice
+        ``(seq, status, why)`` when it arrives.  A notice that is waited
+        for goes to its waiter instead of onto :attr:`notices`."""
+        event = self._notice_events[seq] = self.system.engine.event(
+            "tentative-notice"
+        )
+        return event
+
     def record_notice(self, seq: int, status: TentativeStatus, why: str) -> None:
         """Reconnect step 5: 'Accepts notice of the success or failure of
         each tentative transaction.'"""
-        self.notices.append((seq, status, why))
-
-    def pop_notice(self, seq: int) -> Optional[tuple]:
-        """Consume and return the notice for tentative ``seq``, if delivered.
-
-        The live gateway acknowledges each transaction to its client from
-        the base's notice, then pops it so :attr:`notices` stays bounded
-        over a long-running service.  Scans from the tail: the matching
-        notice is almost always the most recently recorded one.
-        """
-        notices = self.notices
-        for i in range(len(notices) - 1, -1, -1):
-            if notices[i][0] == seq:
-                return notices.pop(i)
-        return None
+        event = self._notice_events.pop(seq, None)
+        if event is not None:
+            event.succeed((seq, status, why))
+        else:
+            self.notices.append((seq, status, why))
 
     def require_disconnected(self) -> None:
         if self.connected:

@@ -6,9 +6,11 @@ extra replicas that are usually dark.  The class adds:
 
 * tentative execution at mobile nodes (via :class:`~repro.core.mobile.MobileNode`),
 * the five-step reconnect exchange,
-* base re-execution of tentative transactions with acceptance criteria,
-  resubmitting deadlock victims until they succeed ("If a base transaction
-  deadlocks, it is resubmitted and reprocessed until it succeeds"),
+* base re-execution of tentative transactions — the same phase pipeline
+  every transaction runs, with the acceptance criterion as its ``certify``
+  phase and the notice closing ``propagate``; deadlock victims are
+  resubmitted by the shared driver ("If a base transaction deadlocks, it is
+  resubmitted and reprocessed until it succeeds"),
 * local transactions on mobile-mastered data that work while disconnected.
 
 Durability and convergence follow the paper: a transaction is durable once
@@ -32,6 +34,7 @@ from repro.exceptions import (
 from repro.network.message import Message
 from repro.replication.base import NodeContext, SystemSpec
 from repro.replication.lazy_master import LazyMasterSystem
+from repro.replication.pipeline import TxnContext
 from repro.txn.ops import Operation
 
 
@@ -56,6 +59,10 @@ class TwoTierSystem(LazyMasterSystem):
     """
 
     name = "two-tier"
+    #: lazy-master's lifecycle plus the paper's section 7 step: when the
+    #: transaction re-executes a tentative record, ``certify`` is the
+    #: record's acceptance criterion and ``propagate`` ends with its notice
+    PHASES = ("admission", "execute", "certify", "commit", "propagate")
     default_retry_deadlocks = True
 
     def __init__(
@@ -71,7 +78,10 @@ class TwoTierSystem(LazyMasterSystem):
         if num_base <= 0:
             raise ConfigurationError("need at least one base node")
         if num_base > num_nodes:
-            raise ConfigurationError("num_mobile must be >= 0")
+            raise ConfigurationError(
+                f"num_base ({num_base}) exceeds the spec's num_nodes "
+                f"({num_nodes}); num_nodes counts base and mobile nodes"
+            )
         for oid, owner in (mobile_mastered or {}).items():
             if not num_base <= owner < num_nodes:
                 raise ConfigurationError(
@@ -173,121 +183,125 @@ class TwoTierSystem(LazyMasterSystem):
         for record in list(mobile.log):
             if not record.pending:
                 continue
-            if self.cascade_rejections and tainted_oids:
-                touched = {op.oid for op in record.ops}
-                poisoned = touched & tainted_oids
-                if poisoned:
-                    record.status = TentativeStatus.REJECTED
-                    record.diagnostic = (
-                        "depends on tentative results of a rejected "
-                        f"transaction (objects {sorted(poisoned)})"
-                    )
-                    self.metrics.tentative_rejected += 1
-                    self._trace("reject", mobile=mobile.node_id,
-                                seq=record.seq, why="cascade")
-                    self.network.send(
-                        self.nodes[mobile.host_base_id].node_id,
-                        mobile.node_id,
-                        "tentative-notice",
-                        (record.seq, record.status, record.diagnostic),
-                    )
-                    tainted_oids |= {
-                        op.oid for op in record.ops if not op.is_read
-                    }
-                    replayed.append(record)
-                    continue
-            yield from self._replay_tentative(mobile, record)
-            if record.status is TentativeStatus.REJECTED:
-                tainted_oids |= {
+            poisoned = tainted_oids.intersection(op.oid for op in record.ops)
+            if poisoned:
+                # refused by its place in the replay order, so it never
+                # becomes a base transaction
+                self._settle(
+                    record,
+                    "depends on tentative results of a rejected "
+                    f"transaction (objects {sorted(poisoned)})",
+                    why="cascade",
+                )
+            else:
+                yield from self.reexecute(record)
+            if (
+                self.cascade_rejections
+                and record.status is TentativeStatus.REJECTED
+            ):
+                tainted_oids.update(
                     op.oid for op in record.ops if not op.is_read
-                }
+                )
             replayed.append(record)
-
-        # Step 5: the host's accept/reject notices are delivered as
-        # messages; give zero-delay networks a chance to drain them now.
+        # Step 5, the accept/reject notices, is already on the wire: every
+        # settled record sent its own.
         return replayed
 
     # ------------------------------------------------------------------ #
-    # base re-execution
+    # base re-execution: the pipeline with a tentative record riding along
     # ------------------------------------------------------------------ #
 
-    def _replay_tentative(self, mobile: MobileNode, record: TentativeTransaction):
-        """Re-run one tentative transaction as a base transaction.
+    def reexecute(self, record: TentativeTransaction):
+        """Generator: re-run one tentative transaction as a base
+        transaction at its mobile's host base, and settle it.
 
         "During this reprocessing, the base transaction reads and writes
-        object master copies using a lazy-master execution model."  Deadlock
-        victims are resubmitted; acceptance failure aborts and notifies.
+        object master copies using a lazy-master execution model."  It is
+        an ordinary user transaction of this system — same driver, same
+        deadlock resubmission (``retry_deadlocks`` / ``max_retries``), same
+        crash undo — whose ``certify`` phase is the record's acceptance
+        criterion and whose ``propagate`` phase ends with the notice.
         """
-        host = self.nodes[mobile.host_base_id]
-        attempts = 0
-        while True:
-            txn = host.tm.begin(label=f"base:{record.label or record.seq}")
-            involved: List[NodeContext] = []
-            try:
-                for op in record.ops:
-                    master = self.master_of(op.oid)
-                    if op.is_read:
-                        if master.tm.lock_reads and master not in involved:
-                            involved.append(master)  # S locks need releasing
-                        yield from master.tm.execute(txn, op)
-                        continue
-                    if master not in involved:
-                        involved.append(master)
-                    yield from master.tm.execute(txn, op)
-                    self.metrics.actions += 1
-            except DeadlockAbort as exc:
-                txn.mark_aborted(self.engine.now, reason=exc.reason)
-                for node in involved:
-                    node.tm.finish_abort_local(txn)
-                if exc.reason != "deadlock":
-                    # the host base crashed mid-reprocessing: resubmitting
-                    # at a dead node would livelock, so reject instead
-                    record.status = TentativeStatus.REJECTED
-                    record.diagnostic = "host base crashed during reprocessing"
-                    self.metrics.tentative_rejected += 1
-                    return
-                attempts += 1
-                if attempts > self.max_retries:
-                    # pathological livelock guard; surfaces as a rejection
-                    record.status = TentativeStatus.REJECTED
-                    record.diagnostic = "base transaction livelocked"
-                    self.metrics.tentative_rejected += 1
-                    return
-                self.metrics.restarts += 1
-                backoff = self.rng.stream("base-retry").uniform(
-                    0, self.action_time * 2
-                )
-                yield self.engine.timeout(backoff)
-                continue
+        host = self.mobiles[record.mobile_id].host_base_id
+        txn = yield from self._run_with_retries(
+            host, record.ops, f"base:{record.label or record.seq}", record
+        )
+        if record.pending:
+            # never reached its acceptance test: the host or a master is
+            # down, or it fell to deadlock with resubmission spent (or off)
+            self._settle(
+                record, f"base transaction aborted: {txn.abort_reason}"
+            )
 
-            base_outputs = [u.new_value for u in txn.updates]
-            accepted, why = record.acceptance.check(
-                record.tentative_outputs, base_outputs
-            )
-            if accepted:
-                self._commit_everywhere(txn, involved)
-                self._propagate_to_slaves(host.node_id, txn)
-                record.status = TentativeStatus.ACCEPTED
-                record.base_txn_id = txn.txn_id
-                self.metrics.tentative_accepted += 1
-            else:
-                # "the base transaction is aborted and a diagnostic message
-                # is returned to the mobile node"
-                txn.mark_aborted(self.engine.now, reason="acceptance")
-                for node in involved:
-                    node.tm.finish_abort_local(txn)
-                record.status = TentativeStatus.REJECTED
-                record.diagnostic = why
-                self.metrics.tentative_rejected += 1
-                self._trace("reject", mobile=mobile.node_id, seq=record.seq,
-                            why=why)
-            self.network.send(
-                host.node_id,
-                mobile.node_id,
-                "tentative-notice",
-                (record.seq, record.status, record.diagnostic),
-            )
+    def _settle(self, record: TentativeTransaction,
+                rejection: Optional[str] = None, why: str = "") -> None:
+        """Decide ``record`` — rejected with diagnostic ``rejection`` when
+        one is given, else accepted — and send the mobile its notice from
+        the host base (reconnect step 5; it parks while either end is
+        down).  ``why`` overrides the diagnostic in the trace line."""
+        if rejection is None:
+            record.status = TentativeStatus.ACCEPTED
+            self.metrics.tentative_accepted += 1
+        else:
+            record.status = TentativeStatus.REJECTED
+            record.diagnostic = rejection
+            self.metrics.tentative_rejected += 1
+            self._trace("reject", mobile=record.mobile_id, seq=record.seq,
+                        why=why or rejection)
+        self.network.send(
+            self.mobiles[record.mobile_id].host_base_id,
+            record.mobile_id,
+            "tentative-notice",
+            (record.seq, record.status, record.diagnostic),
+        )
+
+    def _phase_execute(self, ctx: TxnContext):
+        """Lazy-master's, unless a record is being re-executed: then reads
+        *and* writes run at the master copies, and no RPC round is charged
+        to a remote base master."""
+        if ctx.record is None:
+            yield from super()._phase_execute(ctx)
             return
+        txn, involved = ctx.txn, ctx.touched
+        for op in ctx.ops:
+            master = self.master_of(op.oid)
+            # a read holds nothing to release unless reads take S locks
+            if master not in involved and (
+                master.tm.lock_reads or not op.is_read
+            ):
+                involved.append(master)
+            yield from master.tm.execute(txn, op)
+            if not op.is_read:
+                self.metrics.actions += 1
+
+    def _phase_certify(self, ctx: TxnContext) -> None:
+        """The acceptance criterion: tentative outputs against the base
+        transaction's.  A transaction submitted directly at a connected
+        node has no tentative outputs to answer for."""
+        record = ctx.record
+        if record is None:
+            return
+        txn = ctx.txn
+        accepted, why = record.acceptance.check(
+            record.tentative_outputs, [u.new_value for u in txn.updates]
+        )
+        if not accepted:
+            # "the base transaction is aborted and a diagnostic message is
+            # returned to the mobile node" — a rejection, not an abort:
+            # counted in tentative_rejected, never in metrics.aborts
+            txn.mark_aborted(self.engine.now, reason="acceptance")
+            for node in ctx.touched:
+                node.tm.finish_abort_local(txn)
+            self._settle(record, why)
+            ctx.finished = True
+
+    def _phase_propagate(self, ctx: TxnContext) -> None:
+        super()._phase_propagate(ctx)
+        record = ctx.record
+        if record is not None:
+            # the slaves are being refreshed; now tell the mobile
+            record.base_txn_id = ctx.txn.txn_id
+            self._settle(record)
 
     # ------------------------------------------------------------------ #
     # local transactions on mobile-mastered data

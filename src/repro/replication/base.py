@@ -480,10 +480,11 @@ class ReplicatedSystem:
         return txn
         yield  # pragma: no cover - marks this function as a generator
 
-    def _run_with_retries(self, origin: int, ops: List[Operation], label: str):
+    def _run_with_retries(self, origin: int, ops: List[Operation], label: str,
+                          record: Any = None):
         attempts = 0
         while True:
-            txn = yield from self._run(origin, ops, label)
+            txn = yield from self._run(origin, ops, label, record)
             if txn.state.value != "aborted" or not self.retry_deadlocks:
                 return txn
             if txn.abort_reason != "deadlock":
@@ -500,7 +501,8 @@ class ReplicatedSystem:
             backoff = self.rng.stream("retry-backoff").uniform(0, self.action_time * 2)
             yield self.engine.timeout(backoff)
 
-    def _run(self, origin: int, ops: List[Operation], label: str):
+    def _run(self, origin: int, ops: List[Operation], label: str,
+             record: Any = None):
         """One attempt at the transaction: drive the phase pipeline.
 
         Each ``PHASES`` entry resolves to a ``_phase_<name>`` method, which
@@ -512,6 +514,7 @@ class ReplicatedSystem:
         a phase that loses the transaction to a :class:`DeadlockAbort` —
         deadlock victim or crash interrupt — just lets it escape, and the
         driver undoes the transaction at every node in ``ctx.touched``.
+        ``record`` rides along as ``ctx.record``.
         """
         pipeline = self._pipeline
         if pipeline is None:
@@ -522,7 +525,7 @@ class ReplicatedSystem:
                 raise NotImplementedError(
                     f"{type(self).__name__} declares no PHASES"
                 )
-        ctx = TxnContext(origin=origin, ops=ops, label=label)
+        ctx = TxnContext(origin=origin, ops=ops, label=label, record=record)
         try:
             for phase in pipeline:
                 step = phase(ctx)

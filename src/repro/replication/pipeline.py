@@ -6,9 +6,11 @@ phases — the decomposition that makes post-1996 protocols cheap to add:
 * ``admission``    — reachability / quorum checks, ``begin``;
 * ``execute``      — run the operations (locally, at masters, or at every
   replica, depending on the strategy);
-* ``certify``      — validate the transaction's read/write set against a
-  version table or logical timestamps (no-op for the 1996 strategies,
-  which rely on locking instead);
+* ``certify``      — judge what ``execute`` produced: the read/write set
+  against a version table or logical timestamps, or — two-tier — a
+  re-executed tentative transaction's outputs against its acceptance
+  criterion (absent from the other 1996 strategies, which rely on locking
+  instead);
 * ``commit``       — flip the transaction state and release resources at
   every involved node;
 * ``propagate``    — ship committed updates to the replicas that were not
@@ -61,6 +63,10 @@ class TxnContext:
             (the transaction reached a terminal state early).
         scratch: strategy-private storage (quorum participants, buffered
             write sets, certification verdicts, ...).
+        record: what the transaction is run on behalf of, handed to the
+            driver by the strategy — two-tier's tentative transaction being
+            re-executed at the base tier; ``None`` for a transaction
+            submitted directly.
     """
 
     origin: int
@@ -70,6 +76,7 @@ class TxnContext:
     touched: List[Any] = field(default_factory=list)
     finished: bool = False
     scratch: Dict[str, Any] = field(default_factory=dict)
+    record: Any = None
 
 
 def describe_pipeline(system_cls) -> Tuple[str, ...]:

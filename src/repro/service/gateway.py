@@ -10,12 +10,14 @@ paper's full two-tier cycle as one engine process:
 1. tentative execution at the mobile, against a **per-request** overlay so
    concurrent transactions on one mobile never see each other's tentative
    values (``mobile.run_tentative(..., overlay=..., log=False)``),
-2. base re-execution at the host base via the unmodified
-   ``TwoTierSystem._replay_tentative`` — locks, deadlock retries,
-   acceptance criteria and all,
-3. the tentative-notice message delivered back to the mobile, consumed via
-   ``pop_notice`` — the reply's diagnostic comes from the same notice path
-   the simulator's reconnect exchange uses, not from a shortcut.
+2. base re-execution at the host base via ``TwoTierSystem.reexecute`` —
+   the phase pipeline every transaction of the system runs: locks,
+   deadlock retries, the acceptance criterion as its ``certify`` phase,
+3. the tentative-notice message delivered back to the mobile, which
+   resolves the event the process is waiting on
+   (``MobileNode.notice_event``) — the reply's diagnostic comes from the
+   same notice path the simulator's reconnect exchange uses, not from a
+   shortcut, and no timer runs on the served path.
 
 The reply is that process's completion callback: one ``write``, no task.
 Backpressure: a global in-flight semaphore, its slot freed when the
@@ -73,15 +75,6 @@ class GatewayConfig:
     initial_value: Any = 0
     max_inflight: int = 256
     sample_interval: float = 0.0  # 0 disables the telemetry ticker
-    #: how long a reply waits for the base -> mobile tentative-notice
-    #: before reporting ``noticed: false`` (engine seconds; the notice
-    #: normally lands within one message delay, but jitter can stretch it)
-    notice_timeout: float = 1.0
-
-
-#: abandoned notice seqs remembered per mobile, so a late notice is evicted
-#: instead of leaking; bounded in case a seq never arrives at all
-_STALE_NOTICE_CAP = 1024
 
 
 class ServiceGateway:
@@ -123,10 +116,6 @@ class ServiceGateway:
         self._ticker_proc = None
         self._started_at: Optional[float] = None
         self.histogram = LatencyHistogram()
-        # mobile_id -> dict-as-ordered-set of notice seqs we stopped
-        # waiting for; used to evict their late arrivals from
-        # ``mobile.notices`` so the list stays bounded on a long service
-        self._stale_notices: Dict[int, Dict[int, None]] = {}
         # service counters (engine/system metrics ride along separately)
         self.connections_total = 0
         self.served = 0
@@ -375,51 +364,9 @@ class ServiceGateway:
         record = yield from mobile.run_tentative(
             ops, acceptance, label, overlay=overlay, log=False
         )
-        yield from self.system._replay_tentative(mobile, record)
-        notice = yield from self._await_notice(mobile_id, mobile, record.seq)
-        return record, notice
-
-    def _await_notice(self, mobile_id: int, mobile, seq: int):
-        """Wait (bounded) for the base -> mobile tentative-notice.
-
-        With a zero message delay the notice's delivery already holds an
-        earlier queue position, so one zero-length sleep suffices — that
-        fast path is unchanged.  With a nonzero delay, jitter or load can
-        land the notice *later* than one nominal delay; sleeping exactly
-        one delay then mis-reported ``noticed: false`` and left the
-        un-popped notice in ``mobile.notices`` forever.  Poll against a
-        deadline instead, and if we do give up, remember the seq so its
-        late arrival is evicted rather than leaked.
-        """
-        delay = self.system.network.message_delay
-        yield self.engine.timeout(delay)
-        notice = mobile.pop_notice(seq)
-        stale = self._stale_notices.setdefault(mobile_id, {})
-        if notice is None:
-            deadline = self.engine.now + self.config.notice_timeout
-            poll = max(delay, 0.002)
-            while notice is None and self.engine.now < deadline:
-                yield self.engine.timeout(
-                    min(poll, deadline - self.engine.now)
-                )
-                notice = mobile.pop_notice(seq)
-            if notice is None:
-                stale[seq] = None
-                while len(stale) > _STALE_NOTICE_CAP:
-                    stale.pop(next(iter(stale)))
-        if stale:
-            self._evict_stale_notices(mobile, stale)
-        return notice
-
-    @staticmethod
-    def _evict_stale_notices(mobile, stale: Dict[int, None]) -> None:
-        """Drop late arrivals of abandoned notices from ``mobile.notices``."""
-        kept = [entry for entry in mobile.notices if entry[0] not in stale]
-        if len(kept) != len(mobile.notices):
-            for entry in mobile.notices:
-                if entry[0] in stale:
-                    stale.pop(entry[0], None)
-            mobile.notices[:] = kept
+        noticed = mobile.notice_event(record.seq)
+        yield from self.system.reexecute(record)
+        return record, (yield noticed)
 
     # ------------------------------------------------------------------ #
     # stats & drain

@@ -336,11 +336,21 @@ class TestConcurrency:
 
     def test_events_per_served_transaction(self, tmp_path):
         """Count gate, svc_uniform's shape on the default system (1 base,
-        4 mobiles): a served commit is 8 engine events — its own spawn,
-        sleep and wake, and one delivery per message — because a replica
-        refresh that cannot wait spawns nothing (12 with a handler process
-        per refresh).  Machine-independent."""
+        4 mobiles): a served commit is 7 engine events — its own spawn,
+        its wake when the notice lands, and one delivery per message —
+        because a replica refresh that cannot wait spawns nothing (12 with
+        a handler process per refresh) and the notice is an event, not a
+        sleep (8 with one).  Machine-independent."""
+        runs = []
+
         async def scenario(gateway, path):
+            real_run = gateway.system._run
+
+            def counted(origin, ops, label, record):
+                runs.append(record.seq)
+                return real_run(origin, ops, label, record)
+
+            gateway.system._run = counted
             clients = [await Client.connect(path) for _ in range(2)]
             before = gateway.engine.events_scheduled
             for i in range(200):
@@ -357,7 +367,11 @@ class TestConcurrency:
         gateway, replies, events, drained = with_gateway()(scenario, tmp_path)
         assert all(reply["noticed"] is True for reply in replies)
         assert gateway.served == 200
-        assert events / gateway.served <= 8
+        assert events / gateway.served <= 7
+        # everything served went through the one pipeline driver, once each
+        # (an action takes no time here, so no base attempt ever deadlocks)
+        assert sorted(runs) == sorted(reply["seq"] for reply in replies)
+        assert gateway.system.metrics.restarts == 0
         assert drained["store_sum"] == 50 * 100 + 200 * 3
         assert drained["base_divergence"] == 0
         assert drained["wal_quiescent"] is True
@@ -397,99 +411,41 @@ class TestSimPathParity:
         assert len(mobile.rejected_transactions) == 1
         record = mobile.rejected_transactions[0]
         assert record.diagnostic
-        notice = mobile.pop_notice(record.seq)
-        assert notice is not None
-        assert notice[1] is TentativeStatus.REJECTED
-        assert notice[2] == record.diagnostic
-
-    def test_pop_notice_consumes_exactly_one(self):
-        system = TwoTierSystem(
-            SystemSpec(num_nodes=2, db_size=20, initial_value=100),
-            num_base=1,
-        )
-        mobile = system.mobile(1)
-        mobile.record_notice(7, TentativeStatus.ACCEPTED, "")
-        mobile.record_notice(8, TentativeStatus.REJECTED, "no")
-        assert mobile.pop_notice(8) == (8, TentativeStatus.REJECTED, "no")
-        assert mobile.pop_notice(8) is None
-        assert mobile.pop_notice(7) == (7, TentativeStatus.ACCEPTED, "")
-        assert mobile.notices == []
+        assert mobile.notices == [
+            (record.seq, TentativeStatus.REJECTED, record.diagnostic)
+        ]
 
 
 class TestNoticeWait:
-    """Regression: the reply's notice wait must survive delivery jitter.
-
-    The old code slept exactly one ``message_delay`` and popped once; a
-    notice landing any later was mis-reported as ``noticed: false`` *and*
-    left behind in ``mobile.notices`` forever.  The fix polls against
-    ``notice_timeout`` and evicts late arrivals of abandoned waits.
-    """
-
-    @staticmethod
-    def _drive(gateway, spawn):
-        """Spawn engine processes and run the wall-clock engine dry."""
-        async def main():
-            procs = spawn()
-            futures = [gateway.engine.wait_process(p) for p in procs]
-            await gateway.engine.run_async()
-            return [future.result() for future in futures]
-
-        return asyncio.run(main())
+    """The reply waits on the notice itself, not on a clock: the mobile
+    resolves an engine event when the notice for a ``seq`` lands, however
+    late, so there is no deadline to miss and nothing to sweep up."""
 
     def test_notice_later_than_one_delay_is_still_noticed(self):
-        gateway = ServiceGateway(GatewayConfig(
-            db_size=50, message_delay=0.005, notice_timeout=0.5
-        ))
-        mobile_id = gateway._mobile_ids[0]
-        mobile = gateway.system.mobiles[mobile_id]
+        gateway = ServiceGateway(GatewayConfig(db_size=50, message_delay=0.005))
+        mobile = gateway.system.mobiles[gateway._mobile_ids[0]]
 
         def late_notice():
-            # 6x the nominal delay: the single-sleep code missed this
+            # 6x the nominal delay: a single sleep of one delay missed this
             yield gateway.engine.timeout(0.03)
             mobile.record_notice(7, TentativeStatus.ACCEPTED, "")
 
-        def spawn():
+        def wait():
+            return (yield mobile.notice_event(7))
+
+        async def main():
             gateway.engine.process(late_notice(), name="late-notice")
-            return [gateway.engine.process(
-                gateway._await_notice(mobile_id, mobile, 7), name="wait"
-            )]
+            waiter = gateway.engine.wait_process(
+                gateway.engine.process(wait(), name="wait")
+            )
+            await gateway.engine.run_async()
+            return waiter.result()
 
-        [notice] = self._drive(gateway, spawn)
-        assert notice == (7, TentativeStatus.ACCEPTED, "")
+        assert asyncio.run(main()) == (7, TentativeStatus.ACCEPTED, "")
         assert mobile.notices == []
-        assert gateway._stale_notices.get(mobile_id, {}) == {}
-
-    def test_abandoned_notice_is_evicted_when_it_arrives_late(self):
-        gateway = ServiceGateway(GatewayConfig(
-            db_size=50, message_delay=0.002, notice_timeout=0.02
-        ))
-        mobile_id = gateway._mobile_ids[0]
-        mobile = gateway.system.mobiles[mobile_id]
-
-        def spawn_timeout():
-            return [gateway.engine.process(
-                gateway._await_notice(mobile_id, mobile, 9), name="wait-9"
-            )]
-
-        [notice] = self._drive(gateway, spawn_timeout)
-        assert notice is None  # gave up at the deadline
-        assert 9 in gateway._stale_notices[mobile_id]
-
-        # the abandoned notice finally lands — plus a fresh one that a
-        # later transaction is actively waiting for
-        mobile.record_notice(9, TentativeStatus.ACCEPTED, "")
-        mobile.record_notice(10, TentativeStatus.REJECTED, "no")
-
-        def spawn_fresh():
-            return [gateway.engine.process(
-                gateway._await_notice(mobile_id, mobile, 10), name="wait-10"
-            )]
-
-        [notice] = self._drive(gateway, spawn_fresh)
-        assert notice == (10, TentativeStatus.REJECTED, "no")
-        # the stale seq-9 arrival was swept, not leaked
-        assert mobile.notices == []
-        assert 9 not in gateway._stale_notices[mobile_id]
+        assert mobile._notice_events == {}
+        # the wait's state lives on the mobile; the gateway keeps none
+        assert not [name for name in vars(gateway) if "notice" in name]
 
     def test_noticed_true_end_to_end_with_nonzero_delay(self, tmp_path):
         config = GatewayConfig(

@@ -48,6 +48,10 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             TwoTierSystem(SystemSpec(num_nodes=1, db_size=5), num_base=0)
 
+    def test_num_base_above_num_nodes_names_the_wrong_argument(self):
+        with pytest.raises(ConfigurationError, match="num_base"):
+            TwoTierSystem(SystemSpec(num_nodes=2, db_size=5), num_base=3)
+
 
 class TestTentativeExecution:
     def test_disconnected_mobile_sees_tentative_values(self):
@@ -307,3 +311,184 @@ class TestKeyProperties:
         assert p.value.state.value == "committed"
         assert system.nodes[0].store.value(0) == 75
         assert system.divergence() == 0
+
+
+def dark_work(system, work):
+    """Each mobile in ``work`` goes dark and commits its tentative
+    transactions, ``(ops, criterion)`` pairs, one after the other."""
+    for mobile_id, txns in work.items():
+        system.disconnect_mobile(mobile_id)
+        for ops, criterion in txns:
+            system.mobile(mobile_id).submit_tentative(ops, criterion)
+            system.run()
+
+
+#: two mobiles whose base transactions take accounts 0 and 1 in opposite
+#: orders: reconnected together they deadlock at the base
+CROSSING = {
+    1: [([IncrementOp(0, -1), IncrementOp(1, -1)], AlwaysAccept())],
+    2: [([IncrementOp(1, -1), IncrementOp(0, -1)], AlwaysAccept())],
+}
+
+
+def records(system):
+    return [r for mobile in system.mobiles.values() for r in mobile.log]
+
+
+def count_runs(system):
+    """Wrap ``_run`` on the instance; returns the list its calls land in."""
+    calls, real_run = [], system._run
+
+    def counted(origin, ops, label, record=None):
+        calls.append(record)
+        return real_run(origin, ops, label, record)
+
+    system._run = counted
+    return calls
+
+
+class TestBaseReexecutionIsAUserTransaction:
+    """Base re-execution runs through the one driver: what holds for any
+    strategy's transactions (retry knobs, abort accounting, crash undo)
+    holds for a replayed record, and every way a record can be settled
+    sends the mobile its notice."""
+
+    def test_every_replayed_record_passes_the_pipeline_driver(self):
+        system = make(num_base=1, num_mobile=2, action_time=0.01)
+        runs = count_runs(system)
+        dark_work(system, {
+            **CROSSING,
+            2: CROSSING[2] + [([IncrementOp(2, -150)], NonNegativeOutputs())],
+        })
+        system.reconnect_mobile(1)
+        system.reconnect_mobile(2)
+        system.run()
+        # a base attempt is a begin at the host, which masters everything
+        # here and so begins nothing else (no slave refresh lands on it)
+        assert len(runs) == system.nodes[0].tm.begun == 3 + system.metrics.restarts
+        assert system.metrics.restarts >= 1
+        assert {r.seq for r in runs} == {r.seq for r in records(system)}
+
+    def test_deadlocked_base_attempt_is_an_abort_like_any_other(self):
+        from repro.sim.tracing import Tracer
+
+        tracer = Tracer()
+        system = make(num_base=1, num_mobile=2, action_time=0.01, tracer=tracer)
+        dark_work(system, CROSSING)
+        system.reconnect_mobile(1)
+        system.reconnect_mobile(2)
+        system.run()
+        # the paper's default: "resubmitted and reprocessed until it succeeds"
+        assert [r.status for r in records(system)] == [TentativeStatus.ACCEPTED] * 2
+        assert system.metrics.deadlocks == 1
+        assert system.metrics.restarts == system.metrics.aborts == 1
+        [abort] = tracer.events("abort")
+        assert abort.detail["reason"] == "deadlock"
+        assert system.nodes[0].store.value(0) == 98
+        assert system.base_divergence() == 0
+
+    @pytest.mark.parametrize("knobs", [
+        {"retry_deadlocks": False}, {"max_retries": 0},
+    ])
+    def test_spent_resubmission_rejects_the_victim_and_notifies_it(self, knobs):
+        """One meaning per knob: with retries off, or run out (the
+        livelock guard), the deadlock victim is not resubmitted — its
+        record is rejected, and the mobile is told."""
+        system = make(num_base=1, num_mobile=2, action_time=0.01, **knobs)
+        dark_work(system, CROSSING)
+        system.reconnect_mobile(1)
+        system.reconnect_mobile(2)
+        system.run()
+        assert system.metrics.restarts == 0
+        assert system.metrics.aborts == system.metrics.deadlocks == 1
+        [victim] = [r for r in records(system)
+                    if r.status is TentativeStatus.REJECTED]
+        assert victim.diagnostic == "base transaction aborted: deadlock"
+        assert system.mobile(victim.mobile_id).notices == [
+            (victim.seq, TentativeStatus.REJECTED, victim.diagnostic)
+        ]
+        assert system.metrics.tentative_accepted == 1
+        assert system.metrics.tentative_rejected == 1
+        # the survivor's debits are the only ones applied
+        assert system.nodes[0].store.value(0) == 99
+        assert system.nodes[0].store.value(1) == 99
+        for node in system.base_nodes():
+            node.tm.assert_quiescent()
+
+    def test_host_crash_before_and_during_reexecution_is_rejected_and_noticed_once(self):
+        for crash_at in ("before", "during"):
+            system = make(num_base=1, num_mobile=1, action_time=0.01)
+            mobile = system.mobile(1)
+            dark_work(system, {
+                1: [([IncrementOp(0, -1), IncrementOp(1, -1)], AlwaysAccept())],
+            })
+            if crash_at == "before":
+                system.crash_node(0)
+                system.reconnect_mobile(1)
+            else:
+                system.reconnect_mobile(1)
+                system.run(until=system.engine.now + 0.015)  # one write in
+                system.crash_node(0)
+            system.run()
+            [record] = mobile.log
+            assert record.status is TentativeStatus.REJECTED, crash_at
+            assert record.diagnostic.startswith("base transaction aborted")
+            # the notice leaves from the host, so it waits for the host
+            assert mobile.notices == []
+            assert system.network.parked_outbound(0) == 1
+            system.recover_node(0)
+            system.run()
+            assert mobile.notices == [
+                (record.seq, TentativeStatus.REJECTED, record.diagnostic)
+            ], crash_at
+            assert system.metrics.tentative_rejected == 1
+            assert system.metrics.commits == 0
+            assert system.nodes[0].store.value(0) == 100
+            system.nodes[0].tm.assert_quiescent()
+
+    def test_every_settled_record_is_noticed_exactly_once(self):
+        """Accept, acceptance reject, cascade, crash, livelock: however a
+        record is settled, one notice carrying its verdict reaches the
+        mobile that ran it."""
+        # accept, reject, and the cascade behind the reject
+        system = make(num_base=1, num_mobile=1, cascade_rejections=True)
+        dark_work(system, {1: [
+            ([IncrementOp(3, -5)], AlwaysAccept()),
+            ([IncrementOp(0, -150)], NonNegativeOutputs()),
+            ([IncrementOp(0, -10)], AlwaysAccept()),
+        ]})
+        system.reconnect_mobile(1)
+        system.run()
+        assert [r.status.value for r in records(system)] == [
+            "accepted", "rejected", "rejected"
+        ]
+        settled = [system]
+        # livelock: the victim of a base deadlock with no resubmission left
+        system = make(num_base=1, num_mobile=2, action_time=0.01, max_retries=0)
+        dark_work(system, CROSSING)
+        system.reconnect_mobile(1)
+        system.reconnect_mobile(2)
+        system.run()
+        settled.append(system)
+        # crash: the host goes down under the replay, then comes back
+        system = make(num_base=1, num_mobile=1, action_time=0.01)
+        dark_work(system, {1: CROSSING[1]})
+        system.reconnect_mobile(1)
+        system.run(until=system.engine.now + 0.015)
+        system.crash_node(0)
+        system.run()
+        system.recover_node(0)
+        system.run()
+        settled.append(system)
+        for system in settled:
+            for mobile in system.mobiles.values():
+                assert mobile.notices == [
+                    (r.seq, r.status, r.diagnostic) for r in mobile.log
+                ]
+                assert not mobile.pending_transactions
+            assert system.network.parked_total() == 0
+            assert (
+                system.metrics.tentative_accepted
+                + system.metrics.tentative_rejected
+                == len(records(system))
+            )

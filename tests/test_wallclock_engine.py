@@ -165,9 +165,8 @@ class TestTwoTierOnWallClock:
         asyncio.run(engine.run_async())
         assert len(mobile.rejected_transactions) == 1
         record = mobile.rejected_transactions[0]
-        notice = mobile.pop_notice(record.seq)
-        assert notice is not None
-        seq, status, why = notice
+        [(seq, status, why)] = mobile.notices
+        assert seq == record.seq
         assert status is TentativeStatus.REJECTED
         assert why  # the acceptance criterion's human-readable diagnostic
 
