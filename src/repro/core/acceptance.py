@@ -207,8 +207,12 @@ def combine(*criteria: AcceptanceCriterion) -> AcceptanceCriterion:
     class _Combined(AcceptanceCriterion):
         name = "+".join(c.name for c in criteria)
 
+        def __init__(self):
+            # instance state, so a provenance / cache key sees the parts
+            self.criteria = criteria
+
         def check(self, tentative_outputs, base_outputs):
-            for criterion in criteria:
+            for criterion in self.criteria:
                 ok, why = criterion.check(tentative_outputs, base_outputs)
                 if not ok:
                     return False, f"[{criterion.name}] {why}"

@@ -7,9 +7,9 @@ Table-2 parameters; the harness builds the system, drives the model workload
 (plus disconnect schedules when configured), runs to quiescence, and returns
 measured counters, rates, and convergence state.
 
-:mod:`~repro.harness.comparison` runs analytic-versus-simulated sweeps and
-produces the rows each benchmark prints; :mod:`~repro.harness.figures` fits
-growth exponents and renders ASCII curves.
+:mod:`~repro.harness.campaign` runs strategy x axis x seed grids with a
+model column beside the measured one; :mod:`~repro.harness.comparison` is
+the cross-strategy scorecard at one load.
 """
 
 from repro.harness.experiment import (
@@ -20,9 +20,8 @@ from repro.harness.experiment import (
     build_system,
     run_experiment,
 )
-from repro.harness.comparison import analytic_vs_simulated, strategy_comparison
+from repro.harness.comparison import strategy_comparison
 from repro.harness.export import result_to_dict, write_json
-from repro.harness.figures import render_sweep, shape_summary
 from repro.harness.stats import RateEstimate, SeedStats, repeat_experiment
 from repro.harness.campaign import (
     Campaign,
@@ -41,10 +40,7 @@ __all__ = [
     "ExperimentResult",
     "build_system",
     "run_experiment",
-    "analytic_vs_simulated",
     "strategy_comparison",
-    "render_sweep",
-    "shape_summary",
     "repeat_experiment",
     "SeedStats",
     "RateEstimate",

@@ -82,8 +82,12 @@ TIMEOUT = "timeout"
 #     but the bump retires caches written before the aggregate/export split
 #     so every cached cell replays under the new schema;
 #  7: directory placements + lazy stores — resident_objects extras grew
-#     materialized_* fields and propagation pruning re-timed partial runs)
-CACHE_VERSION = 7
+#     materialized_* fields and propagation pruning re-timed partial runs;
+#  8: full replicas materialise on first touch too, so materialized_* now
+#     means *touched* under every placement.
+#  The *config* half of the key needs no bump: it is a walk of the
+#  ExperimentConfig dataclass, see harness.export.describe_config)
+CACHE_VERSION = 8
 
 #: the selectable analytic tracks the campaign layer can judge cells with
 MODEL_TRACKS: Tuple[str, ...] = ("closed-form", "markov")
@@ -125,19 +129,23 @@ class RunSpec:
         """Grouping key for seed replicas of the same grid cell."""
         return (self.config.strategy, self.axis_value)
 
-    def key(self) -> str:
+    def key(self) -> Optional[str]:
         """Content hash identifying this run's result.
 
         Simulations are deterministic functions of their configuration, so
         the canonical JSON of the config (plus a schema version) addresses
-        the cached result.  Runtime-only fields (the tracer) are excluded
-        by :func:`~repro.harness.export.config_to_dict`.
+        the cached result.  Instrumentation fields (the tracer) are left
+        out by :func:`~repro.harness.export.describe_config`; ``None``
+        when the criterion or rule carries a callable, which no hash can
+        tell from another — such a run is never cached.
         """
-        from repro.harness.export import config_to_dict
+        from repro.harness.export import describe_config
 
+        described, opaque = describe_config(self.config)
+        if opaque:
+            return None
         canonical = json.dumps(
-            {"cache": CACHE_VERSION, "config": config_to_dict(self.config)},
-            sort_keys=True,
+            {"cache": CACHE_VERSION, "config": described}, sort_keys=True
         )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -354,12 +362,17 @@ class ResultCache:
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
 
-    def path(self, spec: RunSpec) -> Path:
-        return self.root / f"{spec.key()}.json"
+    def path(self, spec: RunSpec) -> Optional[Path]:
+        """Where ``spec``'s result lives; None for a spec with no key."""
+        key = spec.key()
+        return None if key is None else self.root / f"{key}.json"
 
     def get(self, spec: RunSpec) -> Optional[Dict[str, Any]]:
+        target = self.path(spec)
+        if target is None:
+            return None
         try:
-            with self.path(spec).open("r", encoding="utf-8") as fh:
+            with target.open("r", encoding="utf-8") as fh:
                 entry = json.load(fh)
         except (OSError, ValueError):
             return None
@@ -368,8 +381,10 @@ class ResultCache:
         return entry.get("payload")
 
     def put(self, spec: RunSpec, payload: Dict[str, Any]) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
         target = self.path(spec)
+        if target is None:
+            return
+        self.root.mkdir(parents=True, exist_ok=True)
         # write-then-rename so concurrent campaigns never read a torn file
         tmp = target.with_suffix(f".tmp.{os.getpid()}")
         with tmp.open("w", encoding="utf-8") as fh:

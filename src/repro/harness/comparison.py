@@ -1,87 +1,12 @@
-"""Analytic-versus-simulated comparisons and the strategy scorecard."""
+"""The strategy scorecard: every strategy at identical load."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.analytic.parameters import ModelParameters
-from repro.harness.experiment import (
-    STRATEGIES,
-    ExperimentConfig,
-    ExperimentResult,
-    run_experiment,
-)
+from repro.harness.experiment import STRATEGIES, ExperimentResult
 from repro.metrics.report import format_table
-
-
-@dataclass
-class ComparisonRow:
-    """One sweep point: the axis value, the model's rate, the measured rate."""
-
-    x: float
-    analytic: float
-    simulated: float
-
-    @property
-    def ratio(self) -> Optional[float]:
-        if self.analytic == 0:
-            return None
-        return self.simulated / self.analytic
-
-
-def analytic_vs_simulated(
-    strategy: str,
-    base_params: ModelParameters,
-    parameter: str,
-    values: Sequence,
-    analytic_fn: Callable[[ModelParameters], float],
-    measure: Callable[[ExperimentResult], float],
-    duration: float = 100.0,
-    seed: int = 0,
-    **config_kwargs,
-) -> List[ComparisonRow]:
-    """Sweep one Table-2 parameter, comparing a model curve to measurement.
-
-    ``analytic_fn`` maps parameters to the model's predicted rate;
-    ``measure`` extracts the corresponding measured rate from a result
-    (e.g. ``lambda r: r.deadlock_rate``).
-    """
-    rows: List[ComparisonRow] = []
-    for value in values:
-        params = base_params.with_(**{parameter: value})
-        predicted = analytic_fn(params)
-        result = run_experiment(
-            ExperimentConfig(
-                strategy=strategy,
-                params=params,
-                duration=duration,
-                seed=seed,
-                **config_kwargs,
-            )
-        )
-        rows.append(
-            ComparisonRow(x=float(value), analytic=predicted,
-                          simulated=measure(result))
-        )
-    return rows
-
-
-def comparison_table(rows: Sequence[ComparisonRow], x_label: str,
-                     rate_label: str, title: str = "") -> str:
-    """Render comparison rows as the table a benchmark prints."""
-    body = []
-    for row in rows:
-        body.append(
-            [row.x, row.analytic, row.simulated,
-             "-" if row.ratio is None else f"{row.ratio:.2f}"]
-        )
-    return format_table(
-        [x_label, f"analytic {rate_label}", f"simulated {rate_label}",
-         "sim/analytic"],
-        body,
-        title=title,
-    )
 
 
 def strategy_comparison(

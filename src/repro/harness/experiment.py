@@ -113,12 +113,8 @@ class ExperimentConfig:
             placement (``HashShardPlacement.from_spec("hash:k=3")``) shards
             every node's store to its replica set.  Joins the campaign
             cache key via its canonical ``to_dict``.  For two-tier the
-            placement spans the base tier only.
-        eager_stores: materialise every resident record up front under a
-            partial placement instead of lazily on first touch (the
-            pre-lazy behaviour).  Observationally identical to the lazy
-            default — the parity tests pin byte-identical fingerprints —
-            so this is a memory/allocation trade-off, not a semantic knob.
+            placement spans the base tier only.  Under every placement
+            a store materialises a record on first touch.
     """
 
     strategy: str
@@ -139,7 +135,6 @@ class ExperimentConfig:
     telemetry: Optional[Any] = None
     profiler: Optional[Any] = None
     placement: Optional[Placement] = None
-    eager_stores: bool = False
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -238,7 +233,6 @@ def build_system(
         telemetry=telemetry if telemetry is not None else _make_telemetry(config),
         placement=config.placement,
         faults=config.faults,
-        eager_stores=config.eager_stores,
     )
     if config.strategy == "lazy-group":
         propagate = (
@@ -366,10 +360,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "submitted": getattr(driver, "submitted", None),
         "engine_events": system.engine.events_scheduled,
     }
-    # max/mean/total report the placement's *nominal* shard sizes (stable
-    # across eager and lazy stores, pinned by the partial goldens); the
-    # materialized_* fields count records the run actually allocated —
-    # under lazy stores that is only what transactions touched
+    # max/mean/total report the placement's *nominal* shard sizes (pinned
+    # by the partial goldens); the materialized_* fields count records the
+    # run actually allocated — only what transactions touched, under full
+    # replication too
     resident = system.nominal_resident_counts()
     materialized = system.materialized_counts()
     extra["resident_objects"] = {

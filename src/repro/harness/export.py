@@ -8,45 +8,65 @@ configuration, seeds, horizon — attached to every number.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Sequence, Union
+from typing import Any, Dict, List, Tuple, Union
 
-from repro.harness.comparison import ComparisonRow
+from repro.core.acceptance import AcceptanceCriterion
 from repro.harness.experiment import ExperimentConfig, ExperimentResult
 from repro.harness.stats import SeedStats
+from repro.replication.reconciliation import ReconciliationRule
+
+#: ``ExperimentConfig`` fields that watch a run without changing it: they
+#: join neither the provenance dictionary nor the campaign cache key.
+#: Every other field does, by construction — the dictionary is a walk of
+#: the dataclass, not a hand-kept list.
+INSTRUMENTATION = ("tracer", "telemetry", "profiler")
+
+
+def _keyed(value: Any, opaque: List[Any]) -> Any:
+    """The JSON-able form of one config value.
+
+    A criterion or rule is its name plus its constructor state —
+    ``price-not-above(tolerance=5.0)`` — so two instances of one class
+    with different arguments never share a key.  A callable held in that
+    state has no canonical form; it is collected in ``opaque``.
+    """
+    if hasattr(value, "to_dict"):  # FaultPlan, Placement
+        return value.to_dict()
+    if dataclasses.is_dataclass(value):  # ModelParameters
+        return dataclasses.asdict(value)
+    if isinstance(value, (AcceptanceCriterion, ReconciliationRule)):
+        state = ", ".join(
+            f"{field}={_keyed(held, opaque)!r}"
+            for field, held in sorted(vars(value).items())
+            if field != "name"
+        )
+        return f"{value.name}({state})" if state else value.name
+    if isinstance(value, (list, tuple)):
+        return [_keyed(item, opaque) for item in value]
+    if callable(value):
+        opaque.append(value)
+        return getattr(value, "__qualname__", type(value).__name__)
+    return value
+
+
+def describe_config(config: ExperimentConfig) -> Tuple[Dict[str, Any], List[Any]]:
+    """``config`` as a plain dictionary, plus the callables found in its
+    criterion's or rule's state — a config holding one has no content
+    hash, so the campaign cache neither reads nor writes it."""
+    opaque: List[Any] = []
+    described = {
+        field.name: _keyed(getattr(config, field.name), opaque)
+        for field in dataclasses.fields(config)
+        if field.name not in INSTRUMENTATION
+    }
+    return described, opaque
 
 
 def config_to_dict(config: ExperimentConfig) -> Dict[str, Any]:
-    p = config.params
-    return {
-        "strategy": config.strategy,
-        "duration": config.duration,
-        "seed": config.seed,
-        "commutative": config.commutative,
-        "num_base": config.num_base,
-        "warmup": config.warmup,
-        "record_history": config.record_history,
-        "retry_deadlocks": config.retry_deadlocks,
-        "propagate_ops": config.propagate_ops,
-        "sample_interval": config.sample_interval,
-        "acceptance": getattr(config.acceptance, "name", None),
-        "rule": getattr(config.rule, "name", None),
-        "faults": config.faults.to_dict() if config.faults is not None else None,
-        "placement": (
-            config.placement.to_dict() if config.placement is not None else None
-        ),
-        "params": {
-            "db_size": p.db_size,
-            "nodes": p.nodes,
-            "tps": p.tps,
-            "actions": p.actions,
-            "action_time": p.action_time,
-            "disconnect_time": p.disconnect_time,
-            "time_between_disconnects": p.time_between_disconnects,
-            "message_delay": p.message_delay,
-        },
-    }
+    return describe_config(config)[0]
 
 
 def result_to_dict(result: ExperimentResult) -> Dict[str, Any]:
@@ -75,24 +95,6 @@ def stats_to_dict(stats: SeedStats) -> Dict[str, Any]:
             }
             for name, est in stats.rates.items()
         },
-    }
-
-
-def comparison_to_dict(rows: Sequence[ComparisonRow], x_label: str,
-                       rate_label: str) -> Dict[str, Any]:
-    """An analytic-vs-simulated sweep."""
-    return {
-        "x_label": x_label,
-        "rate_label": rate_label,
-        "points": [
-            {
-                "x": row.x,
-                "analytic": row.analytic,
-                "simulated": row.simulated,
-                "ratio": row.ratio,
-            }
-            for row in rows
-        ],
     }
 
 
@@ -256,7 +258,3 @@ def write_json(obj: Exportable, path: Union[str, Path]) -> Path:
         fh.write("\n")
     return target
 
-
-def read_json(path: Union[str, Path]) -> Dict[str, Any]:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        return json.load(fh)

@@ -51,7 +51,7 @@ from repro.sim.random_source import RandomSource
 from repro.storage.deadlock import DeadlockDetector, youngest_victim
 from repro.storage.lock_manager import LockManager, LockMode
 from repro.storage.record import Record
-from repro.storage.store import ObjectStore, divergence
+from repro.storage.store import ObjectStore
 from repro.storage.versioning import Timestamp, TimestampGenerator
 from repro.storage.wal import WriteAheadLog
 from repro.txn.manager import TransactionManager
@@ -89,16 +89,11 @@ class SystemSpec:
         telemetry: optional :class:`~repro.obs.samplers.Telemetry` handle.
         placement: which nodes hold each object.  ``None`` means
             :class:`~repro.placement.FullReplication` — every node
-            materialises the whole database, the paper's model.  A partial
+            holds the whole database, the paper's model.  A partial
             placement (``HashShardPlacement``, ``DirectoryPlacement``)
             shards the stores and restricts propagation to each object's
-            replica set.
-        eager_stores: materialise every resident record up front under a
-            partial placement instead of lazily on first touch.  The two
-            modes are observationally identical (the parity tests pin
-            byte-identical fingerprints); eager trades memory for
-            allocation-free reads and is the pre-lazy behaviour.  Full
-            replication is always eager.
+            replica set.  Either way a store materialises a record on
+            first touch, so building a node allocates none.
         faults: optional :class:`~repro.faults.plan.FaultPlan`; when given
             (and non-empty) the system installs a
             :class:`~repro.faults.injector.FaultInjector` at construction,
@@ -121,7 +116,6 @@ class SystemSpec:
     telemetry: Any = None
     placement: Optional[Placement] = None
     faults: Optional[FaultPlan] = None
-    eager_stores: bool = False
 
     def __post_init__(self) -> None:
         if self.num_nodes <= 0:
@@ -294,23 +288,20 @@ class ReplicatedSystem:
         return self.num_nodes
 
     def _make_store(self, node_id: int, db_size: int, initial_value: Any) -> ObjectStore:
+        # records materialise on first touch, so building a node never
+        # enumerates the object space — a 10k-node / 1M-object system
+        # allocates only what its transactions actually read.  Only the
+        # residency predicate varies: None is a full replica (the classic
+        # model, or a two-tier mobile), else membership in the replica set
         placement = self.placement
-        if node_id >= placement.num_nodes or placement.is_full:
-            # full replica (the classic model, or a two-tier mobile)
-            return ObjectStore(node_id, db_size, initial_value=initial_value)
-        if self.spec.eager_stores:
-            return ObjectStore(
-                node_id, db_size, initial_value=initial_value,
-                oids=placement.objects_at(node_id),
-            )
-        # lazy shard: records materialise on first touch, so building a
-        # node never enumerates the object space — a 10k-node / 1M-object
-        # system allocates only what its transactions actually read
+        sharded = node_id < placement.num_nodes and not placement.is_full
         return ObjectStore(
-            node_id, db_size, initial_value=initial_value,
-            resident=lambda oid, _replicas=placement.replicas, _n=node_id: (
-                _n in _replicas(oid)
-            ),
+            node_id, db_size, initial_value,
+            resident=(
+                lambda oid, _replicas=placement.replicas, _n=node_id: (
+                    _n in _replicas(oid)
+                )
+            ) if sharded else None,
         )
 
     def _node_holds(self, oid: int, node_id: int) -> bool:
@@ -402,8 +393,8 @@ class ReplicatedSystem:
                     f"wal_active_txns/node{node.node_id}",
                     node.wal.pending_transactions,
                 )
-        # counts *materialised* records: under lazy stores this tracks what
-        # the run actually touched, not the placement's nominal shard sizes
+        # counts *materialised* records: what the run actually touched, not
+        # the placement's nominal shard sizes (or, full, the database)
         telemetry.gauge(
             "resident_objects",
             lambda: sum(len(n.store) for n in self.nodes),
@@ -946,9 +937,9 @@ class ReplicatedSystem:
         the placement scope (two-tier mobiles hold full replicas),
         narrowed to ``node_ids`` when given.  An object no compared store
         has materialised reads ``initial_value`` at every holder, so only
-        the union of materialised oids is visited — O(touched) under lazy
-        stores — and each holder is probed with ``peek``, which must not
-        materialise anything (the directory just vouched for residency).
+        the union of materialised oids is visited — O(touched) — and each
+        holder is probed with ``peek``, which materialises nothing and,
+        the directory having just vouched for residency, cannot miss.
         """
         placement = self.placement
         stores = [node.store for node in self.nodes]
@@ -961,25 +952,16 @@ class ReplicatedSystem:
             holders = placement.replicas(oid) + extra_holders
             if node_ids is not None:
                 holders = tuple(n for n in holders if n in compared)
-            try:
-                # True = resident: the directory has just named each holder
-                values = [stores[node_id].peek(oid, True) for node_id in holders]
-            except KeyError:
-                raise InvalidStateError(
-                    f"object {oid} is missing from one of its replica "
-                    f"stores {holders} — placement and stores disagree"
-                )
+            # True = resident: the directory has just named each holder
+            values = [stores[node_id].peek(oid, True) for node_id in holders]
             if values and values.count(values[0]) != len(values):
                 yield oid, holders, values
 
     def divergence(self, node_ids: Optional[Sequence[int]] = None) -> int:
         """Objects whose value differs across their replicas (delusion),
-        over all nodes or only ``node_ids``: a straight store comparison
-        under full replication, else a count of :meth:`diverged_objects`.
+        over all nodes or only ``node_ids``: the paper's "system
+        delusion" metric, a count of :meth:`diverged_objects`.
         """
-        if self.placement.is_full:
-            compared = range(self.num_nodes) if node_ids is None else node_ids
-            return divergence(self.nodes[node_id].store for node_id in compared)
         return sum(1 for _ in self.diverged_objects(node_ids))
 
     def converged(self) -> bool:
@@ -990,7 +972,7 @@ class ReplicatedSystem:
 
     def nominal_resident_counts(self) -> List[int]:
         """Logically resident objects per node — the placement's shard
-        sizes, independent of how many records a lazy store has actually
+        sizes, independent of how many records a store has actually
         materialised.  Nodes outside the placement scope (two-tier
         mobiles) hold full replicas."""
         counts = list(self.placement.resident_counts())
@@ -1000,7 +982,7 @@ class ReplicatedSystem:
         return counts
 
     def materialized_counts(self) -> List[int]:
-        """Records actually allocated per node (== nominal when eager)."""
+        """Records actually allocated per node: what was touched there."""
         return [node.store.materialized for node in self.nodes]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

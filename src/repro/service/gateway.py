@@ -252,7 +252,14 @@ class ServiceGateway:
                 try:
                     line = await reader.readline()
                 except ValueError:
-                    break  # oversized line
+                    # a frame over the limit: what follows is the middle of
+                    # it, so say why and leave (the transactions already in
+                    # flight here are still answered below)
+                    self.errors += 1
+                    await reply(
+                        error_reply(f"frame exceeds {MAX_LINE_BYTES} bytes")
+                    )
+                    break
                 if not line:
                     break
                 try:

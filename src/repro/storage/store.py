@@ -18,20 +18,15 @@ from repro.storage.versioning import Timestamp
 class ObjectStore:
     """The object replicas stored at one node.
 
-    By default the store materialises the whole ``oid`` space (full
-    replication).  Under a partial placement the store holds only the
-    node's shard, in one of two modes:
-
-    * ``oids=...`` — **eager**: every resident record is allocated up
-      front.  Reading a non-resident object raises ``KeyError``, which is
-      a routing bug, not a data condition.
-    * ``resident=...`` — **lazy**: residency is a membership predicate
-      (normally over ``placement.replicas``) and records materialise on
-      first touch from ``initial_value``.  A million-object k-of-N store
-      allocates only what it reads; ``len(store)`` counts *materialised*
-      records while :meth:`oids`/:meth:`snapshot`/``in`` answer for the
-      *logical* shard, so the two modes are observationally identical
-      everywhere except memory.
+    Residency is a membership question and a record materialises on first
+    touch from ``initial_value``: ``resident=None`` means the whole
+    ``oid`` space (a full replica, a two-tier mobile), a predicate
+    (normally over ``placement.replicas``) means the node's shard.
+    Building a store allocates nothing, so a million-object replica costs
+    only what its transactions read; ``len(store)`` / iteration count
+    *materialised* records while :meth:`oids` / :meth:`snapshot` / ``in``
+    answer for the *logical* replica.  Touching a non-resident object
+    raises ``KeyError``, which is a routing bug, not a data condition.
 
     Example::
 
@@ -45,39 +40,29 @@ class ObjectStore:
         node_id: int,
         db_size: int,
         initial_value: Any = 0,
-        oids: Optional[Iterable[int]] = None,
         resident: Optional[Callable[[int], bool]] = None,
     ):
         if db_size <= 0:
             raise ConfigurationError(f"db_size must be positive, got {db_size}")
-        if oids is not None and resident is not None:
-            raise ConfigurationError(
-                "pass either oids (eager shard) or resident (lazy shard), "
-                "not both"
-            )
         self.node_id = node_id
         self.db_size = db_size
         self._initial_value = initial_value
         self._resident = resident
-        if resident is not None:
-            self._records: Dict[int, Record] = {}
-        else:
-            populate = range(db_size) if oids is None else oids
-            self._records = {
-                oid: Record(oid=oid, value=initial_value) for oid in populate
-            }
+        self._records: Dict[int, Record] = {}
 
     # ------------------------------------------------------------------ #
     # materialisation
     # ------------------------------------------------------------------ #
 
+    def _holds(self, oid: int) -> bool:
+        """Is ``oid`` logically resident, materialised or not?"""
+        resident = self._resident
+        return 0 <= oid < self.db_size and (resident is None or resident(oid))
+
     def _miss(self, oid: int) -> Record:
-        """Handle a ``_records`` miss: materialise lazily or re-raise."""
-        if (
-            self._resident is not None
-            and 0 <= oid < self.db_size
-            and self._resident(oid)
-        ):
+        """Handle a ``_records`` miss: materialise a resident object or
+        re-raise."""
+        if self._holds(oid):
             record = self._records[oid] = Record(
                 oid=oid, value=self._initial_value
             )
@@ -109,20 +94,17 @@ class ObjectStore:
         """The committed value of ``oid`` *without* materialising it.
 
         A divergence/oracle audit probes every holder of every object
-        it visits; under a lazy store a plain :meth:`value` would
-        allocate a record per probe and defeat the laziness.  ``peek``
-        answers from the materialised record when there is one, from
-        ``initial_value`` for a resident-but-untouched object, and raises
-        ``KeyError`` for a non-resident one.  ``resident=True`` says the
-        caller has the directory's word already, so a lazy store need not
-        ask again; an eager store without the record still raises.
+        it visits; a plain :meth:`value` would allocate a record per
+        probe and defeat the laziness.  ``peek`` answers from the
+        materialised record when there is one, from ``initial_value``
+        for a resident-but-untouched object, and raises ``KeyError`` for
+        a non-resident one.  ``resident=True`` says the caller has the
+        directory's word already, so the store need not ask again.
         """
         record = self._records.get(oid)
         if record is not None:
             return record.value
-        if self._resident is not None and (
-            resident or (0 <= oid < self.db_size and self._resident(oid))
-        ):
+        if resident or self._holds(oid):
             return self._initial_value
         raise KeyError(oid)
 
@@ -147,8 +129,8 @@ class ObjectStore:
         away while the writing transaction was in flight, so the
         authoritative copy travelled to the new holder and reinstating a
         local version would resurrect a replica the directory no longer
-        routes to (and crash the undo with a ``KeyError`` on a lazy
-        store whose residency predicate already excludes the object).
+        routes to (and crash the undo with a ``KeyError``, the residency
+        predicate already excluding the object).
         """
         if oid not in self:
             return
@@ -178,8 +160,8 @@ class ObjectStore:
         return record
 
     def evict(self, oid: int) -> None:
-        """Drop ``oid``'s record (migration source). Missing oid is a no-op
-        for a lazy store that never materialised it."""
+        """Drop ``oid``'s record (migration source); a no-op for an
+        object never materialised here."""
         self._records.pop(oid, None)
 
     # ------------------------------------------------------------------ #
@@ -188,9 +170,9 @@ class ObjectStore:
 
     def oids(self) -> Iterable[int]:
         """The object identifiers *logically* resident at this node."""
-        if self._resident is None:
-            return self._records.keys()
         resident = self._resident
+        if resident is None:
+            return range(self.db_size)
         return [
             oid for oid in range(self.db_size)
             if oid in self._records or resident(oid)
@@ -199,12 +181,14 @@ class ObjectStore:
     def snapshot(self) -> Dict[int, Any]:
         """Map oid -> value for divergence comparisons between nodes.
 
-        Logical view: a lazy store reports ``initial_value`` for resident
-        objects it never materialised (allocating nothing permanent).
+        Logical view: resident objects never materialised report
+        ``initial_value`` (allocating nothing permanent).
         """
-        if self._resident is None:
-            return {oid: rec.value for oid, rec in self._records.items()}
-        return {oid: self.peek(oid) for oid in self.oids()}
+        records, initial = self._records, self._initial_value
+        return {
+            oid: records[oid].value if oid in records else initial
+            for oid in self.oids()
+        }
 
     def materialized_oids(self) -> Iterable[int]:
         """Objects with an allocated record here (all an audit visits)."""
@@ -212,60 +196,19 @@ class ObjectStore:
 
     @property
     def materialized(self) -> int:
-        """Records actually allocated (== resident for an eager store)."""
+        """Records actually allocated: what has been touched here."""
         return len(self._records)
 
     def __len__(self) -> int:
-        """Materialised records (== resident count for an eager store)."""
+        """Materialised records, not the logical resident count."""
         return len(self._records)
 
     def __iter__(self) -> Iterator[Record]:
         return iter(self._records.values())
 
     def __contains__(self, oid: int) -> bool:
-        if oid in self._records:
-            return True
-        return (
-            self._resident is not None
-            and 0 <= oid < self.db_size
-            and self._resident(oid)
-        )
+        return oid in self._records or self._holds(oid)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<ObjectStore node={self.node_id} size={self.db_size}>"
 
-
-def divergence(stores: Iterable[ObjectStore]) -> int:
-    """Number of objects whose value differs across the given stores.
-
-    This is the paper's "system delusion" metric: after quiescence and full
-    propagation, any nonzero divergence means the replicas failed to
-    converge.
-
-    All stores must hold the same keyspace.  Comparing shards holding
-    different objects would either silently report phantom agreement (a
-    missing key looks like "no difference") or phantom divergence; under
-    partial replication use the system-level
-    :meth:`~repro.replication.base.ReplicatedSystem.divergence`, which
-    compares each object across its own replica set.
-    """
-    snapshots = [store.snapshot() for store in stores]
-    if len(snapshots) < 2:
-        return 0
-    first, rest = snapshots[0], snapshots[1:]
-    base_keys = first.keys()
-    for index, snap in enumerate(rest, start=1):
-        if snap.keys() != base_keys:
-            extra = len(snap.keys() - base_keys)
-            missing = len(base_keys - snap.keys())
-            raise ConfigurationError(
-                "divergence() needs identical keyspaces at every store, but "
-                f"store #{index} differs from store #0 ({missing} missing, "
-                f"{extra} extra objects) — these look like partial-replication "
-                "shards; compare per replica set via system.divergence()"
-            )
-    differing = 0
-    for oid, val in first.items():
-        if any(snap[oid] != val for snap in rest):
-            differing += 1
-    return differing

@@ -1,5 +1,6 @@
 """Tests for the parallel campaign runner (`repro.harness.campaign`)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -19,6 +20,7 @@ from repro.harness.campaign import (
     run_campaign,
 )
 from repro.harness.export import (
+    INSTRUMENTATION,
     campaign_to_dict,
     config_to_dict,
     result_to_dict,
@@ -104,6 +106,60 @@ class TestSpecKeys:
         ))
         assert spec.key() != other.key()
 
+    def test_every_config_field_is_keyed_or_instrumentation(self):
+        """One value per field that differs from its default.  A field
+        added to ``ExperimentConfig`` fails here until it has a row (and
+        so provably moves the key) or is declared instrumentation."""
+        from repro.core.acceptance import NonNegativeOutputs
+        from repro.faults.plan import FaultPlan
+        from repro.placement import Placement
+        from repro.replication.reconciliation import MinimumWins
+
+        changed = dict(
+            strategy="lazy-group", params=TINY.with_(message_cpu=0.001),
+            duration=6.0, seed=1, commutative=True, num_base=2,
+            acceptance=NonNegativeOutputs(), rule=MinimumWins(), warmup=1.0,
+            record_history=True, retry_deadlocks=True, propagate_ops=True,
+            faults=FaultPlan.from_spec("drop=0.1", 2, 5.0), sample_interval=0.5,
+            placement=Placement.from_spec("hash:k=1"),
+        )
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert fields == set(changed) | set(INSTRUMENTATION)
+        base = ExperimentConfig(strategy="lazy-master", params=TINY)
+        assert set(config_to_dict(base)) == set(changed)
+        for name, value in changed.items():
+            other = dataclasses.replace(base, **{name: value})
+            assert RunSpec(other).key() != RunSpec(base).key(), name
+        for name in INSTRUMENTATION:
+            other = dataclasses.replace(base, **{name: object()})
+            assert RunSpec(other).key() == RunSpec(base).key(), name
+
+    def test_a_criterion_or_rule_is_keyed_by_its_arguments_too(self):
+        from repro.core.acceptance import PriceNotAbove, WithinTolerance
+        from repro.replication.reconciliation import SitePriorityWins
+
+        def key(**kw):
+            return RunSpec(ExperimentConfig(
+                strategy="two-tier", params=TINY, **kw)).key()
+
+        assert key(acceptance=PriceNotAbove(0.0)) != key(acceptance=PriceNotAbove(5.0))
+        assert key(acceptance=PriceNotAbove(5.0)) == key(acceptance=PriceNotAbove(5.0))
+        assert key(acceptance=WithinTolerance(0.05)) != key(acceptance=WithinTolerance(0.5))
+        assert key(rule=SitePriorityWins({0: 1, 1: 2})) != key(
+            rule=SitePriorityWins({0: 2, 1: 1}))
+
+    def test_a_callable_in_a_criterion_has_no_key(self):
+        from repro.core.acceptance import PredicateCriterion
+        from repro.replication.reconciliation import CustomRule, Outcome
+
+        for kw in (
+            dict(acceptance=PredicateCriterion(lambda value: value >= 0)),
+            dict(rule=CustomRule(lambda local, update: Outcome.APPLY)),
+        ):
+            config = ExperimentConfig(strategy="two-tier", params=TINY, **kw)
+            assert RunSpec(config).key() is None
+            config_to_dict(config)  # provenance still renders
+
 
 class TestExecution:
     def test_inline_matches_direct_run(self):
@@ -180,6 +236,34 @@ class TestCache:
         changed = tiny_campaign(duration=6.0)
         rerun = run_campaign(changed, jobs=0, cache_dir=tmp_path)
         assert rerun.cache_hits == 0
+
+    def test_criteria_differing_in_arguments_miss_each_other(self, tmp_path):
+        """``PriceNotAbove(0.0)`` and ``PriceNotAbove(5.0)`` shared one
+        key — the second spec was served the first's cached result."""
+        from repro.core.acceptance import PriceNotAbove
+
+        def spec(tolerance):
+            return RunSpec(ExperimentConfig(
+                strategy="two-tier", params=TINY, duration=5.0,
+                acceptance=PriceNotAbove(tolerance)))
+
+        first = run_campaign([spec(0.0)], jobs=0, cache_dir=tmp_path)
+        assert first.ok_count == 1
+        other = run_campaign([spec(5.0)], jobs=0, cache_dir=tmp_path)
+        assert other.cache_hits == 0
+        again = run_campaign([spec(0.0), spec(5.0)], jobs=0, cache_dir=tmp_path)
+        assert again.cache_hits == 2
+
+    def test_a_config_carrying_a_callable_is_never_cached(self, tmp_path):
+        from repro.core.acceptance import PredicateCriterion
+
+        spec = RunSpec(ExperimentConfig(
+            strategy="two-tier", params=TINY, duration=5.0,
+            acceptance=PredicateCriterion(lambda value: True, name="any")))
+        for _ in range(2):
+            outcome = run_campaign([spec], jobs=0, cache_dir=tmp_path)
+            assert outcome.ok_count == 1 and outcome.cache_hits == 0
+        assert not list(tmp_path.iterdir())
 
     def test_failures_are_not_cached(self, tmp_path):
         bad = RunSpec(config=ExperimentConfig(

@@ -10,9 +10,10 @@ The :class:`~repro.placement.DirectoryPlacement` contract:
 * :meth:`~repro.placement.directory.BoundDirectory.move` rewrites a single
   object's replica set live, and ``ReplicatedSystem.migrate`` pairs that
   with a record transfer through the normal network path;
-* lazy stores are observationally identical to eager ones — the parity
-  class pins byte-identical fingerprints between ``eager_stores=True`` and
-  the lazy default.
+* materialising on first touch is unobservable — the parity class pins
+  byte-identical fingerprints between a run whose stores were filled up
+  front (the ``fill_stores_up_front`` reference in ``conftest.py``) and
+  the lazy stores every system has.
 """
 
 import hashlib
@@ -387,22 +388,20 @@ def test_every_strategy_converges_under_directory_placement(strategy):
 # --------------------------------------------------------------------- #
 
 
-def _fingerprint(strategy, placement_spec, eager):
+def _fingerprint(strategy, placement_spec):
     """Run one config and reduce it to a comparable record.
 
     Deliberately excludes the ``materialized_*`` extras — those differ
-    between eager and lazy stores *by design*; everything observable
+    between filled and lazy stores *by design*; everything observable
     (metrics, divergence, clock, the full trace) must not.
     """
     reset_txn_ids()
     reset_message_ids()
     tracer = Tracer(limit=1_000_000)
     config = (
-        _dir_config(strategy, placement_spec,
-                    eager_stores=eager, tracer=tracer)
+        _dir_config(strategy, placement_spec, tracer=tracer)
         if placement_spec is not None
-        else _dir_config(strategy, eager_stores=eager, tracer=tracer,
-                         placement=None)
+        else _dir_config(strategy, tracer=tracer, placement=None)
     )
     result = run_experiment(config)
     trace_lines = "\n".join(e.format() for e in tracer.events())
@@ -424,25 +423,25 @@ def _fingerprint(strategy, placement_spec, eager):
     ("eager-group", "dir:k=3,group=hash"),
     ("eager-master", "dir:k=2,shards=7,seed=5"),
     ("lazy-master", "hash:k=3"),
-    ("lazy-group", None),  # full replication: the flag must be a no-op
+    ("lazy-group", None),  # full replication: whole-keyspace residency
 ])
 def test_eager_and_lazy_stores_are_observationally_identical(
-    strategy, placement_spec
+    strategy, placement_spec, fill_stores_up_front
 ):
-    lazy = _fingerprint(strategy, placement_spec, eager=False)
-    eager = _fingerprint(strategy, placement_spec, eager=True)
+    lazy = _fingerprint(strategy, placement_spec)
+    fill_stores_up_front()
+    eager = _fingerprint(strategy, placement_spec)
     assert lazy == eager
     assert lazy["oracle_ok"] is True
 
 
-def test_lazy_stores_materialise_less_than_eager():
+def test_lazy_stores_materialise_less_than_eager(fill_stores_up_front):
     lazy = run_experiment(_dir_config("lazy-group", "dir:k=2"))
-    eager = run_experiment(
-        _dir_config("lazy-group", "dir:k=2", eager_stores=True)
-    )
+    fill_stores_up_front()
+    eager = run_experiment(_dir_config("lazy-group", "dir:k=2"))
     lazy_resident = lazy.extra["resident_objects"]
     eager_resident = eager.extra["resident_objects"]
-    # eager materialises its full nominal shard up front
+    # the filled reference materialises its full nominal shard up front
     assert eager_resident["materialized_total"] == eager_resident["total"]
     # lazy only what the run touched — never more than nominal
     assert lazy_resident["materialized_total"] <= lazy_resident["total"]

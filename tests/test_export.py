@@ -7,8 +7,6 @@ import pytest
 from repro.analytic import ModelParameters
 from repro.harness import ExperimentConfig, run_experiment
 from repro.harness.export import (
-    comparison_to_dict,
-    read_json,
     result_to_dict,
     stats_to_dict,
     to_dict,
@@ -28,7 +26,7 @@ def small_config(**kw):
 def test_result_round_trip(tmp_path):
     result = run_experiment(small_config())
     path = write_json(result, tmp_path / "result.json")
-    data = read_json(path)
+    data = json.loads(path.read_text())
     assert data["config"]["strategy"] == "lazy-master"
     assert data["config"]["params"]["db_size"] == 50
     assert data["rates"]["commit_rate"] > 0
@@ -50,25 +48,6 @@ def test_stats_export(tmp_path):
     assert data["seeds"] == [1, 2]
     assert len(data["rates"]["commit_rate"]["samples"]) == 2
     write_json(stats, tmp_path / "stats.json")
-
-
-def test_comparison_export():
-    from repro.analytic import lazy_master as lm_eqs
-    from repro.harness import analytic_vs_simulated
-
-    rows = analytic_vs_simulated(
-        strategy="lazy-master",
-        base_params=ModelParameters(db_size=50, nodes=1, tps=2, actions=2,
-                                    action_time=0.001),
-        parameter="nodes",
-        values=[1, 2],
-        analytic_fn=lm_eqs.deadlock_rate,
-        measure=lambda r: r.deadlock_rate,
-        duration=10.0,
-    )
-    data = comparison_to_dict(rows, "nodes", "deadlocks/s")
-    assert len(data["points"]) == 2
-    assert data["points"][1]["x"] == 2.0
 
 
 def test_to_dict_dispatch():

@@ -6,13 +6,11 @@ from repro.analytic import ModelParameters
 from repro.exceptions import ConfigurationError
 from repro.harness import (
     ExperimentConfig,
-    analytic_vs_simulated,
     run_experiment,
     strategy_comparison,
 )
-from repro.harness.comparison import comparison_table, strategy_table
+from repro.harness.comparison import strategy_table
 from repro.harness.experiment import STRATEGIES, build_system
-from repro.harness.figures import render_sweep, shape_summary, shapes_agree
 
 
 def small_params(**kw):
@@ -112,24 +110,6 @@ class TestRunExperiment:
 
 
 class TestComparisons:
-    def test_analytic_vs_simulated_rows(self):
-        from repro.analytic import lazy_master as lm_eqs
-
-        rows = analytic_vs_simulated(
-            strategy="lazy-master",
-            base_params=small_params(),
-            parameter="nodes",
-            values=[1, 2],
-            analytic_fn=lm_eqs.deadlock_rate,
-            measure=lambda r: r.deadlock_rate,
-            duration=10.0,
-        )
-        assert len(rows) == 2
-        assert rows[0].x == 1.0
-        assert rows[1].analytic > rows[0].analytic
-        text = comparison_table(rows, "nodes", "deadlocks/s", title="t")
-        assert "nodes" in text
-
     def test_strategy_comparison_table(self):
         results = strategy_comparison(
             small_params(), strategies=("lazy-master", "eager-group"),
@@ -139,29 +119,3 @@ class TestComparisons:
         text = strategy_table(results)
         assert "lazy-master" in text and "eager-group" in text
 
-
-class TestFigures:
-    def test_render_sweep_includes_caption(self):
-        from repro.analytic import eager
-
-        text = render_sweep(
-            eager.total_deadlock_rate,
-            small_params(db_size=10_000, tps=10, actions=5, action_time=0.01),
-            "nodes",
-            [1, 2, 4, 8],
-            y_label="deadlocks/s",
-        )
-        assert "cubic" in text
-        assert "#" in text
-
-    def test_shape_summary_and_agreement(self):
-        exponent, caption = shape_summary([1, 2, 4], [1, 8, 64])
-        assert exponent == pytest.approx(3.0)
-        assert "cubic" in caption
-        assert shapes_agree(3.0, exponent)
-        assert not shapes_agree(3.0, 1.0)
-        assert not shapes_agree(3.0, None)
-
-    def test_shape_summary_handles_flat_zero(self):
-        exponent, caption = shape_summary([1, 2, 4], [0, 0, 0])
-        assert exponent is None

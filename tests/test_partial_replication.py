@@ -2,23 +2,20 @@
 
 Every strategy runs with a ``hash:k=3`` placement over genuinely sharded
 stores (N > k) and must still pass the invariant oracle: replica sets
-converge, counters close, no locks leak.  Plus the sharp edges: the
-store-level ``divergence()`` helper refuses disjoint keyspaces instead of
-reporting phantom agreement, and a replica-set member that misses an
-update is flagged as divergence by the system-level comparison.
+converge, counters close, no locks leak.  Plus the sharp edge: a
+replica-set member that misses an update is flagged as divergence by the
+system-level audit, which compares each object across its own holders.
 """
 
 import pytest
 
 from repro.analytic import eager, lazy_group, markov_strategies, partial
 from repro.analytic.parameters import ModelParameters
-from repro.exceptions import ConfigurationError
 from repro.faults.oracle import evaluate as evaluate_oracle
 from repro.harness import ExperimentConfig, run_experiment
 from repro.harness.experiment import STRATEGIES
 from repro.placement import HashShardPlacement, Placement
 from repro.replication import LazyGroupSystem, SystemSpec
-from repro.storage.store import ObjectStore, divergence as store_divergence
 from repro.storage.versioning import Timestamp
 
 from tests.determinism_helpers import (
@@ -72,19 +69,6 @@ def test_each_node_holds_only_its_shard():
             assert held == system.placement.is_replica(oid, node_id)
 
 
-def test_eager_stores_flag_restores_upfront_materialisation():
-    spec = SystemSpec(
-        num_nodes=5, db_size=60,
-        placement=HashShardPlacement(replication_factor=3),
-        eager_stores=True,
-    )
-    system = LazyGroupSystem(spec)
-    total = sum(node.store.materialized for node in system.nodes)
-    assert total == 3 * 60  # every resident record allocated up front
-    for node in system.nodes:
-        assert node.store.materialized == len(set(node.store.oids()))
-
-
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_resident_objects_scale_with_k_over_n(strategy):
     result = run_experiment(_partial_config(strategy))
@@ -116,21 +100,6 @@ def test_partial_run_converges_and_passes_oracle(strategy):
 # --------------------------------------------------------------------- #
 # divergence semantics on shards
 # --------------------------------------------------------------------- #
-
-
-def test_store_divergence_rejects_disjoint_keyspaces():
-    a = ObjectStore(node_id=0, db_size=10, oids=[0, 1, 2])
-    b = ObjectStore(node_id=1, db_size=10, oids=[3, 4, 5])
-    with pytest.raises(ConfigurationError, match="identical keyspaces"):
-        store_divergence([a, b])
-
-
-def test_store_divergence_still_compares_identical_keyspaces():
-    a = ObjectStore(node_id=0, db_size=10, oids=[0, 1, 2])
-    b = ObjectStore(node_id=1, db_size=10, oids=[0, 1, 2])
-    assert store_divergence([a, b]) == 0
-    b.write(1, 99, Timestamp(1, 1))
-    assert store_divergence([a, b]) == 1
 
 
 def test_dropped_update_to_replica_set_is_flagged():

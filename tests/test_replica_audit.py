@@ -6,15 +6,16 @@ oids instead of ``range(db_size)``; ``divergence()``,
 ``TwoTierSystem.base_divergence()`` and
 ``verify.invariants.divergence_report()`` are its three callers.  A
 test-local reference that *does* sweep the whole keyspace must agree with
-all of them — count and oids — on lazy and eager stores, for every
-strategy, after a live migration, and on hand-corrupted replicas; and none
-of the three may materialise a record.
+all of them — count and oids — under full, hash and directory placement,
+on stores that hold only what was touched and on stores filled up front
+(the ``fill_stores_up_front`` reference: the walk then *is* the whole
+keyspace), for every strategy, after a live migration, and on
+hand-corrupted replicas; and none of the three may materialise a record.
 """
 
 import pytest
 
 from repro.analytic import ModelParameters
-from repro.exceptions import InvalidStateError
 from repro.harness import ExperimentConfig, run_experiment
 from repro.harness.experiment import STRATEGIES, build_system
 from repro.placement import Placement
@@ -61,7 +62,7 @@ def corrupt(system, oid, holder_index=-1, value=987_654):
     return node_id
 
 
-def run(strategy, placement_spec, eager):
+def run(strategy, placement_spec):
     two_tier = strategy == "two-tier"
     return run_experiment(ExperimentConfig(
         strategy=strategy,
@@ -70,15 +71,20 @@ def run(strategy, placement_spec, eager):
         seed=11,
         num_base=4 if two_tier else 1,
         placement=Placement.from_spec(placement_spec),
-        eager_stores=eager,
     )).system
 
 
-@pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
-@pytest.mark.parametrize("placement_spec", ["hash:k=3", "dir:k=3"])
+@pytest.mark.parametrize("stores", ["lazy", "eager"])
+@pytest.mark.parametrize("placement_spec", ["full", "hash:k=3", "dir:k=3"])
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_audit_is_the_full_keyspace_definition(strategy, placement_spec, eager):
-    system = run(strategy, placement_spec, eager)
+def test_audit_is_the_full_keyspace_definition(
+    strategy, placement_spec, stores, fill_stores_up_front
+):
+    if stores == "eager":
+        fill_stores_up_front()
+    system = run(strategy, placement_spec)
+    if stores == "eager":
+        assert system.materialized_counts() == system.nominal_resident_counts()
     assert_audit_matches_reference(system)
     # and on a state that does diverge: one stale holder each of two objects
     corrupt(system, 7)
@@ -135,22 +141,23 @@ def test_corruption_is_seen_at_touched_and_untouched_objects():
     assert sorted(expected[untouched]) == [0, 0, 987_654]
 
 
-def test_a_holder_without_the_record_is_an_invalid_state():
-    system = _dir_system(
-        placement=Placement.from_spec("hash:k=3"), eager_stores=True
-    )
-    oid = 12
-    holder = system.placement.replicas(oid)[1]
-    del system.nodes[holder].store._records[oid]
-    with pytest.raises(InvalidStateError, match="placement and stores disagree"):
-        system.divergence()
-    with pytest.raises(InvalidStateError):
-        divergence_report(system)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_building_a_full_replica_materialises_nothing(strategy):
+    """Full replication — every default system, and a two-tier system's
+    mobiles — used to allocate ``nodes x db_size`` records at build."""
+    system = build_system(ExperimentConfig(
+        strategy=strategy, params=PARAMS.with_(db_size=5000), num_base=2,
+    ))
+    assert system.placement.is_full
+    assert system.materialized_counts() == [0] * system.num_nodes
+    assert system.nominal_resident_counts() == [5000] * system.num_nodes
+    assert system.divergence() == 0
+    assert system.snapshot(system.num_nodes - 1)[4999] == 0  # logically all there
 
 
 def test_no_audit_materialises_a_record():
     """Regression: ``base_divergence()`` used ``store.value`` and filled
-    every lazy base shard, so ``materialized_total`` reported the nominal
+    every base shard, so ``materialized_total`` reported the nominal
     shard instead of what the run touched."""
     system = build_system(ExperimentConfig(
         strategy="two-tier",
@@ -158,11 +165,11 @@ def test_no_audit_materialises_a_record():
         num_base=4,
         placement=Placement.from_spec("hash:k=2"),
     ))
-    assert system.materialized_counts()[:4] == [0, 0, 0, 0]
+    assert system.materialized_counts() == [0] * 6  # mobiles too
     touched = 1234
     corrupt(system, touched)
     before = system.materialized_counts()
-    assert sum(before[:4]) == 1
+    assert sum(before) == 1
     assert system.base_divergence() == 1
     assert system.divergence() == 1
     assert list(divergence_report(system)) == [touched]
@@ -181,5 +188,13 @@ def test_run_experiment_reports_what_the_run_touched():
     resident = result.extra["resident_objects"]
     base_materialized = sum(result.system.materialized_counts()[:4])
     assert 0 < base_materialized < 2 * 2000 // 4  # far below the base shard
-    assert resident["materialized_total"] == base_materialized + 2 * 2000
+    # a mobile is a full replica and materialises only what the base
+    # tier's commits refreshed at it — not its nominal 2000 records
+    stores = [node.store for node in result.system.nodes]
+    base_touched = set().union(*(s.materialized_oids() for s in stores[:4]))
+    for mobile in stores[4:]:
+        assert 0 < mobile.materialized <= len(base_touched) < 2000
+        assert set(mobile.materialized_oids()) <= base_touched
+    assert resident["materialized_total"] == sum(s.materialized for s in stores)
+    assert resident["total"] == 2 * 2000 + 2 * 2000  # nominal is unchanged
     assert result.extra["base_divergence"] == 0 == result.divergence

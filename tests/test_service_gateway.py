@@ -334,6 +334,109 @@ class TestConcurrency:
         assert visits == 5
         assert unhandled == []
 
+    def test_oversized_frame_gets_an_error_reply_then_a_close(self, tmp_path):
+        """A frame past ``MAX_LINE_BYTES`` used to end in a bare connection
+        reset: no reply, ``errors`` still 0.  A blocking socket, because a
+        unix socket hands over what was queued before it reports the reset
+        that closing on the unread tail of the frame causes."""
+        from repro.service.protocol import MAX_LINE_BYTES
+
+        def hostile(path):
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.settimeout(5.0)
+            sock.connect(path)
+            frame = b'{"type":"ping","pad":"' + b"x" * (2 * MAX_LINE_BYTES) + b'"}\n'
+            try:
+                sock.sendall(b'{"type":"txn","id":"before","ops":[["inc",0,1]]}\n')
+                sock.sendall(frame)
+            except ConnectionError:
+                pass  # the server has already answered and left
+            received = b""
+            try:
+                while chunk := sock.recv(65536):
+                    received += chunk
+            except ConnectionError:
+                pass
+            sock.close()
+            return [json.loads(line) for line in received.splitlines()]
+
+        async def scenario(gateway, path):
+            frames = await asyncio.get_running_loop().run_in_executor(
+                None, hostile, path
+            )
+            other = await Client.connect(path)
+            await other.send(type="ping", id=1)
+            pong = await asyncio.wait_for(other.recv(), 1.0)
+            await other.close()
+            return gateway, frames, pong
+
+        gateway, frames, pong = with_gateway()(scenario, tmp_path)
+        assert [f["type"] for f in frames] == ["welcome", "result", "error"]
+        assert frames[1]["id"] == "before"  # answered, not dropped
+        assert frames[2]["why"] == f"frame exceeds {MAX_LINE_BYTES} bytes"
+        assert gateway.errors == 1
+        assert gateway.served == 1 and gateway._inflight == 0
+        assert pong == {"type": "pong", "id": 1}  # and the server lives on
+
+    def test_half_written_frame_is_a_protocol_error(self, tmp_path):
+        """EOF before the newline: the fragment is answered as malformed,
+        nothing of it is executed, and the connection ends cleanly."""
+        async def scenario(gateway, path):
+            client = await Client.connect(path)
+            client.writer.write(b'{"type":"txn","id":7,"ops":[["inc",0,')
+            client.writer.write_eof()
+            reply = await asyncio.wait_for(client.recv(), 1.0)
+            rest = await asyncio.wait_for(client.reader.read(), 1.0)
+            await client.close()
+            return gateway, reply, rest
+
+        gateway, reply, rest = with_gateway()(scenario, tmp_path)
+        assert reply["type"] == "error" and "JSON" in reply["why"]
+        assert rest == b""  # the server closed its side too
+        assert gateway.errors == 1
+        assert gateway.served == 0 and gateway._inflight == 0
+        assert gateway.system.nodes[0].store.peek(0) == 100
+
+    def test_disconnect_with_a_transaction_in_flight(self, tmp_path):
+        """The peer leaves before its reply exists: the transaction still
+        commits and is counted, its slot comes back, nothing is raised."""
+        config = GatewayConfig(
+            db_size=50, initial_value=100, message_delay=0.02, max_inflight=1
+        )
+
+        async def scenario(gateway, path):
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            leaver = await Client.connect(path)
+            await leaver.send(type="txn", ops=[["inc", 0, 5]])
+            for _ in range(200):
+                if gateway._inflight:
+                    break
+                await asyncio.sleep(0.001)
+            in_flight = gateway._inflight
+            await leaver.close()
+            # the only slot is the leaver's: the next commit needs it back
+            other = await Client.connect(path)
+            reply = await asyncio.wait_for(other.txn([["inc", 0, 1]]), 2.0)
+            await other.close()
+            for _ in range(200):
+                if not gateway._conn_tasks:
+                    break
+                await asyncio.sleep(0.005)
+            return gateway, in_flight, reply, unhandled
+
+        gateway, in_flight, reply, unhandled = with_gateway(config)(
+            scenario, tmp_path
+        )
+        assert in_flight == 1
+        assert reply["status"] == "accepted"
+        assert gateway.served == 2 and gateway.errors == 0
+        assert gateway._inflight == 0 and not gateway._inflight_sem.locked()
+        assert gateway.system.nodes[0].store.value(0) == 106
+        assert unhandled == []
+
     def test_events_per_served_transaction(self, tmp_path):
         """Count gate, svc_uniform's shape on the default system (1 base,
         4 mobiles): a served commit is 7 engine events — its own spawn,
