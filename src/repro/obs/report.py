@@ -285,6 +285,12 @@ def service_report_markdown(payload: Dict[str, Any]) -> str:
         ["rejection rate",
          f"{payload.get('rejection_rate', 0.0):.4f}"],
     ]
+    server = payload.get("server") or {}
+    io = server.get("io") or {}
+    if io.get("reads") and io.get("writes"):  # the server's transport
+        served = server.get("served", 0)
+        rows.append(["frames per read", f"{served / io['reads']:.2f}"])
+        rows.append(["replies per write", f"{served / io['writes']:.2f}"])
     lines.append(format_table(["quantity", "value"], rows))
     lines.append("```")
     lines.append("")

@@ -19,15 +19,20 @@ paper's full two-tier cycle as one engine process:
    same notice path the simulator's reconnect exchange uses, not from a
    shortcut, and no timer runs on the served path.
 
-The reply is that process's completion callback: one ``write``, no task.
-Backpressure: a global in-flight semaphore, its slot freed when the
-transaction completes; when it is full, or while a connection's own peer
-is not reading its replies, the connection's reader stops reading and the
-kernel's TCP window pushes back on the client.  Drain: stop admitting,
-wait for in-flight work, stop the telemetry ticker, spin the engine dry,
-then report the drained state (store checksum, base divergence, WAL
-quiescence, latency summary) — the oracle input for the service smoke
-test.
+The transport is one :class:`asyncio.BufferedProtocol` per connection.  A
+read lands in the connection's one reused buffer; every complete frame in
+it is handled in place, the engine is pumped in the reader's own frame
+(:meth:`WallClockEngine.pump` — no task switch before anything runs), and
+the replies that produced, each its process's completion callback, leave
+in one ``write``: a batch in, a batch out, as the paper's reconnect
+exchange has it.  Backpressure is ``pause_reading``: while every in-flight
+slot is taken (a counter; the frame that found none stays in the buffer,
+and the dispatch that frees a slot parses it), and while a connection's
+own peer is not reading its replies — the kernel's window then pushes back
+on the client.  Drain: stop admitting, wait for in-flight work, stop the
+telemetry ticker, spin the engine dry, then report the drained state
+(store checksum, base divergence, WAL quiescence, latency summary) — the
+oracle input for the service smoke test.
 """
 
 from __future__ import annotations
@@ -77,6 +82,218 @@ class GatewayConfig:
     sample_interval: float = 0.0  # 0 disables the telemetry ticker
 
 
+#: a connection's read buffer: every read lands in it; it grows (to at most
+#: one maximal frame and its newline) only while a single frame is longer
+_READ_BUFFER_BYTES = 1 << 16
+
+
+class _Connection(asyncio.BufferedProtocol):
+    """One client: frames in through one reused buffer, replies out per
+    batch — one read, its frames, the pump they feed, one write."""
+
+    def __init__(self, gateway: "ServiceGateway"):
+        self.gateway = gateway
+        self.mobile_id = next(gateway._next_mobile)
+        self.buffer = bytearray(_READ_BUFFER_BYTES)
+        self.start = self.end = 0  # buffer[start:end]: read, not yet handled
+        self.scanned = 0  # buffer[start:scanned] is known to hold no newline
+        self.batch: Optional[list] = None  # the running batch's replies
+        self.unanswered = 0  # transactions spawned here, reply not yet out
+        self.held = False  # a frame waits for a slot, or a drain runs
+        self.eof = False  # input is over: close when everything is answered
+        self.pauses = 0  # reasons not to read: held, eof, a peer not reading
+
+    def connection_made(self, transport) -> None:
+        gateway = self.gateway
+        self.transport = transport
+        gateway.connections_total += 1
+        gateway._connections.add(self)
+        self.send(
+            {
+                "type": "welcome",
+                "protocol": PROTOCOL_VERSION,
+                "conn": next(gateway._conn_seq),
+                "mobile": self.mobile_id,
+                "num_base": gateway.config.num_base,
+                "db_size": gateway.config.db_size,
+                "initial_value": gateway.config.initial_value,
+            }
+        )
+
+    def connection_lost(self, exc) -> None:
+        self.gateway._connections.discard(self)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        buffer = self.buffer
+        if self.start:  # slide the partial frame at the tail to the front
+            tail = self.end - self.start
+            buffer[:tail] = buffer[self.start:self.end]
+            self.scanned -= self.start
+            self.start, self.end = 0, tail
+        if self.end == len(buffer):  # one frame longer than the buffer
+            buffer.extend(
+                bytes(min(len(buffer), MAX_LINE_BYTES + 1 - len(buffer)))
+            )
+        elif self.end < _READ_BUFFER_BYTES < len(buffer):
+            del buffer[_READ_BUFFER_BYTES:]  # that frame has been handled
+        return memoryview(buffer)[self.end:]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        """One read, one batch: parse, pump, write the replies at once."""
+        self.gateway.reads += 1
+        self.end += nbytes
+        self.batch = []
+        try:
+            self.gateway.engine.pump(self._parse)
+        finally:
+            batch, self.batch = self.batch, None
+            if batch:
+                self._write(b"".join(batch))
+            self._close_if_done()
+
+    def eof_received(self) -> bool:
+        self.eof = True  # _parse now takes a half-written frame as the last
+        self._stop_reading()
+        self.buffer_updated(0)
+        return True  # a half-closed client still gets every reply
+
+    def _parse(self) -> None:
+        """Handle, in place and in order, every complete frame buffered."""
+        buffer, end = self.buffer, self.end
+        while not self.held:
+            newline = buffer.find(b"\n", self.scanned, end)
+            if newline < 0:
+                self.scanned = end
+                if not (self.eof and self.start < end):
+                    if end - self.start > MAX_LINE_BYTES:
+                        # what follows is the middle of it: say why and leave
+                        # (transactions in flight here are answered first)
+                        self._refuse(f"frame exceeds {MAX_LINE_BYTES} bytes")
+                        self.eof = True
+                        self._stop_reading()
+                        self.start = end
+                    break
+                newline = end  # EOF ends a half-written frame: answer it
+            if not self._frame(buffer[self.start:newline]):
+                break  # held back: the frame stays in the buffer
+            self.start = self.scanned = min(newline + 1, end)
+        if self.start == end:
+            self.start = self.end = self.scanned = 0
+
+    def _frame(self, line: bytearray) -> bool:
+        """Handle one frame; False when it must wait for an in-flight slot."""
+        gateway = self.gateway
+        request_id = None
+        try:
+            message = decode_line(line)
+            request_id = message.get("id")
+            kind = message["type"]
+            if kind == "txn":
+                if gateway._draining:
+                    raise ProtocolError("draining")
+                ops = decode_ops(message.get("ops"))
+                acceptance = decode_acceptance(message.get("acceptance"))
+                if gateway._inflight >= gateway.config.max_inflight:
+                    # backpressure: stop reading until a slot frees
+                    gateway._stalled.append(self)
+                    self.held = True
+                    self._stop_reading()
+                    return False
+                gateway._inflight += 1
+                self.unanswered += 1
+                gateway.engine.process(
+                    gateway._serve_txn(self.mobile_id, ops, acceptance,
+                                       str(message.get("label", ""))),
+                    name="serve-txn",
+                ).add_callback(functools.partial(
+                    self._answer, request_id, time.monotonic()
+                ))
+            elif kind == "ping":
+                self.send({"type": "pong", "id": request_id})
+            elif kind == "stats":
+                self.send(gateway._stats_reply())
+            elif kind == "drain":
+                self.held = True  # later frames wait for the drained report
+                self._stop_reading()
+                self.drain_task = asyncio.ensure_future(
+                    self._drain(message.get("stop"))
+                )
+            else:
+                raise ProtocolError(f"unknown frame type {kind!r}")
+        except ProtocolError as exc:
+            self._refuse(str(exc), request_id)
+        return True
+
+    async def _drain(self, stop: Any) -> None:
+        self.send(await self.gateway.drain())
+        if stop:
+            self.gateway.request_stop()
+        self._resume()
+
+    def _resume(self) -> None:
+        """A slot freed, or the drain ended: take up the held-back frames.
+        Inside a dispatch this parses into it — never a nested pump."""
+        self.held = False
+        self._read_on()
+        self._parse()
+        self._close_if_done()
+
+    def _stop_reading(self) -> None:
+        """One more reason not to read this peer's frames."""
+        self.pauses += 1
+        self.transport.pause_reading()
+
+    def _read_on(self) -> None:
+        self.pauses -= 1
+        if not self.pauses:
+            self.transport.resume_reading()
+
+    # the transport's own flow control: a peer that is not reading its
+    # replies is one such reason
+    pause_writing, resume_writing = _stop_reading, _read_on
+
+    def send(self, message: Dict[str, Any]) -> None:
+        """Queue ``message`` on the running batch, or write it now."""
+        frame = encode_line(message)
+        if self.batch is not None:
+            self.batch.append(frame)
+        else:
+            self._write(frame)
+
+    def _refuse(self, why: str, request_id: Any = None) -> None:
+        self.gateway.errors += 1
+        self.send(error_reply(why, request_id))
+
+    def _write(self, data: bytes) -> None:
+        if self.transport.is_closing():
+            return  # a peer that left: its transactions still counted
+        self.gateway.writes += 1
+        try:
+            self.transport.write(data)
+        except Exception:  # noqa: BLE001 - contain, count, keep serving
+            self.gateway.errors += 1
+
+    def _answer(self, request_id: Any, start: float, proc) -> None:
+        """``proc``'s completion callback: queue or write its reply, free
+        its slot.  Runs in the engine's dispatch, so nothing may escape."""
+        gateway = self.gateway
+        try:
+            self.send(gateway._result_frame(request_id, start, proc))
+        except Exception:  # noqa: BLE001 - contain, count, keep serving
+            gateway.errors += 1
+        self.unanswered -= 1
+        gateway._inflight -= 1
+        while (gateway._stalled
+               and gateway._inflight < gateway.config.max_inflight):
+            gateway._stalled.pop(0)._resume()
+        self._close_if_done()
+
+    def _close_if_done(self) -> None:
+        if (self.eof and self.batch is None
+                and not (self.unanswered or self.held)):
+            self.transport.close()
+
+
 class ServiceGateway:
     """One live two-tier service instance."""
 
@@ -107,12 +324,12 @@ class ServiceGateway:
         self._mobile_ids = sorted(self.system.mobiles)
         self._next_mobile = itertools.cycle(self._mobile_ids)
         self._conn_seq = itertools.count(1)
-        self._inflight_sem = asyncio.Semaphore(cfg.max_inflight)
         self._inflight = 0
+        self._stalled: list = []  # connections with a frame held for a slot
+        self._connections: set = set()
         self._draining = False
         self._stop = asyncio.Event()
         self._server: Optional[asyncio.base_events.Server] = None
-        self._conn_tasks: set = set()
         self._ticker_proc = None
         self._started_at: Optional[float] = None
         self.histogram = LatencyHistogram()
@@ -122,6 +339,8 @@ class ServiceGateway:
         self.accepted = 0
         self.rejected = 0
         self.errors = 0
+        self.reads = 0  # buffer_updated calls
+        self.writes = 0  # transport.write calls
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -136,16 +355,15 @@ class ServiceGateway:
         """Bind the listening socket (TCP host/port or unix ``unix_path``)."""
         if self._server is not None:
             raise RuntimeError("gateway already started")
+        loop = asyncio.get_running_loop()
+        connection = functools.partial(_Connection, self)
         if unix_path is not None:
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=unix_path, limit=MAX_LINE_BYTES
+            self._server = await loop.create_unix_server(
+                connection, path=unix_path
             )
         else:
-            self._server = await asyncio.start_server(
-                self._handle_connection,
-                host=host or "127.0.0.1",
-                port=port or 0,
-                limit=MAX_LINE_BYTES,
+            self._server = await loop.create_server(
+                connection, host=host or "127.0.0.1", port=port or 0
             )
         self._started_at = time.monotonic()
         if self.telemetry is not None:
@@ -175,14 +393,9 @@ class ServiceGateway:
             await self._stop.wait()
         finally:
             self._server.close()
+            for connection in list(self._connections):  # idle ones linger
+                connection.transport.close()
             await self._server.wait_closed()
-            # idle handlers sit in readline() forever; close them cleanly
-            for task in list(self._conn_tasks):
-                task.cancel()
-            if self._conn_tasks:
-                await asyncio.gather(
-                    *self._conn_tasks, return_exceptions=True
-                )
             self.engine.kick()
             await engine_task
 
@@ -198,134 +411,6 @@ class ServiceGateway:
         while True:
             yield self.engine.timeout(interval)
             self.telemetry.sample(self.engine.now)
-
-    # ------------------------------------------------------------------ #
-    # connections
-    # ------------------------------------------------------------------ #
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn_id = next(self._conn_seq)
-        self.connections_total += 1
-        mobile_id = next(self._next_mobile)
-        conn_task = asyncio.current_task()
-        if conn_task is not None:
-            self._conn_tasks.add(conn_task)
-        unanswered = 0  # transactions spawned here whose reply is not written
-        all_answered: Optional[asyncio.Event] = None  # awaited at EOF only
-
-        async def reply(message: Dict[str, Any]) -> None:
-            writer.write(encode_line(message))
-            await writer.drain()
-
-        def answer(request_id: Any, start: float, proc) -> None:
-            """``proc``'s completion callback: write its reply, free its
-            slot.  Runs in the engine's dispatch, so nothing may escape."""
-            nonlocal unanswered
-            try:
-                frame = self._result_frame(request_id, start, proc)
-                if not writer.is_closing():  # a peer that left still counted
-                    writer.write(encode_line(frame))
-            except Exception:  # noqa: BLE001 - contain, count, keep serving
-                self.errors += 1
-            finally:
-                self._inflight -= 1
-                self._inflight_sem.release()
-                unanswered -= 1
-                if all_answered is not None and not unanswered:
-                    all_answered.set()
-
-        try:
-            await reply(
-                {
-                    "type": "welcome",
-                    "protocol": PROTOCOL_VERSION,
-                    "conn": conn_id,
-                    "mobile": mobile_id,
-                    "num_base": self.config.num_base,
-                    "db_size": self.config.db_size,
-                    "initial_value": self.config.initial_value,
-                }
-            )
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # a frame over the limit: what follows is the middle of
-                    # it, so say why and leave (the transactions already in
-                    # flight here are still answered below)
-                    self.errors += 1
-                    await reply(
-                        error_reply(f"frame exceeds {MAX_LINE_BYTES} bytes")
-                    )
-                    break
-                if not line:
-                    break
-                try:
-                    message = decode_line(line)
-                except ProtocolError as exc:
-                    self.errors += 1
-                    await reply(error_reply(str(exc)))
-                    continue
-                kind = message["type"]
-                if kind == "txn":
-                    if self._draining:
-                        self.errors += 1
-                        await reply(
-                            error_reply("draining", message.get("id"))
-                        )
-                        continue
-                    try:
-                        ops = decode_ops(message.get("ops"))
-                        acceptance = decode_acceptance(message.get("acceptance"))
-                    except ProtocolError as exc:
-                        self.errors += 1
-                        await reply(error_reply(str(exc), message.get("id")))
-                        continue
-                    # backpressure: block the reader until a slot frees ...
-                    await self._inflight_sem.acquire()
-                    self._inflight += 1
-                    unanswered += 1
-                    start = time.monotonic()
-                    self.engine.process(
-                        self._serve_txn(mobile_id, ops, acceptance,
-                                        str(message.get("label", ""))),
-                        name="serve-txn",
-                    ).add_callback(
-                        functools.partial(answer, message.get("id"), start)
-                    )
-                    # ... and while this peer is not reading its replies
-                    await writer.drain()
-                elif kind == "ping":
-                    await reply({"type": "pong", "id": message.get("id")})
-                elif kind == "stats":
-                    await reply(self._stats_reply())
-                elif kind == "drain":
-                    report = await self.drain()
-                    await reply(report)
-                    if message.get("stop"):
-                        self.request_stop()
-                else:
-                    self.errors += 1
-                    await reply(
-                        error_reply(f"unknown frame type {kind!r}",
-                                    message.get("id"))
-                    )
-            if unanswered:  # a half-closed client still gets its replies
-                all_answered = asyncio.Event()
-                await all_answered.wait()
-        except (asyncio.CancelledError, ConnectionError):
-            pass  # server shutdown, or a write to a peer that has left
-        finally:
-            if conn_task is not None:
-                self._conn_tasks.discard(conn_task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError,
-                    asyncio.CancelledError):
-                pass
 
     # ------------------------------------------------------------------ #
     # transactions
@@ -393,6 +478,7 @@ class ServiceGateway:
             "rejected": self.rejected,
             "errors": self.errors,
             "draining": self._draining,
+            "io": {"reads": self.reads, "writes": self.writes},
             "engine": {
                 "now": self.engine.now,
                 "queued_events": self.engine.queued_events,

@@ -421,7 +421,7 @@ async def run_loadtest(
             for key in (
                 "served", "accepted", "rejected", "errors",
                 "connections_total", "uptime_seconds", "latency_ms",
-                "engine", "metrics",
+                "io", "engine", "metrics",
             )
         }
     return result

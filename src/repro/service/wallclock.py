@@ -13,13 +13,18 @@ cannot be driven by a blocking loop inside asyncio).
 Integration with asyncio is cooperative, not threaded:
 
 * :meth:`run_async` is a coroutine that alternates between *dispatching*
-  every due heap entry and *sleeping* until the next deadline on an
-  :class:`asyncio.Event`, so socket IO interleaves with engine work on one
-  loop and there is no cross-thread state to lock.
-* External code (the gateway's socket handlers) may call ``schedule`` /
-  ``schedule_now`` / ``process`` at any await point; the override refreshes
-  the clock and :meth:`kick`\\ s the sleeper so new work is picked up
-  immediately instead of at the old deadline.
+  every due heap entry (:meth:`dispatch_due`) and *sleeping* until the next
+  deadline on an :class:`asyncio.Event`, so socket IO interleaves with
+  engine work on one loop and there is no cross-thread state to lock.
+* :meth:`pump` is the synchronous entry beside it: a socket callback hands
+  in its admissions and everything they made due runs in that callback's
+  frame; the parked driver is woken only for what is left (a timer, a
+  burst over the batch bound).  Timers, ``message_delay > 0`` and the
+  telemetry ticker stay the driver's.
+* Other external code may call ``schedule`` / ``schedule_now`` /
+  ``process`` at any await point; the override refreshes the clock and
+  wakes the sleeper so new work is picked up immediately instead of at
+  the old deadline.
 * ``now`` is *seconds since the engine first observed the clock*, monotone
   non-decreasing, so virtual-time consumers (commit timestamps, telemetry
   windows, Lamport tie-breaks) see the same shape of clock they see in the
@@ -40,7 +45,6 @@ from typing import Any, Callable, Optional
 
 from repro.exceptions import SimulationError
 from repro.sim.engine import Engine
-from repro.sim.process import Process
 
 #: heap entries dispatched before yielding control back to the asyncio loop,
 #: bounding how long a burst of engine work can starve socket IO
@@ -85,16 +89,16 @@ class WallClockEngine(Engine):
         # (a socket handler between awaits) the clock may have drifted
         if not self._dispatching:
             self._refresh_now()
+            if self._sleeping:
+                self._wakeup.set()
         super().schedule(delay, callback, *args)
-        if self._sleeping:
-            self._wakeup.set()
 
     def schedule_now(self, callback: Callable, *args: Any) -> None:
         if not self._dispatching:
             self._refresh_now()
+            if self._sleeping:
+                self._wakeup.set()
         super().schedule_now(callback, *args)
-        if self._sleeping:
-            self._wakeup.set()
 
     def kick(self) -> None:
         """Wake :meth:`run_async` out of its deadline sleep early.
@@ -117,6 +121,60 @@ class WallClockEngine(Engine):
             "(use the default Engine for simulation runs)"
         )
 
+    def dispatch_due(self, max_batch: int = _MAX_DISPATCH_BATCH) -> int:
+        """Dispatch the entries due by now, at most ``max_batch``; how many."""
+        queue = self._queue
+        resume_timer = self._resume_timer
+        now = self._refresh_now()
+        dispatched = 0
+        self._dispatching = True
+        try:
+            while queue:
+                head = queue[0]
+                if head[2] is resume_timer:
+                    entry_args = head[3]
+                    if entry_args[1] != entry_args[0]._timer_gen:
+                        # dead timer from an interrupted wait
+                        heappop(queue)
+                        self._dead_timers -= 1
+                        continue
+                if head[0] > now:
+                    break
+                heappop(queue)
+                profiler = self.profiler
+                if profiler is None:
+                    head[2](*head[3])
+                else:
+                    profiler.dispatch(head[2], head[3])
+                dispatched += 1
+                if dispatched >= max_batch:
+                    break
+        finally:
+            self._dispatching = False
+        return dispatched
+
+    def pump(
+        self, admit: Callable[[], None], max_batch: int = _MAX_DISPATCH_BATCH
+    ) -> None:
+        """Run ``admit`` and everything it made due, in the caller's frame.
+
+        ``admit`` schedules work (``process`` / ``schedule``) under one
+        reading of the clock and wakes nobody; what it made due is then
+        dispatched here, synchronously, exactly as :meth:`run_async` would
+        have.  The parked driver is woken only for what is left over — a
+        timer, or a burst beyond ``max_batch``.  Not for use inside a
+        dispatch: work scheduled there already belongs to the running one.
+        """
+        self._refresh_now()
+        self._dispatching = True
+        try:
+            admit()
+            self.dispatch_due(max_batch)
+        finally:
+            self._dispatching = False
+            if self._queue:
+                self.kick()
+
     async def run_async(
         self,
         stop: Optional[asyncio.Event] = None,
@@ -134,39 +192,11 @@ class WallClockEngine(Engine):
             raise SimulationError("engine is already running (re-entrant run())")
         self._running = True
         self._wakeup = asyncio.Event()
-        queue = self._queue
-        resume_timer = self._resume_timer
         try:
             while True:
                 if stop is not None and stop.is_set():
                     return self.now
-                now = self._refresh_now()
-                dispatched = 0
-                self._dispatching = True
-                try:
-                    while queue:
-                        head = queue[0]
-                        if head[2] is resume_timer:
-                            entry_args = head[3]
-                            if entry_args[1] != entry_args[0]._timer_gen:
-                                # dead timer from an interrupted wait
-                                heappop(queue)
-                                self._dead_timers -= 1
-                                continue
-                        if head[0] > now:
-                            break
-                        heappop(queue)
-                        profiler = self.profiler
-                        if profiler is None:
-                            head[2](*head[3])
-                        else:
-                            profiler.dispatch(head[2], head[3])
-                        dispatched += 1
-                        if dispatched >= max_batch:
-                            break
-                finally:
-                    self._dispatching = False
-                if dispatched >= max_batch:
+                if self.dispatch_due(max_batch) >= max_batch:
                     # big burst: let socket handlers breathe, then continue
                     await asyncio.sleep(0)
                     continue
@@ -187,48 +217,26 @@ class WallClockEngine(Engine):
     async def _sleep(self, delay: Optional[float]) -> None:
         """Park until ``delay`` elapses or something kicks the engine.
 
-        No wakeup is ever lost: asyncio is single-threaded, and between
-        reading the queue state and awaiting here there is no await point,
-        so any ``schedule``/``kick`` ordered before this sleep already ran
-        and any ordered after will find ``_sleeping`` set.
+        One wake-up mechanism: the deadline is a ``call_later`` handle that
+        sets the same event a kick sets, cancelled when the kick came
+        first.  No wakeup is ever lost: asyncio is single-threaded, and
+        between reading the queue state and awaiting here there is no await
+        point, so any ``schedule``/``kick`` ordered before this sleep
+        already ran and any ordered after will find ``_sleeping`` set.
         """
         self._wakeup.clear()
         self._sleeping = True
+        timer = None
+        if delay is not None:
+            timer = asyncio.get_running_loop().call_later(
+                delay, self._wakeup.set
+            )
         try:
-            if delay is None:
-                await self._wakeup.wait()
-            else:
-                try:
-                    await asyncio.wait_for(self._wakeup.wait(), timeout=delay)
-                except asyncio.TimeoutError:
-                    pass
+            await self._wakeup.wait()
         finally:
             self._sleeping = False
-
-    # ------------------------------------------------------------------ #
-    # asyncio bridge
-    # ------------------------------------------------------------------ #
-
-    def wait_process(self, proc: Process) -> "asyncio.Future":
-        """An :class:`asyncio.Future` settling with ``proc``'s outcome.
-
-        Bridges the engine's event world into coroutine land: the gateway
-        spawns a serving generator as an engine process and ``await``\\ s
-        this future for its return value.  Works for already-settled
-        processes too (``add_callback`` fires immediately).
-        """
-        future = asyncio.get_running_loop().create_future()
-
-        def _settle(event):
-            if future.cancelled():
-                return
-            if event.exception is not None:
-                future.set_exception(event.exception)
-            else:
-                future.set_result(event.value)
-
-        proc.add_callback(_settle)
-        return future
+            if timer is not None:
+                timer.cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

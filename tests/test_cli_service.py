@@ -91,3 +91,13 @@ def test_markdown_shows_oracle_failures():
     payload["oracle"] = dict(payload["oracle"], ok=False, base_divergence=3)
     text = service_report_markdown(payload)
     assert "Oracle: FAIL" in text
+
+
+def test_markdown_prints_the_transport_ratios_when_the_server_reports_io():
+    text = service_report_markdown(SAMPLE_RESULT)
+    assert "frames per read" not in text  # an older server: no ``io`` key
+    payload = dict(SAMPLE_RESULT,
+                   server={"served": 100, "io": {"reads": 40, "writes": 25}})
+    text = service_report_markdown(payload)
+    assert "frames per read" in text and "2.50" in text
+    assert "replies per write" in text and "4.00" in text

@@ -10,13 +10,19 @@ path exactly as they do through the simulator's reconnect path.
 import asyncio
 import json
 import socket
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import NonNegativeOutputs, TwoTierSystem
 from repro.core.tentative import TentativeStatus
 from repro.replication import SystemSpec
 from repro.service import GatewayConfig, ServiceGateway
+from repro.service.gateway import _Connection
+from repro.service.protocol import MAX_LINE_BYTES, encode_line
 from repro.txn.ops import IncrementOp
 
 
@@ -78,6 +84,31 @@ def with_gateway(config=None):
 
         return asyncio.run(main())
     return runner
+
+
+def talk(path, payload):
+    """Blocking client: send ``payload``, half-close, read to the end.
+
+    A blocking socket, because a unix socket hands over what was queued
+    before it reports the reset that a server closing on unread input
+    causes; an asyncio reader can lose the queued frames to the reset.
+    """
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(10.0)
+    sock.connect(path)
+    try:
+        sock.sendall(payload)
+        sock.shutdown(socket.SHUT_WR)
+    except OSError:
+        pass  # the server has already answered and left
+    received = b""
+    try:
+        while chunk := sock.recv(1 << 16):
+            received += chunk
+    except ConnectionError:
+        pass
+    sock.close()
+    return [json.loads(line) for line in received.splitlines()]
 
 
 class TestTransactions:
@@ -282,9 +313,11 @@ class TestConcurrency:
     def test_unwritable_reply_is_counted_and_contained(
         self, tmp_path, monkeypatch
     ):
-        """The reply is written inside the engine's dispatch: a write that
-        raises must cost one error, not the engine task."""
-        real_write = asyncio.StreamWriter.write
+        """A reply is queued inside the engine's dispatch and written when
+        its batch ends: a write that raises must cost one error, not the
+        engine, the connection's reader or the slot."""
+        transport_class = asyncio.selector_events._SelectorSocketTransport
+        real_write = transport_class.write
         failures = []
 
         def write(self, data):
@@ -293,7 +326,7 @@ class TestConcurrency:
                 raise OSError("transport fell over")
             return real_write(self, data)
 
-        monkeypatch.setattr(asyncio.StreamWriter, "write", write)
+        monkeypatch.setattr(transport_class, "write", write)
 
         async def scenario(gateway, path):
             unlucky = await Client.connect(path)
@@ -325,13 +358,14 @@ class TestConcurrency:
                 probe.connect(path)
                 probe.close()
             for _ in range(200):
-                if gateway.connections_total == 5 and not gateway._conn_tasks:
+                if gateway.connections_total == 5 and not gateway._connections:
                     break
                 await asyncio.sleep(0.005)
-            return unhandled, gateway.connections_total
+            return gateway, unhandled
 
-        unhandled, visits = with_gateway()(scenario, tmp_path)
-        assert visits == 5
+        gateway, unhandled = with_gateway()(scenario, tmp_path)
+        assert gateway.connections_total == 5
+        assert gateway._inflight == 0 and not gateway._connections
         assert unhandled == []
 
     def test_oversized_frame_gets_an_error_reply_then_a_close(self, tmp_path):
@@ -339,30 +373,14 @@ class TestConcurrency:
         reset: no reply, ``errors`` still 0.  A blocking socket, because a
         unix socket hands over what was queued before it reports the reset
         that closing on the unread tail of the frame causes."""
-        from repro.service.protocol import MAX_LINE_BYTES
-
-        def hostile(path):
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(5.0)
-            sock.connect(path)
-            frame = b'{"type":"ping","pad":"' + b"x" * (2 * MAX_LINE_BYTES) + b'"}\n'
-            try:
-                sock.sendall(b'{"type":"txn","id":"before","ops":[["inc",0,1]]}\n')
-                sock.sendall(frame)
-            except ConnectionError:
-                pass  # the server has already answered and left
-            received = b""
-            try:
-                while chunk := sock.recv(65536):
-                    received += chunk
-            except ConnectionError:
-                pass
-            sock.close()
-            return [json.loads(line) for line in received.splitlines()]
+        payload = (
+            b'{"type":"txn","id":"before","ops":[["inc",0,1]]}\n'
+            b'{"type":"ping","pad":"' + b"x" * (2 * MAX_LINE_BYTES) + b'"}\n'
+        )
 
         async def scenario(gateway, path):
             frames = await asyncio.get_running_loop().run_in_executor(
-                None, hostile, path
+                None, talk, path, payload
             )
             other = await Client.connect(path)
             await other.send(type="ping", id=1)
@@ -422,7 +440,7 @@ class TestConcurrency:
             reply = await asyncio.wait_for(other.txn([["inc", 0, 1]]), 2.0)
             await other.close()
             for _ in range(200):
-                if not gateway._conn_tasks:
+                if not gateway._connections:
                     break
                 await asyncio.sleep(0.005)
             return gateway, in_flight, reply, unhandled
@@ -433,7 +451,8 @@ class TestConcurrency:
         assert in_flight == 1
         assert reply["status"] == "accepted"
         assert gateway.served == 2 and gateway.errors == 0
-        assert gateway._inflight == 0 and not gateway._inflight_sem.locked()
+        assert gateway._inflight == 0 and not gateway._stalled
+        assert not gateway._connections
         assert gateway.system.nodes[0].store.value(0) == 106
         assert unhandled == []
 
@@ -496,6 +515,260 @@ class TestConcurrency:
         assert "draining" in reply["why"]
 
 
+def _frame_bytes(**frame):
+    return encode_line(frame)
+
+
+_FRAMES = st.one_of(
+    st.builds(
+        lambda oid, delta, criterion: ("txn", oid, delta, criterion),
+        st.integers(0, 4), st.integers(-150, 60),
+        st.sampled_from(["always", "non-negative"]),
+    ),
+    st.just(("ping",)),
+    st.just(("unknown",)),
+    st.sampled_from([
+        b"this is not json\n", b"[1,2]\n", b"{}\n", b"\n",
+        b'{"type":"txn","ops":[["frob",1,2]]}\n',
+        b'{"type":"txn","ops":[["inc",1]],"acceptance":"never"}\n',
+    ]).map(lambda raw: ("malformed", raw)),
+)
+
+
+def _encode(index, frame):
+    if frame[0] == "txn":
+        _, oid, delta, criterion = frame
+        return _frame_bytes(type="txn", id=index, acceptance=criterion,
+                            ops=[["inc", oid, delta]])
+    if frame[0] == "malformed":
+        return frame[1]
+    return _frame_bytes(type=frame[0] if frame[0] == "ping" else "nonsense",
+                        id=index)
+
+
+def _serve_chunks(chunks):
+    """Replies (minus the measured latency) and counters for one connection
+    that writes ``chunks`` one by one, letting the server read in between."""
+    async def scenario(gateway, path):
+        reader, writer = await asyncio.open_unix_connection(path)
+        for chunk in chunks:
+            writer.write(chunk)
+            await writer.drain()
+            for _ in range(3):  # the server's read, pump and write
+                await asyncio.sleep(0)
+        writer.write_eof()
+        lines = (await asyncio.wait_for(reader.read(), 5.0)).splitlines()
+        writer.close()
+        replies = [json.loads(line) for line in lines]
+        for reply in replies:
+            reply.pop("latency_ms", None)
+        return replies, (gateway.served, gateway.accepted, gateway.rejected,
+                         gateway.errors, gateway._inflight)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        return with_gateway()(scenario, Path(tmp))
+
+
+class TestTransport:
+    """The buffered protocol: where a read ends is not where a frame ends."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(frames=st.lists(_FRAMES, min_size=1, max_size=12),
+           cuts=st.lists(st.integers(0, 2000), max_size=8),
+           newline_at_end=st.booleans())
+    def test_chopped_stream_is_answered_like_one_frame_per_write(
+        self, frames, cuts, newline_at_end
+    ):
+        """Mixed frames cut at arbitrary byte boundaries get the replies,
+        in the order, that one frame per write gets.  Order is per kind —
+        immediate replies (pong, error) among themselves and results among
+        themselves: a pong queued behind a transaction of the same read
+        overtakes its result, as it did in the stream reader's loop."""
+        encoded = [_encode(i, frame) for i, frame in enumerate(frames)]
+        if not newline_at_end:
+            encoded[-1] = encoded[-1][:-1]  # EOF ends the last frame
+        stream = b"".join(encoded)
+        size = len(stream)
+        bounds = sorted({0, size, *(cut % (size + 1) for cut in cuts)})
+        chopped = [stream[a:b] for a, b in zip(bounds, bounds[1:])]
+        assert b"".join(chopped) == stream
+
+        def by_kind(replies):
+            assert replies[0]["type"] == "welcome"
+            results = [r for r in replies[1:] if r["type"] == "result"]
+            return results, [r for r in replies[1:] if r["type"] != "result"]
+
+        whole, whole_counts = _serve_chunks(encoded)
+        cut, cut_counts = _serve_chunks(chopped)
+        assert by_kind(cut) == by_kind(whole)
+        assert cut_counts == whole_counts
+        assert len(whole) == 1 + sum(1 for raw in encoded if raw)  # all of them
+        assert whole_counts[-1] == 0
+
+    def test_frames_longer_than_the_buffer_up_to_the_limit(self, tmp_path):
+        """A 200 KB frame outgrows the 64 KiB buffer and is served; one of
+        exactly ``MAX_LINE_BYTES`` is served; one byte more is counted,
+        answered and the connection closed — and the buffer is back to its
+        first size once the long frame is handled."""
+        shell = len(_frame_bytes(type="ping", id="")) - 1  # sans newline
+
+        def ping_of(size):
+            return _frame_bytes(type="ping", id="x" * (size - shell))
+
+        big, limit, over = (ping_of(200_000), ping_of(MAX_LINE_BYTES),
+                            ping_of(MAX_LINE_BYTES + 1))
+        assert len(limit) - 1 == MAX_LINE_BYTES
+
+        async def scenario(gateway, path):
+            run = asyncio.get_running_loop().run_in_executor
+            served = await run(None, talk, path, big + _frame_bytes(
+                type="txn", id=1, ops=[["inc", 0, 1]]) + limit)
+            refused = await run(None, talk, path, _frame_bytes(
+                type="txn", id=2, ops=[["inc", 0, 1]]) + over)
+            return gateway, served, refused
+
+        gateway, served, refused = with_gateway()(scenario, tmp_path)
+        assert [f["type"] for f in served] == [
+            "welcome", "pong", "result", "pong"
+        ]
+        assert len(served[1]["id"]) + shell == 200_000
+        assert len(served[3]["id"]) + shell == MAX_LINE_BYTES
+        assert [f["type"] for f in refused] == ["welcome", "result", "error"]
+        assert refused[2]["why"] == f"frame exceeds {MAX_LINE_BYTES} bytes"
+        assert gateway.errors == 1 and gateway.served == 2
+        assert gateway._inflight == 0 and not gateway._connections
+
+    def test_cap_of_one_with_fifty_frames_in_one_write(self, tmp_path):
+        """Held-back frames are parsed into the dispatch that freed the
+        slot: all answered, in order, never two in flight, and the pump is
+        never re-entered (dispatch depth stays 1)."""
+        config = GatewayConfig(db_size=50, initial_value=0, max_inflight=1)
+
+        class Tap:
+            def __init__(self, gateway):
+                self.gateway = gateway
+                self.depth = self.max_depth = self.max_inflight = 0
+
+            def dispatch(self, callback, args):
+                self.depth += 1
+                self.max_depth = max(self.max_depth, self.depth)
+                try:
+                    callback(*args)
+                finally:
+                    self.depth -= 1
+                self.max_inflight = max(
+                    self.max_inflight, self.gateway._inflight
+                )
+
+        async def scenario(gateway, path):
+            tap = gateway.engine.profiler = Tap(gateway)
+            client = await Client.connect(path)
+            other = await Client.connect(path)
+            client.writer.write(b"".join(
+                _frame_bytes(type="txn", id=i, ops=[["inc", 0, 1]])
+                for i in range(50)
+            ))
+            await other.send(type="txn", id="other", ops=[["inc", 1, 1]])
+            replies = [await asyncio.wait_for(client.recv(), 5.0)
+                       for _ in range(50)]
+            theirs = await asyncio.wait_for(other.recv(), 5.0)
+            await client.close()
+            await other.close()
+            return gateway, tap, replies, theirs
+
+        gateway, tap, replies, theirs = with_gateway(config)(
+            scenario, tmp_path
+        )
+        assert [reply["id"] for reply in replies] == list(range(50))
+        assert all(reply["status"] == "accepted" for reply in replies)
+        assert theirs["id"] == "other" and theirs["status"] == "accepted"
+        assert tap.max_inflight == 1 and tap.max_depth == 1
+        assert gateway._inflight == 0 and not gateway._stalled
+        assert gateway.system.nodes[0].store.value(0) == 50
+
+    def test_every_read_lands_in_the_same_buffer(self):
+        """No allocation per read: 1000 reads, whole frames, halves and
+        several at once, all through the one ``bytearray``."""
+        class Sink:
+            written = b""
+
+            def write(self, data):
+                Sink.written += data
+
+            def is_closing(self):
+                return False
+
+        gateway = ServiceGateway(GatewayConfig(db_size=10))
+        connection = _Connection(gateway)
+        connection.connection_made(Sink())
+        buffer = connection.buffer
+        stream = b"".join(_frame_bytes(type="ping", id=i) for i in range(1500))
+        sizes = [7, 40, 3, 61]
+        sent = 0
+        for read in range(1000):
+            view = connection.get_buffer(-1)
+            assert view.obj is buffer and len(view) > 0
+            chunk = stream[sent:sent + sizes[read % 4]]
+            view[:len(chunk)] = chunk
+            del view
+            connection.buffer_updated(len(chunk))
+            sent += len(chunk)
+        assert connection.buffer is buffer and len(buffer) == 1 << 16
+        pongs = [json.loads(line) for line in Sink.written.splitlines()[1:]]
+        assert [pong["id"] for pong in pongs] == list(
+            range(stream.count(b"\n", 0, sent))
+        )
+        assert gateway.reads == 1000
+
+    def test_replies_per_write(self, tmp_path):
+        """Count gate (machine-independent): one frame per read is exactly
+        one write per read; the ladder's closed loop, 2 x 16 pipelined, is
+        one write per read of sixteen (15.97 measured; 4 is the gate)."""
+        async def closed_loop(path, total):
+            client = await Client.connect(path)
+            sent = 0
+
+            def burst(count):
+                nonlocal sent
+                client.writer.write(b"".join(
+                    _frame_bytes(type="txn", id=sent + i,
+                                 ops=[["inc", (sent + i) % 50, 1]])
+                    for i in range(count)
+                ))
+                sent += count
+
+            burst(16)
+            for _ in range(total):
+                assert (await client.recv())["status"] == "accepted"
+                if sent < total:
+                    burst(1)
+            await client.close()
+
+        async def scenario(gateway, path):
+            client = await Client.connect(path)
+            reads, writes = gateway.reads, gateway.writes
+            for i in range(50):
+                await client.txn([["inc", 0, 1]], request_id=i)
+            one_by_one = gateway.reads - reads, gateway.writes - writes
+            await client.send(type="stats")
+            stats = await client.recv()
+            await client.close()
+            served, writes = gateway.served, gateway.writes
+            await asyncio.gather(closed_loop(path, 400), closed_loop(path, 400))
+            return (one_by_one, stats, gateway.served - served,
+                    gateway.writes - writes, await gateway.drain())
+
+        one_by_one, stats, served, writes, drained = with_gateway()(
+            scenario, tmp_path
+        )
+        assert one_by_one == (50, 50)
+        assert stats["io"] == {"reads": 51, "writes": 51}  # welcome, stats
+        assert served == 800
+        assert served / writes >= 4, f"{served / writes:.2f} replies per write"
+        assert drained["io"]["reads"] >= drained["io"]["writes"] - 3
+        assert drained["store_sum"] == 50 * 100 + 850
+
+
 class TestSimPathParity:
     """The same diagnostics round-trip through the simulator's reconnect
     exchange — the gateway is a second door into one mechanism."""
@@ -537,12 +810,14 @@ class TestNoticeWait:
             return (yield mobile.notice_event(7))
 
         async def main():
+            settled = []
             gateway.engine.process(late_notice(), name="late-notice")
-            waiter = gateway.engine.wait_process(
-                gateway.engine.process(wait(), name="wait")
+            gateway.engine.process(wait(), name="wait").add_callback(
+                lambda proc: settled.append(proc.value)
             )
             await gateway.engine.run_async()
-            return waiter.result()
+            [value] = settled
+            return value
 
         assert asyncio.run(main()) == (7, TentativeStatus.ACCEPTED, "")
         assert mobile.notices == []

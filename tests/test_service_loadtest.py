@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.obs.report import service_report_markdown
 from repro.service import (
     GatewayConfig,
     LatencyHistogram,
@@ -279,6 +280,10 @@ class TestLiveLoadtest:
         assert oracle["store_sum"] == pytest.approx(
             oracle["expected_store_sum"]
         )
+        # the server's transport counters ride along, for the report's ratios
+        io = result["server"]["io"]
+        assert 0 < io["reads"] and 0 < io["writes"]
+        assert "replies per write" in service_report_markdown(result)
 
     def test_checkbook_run_produces_real_rejections(self, tmp_path):
         result = _run_pair(

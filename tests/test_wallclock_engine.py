@@ -85,44 +85,6 @@ class TestDispatch:
         asyncio.run(main())
         assert fired == ["woken"]
 
-    def test_wait_process_returns_the_process_value(self):
-        engine = WallClockEngine()
-
-        def worker():
-            yield engine.timeout(0.001)
-            return 42
-
-        async def main():
-            proc = engine.process(worker())
-            future = engine.wait_process(proc)
-            engine.kick()
-            runner = asyncio.create_task(engine.run_async())
-            value = await future
-            await runner
-            return value
-
-        assert asyncio.run(main()) == 42
-
-    def test_wait_process_delivers_failures(self):
-        engine = WallClockEngine()
-
-        def worker():
-            yield engine.timeout(0.001)
-            raise RuntimeError("boom")
-
-        async def main():
-            proc = engine.process(worker())
-            future = engine.wait_process(proc)
-            engine.kick()
-            runner = asyncio.create_task(engine.run_async())
-            try:
-                await future
-            finally:
-                await runner
-
-        with pytest.raises(RuntimeError, match="boom"):
-            asyncio.run(main())
-
     def test_profiler_taps_wallclock_dispatch(self):
         engine = WallClockEngine()
         profiler = Profiler().install(engine)
@@ -130,6 +92,111 @@ class TestDispatch:
         engine.schedule(0.001, lambda: None)
         asyncio.run(engine.run_async())
         assert "lambda" in profiler.table() or engine.events_scheduled >= 2
+
+
+class TestPump:
+    """``pump``: a caller's admissions and all they made due, dispatched in
+    the caller's own frame; the driver hears of it only for what is left."""
+
+    @staticmethod
+    def _chain(engine, trail):
+        def worker(tag):
+            trail.append((tag, "start"))
+            done = engine.event()
+            engine.schedule_now(done.succeed, tag)
+            trail.append((tag, (yield done)))
+
+        return worker
+
+    def test_dispatches_in_the_callers_frame(self):
+        engine = WallClockEngine()  # no loop, no driver: nothing else can run
+        trail = []
+        worker = self._chain(engine, trail)
+
+        def admit():
+            engine.process(worker("a"))
+            engine.process(worker("b"))
+            trail.append("admitted")
+
+        engine.pump(admit)
+        assert trail == ["admitted", ("a", "start"), ("b", "start"),
+                         ("a", "a"), ("b", "b")]
+        assert engine.queued_events == 0
+
+    def test_parked_driver_sleeps_on_unless_a_timer_is_left(self):
+        engine = WallClockEngine()
+        fired = []
+        peeks = []  # the driver peeks once each time round, before it parks
+        real_peek = engine.peek
+        engine.peek = lambda: peeks.append(1) or real_peek()
+
+        async def main():
+            stop = asyncio.Event()
+            runner = asyncio.create_task(engine.run_async(stop=stop))
+            await asyncio.sleep(0.01)  # parked, nothing queued
+            parked = len(peeks)
+            engine.pump(lambda: engine.schedule_now(fired.append, "now"))
+            assert fired == ["now"]
+            await asyncio.sleep(0.01)
+            undisturbed = len(peeks) == parked
+            engine.pump(lambda: engine.schedule(0.005, fired.append, "later"))
+            assert fired == ["now"]  # not due: left to the driver
+            await asyncio.sleep(0.05)
+            stop.set()
+            engine.kick()
+            await runner
+            return undisturbed, len(peeks) > parked
+
+        undisturbed, woken = asyncio.run(main())
+        assert undisturbed, "a pump that left nothing woke the driver"
+        assert woken and fired == ["now", "later"]
+
+    def test_honours_the_batch_bound_and_hands_the_rest_over(self):
+        engine = WallClockEngine()
+        fired = []
+
+        async def main():
+            runner = asyncio.create_task(engine.run_async())
+            def admit():
+                for i in range(10):
+                    engine.schedule_now(fired.append, i)
+
+            engine.pump(admit, max_batch=4)
+            in_frame = list(fired)
+            await runner
+            return in_frame
+
+        assert asyncio.run(main()) == [0, 1, 2, 3]
+        assert fired == list(range(10))
+
+    def test_profiler_sees_what_the_driver_would_show_it(self):
+        def run(pumped):
+            engine = WallClockEngine()
+            seen = []
+
+            class Tap:
+                def dispatch(self, callback, args):
+                    plain = [a for a in args if isinstance(a, (str, int))]
+                    seen.append((getattr(callback, "__name__", "?"), plain))
+                    callback(*args)
+
+            engine.profiler = Tap()
+            trail = []
+            worker = self._chain(engine, trail)
+
+            def admit():
+                engine.process(worker("a"), name="a")
+                engine.schedule_now(trail.append, "plain")
+
+            if pumped:
+                engine.pump(admit)
+            else:
+                admit()
+                asyncio.run(engine.run_async())
+            return seen, trail
+
+        assert run(pumped=True) == run(pumped=False)
+        assert len(run(pumped=True)[0]) == 4  # spawn, plain, succeed, resume
 
 
 class TestTwoTierOnWallClock:
