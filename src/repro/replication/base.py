@@ -148,9 +148,9 @@ class ReplicaUpdate(NamedTuple):
     root_txn_id: int = -1  # user transaction this update belongs to
 
 
-@dataclass
+@dataclass(eq=False)
 class NodeContext:
-    """Everything one node owns."""
+    """Everything one node owns; compared and hashed by identity."""
 
     node_id: int
     store: ObjectStore
@@ -162,6 +162,8 @@ class NodeContext:
 
 #: the judge outcomes that write the local replica
 _WRITES = (Outcome.APPLY, Outcome.MERGE)
+_EXCLUSIVE = LockMode.EXCLUSIVE
+_new = tuple.__new__  # ReplicaUpdate(*fields) without the Python frame
 
 
 def _failed_handler(exc: Exception):
@@ -591,10 +593,11 @@ class ReplicatedSystem:
 
     def _shipped_updates(self, txn: Transaction) -> List[ReplicaUpdate]:
         """A committed transaction's updates as Figure 4 message bodies."""
+        txn_id = txn.txn_id
         return [
-            ReplicaUpdate(
-                u.oid, u.old_ts, u.new_ts, u.new_value, u.op, txn.txn_id
-            )
+            _new(ReplicaUpdate, (
+                u.oid, u.old_ts, u.new_ts, u.new_value, u.op, txn_id
+            ))
             for u in txn.updates
         ]
 
@@ -729,13 +732,13 @@ class ReplicatedSystem:
             for update in updates:
                 if not self._takes_shipped(update.oid, node.node_id):
                     continue
-                event = node.locks.acquire(txn, update.oid, LockMode.EXCLUSIVE)
+                event = node.locks.acquire(txn, update.oid, _EXCLUSIVE)
                 if event is not None:
                     yield event
                     txn.require_active()
                 outcome = judge(node, node.store.read(update.oid), update)
-                if tm.action_time > 0 and outcome in _WRITES:
-                    yield self.engine.timeout(tm.action_time)
+                if tm.action_sleep is not None and outcome in _WRITES:
+                    yield tm.action_sleep
                     txn.require_active()
                 self._install_judged(node, txn, update, outcome)
             tm.commit(txn)

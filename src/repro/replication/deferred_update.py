@@ -46,6 +46,8 @@ from repro.replication.base import (
 from repro.replication.pipeline import TxnContext
 from repro.storage.versioning import Timestamp
 
+_new = tuple.__new__  # ReplicaUpdate(*fields) without the Python frame
+
 
 class DeferredUpdateSystem(ReplicatedSystem):
     """Deferred update replication with parallel certification.
@@ -185,12 +187,9 @@ class DeferredUpdateSystem(ReplicatedSystem):
         for oid, observed_ts, value, op in writes:
             new_ts = node.clock.tick()
             table[oid] = new_ts
-            updates.append(
-                ReplicaUpdate(
-                    oid=oid, old_ts=observed_ts, new_ts=new_ts,
-                    new_value=value, op=op, root_txn_id=txn_id,
-                )
-            )
+            updates.append(_new(
+                ReplicaUpdate, (oid, observed_ts, new_ts, value, op, txn_id)
+            ))
         self.certified += 1
         self._trace("certify", txn=txn_id, writes=len(updates))
         self.network.send(node.node_id, origin, "du-decision", (txn_id, True))

@@ -166,16 +166,21 @@ class SimEvent:
                 pass
 
     def _dispatch(self) -> None:
+        # a woken waiter is runnable, not waiting, until its step runs:
+        # clearing ``waiting_on`` here means an interrupt or kill landing
+        # in between cannot throw into a wait that is already over
         waiters, self._waiters = self._waiters, None
         if waiters:
             exception = self.exception
             if exception is not None:
                 for process in waiters:
+                    process.waiting_on = None
                     engine = process.engine
                     engine.schedule_now(engine._step, process, None, exception)
             else:
                 value = self.value
                 for process in waiters:
+                    process.waiting_on = None
                     engine = process.engine
                     engine.schedule_now(engine._step, process, value, None)
         callbacks, self._callbacks = self._callbacks, None

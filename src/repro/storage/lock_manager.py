@@ -37,11 +37,14 @@ class LockMode(enum.Enum):
     EXCLUSIVE = "X"
 
     def compatible_with(self, other: "LockMode") -> bool:
-        return self is LockMode.SHARED and other is LockMode.SHARED
+        return self is _SHARED and other is _SHARED
 
     def covers(self, other: "LockMode") -> bool:
         """True if holding ``self`` satisfies a request for ``other``."""
-        return self is LockMode.EXCLUSIVE or other is LockMode.SHARED
+        return self is _EXCLUSIVE or other is _SHARED
+
+
+_SHARED, _EXCLUSIVE = LockMode.SHARED, LockMode.EXCLUSIVE
 
 
 @dataclass
@@ -54,26 +57,13 @@ class LockRequest:
     upgrade: bool = False
 
 
-class _LockEntry:
-    """State of one lockable object: current holders plus the wait queue."""
-
-    __slots__ = ("holders", "queue")
-
-    def __init__(self) -> None:
-        self.holders: Dict[Any, LockMode] = {}
-        self.queue: List[LockRequest] = []
-
-    def conflicts_with_holders(self, txn: Any, mode: LockMode) -> List[Any]:
-        """Holders (other than txn) whose mode conflicts with ``mode``."""
-        return [
-            holder
-            for holder, held in self.holders.items()
-            if holder is not txn and not held.compatible_with(mode)
-        ]
-
-
 class LockManager:
     """Lock table for one node, wired to a shared deadlock detector.
+
+    The table is two maps by object: ``_holders`` (oid -> {txn: mode}),
+    kept while anybody holds *or waits for* it, and ``_queues`` (oid ->
+    FIFO :class:`LockRequest` list), kept only while somebody waits.  An
+    uncontended grant is one holders entry plus the held-oid entry.
 
     Args:
         engine: the simulation engine (used to create wait events).
@@ -102,7 +92,10 @@ class LockManager:
         self.on_wait = on_wait
         self.on_deadlock = on_deadlock
         self.telemetry = telemetry
-        self._table: Dict[int, _LockEntry] = {}
+        # _holders keeps the order entries were created in: the abort path
+        # of release_all walks it, so promotion order is creation order
+        self._holders: Dict[int, Dict[Any, LockMode]] = {}
+        self._queues: Dict[int, List[LockRequest]] = {}
         self._held_by_txn: Dict[Any, set] = {}
         # txns with queued (blocked) requests, and on which objects: lets
         # release_all skip the whole-table scan in the common no-wait case
@@ -127,57 +120,55 @@ class LockManager:
         queue.  (Concurrent requests for the same object at *different*
         nodes — the parallel-update eager mode — are fine.)
         """
-        entry = self._table.get(oid)
-        if entry is None:
-            # uncontended fast path: first touch of a free object — grant
-            # without building queues or consulting the deadlock detector
-            # (entries are reaped once empty, so "absent" means "free")
-            self._table[oid] = entry = _LockEntry()
-            entry.holders[txn] = mode
+        holders = self._holders.get(oid)
+        if holders is None:
+            # uncontended: first touch of a free object — grant without a
+            # queue or the deadlock detector (absent means free)
+            self._holders[oid] = {txn: mode}
             held_oids = self._held_by_txn.get(txn)
             if held_oids is None:
-                held_oids = self._held_by_txn[txn] = set()
-            held_oids.add(oid)
+                self._held_by_txn[txn] = {oid}
+            else:
+                held_oids.add(oid)
             return None
-        if entry.queue and any(request.txn is txn for request in entry.queue):
+        queue = self._queues.get(oid)
+        if queue is not None and any(request.txn is txn for request in queue):
             raise LockError(
                 f"transaction {txn!r} already has a queued request for "
                 f"object {oid} at node {self.node_id}"
             )
-        held = entry.holders.get(txn)
+        held = holders.get(txn)
 
         if held is not None and held.covers(mode):
             return None  # re-entrant or already stronger
 
-        upgrade = held is LockMode.SHARED and mode is LockMode.EXCLUSIVE
-        if self._grantable(entry, txn, mode, upgrade=upgrade):
-            self._grant(entry, txn, oid, mode)
+        upgrade = held is _SHARED and mode is _EXCLUSIVE
+        if self._grantable(holders, queue, txn, mode, upgrade=upgrade):
+            self._grant(holders, txn, oid, mode)
             return None
 
         event = self.engine.event(name=f"lock({self.node_id},{oid})")
         request = LockRequest(txn=txn, mode=mode, event=event, upgrade=upgrade)
-        if upgrade:
+        if queue is None:
+            queue = self._queues[oid] = [request]
+        elif upgrade:
             # upgrades go to the head of the queue to avoid upgrade starvation
-            entry.queue.insert(0, request)
+            queue.insert(0, request)
         else:
-            entry.queue.append(request)
+            queue.append(request)
         self._note_queued(txn, oid)
         if self.on_wait is not None:
             self.on_wait(txn)
-        self._register_wait(entry, oid, request)
+        self._register_wait(oid, request)
         victim = self.detector.find_victim(txn)
         if victim is not None:
             self._abort_victim(victim)
         return event
 
-    def _grantable(
-        self,
-        entry: _LockEntry,
-        txn: Any,
-        mode: LockMode,
-        upgrade: bool,
-        before_request: Optional[LockRequest] = None,
-    ) -> bool:
+    def _grantable(self, holders: Dict[Any, LockMode],
+                   queue: Optional[List[LockRequest]], txn: Any, mode: LockMode,
+                   upgrade: bool,
+                   before_request: Optional[LockRequest] = None) -> bool:
         """Can this request be granted now?
 
         ``before_request`` marks the queue position of an already-enqueued
@@ -185,22 +176,24 @@ class LockManager:
         it can block it.  For brand-new requests (not yet queued) the whole
         queue is ahead.
         """
-        if entry.conflicts_with_holders(txn, mode):
-            return False
-        if upgrade:
-            return True  # sole conflicting holder is txn itself; jump queue
+        for holder, held in holders.items():
+            if holder is not txn and not held.compatible_with(mode):
+                return False
+        if upgrade or not queue:
+            return True  # an upgrade's sole conflict is txn itself
         # no barging past earlier waiters with conflicting modes
-        for queued in entry.queue:
+        for queued in queue:
             if queued is before_request:
                 break
             if queued.txn is not txn and not queued.mode.compatible_with(mode):
                 return False
         return True
 
-    def _grant(self, entry: _LockEntry, txn: Any, oid: int, mode: LockMode) -> None:
-        current = entry.holders.get(txn)
+    def _grant(self, holders: Dict[Any, LockMode], txn: Any, oid: int,
+               mode: LockMode) -> None:
+        current = holders.get(txn)
         if current is None or mode.covers(current):
-            entry.holders[txn] = mode
+            holders[txn] = mode
         self._held_by_txn.setdefault(txn, set()).add(oid)
 
     # ------------------------------------------------------------------ #
@@ -213,65 +206,72 @@ class LockManager:
         Called at commit and abort (strict 2PL: nothing is released early).
         """
         oids = self._held_by_txn.pop(txn, ())
+        holders_by_oid, queues = self._holders, self._queues
+        contended = False
         for oid in oids:
-            entry = self._table.get(oid)
-            if entry is None:
+            holders = holders_by_oid.get(oid)
+            if holders is None:
                 continue
-            entry.holders.pop(txn, None)
+            holders.pop(txn, None)
+            if oid in queues:
+                contended = True
+            elif not holders:
+                del holders_by_oid[oid]  # nobody waits: promotion would reap
         # drop any still-queued requests from this txn (abort path); their
         # wait events fail so concurrently-parked requesters (parallel-update
         # transactions) wake up instead of leaking.  The queued-by-txn index
         # makes the common case (nothing queued) free; when something *is*
-        # queued the table is walked in insertion order, exactly as before,
-        # so promotion order is unchanged.
+        # queued the table is walked in entry-creation order, so promotion
+        # order does not depend on which object was waited for first.
         if self._queued_by_txn.pop(txn, None):
-            for oid, entry in list(self._table.items()):
-                dropped = [req for req in entry.queue if req.txn is txn]
+            for oid in list(holders_by_oid):
+                dropped = [req for req in queues.get(oid, ()) if req.txn is txn]
                 if not dropped:
                     continue
-                entry.queue[:] = [req for req in entry.queue if req.txn is not txn]
+                queue = queues[oid]
+                queue[:] = [req for req in queue if req.txn is not txn]
+                if not queue:
+                    del queues[oid]
                 for request in dropped:
                     self.detector.clear_wait(txn, self, oid)
                     if request.event.pending:
                         request.event.fail(DeadlockAbort("owner aborted"))
                 self._promote_waiters(oid)
         self.detector.clear_waits(txn)
-        table = self._table
-        for oid in oids:
-            entry = table.get(oid)
-            if entry is None:
-                continue
-            if entry.queue:
-                self._promote_waiters(oid)
-            elif not entry.holders:
-                del table[oid]  # nobody waits: all promotion would do is reap
+        if contended:
+            for oid in oids:
+                if oid in queues:
+                    self._promote_waiters(oid)
 
     def _promote_waiters(self, oid: int) -> None:
-        """Grant every queued request that has become grantable, in order."""
-        entry = self._table.get(oid)
-        if entry is None:
+        """Grant every queued request that has become grantable, in order,
+        and reap the object's entries once nobody holds or waits."""
+        holders = self._holders.get(oid)
+        if holders is None:
             return
-        progressed = True
-        while progressed:
-            progressed = False
-            for request in list(entry.queue):
-                if self._grantable(
-                    entry,
-                    request.txn,
-                    request.mode,
-                    upgrade=request.upgrade,
-                    before_request=request,
-                ):
-                    entry.queue.remove(request)
-                    self._note_dequeued(request.txn, oid)
-                    self._grant(entry, request.txn, oid, request.mode)
-                    self.detector.clear_wait(request.txn, self, oid)
-                    request.event.succeed()
-                    progressed = True
-                    break
-        self._refresh_waits(entry, oid)
-        if not entry.holders and not entry.queue:
-            self._table.pop(oid, None)
+        queue = self._queues.get(oid)
+        if queue is not None:
+            progressed = True
+            while progressed:
+                progressed = False
+                for request in list(queue):
+                    if self._grantable(holders, queue, request.txn, request.mode,
+                                       request.upgrade, request):
+                        queue.remove(request)
+                        self._note_dequeued(request.txn, oid)
+                        self._grant(holders, request.txn, oid, request.mode)
+                        self.detector.clear_wait(request.txn, self, oid)
+                        request.event.succeed()
+                        progressed = True
+                        break
+            if queue:
+                # holders changed: no waits-for edge may go stale
+                for request in queue:
+                    self._register_wait(oid, request)
+                return
+            del self._queues[oid]
+        if not holders:
+            del self._holders[oid]
 
     def _note_queued(self, txn: Any, oid: int) -> None:
         queued = self._queued_by_txn.get(txn)
@@ -290,33 +290,23 @@ class LockManager:
     # waits-for bookkeeping
     # ------------------------------------------------------------------ #
 
-    def _blockers_of(self, entry: _LockEntry, request: LockRequest) -> List[Any]:
-        blockers = entry.conflicts_with_holders(request.txn, request.mode)
+    def _register_wait(self, oid: int, request: LockRequest) -> None:
+        """(Re)state ``request``'s waits-for edges: the conflicting holders
+        and, unless it upgrades, the conflicting requests ahead of it."""
+        txn, mode = request.txn, request.mode
+        blockers = [
+            holder
+            for holder, held in self._holders[oid].items()
+            if holder is not txn and not held.compatible_with(mode)
+        ]
         if not request.upgrade:
-            for queued in entry.queue:
+            for queued in self._queues[oid]:
                 if queued is request:
                     break
-                if queued.txn is not request.txn and not queued.mode.compatible_with(
-                    request.mode
-                ):
+                if queued.txn is not txn and not queued.mode.compatible_with(mode):
                     blockers.append(queued.txn)
-        return blockers
-
-    def _register_wait(self, entry: _LockEntry, oid: int, request: LockRequest) -> None:
-        blockers = self._blockers_of(entry, request)
-        self.detector.set_waits(request.txn, blockers, manager=self, oid=oid,
+        self.detector.set_waits(txn, blockers, manager=self, oid=oid,
                                 request=request)
-
-    def _refresh_waits(self, entry: _LockEntry, oid: int) -> None:
-        """Recompute waits-for edges for all still-queued requests on ``oid``.
-
-        Keeps the graph accurate after holders change, so detection never
-        chases stale edges.
-        """
-        for request in entry.queue:
-            blockers = self._blockers_of(entry, request)
-            self.detector.set_waits(request.txn, blockers, manager=self, oid=oid,
-                                    request=request)
 
     # ------------------------------------------------------------------ #
     # victim handling
@@ -324,10 +314,12 @@ class LockManager:
 
     def cancel_request(self, oid: int, request: LockRequest, exc: BaseException) -> None:
         """Remove a queued request and fail its event (victim abort path)."""
-        entry = self._table.get(oid)
-        if entry is None or request not in entry.queue:
+        queue = self._queues.get(oid)
+        if queue is None or request not in queue:
             raise LockError(f"request for oid {oid} not queued")
-        entry.queue.remove(request)
+        queue.remove(request)
+        if not queue:
+            del self._queues[oid]
         self._note_dequeued(request.txn, oid)
         self.detector.clear_wait(request.txn, self, oid)
         if request.event.pending:
@@ -344,24 +336,25 @@ class LockManager:
     # ------------------------------------------------------------------ #
 
     def is_free(self, oid: int) -> bool:
-        """Does nobody hold or wait for ``oid``?  (Entries are reaped once
-        empty, so an absent entry is a free object.)"""
-        return oid not in self._table
+        """Does nobody hold or wait for ``oid``?"""
+        return oid not in self._holders
 
     def holders(self, oid: int) -> Dict[Any, LockMode]:
-        entry = self._table.get(oid)
-        return dict(entry.holders) if entry else {}
+        return dict(self._holders.get(oid, ()))
 
     def queue_length(self, oid: int) -> int:
-        entry = self._table.get(oid)
-        return len(entry.queue) if entry else 0
+        return len(self._queues.get(oid, ()))
 
     def total_queued(self) -> int:
         """Blocked lock requests across every object (wait-queue depth)."""
-        return sum(len(entry.queue) for entry in self._table.values())
+        return sum(map(len, self._queues.values()))
 
     def locks_held(self, txn: Any) -> set:
-        return set(self._held_by_txn.get(txn, set()))
+        return set(self._held_by_txn.get(txn, ()))
+
+    def holding_transactions(self) -> int:
+        """How many transactions hold at least one lock here."""
+        return len(self._held_by_txn)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<LockManager node={self.node_id} objects={len(self._table)}>"
+        return f"<LockManager node={self.node_id} objects={len(self._holders)}>"

@@ -38,6 +38,10 @@ class Timestamp(NamedTuple):
 
 Timestamp.ZERO = Timestamp(0, -1)
 
+#: the C constructor behind every ``NamedTuple``: ``_new(T, fields)`` is
+#: ``T(*fields)`` without the generated ``__new__``'s Python frame
+_new = tuple.__new__
+
 
 class TimestampGenerator:
     """Per-node Lamport clock.
@@ -54,7 +58,7 @@ class TimestampGenerator:
     def tick(self) -> Timestamp:
         """Produce the next local timestamp."""
         self._counter += 1
-        return Timestamp(self._counter, self.node_id)
+        return _new(Timestamp, (self._counter, self.node_id))
 
     def witness(self, ts: Timestamp) -> None:
         """Advance the local clock to at least ``ts.counter``."""

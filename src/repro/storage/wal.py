@@ -40,6 +40,9 @@ class LogEntry(NamedTuple):
     seq: int = -1  # global append order, for cross-transaction undo
 
 
+_new = tuple.__new__  # LogEntry(*fields) without the Python frame
+
+
 class WriteAheadLog:
     """Per-node undo log keyed by transaction.
 
@@ -72,10 +75,10 @@ class WriteAheadLog:
         """Append a before/after image for ``txn_id``'s write to ``oid``."""
         if self.state != ACTIVE:
             raise CrashAbort(f"write lost: node log is {self.state}")
-        entry = LogEntry(
+        entry = _new(LogEntry, (
             txn_id, oid, before_value, before_ts, after_value, after_ts,
             self.total_entries,
-        )
+        ))
         entries = self._by_txn.get(txn_id)
         if entries is None:
             self._by_txn[txn_id] = [entry]

@@ -31,6 +31,9 @@ from repro.storage.wal import WriteAheadLog
 from repro.txn.ops import Operation
 from repro.txn.transaction import Transaction, UpdateRecord
 
+_new = tuple.__new__  # UpdateRecord(*fields) without the Python frame
+_SHARED, _EXCLUSIVE = LockMode.SHARED, LockMode.EXCLUSIVE
+
 
 class TransactionManager:
     """Executes transactions at one node.
@@ -67,6 +70,10 @@ class TransactionManager:
         self.wal = wal
         self.clock = clock
         self.action_time = action_time
+        #: the one ``Timeout`` every action sleeps on (None: actions are free)
+        self.action_sleep = (
+            engine.timeout(action_time) if action_time > 0 else None
+        )
         self.lock_reads = lock_reads
         self.history = history  # optional repro.verify.History
         self.begun = 0
@@ -123,7 +130,7 @@ class TransactionManager:
         oid = op.oid
         if op.is_read:
             if self.lock_reads:
-                event = self.locks.acquire(txn, oid, LockMode.SHARED)
+                event = self.locks.acquire(txn, oid, _SHARED)
                 if event is not None:
                     yield event
                     txn.require_active()
@@ -132,12 +139,12 @@ class TransactionManager:
             if self.history is not None:
                 self.history.record_read(self.node_id, txn.txn_id, oid)
             return value
-        event = self.locks.acquire(txn, oid, LockMode.EXCLUSIVE)
+        event = self.locks.acquire(txn, oid, _EXCLUSIVE)
         if event is not None:
             yield event
             txn.require_active()
-        if self.action_time > 0:
-            yield self.engine.timeout(self.action_time)
+        if self.action_sleep is not None:
+            yield self.action_sleep
         txn.require_active()
         record = self.store.read(oid)
         old_value, old_ts = record.value, record.ts
@@ -146,7 +153,7 @@ class TransactionManager:
         self.wal.record(txn.txn_id, oid, old_value, old_ts, new_value, new_ts)
         self.store.write(oid, new_value, new_ts)
         txn.record_update(
-            UpdateRecord(oid, op, old_value, old_ts, new_value, new_ts)
+            _new(UpdateRecord, (oid, op, old_value, old_ts, new_value, new_ts))
         )
         if self.history is not None:
             if op.reads_state:
@@ -166,12 +173,12 @@ class TransactionManager:
     ) -> Generator[Any, Any, Any]:
         """X-lock ``oid``, spend one action, then :meth:`install`."""
         txn.require_active()
-        event = self.locks.acquire(txn, oid, LockMode.EXCLUSIVE)
+        event = self.locks.acquire(txn, oid, _EXCLUSIVE)
         if event is not None:
             yield event
             txn.require_active()
-        if self.action_time > 0:
-            yield self.engine.timeout(self.action_time)
+        if self.action_sleep is not None:
+            yield self.action_sleep
         txn.require_active()
         return self.install(txn, oid, value, new_ts, root_txn_id)
 
@@ -184,12 +191,12 @@ class TransactionManager:
     ) -> Generator[Any, Any, Any]:
         """X-lock ``op.oid``, spend one action, then :meth:`transform`."""
         txn.require_active()
-        event = self.locks.acquire(txn, op.oid, LockMode.EXCLUSIVE)
+        event = self.locks.acquire(txn, op.oid, _EXCLUSIVE)
         if event is not None:
             yield event
             txn.require_active()
-        if self.action_time > 0:
-            yield self.engine.timeout(self.action_time)
+        if self.action_sleep is not None:
+            yield self.action_sleep
         txn.require_active()
         return self.transform(txn, op, new_ts, root_txn_id)
 
@@ -259,10 +266,10 @@ class TransactionManager:
     def assert_quiescent(self) -> None:
         """Raise unless no transaction holds locks or pending undo here."""
         self.wal.assert_quiescent()
-        if self.locks._held_by_txn:
+        holding = self.locks.holding_transactions()
+        if holding:
             raise InvalidStateError(
-                f"node {self.node_id}: {len(self.locks._held_by_txn)} "
-                "transactions still hold locks"
+                f"node {self.node_id}: {holding} transactions still hold locks"
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

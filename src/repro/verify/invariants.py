@@ -55,10 +55,10 @@ def check_quiescent(system) -> InvariantReport:
             node.tm.assert_quiescent()
         except InvalidStateError as exc:
             report.failures.append(f"node {node.node_id}: {exc}")
-        held = getattr(node.locks, "_held_by_txn", {})
+        held = node.locks.holding_transactions()
         if held:
             report.failures.append(
-                f"node {node.node_id}: {len(held)} lock holders remain"
+                f"node {node.node_id}: {held} lock holders remain"
             )
     return report
 

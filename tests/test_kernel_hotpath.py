@@ -22,7 +22,6 @@ from repro.exceptions import ProcessKilled, SimulationError
 from repro.obs.profiler import Profiler, bucket_name
 from repro.obs.samplers import Telemetry
 from repro.sim import Engine
-from repro.sim.events import TIMER_WAIT
 
 
 class TestScheduleAtEpsilon:
@@ -285,6 +284,7 @@ _STEPS = st.one_of(
     st.tuples(st.just("fire"), st.integers(0, 2)),
     st.tuples(st.just("fire-later"), st.integers(0, 2), _DELAYS),
     st.tuples(st.just("interrupt"), st.integers(0, 5)),
+    st.tuples(st.just("kill"), st.integers(0, 5)),
 )
 _SCENARIOS = st.tuples(
     st.lists(st.lists(_STEPS, max_size=8), min_size=1, max_size=6),
@@ -293,8 +293,13 @@ _SCENARIOS = st.tuples(
 
 
 def _play(engine, scripts, horizons):
-    """Run one scenario; returns (resume log, clock after each run slice)."""
+    """Run one scenario; returns (resume log, clock after each run slice,
+    wakes that broke the wait contract)."""
     log = []
+    # a wake before a sleep's deadline or an event's settling, or a normal
+    # wake of a process whose interrupt was accepted
+    broken = []
+    interrupted = set()
     events = [engine.event(name=f"e{i}") for i in range(3)]
     procs = []
 
@@ -305,25 +310,42 @@ def _play(engine, scripts, horizons):
     def body(name, script):
         for step in script:
             kind = step[0]
+            started = engine.now
             try:
                 if kind == "sleep":
                     yield engine.timeout(step[1])
+                    if engine.now != started + step[1]:
+                        broken.append((engine.now, name, step))
                 elif kind == "wait":
                     yield events[step[1]]
+                    if events[step[1]].pending:
+                        broken.append((engine.now, name, step))
                 elif kind == "fire":
                     fire(step[1], name)
                     continue
                 elif kind == "fire-later":
                     engine.schedule(step[2], fire, step[1], name)
                     continue
+                elif kind == "interrupt":
+                    # a sleeper or an event waiter; never one runnable
+                    target = procs[step[1] % len(procs)]
+                    if target.waiting_on is not None:
+                        target.interrupt()
+                        interrupted.add(target.name)
+                    continue
                 else:
                     target = procs[step[1] % len(procs)]
-                    if target.waiting_on is TIMER_WAIT:
-                        target.interrupt()
+                    killed = target.kill()
+                    if killed:
+                        interrupted.add(target.name)
+                    log.append((engine.now, name, "kill", killed))
                     continue
             except ProcessKilled:
+                interrupted.discard(name)
                 log.append((engine.now, name + "!"))
             else:
+                if name in interrupted:
+                    broken.append((engine.now, name, step))
                 log.append((engine.now, name))
 
     for index, script in enumerate(scripts):
@@ -331,7 +353,7 @@ def _play(engine, scripts, horizons):
         procs.append(engine.process(body(name, script), name=name))
     clocks = [engine.run(until=until) for until in sorted(horizons)]
     clocks.append(engine.run())
-    return log, clocks
+    return log, clocks, broken
 
 
 class TestOneHopSleep:
@@ -420,13 +442,46 @@ class TestOneHopSleep:
         assert finished > 2000
         assert result.extra["engine_events"] / finished <= 16
 
+    def test_an_event_waiter_already_woken_is_runnable_not_waiting(self):
+        """Between an event settling and the waiter's step the wait is
+        over: ``kill`` leaves the process alone and ``interrupt`` refuses,
+        as for a spent timer.  (A kill landing there used to return True,
+        deliver the value anyway, then throw at the *next* yield while that
+        yield's timer stayed armed.)"""
+        engine = Engine()
+        event = engine.event("ev")
+        log = []
+
+        def waiter():
+            log.append(("woke", (yield event), engine.now))
+            yield engine.timeout(1.0)
+            log.append(("slept", engine.now))
+
+        proc = engine.process(waiter())
+        engine.run()
+
+        def settle_then_poke():
+            event.succeed(7)
+            log.append(("kill", proc.kill()))
+            with pytest.raises(SimulationError):
+                proc.interrupt()
+
+        engine.schedule(0.0, settle_then_poke)
+        assert engine.run() == 1.0
+        assert log == [("kill", False), ("woke", 7, 0.0), ("slept", 1.0)]
+        assert proc.settled and proc.exception is None
+        assert engine.queued_events == 0 and engine._dead_timers == 0
+
     @settings(max_examples=300, deadline=None)
     @given(_SCENARIOS)
     def test_resume_order_matches_the_two_hop_loop(self, scenario):
+        """Interrupts and kills land on sleeps, event waits and the
+        hand-offs between a wake and its step; every wake must keep the
+        wait contract, in the two-hop loop's order."""
         scripts, horizons = scenario
         one_hop, two_hop = Engine(), TwoHopEngine()
-        assert _play(one_hop, scripts, horizons) == _play(
-            two_hop, scripts, horizons
-        )
+        played = _play(one_hop, scripts, horizons)
+        assert played == _play(two_hop, scripts, horizons)
+        assert played[2] == []
         assert one_hop.queued_events == 0 and two_hop.queued_events == 0
         assert one_hop.events_scheduled <= two_hop.events_scheduled

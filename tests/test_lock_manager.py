@@ -220,10 +220,9 @@ class TestVictimAbort:
         lm.acquire(a, 1, LockMode.EXCLUSIVE)
         eb = lm.acquire(b, 1, LockMode.EXCLUSIVE)
         ec = lm.acquire(c, 1, LockMode.EXCLUSIVE)
-        # find b's queued request and cancel it
-        entry = lm._table[1]
-        request = entry.queue[0]
-        lm.cancel_request(1, request, DeadlockAbort())
+        # the victim path: the detector cancels b's queued request
+        lm.detector.abort_waiting_txn(b, DeadlockAbort())
         assert isinstance(eb.exception, DeadlockAbort)
+        assert lm.queue_length(1) == 1 and lm.holders(1) == {a: LockMode.EXCLUSIVE}
         lm.release_all(a)
         assert ec.settled  # c got the lock, skipping cancelled b

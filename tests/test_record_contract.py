@@ -5,17 +5,24 @@ once or more per write, so their representation is a performance decision;
 what the rest of the code (and these tests) may rely on is only this:
 immutable, compared and hashed by value, constructed by keyword or by
 position in the declared field order, picklable, and named as they always
-were.
+were.  The hot construction sites skip the generated ``__new__`` (they call
+``tuple.__new__`` directly), so each one is checked to hand out exactly
+the record its keyword constructor would.
 """
 
 import pickle
 
 import pytest
 
-from repro.replication import LazyGroupSystem, ReplicaUpdate, SystemSpec
-from repro.storage.versioning import Timestamp
-from repro.storage.wal import LogEntry
-from repro.txn.ops import IncrementOp
+from repro.replication import (
+    DeferredUpdateSystem,
+    LazyGroupSystem,
+    ReplicaUpdate,
+    SystemSpec,
+)
+from repro.storage.versioning import Timestamp, TimestampGenerator
+from repro.storage.wal import LogEntry, WriteAheadLog
+from repro.txn.ops import IncrementOp, WriteOp
 from repro.txn.transaction import UpdateRecord
 
 OP = IncrementOp(2, 5)
@@ -100,3 +107,78 @@ def test_the_update_path_hands_out_the_same_field_names():
         ReplicaUpdate(oid=2, old_ts=Timestamp.ZERO, new_ts=new_ts,
                       new_value=5, op=OP, root_txn_id=txn.txn_id)
     ]
+
+
+def _tick():
+    return TimestampGenerator(3).tick(), Timestamp(counter=1, node_id=3)
+
+
+def _wal_record():
+    return WriteAheadLog().record(7, 2, 10, OLD, 15, NEW), LogEntry(
+        txn_id=7, oid=2, before_value=10, before_ts=OLD, after_value=15,
+        after_ts=NEW, seq=0,
+    )
+
+
+def _executed():
+    """The transaction manager's update record and the lazy fan-out's
+    message body for one executed increment."""
+    system = LazyGroupSystem(SystemSpec(num_nodes=2, db_size=4, action_time=0.0))
+    node = system.nodes[0]
+    txn = node.tm.begin()
+    assert list(node.tm.execute(txn, OP)) == []  # free lock, no action time
+    return system, txn
+
+
+def _execute_update():
+    _system, txn = _executed()
+    return txn.updates[0], UpdateRecord(
+        oid=2, op=OP, old_value=0, old_ts=Timestamp.ZERO, new_value=5,
+        new_ts=Timestamp(counter=1, node_id=0),
+    )
+
+
+def _shipped_update():
+    system, txn = _executed()
+    return system._shipped_updates(txn)[0], ReplicaUpdate(
+        oid=2, old_ts=Timestamp.ZERO, new_ts=Timestamp(counter=1, node_id=0),
+        new_value=5, op=OP, root_txn_id=txn.txn_id,
+    )
+
+
+def _certified_update():
+    system = DeferredUpdateSystem(SystemSpec(num_nodes=2, db_size=4))
+    shipped = []
+    system._fan_out = lambda sender, kind, updates: shipped.extend(updates)
+    write = WriteOp(3, 9)
+    system._certify(system.nodes[0], (1, 42, (), ((3, OLD, 9, write),)))
+    return shipped[0], ReplicaUpdate(
+        oid=3, old_ts=OLD, new_ts=Timestamp(counter=1, node_id=0),
+        new_value=9, op=write, root_txn_id=42,
+    )
+
+
+SITES = {
+    "TimestampGenerator.tick": _tick,
+    "WriteAheadLog.record": _wal_record,
+    "TransactionManager.execute": _execute_update,
+    "ReplicatedSystem._shipped_updates": _shipped_update,
+    "DeferredUpdateSystem._certify": _certified_update,
+}
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_fast_construction_site_builds_the_declared_record(site):
+    built, expected = SITES[site]()
+    cls = type(expected)
+    assert type(built) is cls
+    assert built == expected and hash(built) == hash(expected)
+    assert repr(built) == repr(expected)
+    names = {
+        name: globals()[name]
+        for name in ("Timestamp", "LogEntry", "UpdateRecord", "ReplicaUpdate",
+                     "IncrementOp", "WriteOp")
+    }
+    assert eval(repr(built), names) == expected
+    clone = pickle.loads(pickle.dumps(built))
+    assert type(clone) is cls and clone == expected
