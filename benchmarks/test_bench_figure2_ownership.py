@@ -11,6 +11,7 @@ reconciliations, zero lost updates).
 """
 
 from repro.metrics.report import format_table
+from repro.replication import SystemSpec
 from repro.replication.lazy_group import LazyGroupSystem
 from repro.replication.lazy_master import LazyMasterSystem
 from repro.txn.ops import IncrementOp
@@ -25,8 +26,10 @@ def run_figure2():
         reconciliations = 0
         lost = 0
         for trial in range(TRIALS):
-            system = cls(num_nodes=NODES, db_size=3, action_time=0.001,
-                         message_delay=0.5, seed=trial)
+            system = cls(SystemSpec(
+                num_nodes=NODES, db_size=3, action_time=0.001,
+                message_delay=0.5, seed=trial,
+            ))
             # every node updates the same object at the same instant: the
             # maximal conflicting-update opportunity of Figure 2
             for origin in range(NODES):

@@ -28,7 +28,7 @@ def measure_taxonomy():
         ("lazy-master", LazyMasterSystem, "1"),
         ("eager-master", EagerMasterSystem, "1"),
     ]:
-        system = cls(num_nodes=N, db_size=10, action_time=0.001)
+        system = cls(SystemSpec(num_nodes=N, db_size=10, action_time=0.001))
         system.submit(0, [IncrementOp(5, 1)])
         system.run()
         txns = system.metrics.commits + system.metrics.replica_updates

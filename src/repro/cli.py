@@ -8,7 +8,8 @@ Commands:
 * ``simulate`` — run one simulated experiment and print its measured rates.
 * ``compare`` — run every strategy at the given parameters and print the
   section-8 scorecard.
-* ``verify`` — record a run's history and certify schedule serializability.
+* ``verify`` — record a run's history and judge it against the strategy's
+  declared guarantee (one-copy serializable or convergent).
 * ``sweep`` — run a (strategy × nodes × seed) campaign over a worker pool
   and print mean ± 95% CI per cell with measured-vs-model fit exponents.
 * ``trace`` — run one experiment with full tracing and export a
@@ -569,15 +570,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    """Run a strategy with history recording and certify its schedule."""
-    from repro.verify.invariants import check_all
+    """Run a strategy with history recording and judge it against the
+    guarantee it declares."""
+    from repro.faults.oracle import evaluate
 
     params = _params(args)
     # the one harness path: history recording and deadlock retries are
     # plain ExperimentConfig fields, and the result keeps the live system
-    # for certification (propagate_ops stays off — the workload commutes,
-    # but propagation ships values, matching the baseline measurements)
-    result = run_experiment(
+    # for the judge (propagate_ops stays off — the workload commutes, but
+    # propagation ships values, matching the baseline measurements)
+    system = run_experiment(
         ExperimentConfig(
             strategy=args.strategy,
             params=params,
@@ -588,23 +590,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
             retry_deadlocks=True,
             propagate_ops=False,
         )
-    )
-    system = result.system
-
-    expect_serializable = args.strategy != "lazy-group"
-    report = check_all(system, expect_serializable=expect_serializable)
-    graph = system.history.conflict_graph()
-    print(f"strategy: {args.strategy}")
+    ).system
+    verdict = evaluate(system)
+    print(f"strategy: {args.strategy} (declares {system.guarantee})")
     print(f"committed transactions: {len(system.history.committed_ids)}")
-    print(f"conflict edges: {graph.edge_count()}")
-    print(f"one-copy serializable: {graph.is_serializable()}")
-    print(report.describe())
-    if args.strategy == "lazy-group" and not graph.is_serializable():
-        cycle = graph.find_cycle()
-        print("anomaly witness (expected for update-anywhere lazy): "
-              + " -> ".join(map(str, cycle)))
-        return 0
-    return 0 if report.ok and graph.is_serializable() else 1
+    print(f"one-copy serializable: {verdict.witness is None}")
+    if verdict.witness is not None:
+        print("anomaly witness: " + " -> ".join(map(str, verdict.witness)))
+    print(verdict.describe())
+    return 0 if verdict.ok else 1
 
 
 def _progress_line(total: int):
@@ -874,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser(
         "verify",
-        help="record a run's history and certify schedule serializability",
+        help="record a run's history and judge the declared guarantee",
     )
     _add_model_arguments(p_verify)
     p_verify.add_argument("--strategy", choices=STRATEGIES,

@@ -93,6 +93,7 @@ class TwoTierSystem(LazyMasterSystem):
         self.num_mobile = num_nodes - num_base
         super().__init__(spec, **kwargs)
         self.cascade_rejections = cascade_rejections
+        # base_divergence() and the oracle compare only the master tier
         self.base_ids = list(range(num_base))
         # mobile mastership overrides the placement-derived (base-tier)
         # default; mobiles hold full replicas, so the owner always has a copy
@@ -352,17 +353,6 @@ class TwoTierSystem(LazyMasterSystem):
                 mobile.record_notice(seq, status, why)
             return None
         return super().handle_message(node, msg)
-
-    # ------------------------------------------------------------------ #
-    # convergence of the base tier
-    # ------------------------------------------------------------------ #
-
-    def base_divergence(self) -> int:
-        """Objects whose value differs *across base nodes* — the paper's
-        system-delusion test restricted to the master tier (mobiles may be
-        legitimately stale while dark).  Under a partial base placement
-        each object is compared only across its base replica set."""
-        return self.divergence(self.base_ids)
 
     def base_converged(self) -> bool:
         return self.base_divergence() == 0

@@ -45,13 +45,6 @@ STRATEGY_CLASSES: Dict[str, Type[ReplicatedSystem]] = {
     "two-tier": TwoTierSystem,
 }
 
-#: strategies whose recorded histories are *expected* to serialize.  The
-#: asynchronous strategies interleave replica installs with user reads, so
-#: the conflict-graph check is informative but not an invariant for them.
-SERIALIZABLE_STRATEGIES = frozenset(
-    {"eager-group", "eager-master", "two-tier", "lazy-master"}
-)
-
 STRATEGIES = tuple(sorted(STRATEGY_CLASSES))
 
 
@@ -78,8 +71,9 @@ class ExperimentConfig:
             reported rates, so transients (cold queues, empty lock tables)
             do not bias steady-state measurements.
         record_history: record every read/write into a
-            :class:`~repro.verify.history.History` so the schedule can be
-            certified afterwards (the result keeps the live system).
+            :class:`~repro.verify.history.History`; the oracle then judges
+            the schedule against the strategy's declared ``guarantee``
+            (the result keeps the live system).
         retry_deadlocks: resubmit deadlock victims until they commit.
             ``None`` keeps each strategy's own default (two-tier bases
             retry, everything else surfaces deadlocks as failures).
@@ -90,8 +84,9 @@ class ExperimentConfig:
             :class:`~repro.faults.injector.FaultInjector` during the run.
             Fault randomness comes from a forked seed stream, so two
             configs differing only in ``faults`` offer identical load.
-            Every run (faulted or not) ends with an invariant-oracle pass
-            whose verdict lands in ``result.extra["oracle_ok"]``.
+            Every run (faulted or not) ends with the oracle's verdict
+            (:func:`repro.faults.oracle.evaluate`), which lands in
+            ``result.extra["oracle_ok"]``.
         tracer: optional :class:`~repro.sim.tracing.Tracer` threaded into
             the system (instrumentation only — excluded from provenance
             dictionaries and cache keys).
@@ -333,24 +328,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             steady.bump(name, value - baseline.get(name, 0))
         metrics = steady
 
-    # every run — faulted or not — ends with the invariant-oracle pass, so
-    # campaign cells can report correctness alongside their rates
-    verdict = evaluate_oracle(
-        system,
-        plan=config.faults,
-        expect_serializable=(
-            config.record_history
-            and config.strategy in SERIALIZABLE_STRATEGIES
-        ),
-    )
+    # every run — faulted or not — ends with the oracle's verdict on the
+    # strategy's declared guarantee, so campaign cells can report
+    # correctness alongside their rates
+    verdict = evaluate_oracle(system, plan=config.faults)
 
     # the oracle's convergence check already ran the replica audit (over
-    # the base tier for two-tier): reuse its count, and audit here only what
-    # it did not cover or a lossy plan excused
+    # the base tier for two-tier): reuse its count, and audit here only
+    # when a lossy plan excused it
     audited = verdict.diverged
-    two_tier = isinstance(system, TwoTierSystem)
     if audited is None:
-        audited = system.base_divergence() if two_tier else system.divergence()
+        audited = system.base_divergence()
+    two_tier = config.strategy == "two-tier"
 
     extra: Dict[str, Any] = {
         "base_divergence": audited if two_tier else None,

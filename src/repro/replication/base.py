@@ -144,8 +144,8 @@ class ReplicaUpdate(NamedTuple):
     old_ts: Timestamp
     new_ts: Timestamp
     new_value: Any
-    op: Optional[Operation] = None
-    root_txn_id: int = -1  # user transaction this update belongs to
+    op: Optional[Operation]
+    root_txn_id: int  # user transaction this update belongs to
 
 
 @dataclass(eq=False)
@@ -207,6 +207,14 @@ class ReplicatedSystem:
     #: entry ``p`` is backed by a ``_phase_<p>`` method (see
     #: :mod:`repro.replication.pipeline`)
     PHASES: tuple = ()
+    #: the guarantee the strategy offers, judged by
+    #: :func:`repro.faults.oracle.evaluate`: ``"serializable"`` (a recorded
+    #: history must be one-copy conflict serializable) or ``"convergent"``
+    #: (replicas agree once quiesced; a precedence cycle is an anomaly
+    #: witness, not a failure)
+    guarantee = "serializable"
+    #: the nodes whose replicas must agree at the end of a run (None: all)
+    base_ids: Optional[Sequence[int]] = None
     #: strategy policy when ``spec.retry_deadlocks`` is None — two-tier
     #: bases retry ("resubmitted and reprocessed until [they succeed]"),
     #: every other strategy surfaces deadlocks as failed transactions
@@ -690,18 +698,16 @@ class ReplicatedSystem:
         an action takes no time, every shipped object is free.  Then the
         message is applied on the spot and ``None`` returned: nothing else
         runs inside the delivering dispatch, so the lock entries, undo
-        records and ``Transaction`` go unbuilt and only the counters move.
-        (An update with no root id under a recorded history needs the
-        transaction's id for its write.)  An exception on the spot
-        surfaces as one in the transaction does: a failed handler process,
-        earlier writes in place, the engine running on.
+        records and ``Transaction`` go unbuilt and only the counters move;
+        a recorded history attributes each write to the update's root
+        either way.  An exception on the spot surfaces as one in the
+        transaction does: a failed handler process, earlier writes in
+        place, the engine running on.
         """
         updates = msg.payload[0]
         tm, is_free = node.tm, node.locks.is_free
         if tm.action_time > 0 or not all(
-            is_free(update.oid)
-            and (update.root_txn_id >= 0 or tm.history is None)
-            for update in updates
+            is_free(update.oid) for update in updates
         ):
             return self._shipped_txn(node, msg, judge)
         try:
@@ -762,7 +768,7 @@ class ReplicatedSystem:
         lock; ``None`` on the spot, where there is nothing to undo."""
         if outcome not in _WRITES:
             return
-        root = update.root_txn_id if update.root_txn_id >= 0 else None
+        root = update.root_txn_id
         if outcome is Outcome.MERGE and update.op is not None:
             node.tm.transform(txn, update.op, update.new_ts, root)
         else:
@@ -966,6 +972,12 @@ class ReplicatedSystem:
         delusion" metric, a count of :meth:`diverged_objects`.
         """
         return sum(1 for _ in self.diverged_objects(node_ids))
+
+    def base_divergence(self) -> int:
+        """:meth:`divergence` over :attr:`base_ids` — the replicas the
+        strategy promises to keep convergent (two-tier: its base tier;
+        mobiles may be legitimately stale while dark)."""
+        return self.divergence(self.base_ids)
 
     def converged(self) -> bool:
         return self.divergence() == 0

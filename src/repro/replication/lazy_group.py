@@ -46,6 +46,9 @@ class LazyGroupSystem(ReplicatedSystem):
     #: are certified *after the fact* by the Figure 4 timestamp test at
     #: each receiving replica, not by a pre-commit phase
     PHASES = ("execute", "commit", "propagate")
+    #: "convergence is not serializability" (section 6): replicas agree,
+    #: but racing updates leave precedence cycles
+    guarantee = "convergent"
 
     def __init__(
         self,
@@ -158,7 +161,7 @@ class LazyGroupSystem(ReplicatedSystem):
             # as divergence in the end-state check).  Either way the
             # rejection itself is recorded as precedence evidence for the
             # verifier.
-            if self.history is not None and update.root_txn_id >= 0:
+            if self.history is not None:
                 self.history.record_conflict(
                     node.node_id, update.root_txn_id, update.oid
                 )

@@ -30,9 +30,10 @@ slot is taken (a counter; the frame that found none stays in the buffer,
 and the dispatch that frees a slot parses it), and while a connection's
 own peer is not reading its replies — the kernel's window then pushes back
 on the client.  Drain: stop admitting, wait for in-flight work, stop the
-telemetry ticker, spin the engine dry, then report the drained state
-(store checksum, base divergence, WAL quiescence, latency summary) — the
-oracle input for the service smoke test.
+telemetry ticker, spin the engine dry, then report the drained state: the
+verdict of the same oracle every simulated run gets
+(:func:`repro.faults.oracle.evaluate`), the store checksum the client
+checks, and the latency summary.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from typing import Any, Dict, Optional
 
 from repro.core.protocol import TwoTierSystem
 from repro.core.tentative import TentativeStatus, TentativeStore
+from repro.faults.oracle import evaluate
 from repro.obs.samplers import Telemetry
 from repro.replication.base import SystemSpec
 from repro.service.histogram import LatencyHistogram
@@ -501,8 +503,11 @@ class ServiceGateway:
         return self.drained_report()
 
     def drained_report(self) -> Dict[str, Any]:
-        """Oracle input: checkable invariants over the quiesced system."""
+        """The quiesced system, judged by the oracle every simulated run
+        gets, plus the store sum a client checks against the deltas it
+        was told were accepted."""
         system = self.system
+        verdict = evaluate(system)
         store_sum = 0
         non_numeric = 0
         for value in system.nodes[0].store.snapshot().values():
@@ -510,13 +515,6 @@ class ServiceGateway:
                 store_sum += value
             else:
                 non_numeric += 1
-        wal_quiescent = True
-        for node_id in system.base_ids:
-            try:
-                system.nodes[node_id].wal.assert_quiescent()
-            except Exception:  # noqa: BLE001 - the verdict is the point
-                wal_quiescent = False
-                break
         report = self._stats_reply()
         report["type"] = "drained"
         metrics = {
@@ -526,10 +524,14 @@ class ServiceGateway:
         }
         report.update(
             {
+                "ok": verdict.ok,
+                "failures": verdict.failures,
+                "checked": verdict.checked,
                 "store_sum": store_sum,
                 "store_non_numeric": non_numeric,
-                "base_divergence": system.base_divergence(),
-                "wal_quiescent": wal_quiescent,
+                # read off the verdict, so the replica audit runs once
+                "base_divergence": verdict.diverged,
+                "wal_quiescent": verdict.quiescent,
                 "metrics": metrics,
                 "histogram": self.histogram.to_dict(),
             }

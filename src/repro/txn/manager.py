@@ -92,9 +92,12 @@ class TransactionManager:
         )
 
     def commit(self, txn: Transaction) -> None:
-        """Single-node commit: flip state and release local resources."""
+        """Single-node commit: flip state and release local resources; the
+        shipped writes ``txn`` carried now stand in the history."""
         txn.mark_committed(self.engine.now)
         self.finish_commit_local(txn)
+        if self.history is not None:
+            self.history.mark_applied(txn.txn_id)
 
     def abort(self, txn: Transaction, reason: str = "unknown") -> None:
         """Single-node abort: undo, flip state, release local resources."""
@@ -206,7 +209,7 @@ class TransactionManager:
         oid: int,
         value: Any,
         new_ts: Timestamp,
-        root_txn_id: Optional[int] = None,
+        root_txn_id: Optional[int],
     ) -> Any:
         """Install a shipped replica value (lazy propagation, Figure 1/4).
 
@@ -229,7 +232,7 @@ class TransactionManager:
         txn: Optional[Transaction],
         op: Operation,
         new_ts: Timestamp,
-        root_txn_id: Optional[int] = None,
+        root_txn_id: Optional[int],
     ) -> Any:
         """Apply a shipped *commutative* operation to the local replica.
 
@@ -252,11 +255,13 @@ class TransactionManager:
         self.store.write(oid, value, ts)
         self.clock.witness(shipped_ts)
         if self.history is not None:
-            self.history.record_write(
-                self.node_id,
-                root_txn_id if root_txn_id is not None else txn.txn_id,
-                oid,
-            )
+            if root_txn_id is None:  # the transaction's own write
+                self.history.record_write(self.node_id, txn.txn_id, oid)
+            else:  # the root's, standing once a carrying ``txn`` commits
+                self.history.record_write(
+                    self.node_id, root_txn_id, oid,
+                    None if txn is None else txn.txn_id,
+                )
         return value
 
     # ------------------------------------------------------------------ #
@@ -268,9 +273,7 @@ class TransactionManager:
         self.wal.assert_quiescent()
         holding = self.locks.holding_transactions()
         if holding:
-            raise InvalidStateError(
-                f"node {self.node_id}: {holding} transactions still hold locks"
-            )
+            raise InvalidStateError(f"{holding} transactions still hold locks")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

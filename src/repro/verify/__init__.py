@@ -13,9 +13,11 @@ actually executed and checks it:
   committed transactions; acyclicity certifies (one-copy) conflict
   serializability of the recorded schedule, and a cycle is a concrete,
   inspectable anomaly.
+
+The judge that reads it — against each strategy's declared guarantee — is
+:func:`repro.faults.oracle.evaluate`.
 """
 
 from repro.verify.history import ConflictGraph, History
-from repro.verify.invariants import InvariantReport, check_all
 
-__all__ = ["History", "ConflictGraph", "InvariantReport", "check_all"]
+__all__ = ["History", "ConflictGraph"]

@@ -8,13 +8,17 @@ Events are attributed to the **root** user transaction: when a lazy scheme
 installs a replica update at a slave, the install is recorded as the root
 transaction's write at that node (the housekeeping transaction is an
 implementation detail — in the paper's terms it carries the root's update to
-the replica).  Only transactions marked committed participate in the check.
+the replica).  Only transactions marked committed participate in the check,
+and a write carried by a housekeeping transaction only once that carrier
+committed: an attempt that fell to a deadlock or a crash was undone.
 
 Serializability test: the classic conflict (precedence) graph.  For each
 ``(node, oid)`` stream, every pair of accesses by different transactions
-where at least one is a write adds the edge ``earlier -> later``.  The
-recorded schedule is (one-copy) conflict serializable iff the graph is
-acyclic; a cycle is returned as a concrete anomaly witness.
+where at least one is a write orders ``earlier -> later``; the graph keeps
+the subset of those edges that spans the same transitive closure (see
+:meth:`History.conflict_graph`).  The recorded schedule is (one-copy)
+conflict serializable iff the graph is acyclic; a cycle is returned as a
+concrete anomaly witness.
 
 The cycle search is self-contained (iterative DFS); when networkx is
 available, :meth:`ConflictGraph.as_networkx` exports the graph for richer
@@ -26,7 +30,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -38,6 +42,8 @@ class Access:
     txn_id: int
     oid: int
     kind: str  # "r" or "w"
+    #: the housekeeping transaction carrying the root's write, if any
+    via: Optional[int] = None
 
     @property
     def is_write(self) -> bool:
@@ -63,6 +69,7 @@ class History:
     def __init__(self) -> None:
         self._events: List[Access] = []
         self._committed: Set[int] = set()
+        self._applied: Set[int] = set()  # committed housekeeping carriers
         self._seq = itertools.count()
 
     # ------------------------------------------------------------------ #
@@ -74,9 +81,11 @@ class History:
             Access(next(self._seq), node_id, txn_id, oid, "r")
         )
 
-    def record_write(self, node_id: int, txn_id: int, oid: int) -> None:
+    def record_write(
+        self, node_id: int, txn_id: int, oid: int, via: Optional[int] = None
+    ) -> None:
         self._events.append(
-            Access(next(self._seq), node_id, txn_id, oid, "w")
+            Access(next(self._seq), node_id, txn_id, oid, "w", via)
         )
 
     def record_conflict(self, node_id: int, txn_id: int, oid: int) -> None:
@@ -89,6 +98,11 @@ class History:
 
     def mark_committed(self, txn_id: int) -> None:
         self._committed.add(txn_id)
+
+    def mark_applied(self, via: int) -> None:
+        """The housekeeping transaction ``via`` committed: the writes it
+        carried stand."""
+        self._applied.add(via)
 
     # ------------------------------------------------------------------ #
     # views
@@ -104,7 +118,11 @@ class History:
 
     def committed_events(self) -> List[Access]:
         """Events of committed transactions, in execution order."""
-        return [e for e in self._events if e.txn_id in self._committed]
+        committed, applied = self._committed, self._applied
+        return [
+            e for e in self._events
+            if e.txn_id in committed and (e.via is None or e.via in applied)
+        ]
 
     def __len__(self) -> int:
         return len(self._events)
@@ -114,20 +132,35 @@ class History:
     # ------------------------------------------------------------------ #
 
     def conflict_graph(self) -> "ConflictGraph":
-        """Build the precedence graph over committed transactions."""
-        streams: Dict[Tuple[int, int], List[Access]] = defaultdict(list)
-        for event in self.committed_events():
-            streams[(event.node_id, event.oid)].append(event)
+        """Build the precedence graph over committed transactions.
+
+        Each ``(node, oid)`` stream contributes only the edges that carry
+        its order: the last writer to each later reader, the readers since
+        the last write to the next writer, and the last writer to the next
+        writer.  Every other conflicting pair is reachable through these,
+        so the graph has the all-pairs graph's transitive closure — the
+        same cycle verdict and serial order — at linear cost per stream.
+        """
         edges: Dict[int, Set[int]] = defaultdict(set)
-        nodes: Set[int] = set(self._committed)
-        for stream in streams.values():
-            for i, earlier in enumerate(stream):
-                for later in stream[i + 1:]:
-                    if later.txn_id == earlier.txn_id:
-                        continue
-                    if earlier.is_write or later.is_write:
-                        edges[earlier.txn_id].add(later.txn_id)
-        return ConflictGraph(nodes=nodes, edges=dict(edges))
+        # (node, oid) -> [last writer or None, readers since that write]
+        streams: Dict[Tuple[int, int], list] = {}
+        for event in self.committed_events():
+            txn = event.txn_id
+            key = (event.node_id, event.oid)
+            stream = streams.get(key)
+            if stream is None:
+                stream = streams[key] = [None, set()]
+            writer, readers = stream
+            if writer is not None and writer != txn:
+                edges[writer].add(txn)
+            if event.is_write:
+                for reader in readers:
+                    if reader != txn:
+                        edges[reader].add(txn)
+                stream[0], stream[1] = txn, set()
+            else:
+                readers.add(txn)
+        return ConflictGraph(nodes=set(self._committed), edges=dict(edges))
 
 
 class ConflictGraph:
@@ -142,8 +175,6 @@ class ConflictGraph:
         WHITE, GRAY, BLACK = 0, 1, 2
         color = {n: WHITE for n in self.nodes}
         for root in sorted(self.nodes):
-            if color[root] is not WHITE and color[root] != WHITE:
-                continue
             if color[root] != WHITE:
                 continue
             path: List[int] = [root]

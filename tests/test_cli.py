@@ -95,7 +95,7 @@ def test_verify_command_serializable_strategy(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "one-copy serializable: True" in out
-    assert "all invariants hold" in out
+    assert "oracle ok" in out
 
 
 def test_verify_command_lazy_group_reports_anomaly(capsys):

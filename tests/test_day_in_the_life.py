@@ -3,7 +3,7 @@
 One sustained run exercising every layer at once: a base cluster serves
 connected OLTP traffic under lazy-master rules while a mobile fleet cycles
 through disconnect/tentative-work/reconnect, prices shift under the
-salesmen, and the run ends with the complete invariant battery.
+salesmen, and the run ends with the oracle's full verdict.
 """
 
 import pytest
@@ -14,7 +14,7 @@ from repro.core import (
     TwoTierSystem,
 )
 from repro.txn.ops import IncrementOp
-from repro.verify.invariants import check_all, conservation_total
+from repro.faults.oracle import conservation_total, evaluate
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.mobile_cycle import MobileCycleDriver
 from repro.workload.profiles import uniform_update_profile
@@ -87,9 +87,10 @@ def test_no_balance_went_negative(completed_day):
 
 def test_full_invariant_battery(completed_day):
     system, _, _ = completed_day
-    report = check_all(system)
-    assert report.ok, report.describe()
-    assert system.base_divergence() == 0
+    verdict = evaluate(system)
+    assert verdict.ok, verdict.describe()
+    assert verdict.checked == ["quiescent", "accounting", "converged"]
+    assert verdict.diverged == system.base_divergence() == 0
     assert system.divergence() == 0  # fleet ends connected and drained
 
 

@@ -153,7 +153,8 @@ def test_catchup_is_idempotent_under_duplicate_timestamps():
 def test_same_catchup_delivered_twice_is_a_duplicate_not_a_stale_update():
     system = make(num_nodes=3, quorum=True)
     update = ReplicaUpdate(
-        oid=1, old_ts=Timestamp.ZERO, new_ts=Timestamp(4, 0), new_value=5
+        oid=1, old_ts=Timestamp.ZERO, new_ts=Timestamp(4, 0), new_value=5,
+        op=None, root_txn_id=1,
     )
     for _delivery in range(2):
         system.network.send(0, 2, "catchup", ([update], 0))

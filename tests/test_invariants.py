@@ -1,21 +1,16 @@
-"""Tests for the reusable invariant checkers."""
+"""The one judge's checks, one by one: what each catches and reports."""
 
-import pytest
-
+from repro.faults.oracle import (
+    OracleVerdict,
+    conservation_total,
+    divergence_report,
+    evaluate,
+)
 from repro.replication.eager_group import EagerGroupSystem
 from repro.replication.lazy_group import LazyGroupSystem
 from repro.replication.reconciliation import ManualReconciliation
+from repro.storage.lock_manager import LockMode
 from repro.txn.ops import IncrementOp, WriteOp
-from repro.verify.invariants import (
-    InvariantReport,
-    check_accounting,
-    check_all,
-    check_converged,
-    check_quiescent,
-    check_serializable,
-    conservation_total,
-    divergence_report,
-)
 from repro.replication import SystemSpec
 
 
@@ -30,33 +25,45 @@ def healthy_system():
     return system
 
 
+def leak_a_lock(system):
+    txn = system.nodes[0].tm.begin()
+    system.nodes[0].locks.acquire(txn, 3, LockMode.EXCLUSIVE)
+
+
 class TestReport:
     def test_ok_report(self):
-        report = InvariantReport(checked=["x"])
-        assert report.ok
-        assert "hold" in report.describe()
+        verdict = OracleVerdict(expected_convergence=True, checked=["x"])
+        assert verdict.ok
+        assert verdict.describe() == "oracle ok (x)"
 
     def test_failed_report(self):
-        report = InvariantReport(failures=["boom"], checked=["x"])
-        assert not report.ok
-        assert "boom" in report.describe()
+        verdict = OracleVerdict(
+            expected_convergence=True, failures=["boom"], checked=["x"]
+        )
+        assert not verdict.ok
+        assert "boom" in verdict.describe()
 
     def test_merge(self):
-        a = InvariantReport(failures=["a"], checked=["1"])
-        b = InvariantReport(checked=["2"])
-        merged = a.merge(b)
-        assert merged.failures == ["a"]
-        assert merged.checked == ["1", "2"]
+        """Failures of every check land in the one list, in check order."""
+        system = healthy_system()
+        leak_a_lock(system)
+        system.metrics.deadlocks = 99
+        verdict = evaluate(system)
+        assert len(verdict.failures) == 2
+        assert "lock" in verdict.failures[0]
+        assert "deadlocks" in verdict.failures[1]
+        assert verdict.checked[:2] == ["quiescent", "accounting"]
 
 
 class TestChecks:
     def test_healthy_system_passes_everything(self):
-        system = healthy_system()
-        report = check_all(system, expect_serializable=True)
-        assert report.ok, report.describe()
-        assert set(report.checked) == {
-            "quiescent", "converged", "accounting", "serializable",
-        }
+        verdict = evaluate(healthy_system())
+        assert verdict.ok, verdict.describe()
+        assert verdict.checked == [
+            "quiescent", "accounting", "converged", "serializable",
+        ]
+        assert verdict.diverged == 0
+        assert verdict.quiescent and verdict.witness is None
 
     def test_divergence_detected(self):
         system = LazyGroupSystem(
@@ -67,35 +74,38 @@ class TestChecks:
         system.submit(0, [WriteOp(0, 1)])
         system.submit(1, [WriteOp(0, 2)])
         system.run()
-        report = check_converged(system)
-        assert not report.ok
-        assert "diverged" in report.describe()
+        verdict = evaluate(system)
+        assert not verdict.ok
+        assert verdict.diverged == 1
+        assert "diverged" in verdict.describe()
         detail = divergence_report(system)
         assert 0 in detail
         assert sorted(detail[0]) == [1, 2]
 
     def test_quiescence_failure_detected(self):
         system = healthy_system()
-        # simulate a leak: grab a lock and never release it
-        from repro.storage.lock_manager import LockMode
-
-        txn = system.nodes[0].tm.begin()
-        system.nodes[0].locks.acquire(txn, 3, LockMode.EXCLUSIVE)
-        report = check_quiescent(system)
-        assert not report.ok
+        leak_a_lock(system)  # grab a lock and never release it
+        verdict = evaluate(system)
+        assert not verdict.ok and not verdict.quiescent
+        # one check per node: the leaked lock is reported once
+        assert verdict.failures == ["node 0: 1 transactions still hold locks"]
 
     def test_accounting_failure_detected(self):
         system = healthy_system()
         system.metrics.deadlocks = 99  # impossible: no waits recorded
-        report = check_accounting(system)
-        assert not report.ok
+        verdict = evaluate(system)
+        assert not verdict.ok
+        assert verdict.quiescent
 
     def test_serializability_check_skips_without_history(self):
         system = EagerGroupSystem(SystemSpec(num_nodes=2, db_size=4))
-        report = check_serializable(system)
-        assert report.ok
+        verdict = evaluate(system)
+        assert verdict.ok
+        assert "serializable" not in verdict.checked
 
     def test_serializability_failure_detected(self):
+        """Lazy-group declares convergence only: its racing increments
+        leave a precedence cycle, reported as a witness, not a failure."""
         system = LazyGroupSystem(
             SystemSpec(num_nodes=3, db_size=2, action_time=0.001,
                        message_delay=0.5, seed=0, record_history=True),
@@ -103,9 +113,10 @@ class TestChecks:
         for origin in range(3):
             system.submit(origin, [IncrementOp(0, 1)])
         system.run()
-        report = check_serializable(system)
-        if not report.ok:  # racing increments usually produce the cycle
-            assert "cycle" in report.describe()
+        verdict = evaluate(system)
+        assert verdict.witness is not None
+        assert "serializable" not in verdict.checked
+        assert verdict.ok, verdict.describe()
 
     def test_conservation_total(self):
         system = healthy_system()

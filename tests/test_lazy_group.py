@@ -109,7 +109,7 @@ def test_duplicate_delivery_is_idempotent():
     txn = p.value
     dup = [
         ReplicaUpdate(oid=u.oid, old_ts=u.old_ts, new_ts=u.new_ts,
-                      new_value=u.new_value, op=u.op)
+                      new_value=u.new_value, op=u.op, root_txn_id=txn.txn_id)
         for u in txn.updates
     ]
     system.network.send(0, 1, "replica-update", (dup, 0))

@@ -23,7 +23,7 @@ def local(value=10, ts=Timestamp(5, 0)):
 
 def update(new_value=20, new_ts=Timestamp(6, 1), old_ts=Timestamp(1, 1), op=None):
     return ReplicaUpdate(oid=0, old_ts=old_ts, new_ts=new_ts,
-                         new_value=new_value, op=op)
+                         new_value=new_value, op=op, root_txn_id=1)
 
 
 class TestLatestTimestampWins:
@@ -199,7 +199,7 @@ class TestAdditiveDifference:
         system.submit(1, [IncrementOp(0, 1)])
         system.run()
         stale = ReplicaUpdate(oid=0, old_ts=TS(99, 0), new_ts=TS(100, 0),
-                              new_value=77, op=None)
+                              new_value=77, op=None, root_txn_id=1)
         system.network.send(0, 1, "replica-update", ([stale], 0))
         system.run()
         assert system.nodes[1].store.value(0) == 77

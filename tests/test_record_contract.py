@@ -45,8 +45,9 @@ RECORDS = [
     ),
     (
         ReplicaUpdate,
-        {"oid": 2, "old_ts": OLD, "new_ts": NEW, "new_value": 15},
-        {"op": None, "root_txn_id": -1},
+        {"oid": 2, "old_ts": OLD, "new_ts": NEW, "new_value": 15, "op": OP,
+         "root_txn_id": 7},
+        {},
     ),
 ]
 
@@ -85,6 +86,13 @@ def test_timestamp_order_and_rendering():
     assert Timestamp.ZERO == Timestamp(0, -1)
     assert str(Timestamp(3, 1)) == "3@1"
     assert Timestamp(3, 1).next_at(0) == Timestamp(4, 0)
+
+
+def test_a_shipped_update_always_names_its_root_transaction():
+    """The history attributes every replica write to the root, so there is
+    no update without one."""
+    with pytest.raises(TypeError, match="root_txn_id"):
+        ReplicaUpdate(oid=2, old_ts=OLD, new_ts=NEW, new_value=15, op=None)
 
 
 def test_the_update_path_hands_out_the_same_field_names():

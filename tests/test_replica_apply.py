@@ -71,7 +71,8 @@ def deliver_under_deadlock(kind, attempt, monkeypatch):
     )
     # object 0 is mastered at node 0, so node 1 holds a slave copy
     update = ReplicaUpdate(
-        oid=0, old_ts=Timestamp.ZERO, new_ts=Timestamp(5, 0), new_value=9
+        oid=0, old_ts=Timestamp.ZERO, new_ts=Timestamp(5, 0), new_value=9,
+        op=None, root_txn_id=1,
     )
     payload = ([update], attempt)
     handler = system.handle_message(node, Message(0, 1, kind, payload))
@@ -236,7 +237,7 @@ def test_on_the_spot_and_under_lock_install_the_same_thing(judge, message):
 def one_update(oid=0, counter=5, value=9, root_txn_id=77):
     return ReplicaUpdate(
         oid=oid, old_ts=Timestamp.ZERO, new_ts=Timestamp(counter, 0),
-        new_value=value, root_txn_id=root_txn_id,
+        new_value=value, op=None, root_txn_id=root_txn_id,
     )
 
 
@@ -292,22 +293,21 @@ def test_refresh_for_a_crashed_node_still_parks():
     assert node.store.value(0) == 9
 
 
-def test_update_without_a_root_id_needs_a_transaction_under_history():
-    """The recorded write is attributed to the root transaction; with no
-    root id it falls to the housekeeping transaction, so there must be one."""
+def test_refresh_under_history_is_applied_on_the_spot_as_the_roots_write():
+    """A recorded history takes the same path as none: with no action time
+    the refresh is applied inside the delivering dispatch — no handler
+    process — and the history records it as the root transaction's write."""
     system = LazyMasterSystem(spec())
-    [handler] = deliver(
-        system, "slave-update", {}, [one_update(root_txn_id=-1)]
-    )
-    assert handler.state is EventState.SUCCEEDED
-    [write] = system.history.events
-    assert (write.node_id, write.oid, write.kind) == (RECEIVER, 0, "w")
-    # without a history there is nothing to attribute: applied on the spot
-    unrecorded = LazyMasterSystem(spec(record_history=False))
     assert deliver(
-        unrecorded, "slave-update", {}, [one_update(root_txn_id=-1)]
+        system, "slave-update", {}, [one_update(root_txn_id=77)]
     ) == []
-    assert unrecorded.nodes[RECEIVER].store.value(0) == 9
+    node = system.nodes[RECEIVER]
+    assert node.store.value(0) == 9
+    assert (node.tm.begun, node.tm.committed) == (1, 1)
+    [write] = system.history.events
+    assert (write.node_id, write.txn_id, write.oid, write.kind) == (
+        RECEIVER, 77, 0, "w"
+    )
 
 
 def test_exception_on_the_spot_is_a_failed_handler_process():

@@ -3,10 +3,10 @@ the full-keyspace definition.
 
 ``ReplicatedSystem.diverged_objects`` walks the union of materialised
 oids instead of ``range(db_size)``; ``divergence()``,
-``TwoTierSystem.base_divergence()`` and
-``verify.invariants.divergence_report()`` are its three callers.  A
-test-local reference that *does* sweep the whole keyspace must agree with
-all of them — count and oids — under full, hash and directory placement,
+``base_divergence()`` and ``faults.oracle.divergence_report()`` are its
+three callers.  A test-local reference that *does* sweep the whole
+keyspace must agree with all of them — count and oids — under full, hash
+and directory placement,
 on stores that hold only what was touched and on stores filled up front
 (the ``fill_stores_up_front`` reference: the walk then *is* the whole
 keyspace), for every strategy, after a live migration, and on
@@ -22,7 +22,7 @@ from repro.placement import Placement
 from repro.replication import LazyGroupSystem, SystemSpec
 from repro.storage.versioning import Timestamp
 from repro.txn.ops import WriteOp
-from repro.verify.invariants import divergence_report
+from repro.faults.oracle import divergence_report
 
 PARAMS = ModelParameters(
     db_size=60, nodes=5, tps=4.0, actions=3, action_time=0.005,
@@ -94,6 +94,9 @@ def test_audit_is_the_full_keyspace_definition(
     if strategy == "two-tier":
         base = reference_audit(system, node_ids=system.base_ids)
         assert system.base_divergence() == len(base) >= 2
+        assert divergence_report(
+            system, system.db_size, system.base_ids
+        ) == base
 
 
 def _dir_system(**overrides):

@@ -23,6 +23,7 @@ from repro.replication import SystemSpec
 from repro.service import GatewayConfig, ServiceGateway
 from repro.service.gateway import _Connection
 from repro.service.protocol import MAX_LINE_BYTES, encode_line
+from repro.storage.versioning import Timestamp
 from repro.txn.ops import IncrementOp
 
 
@@ -767,6 +768,51 @@ class TestTransport:
         assert served / writes >= 4, f"{served / writes:.2f} replies per write"
         assert drained["io"]["reads"] >= drained["io"]["writes"] - 3
         assert drained["store_sum"] == 50 * 100 + 850
+
+
+class TestDrainedVerdict:
+    """The drained frame is the verdict every simulated run gets
+    (``faults.oracle.evaluate``); the fields the ladder's judge reads are
+    read off it."""
+
+    def test_served_run_is_judged_by_the_one_oracle(self, tmp_path):
+        async def scenario(gateway, path):
+            client = await Client.connect(path)
+            for i in range(20):
+                reply = await client.txn([["inc", i % 50, 1]], "always")
+                assert reply["status"] == "accepted"
+            await client.close()
+            return await gateway.drain()
+
+        drained = with_gateway(GatewayConfig(
+            num_base=2, db_size=50, initial_value=100
+        ))(scenario, tmp_path)
+        assert drained["ok"] is True, drained["failures"]
+        assert drained["failures"] == []
+        assert drained["checked"] == ["quiescent", "accounting", "converged"]
+        assert drained["base_divergence"] == 0
+        assert drained["wal_quiescent"] is True
+        assert drained["store_sum"] == 50 * 100 + 20
+
+    def test_a_base_store_corrupted_after_the_drain_fails_the_verdict(self):
+        gateway = ServiceGateway(GatewayConfig(num_base=2, db_size=50))
+        gateway.system.nodes[1].store.write(3, 999, Timestamp(10**6, 1))
+        drained = gateway.drained_report()
+        assert drained["ok"] is False
+        assert drained["base_divergence"] == 1
+        assert drained["wal_quiescent"] is True
+        [failure] = drained["failures"]
+        assert "1 objects diverged" in failure
+
+    def test_undo_left_behind_fails_wal_quiescence(self):
+        gateway = ServiceGateway(GatewayConfig(db_size=50))
+        node = gateway.system.nodes[0]
+        txn = node.tm.begin()
+        node.wal.record(txn.txn_id, 0, 0, Timestamp.ZERO, 1, Timestamp(1, 0))
+        drained = gateway.drained_report()
+        assert drained["ok"] is False
+        assert drained["wal_quiescent"] is False
+        assert drained["base_divergence"] == 0
 
 
 class TestSimPathParity:

@@ -23,6 +23,7 @@ from repro.service.protocol import (
     encode_line,
     encode_op,
 )
+from repro.storage.versioning import Timestamp
 from repro.txn.ops import AppendOp, IncrementOp, MultiplyOp, ReadOp, WriteOp
 from repro.workload import ZipfProfile, ZipfSampler
 
@@ -309,6 +310,31 @@ class TestLiveLoadtest:
         )
         assert result["completed"] > 0
         assert result["oracle"]["ok"], result["oracle"]
+
+    def test_the_servers_verdict_fails_a_balanced_run(
+            self, tmp_path, monkeypatch):
+        """The store sum balances, but a base replica is corrupted after
+        the drain: the client's oracle fails on the server's verdict."""
+        real = ServiceGateway.drained_report
+
+        def corrupted(gateway):
+            gateway.system.nodes[1].store.write(0, 987_654, Timestamp(10**6, 1))
+            return real(gateway)
+
+        monkeypatch.setattr(ServiceGateway, "drained_report", corrupted)
+        result = _run_pair(
+            GatewayConfig(num_base=2, db_size=100),
+            LoadtestConfig(clients=2, rate=100.0, duration=0.5,
+                           workload="uniform", db_size=100, seed=1),
+            tmp_path,
+        )
+        oracle = result["oracle"]
+        assert oracle["store_sum"] == pytest.approx(
+            oracle["expected_store_sum"]
+        )
+        assert oracle["ok"] is False
+        assert oracle["base_divergence"] == 1
+        assert "diverged" in oracle["failures"][0]
 
     def test_no_drain_skips_the_oracle(self, tmp_path):
         result = _run_pair(
