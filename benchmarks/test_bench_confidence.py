@@ -12,8 +12,8 @@ import pytest
 
 from benchmarks.conftest import EAGER_REGIME
 from repro.analytic import eager
-from repro.harness import ExperimentConfig
-from repro.harness.stats import estimate, repeat_experiment
+from repro.harness.campaign import Campaign, run_campaign
+from repro.harness.stats import estimate
 from repro.metrics.report import format_table
 
 NODES = [2, 6]
@@ -22,18 +22,16 @@ DURATION = 150.0
 
 
 def simulate():
-    per_node = {}
-    for nodes in NODES:
-        stats = repeat_experiment(
-            ExperimentConfig(
-                strategy="eager-group",
-                params=EAGER_REGIME.with_(nodes=nodes),
-                duration=DURATION,
-            ),
-            seeds=SEEDS,
-        )
-        per_node[nodes] = stats["deadlock_rate"]
-    return per_node
+    campaign = Campaign(
+        strategies=("eager-group",),
+        base_params=EAGER_REGIME,
+        axis="nodes",
+        values=tuple(NODES),
+        seeds=tuple(SEEDS),
+        duration=DURATION,
+    )
+    return {cell.value: cell.rates["deadlock_rate"]
+            for cell in run_campaign(campaign, jobs=0).aggregate()}
 
 
 def test_bench_confidence(benchmark):

@@ -59,11 +59,7 @@ from repro.faults import (
     LinkFaults,
     Partition,
 )
-from repro.harness import (
-    ExperimentConfig,
-    repeat_experiment,
-    run_experiment,
-)
+from repro.harness import ExperimentConfig, run_experiment
 from repro.metrics import Metrics, summarize
 from repro.placement import FullReplication, HashShardPlacement, Placement
 from repro.replication import (
@@ -101,7 +97,6 @@ __all__ = [
     "summarize",
     "ExperimentConfig",
     "run_experiment",
-    "repeat_experiment",
     # fault injection
     "FaultPlan",
     "LinkFaults",

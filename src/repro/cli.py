@@ -5,19 +5,19 @@ Commands:
 * ``tables`` — print the paper's Table 1 and Table 2.
 * ``danger`` — print the analytic danger curves (equations 12, 14, 18, 19)
   for given model parameters; ``--measure`` adds simulated points.
-* ``simulate`` — run one simulated experiment and print its measured rates.
+* ``simulate`` — run one simulated experiment and print its markdown
+  report (rates, counters, oracle verdict, fault timeline, and sparkline
+  series with ``--sample-interval``); ``--json`` saves the run's document,
+  ``--trace-out`` exports a Chrome/Perfetto trace (open it at
+  https://ui.perfetto.dev).
 * ``compare`` — run every strategy at the given parameters and print the
   section-8 scorecard.
 * ``verify`` — record a run's history and judge it against the strategy's
   declared guarantee (one-copy serializable or convergent).
 * ``sweep`` — run a (strategy × nodes × seed) campaign over a worker pool
   and print mean ± 95% CI per cell with measured-vs-model fit exponents.
-* ``trace`` — run one experiment with full tracing and export a
-  Chrome/Perfetto ``trace.json`` (open it at https://ui.perfetto.dev).
-* ``report`` — run one experiment with telemetry sampling and render a
-  markdown run report (counters, oracle verdict, fault timeline,
-  sparkline series); ``report --loadtest result.json`` instead renders a
-  service load-test result.
+* ``report`` — render a saved ``simulate --json`` or ``loadtest --out``
+  result as markdown.
 * ``serve`` — serve the two-tier engine on *real* time: an asyncio
   gateway speaking newline-delimited JSON over TCP or a unix socket.
 * ``loadtest`` — drive a running gateway with N concurrent open-loop
@@ -30,8 +30,10 @@ Examples::
     python -m repro simulate --strategy lazy-group --nodes 4 --duration 60
     python -m repro compare --nodes 4 --tps 3 --db-size 60
     python -m repro sweep --strategy lazy-group --nodes 1,2,4,8 --seeds 5 --jobs 4
-    python -m repro trace --strategy lazy-group --nodes 8 --faults partition=5 --out trace.json
-    python -m repro report --strategy two-tier --nodes 4 --out report.md
+    python -m repro simulate --strategy lazy-group --nodes 8 \\
+        --faults partition=5 --sample-interval 0.5 --json run.json \\
+        --trace-out trace.json
+    python -m repro report run.json --out report.md
     python -m repro serve --socket /tmp/repro.sock --mobiles 8
     python -m repro loadtest --socket /tmp/repro.sock --clients 100 \\
         --rate 2000 --duration 10 --out loadtest.json
@@ -60,7 +62,7 @@ from repro.harness import ExperimentConfig, run_experiment
 from repro.harness.campaign import Campaign, campaign_table, run_campaign
 from repro.harness.comparison import strategy_comparison, strategy_table
 from repro.harness.experiment import STRATEGIES
-from repro.metrics.report import format_series, format_table
+from repro.metrics.report import format_series
 
 # Which flags reach which path: the analytic commands (``tables``,
 # ``danger`` without --measure) evaluate the closed-form model, which uses
@@ -275,14 +277,35 @@ def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
                         "streams are unaffected")
 
 
+def _trace_categories(text: str) -> str:
+    """argparse type for --trace: 'all' or known categories, comma-separated."""
+    from repro.sim.tracing import Tracer
+
+    unknown = sorted(set(text.split(",")) - set(Tracer.KNOWN_CATEGORIES))
+    if text != "all" and unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown trace categories {unknown}; expected 'all' or a "
+            f"comma-separated list of {', '.join(Tracer.KNOWN_CATEGORIES)}"
+        )
+    return text
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
+    """Run one experiment and print its report (the run's one document)."""
+    from repro.harness.export import result_to_dict, write_json
+    from repro.obs.report import run_report_markdown
+
     params = _params(args)
     tracer = None
-    if args.trace:
+    if args.trace or args.trace_out:
         from repro.sim.tracing import Tracer
 
-        tracer = Tracer(categories=set(args.trace.split(","))
-                        if args.trace != "all" else None)
+        # --trace-out alone records every category, and a trace bound for
+        # a file keeps every event
+        categories = (None if args.trace in (None, "all")
+                      else args.trace.split(","))
+        tracer = (Tracer(categories, limit=None) if args.trace_out
+                  else Tracer(categories))
     profiler = None
     if args.profile:
         from repro.obs.profiler import Profiler
@@ -297,49 +320,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             commutative=args.commutative,
             faults=_fault_plan(args, params),
             tracer=tracer,
+            sample_interval=args.sample_interval,
             profiler=profiler,
             placement=_placement_spec(args),
         )
     )
-    print(format_table(
-        ["quantity", "value"],
-        sorted(result.rates.as_dict().items()),
-        title=f"{args.strategy} at {params.describe()}",
-    ))
-    print()
-    print(format_table(
-        ["counter", "count"],
-        sorted((k, v) for k, v in result.metrics.as_dict().items() if v),
-        title="raw counters",
-    ))
-    print(f"\ndivergence after drain: {result.divergence}")
-    resident = result.extra.get("resident_objects")
-    if args.placement and resident:
-        print(f"resident objects/node: max {resident['max']} "
-              f"mean {resident['mean']:.1f} of db_size {resident['db_size']} "
-              f"(replication factor {resident['replication_factor']})")
-        if "materialized_total" in resident:
-            print(f"materialized records: {resident['materialized_total']} "
-                  f"of {resident['total']} nominal "
-                  f"(max/node {resident['materialized_max']})")
-    if result.extra.get("fault_stats"):
-        print(format_table(
-            ["fault", "count"],
-            sorted((k, v) for k, v in result.extra["fault_stats"].items()),
-            title="injected faults",
-        ))
-    oracle_ok = result.extra.get("oracle_ok")
-    if oracle_ok is not None:
-        verdict = "ok" if oracle_ok else "FAIL"
-        print(f"invariant oracle: {verdict}")
-        for failure in result.extra.get("oracle_failures") or ():
-            print(f"  - {failure}")
+    document = result_to_dict(result)
+    print(run_report_markdown(document))
     if args.json:
-        from repro.harness.export import write_json
-
-        path = write_json(result, args.json)
+        path = write_json(document, args.json)
         print(f"result written to {path}")
-    if tracer is not None:
+    if args.trace:
         sample = [e for e in tracer.events() if e.time <= 5.0][:40]
         print(f"\ntrace sample (first 5 virtual seconds, "
               f"{len(sample)} events):")
@@ -348,11 +339,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.trace_out:
         from repro.obs.chrome_trace import write_chrome_trace
 
-        if tracer is None:
-            raise SystemExit("--trace-out needs --trace (e.g. --trace all)")
         path = write_chrome_trace(tracer, args.trace_out,
                                   num_nodes=result.system.num_nodes)
-        print(f"chrome trace written to {path} "
+        print(f"{len(tracer)} trace events written to {path} "
               f"(open at https://ui.perfetto.dev)")
     if profiler is not None:
         print()
@@ -360,102 +349,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
-    """Run one experiment fully traced and export Chrome/Perfetto JSON."""
-    from repro.obs.chrome_trace import write_chrome_trace
-    from repro.sim.tracing import Tracer
-
-    params = _params(args)
-    categories = (set(args.categories.split(","))
-                  if args.categories != "all" else None)
-    tracer = Tracer(categories=categories, limit=args.limit)
-    result = run_experiment(
-        ExperimentConfig(
-            strategy=args.strategy,
-            params=params,
-            duration=args.duration,
-            seed=args.seed,
-            commutative=args.commutative,
-            faults=_fault_plan(args, params),
-            tracer=tracer,
-        )
-    )
-    path = write_chrome_trace(tracer, args.out,
-                              num_nodes=result.system.num_nodes)
-    print(f"{len(tracer)} trace events ({result.end_time:.1f} virtual "
-          f"seconds) written to {path}")
-    if tracer.dropped:
-        print(f"warning: {tracer.dropped} events dropped by the ring "
-              f"buffer; re-run with a larger --limit", file=sys.stderr)
-    print("open it at https://ui.perfetto.dev (or chrome://tracing): "
-          "one track per node, transactions as slices, "
-          "faults/partitions as instants")
-    return 0
-
-
 def cmd_report(args: argparse.Namespace) -> int:
-    """Run one experiment with sampling and render a markdown run report."""
-    from repro.obs.report import build_report, write_report
-
-    if args.loadtest:
-        return _report_loadtest(args)
-    params = _params(args)
-    interval = args.sample_interval
-    if interval is None:
-        interval = max(args.duration / 50.0, 1e-9)
-    result = run_experiment(
-        ExperimentConfig(
-            strategy=args.strategy,
-            params=params,
-            duration=args.duration,
-            seed=args.seed,
-            commutative=args.commutative,
-            faults=_fault_plan(args, params),
-            sample_interval=interval,
-        )
-    )
-    report = build_report(result)
-    if args.out:
-        path = write_report(report, args.out)
-        print(f"run report written to {path}")
-    else:
-        print(report.to_markdown())
-    if args.json:
-        import json as _json
-        from pathlib import Path
-
-        target = Path(args.json)
-        if target.parent != Path(""):
-            target.parent.mkdir(parents=True, exist_ok=True)
-        with target.open("w", encoding="utf-8") as fh:
-            _json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report JSON written to {target}")
-    return 0
-
-
-def _report_loadtest(args: argparse.Namespace) -> int:
-    """Render a saved ``repro loadtest`` result JSON as markdown."""
+    """Render a saved ``simulate --json`` or ``loadtest --out`` result."""
     import json as _json
     from pathlib import Path
 
-    from repro.obs.report import service_report_markdown
+    from repro.obs.report import saved_report_markdown
 
-    source = Path(args.loadtest)
+    source = Path(args.path)
     try:
-        payload = _json.loads(source.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"cannot read loadtest result {source}: {exc}")
-    try:
-        markdown = service_report_markdown(payload)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+        markdown = saved_report_markdown(
+            _json.loads(source.read_text(encoding="utf-8"))
+        )
+    except (OSError, ValueError) as exc:  # unreadable, not JSON, no result
+        raise SystemExit(f"cannot read result {source}: {exc}")
     if args.out:
         target = Path(args.out)
         if target.parent != Path(""):
             target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(markdown, encoding="utf-8")
-        print(f"service report written to {target}")
+        print(f"report written to {target}")
     else:
         print(markdown)
     return 0
@@ -740,21 +653,30 @@ def build_parser() -> argparse.ArgumentParser:
                           help="content-hash result cache for --measure")
     p_danger.set_defaults(fn=cmd_danger)
 
-    p_sim = sub.add_parser("simulate", help="run one simulated experiment")
+    p_sim = sub.add_parser(
+        "simulate",
+        help="run one simulated experiment and print its report",
+    )
     _add_model_arguments(p_sim)
     p_sim.add_argument("--strategy", choices=STRATEGIES, default="lazy-master")
     p_sim.add_argument("--duration", type=float, default=60.0)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--commutative", action="store_true",
                        help="use commuting increment transactions")
-    p_sim.add_argument("--trace", default=None,
+    p_sim.add_argument("--trace", default=None, type=_trace_categories,
                        help="print a trace sample; comma-separated "
                        "categories or 'all' (e.g. --trace deadlock,commit)")
     p_sim.add_argument("--json", default=None, metavar="PATH",
-                       help="also write the result as JSON to PATH")
+                       help="also write the result as JSON to PATH "
+                       "('repro report PATH' renders it again)")
     p_sim.add_argument("--trace-out", default=None, metavar="PATH",
-                       help="export the trace (requires --trace) as "
-                       "Chrome/Perfetto JSON to PATH")
+                       help="export every traced event (all categories "
+                       "unless --trace narrows them) as Chrome/Perfetto "
+                       "JSON to PATH")
+    p_sim.add_argument("--sample-interval", type=float, default=0.0,
+                       metavar="SEC",
+                       help="telemetry window in virtual seconds; adds the "
+                       "report's time-series section (default 0: off)")
     _add_placement_argument(p_sim)
     p_sim.add_argument("--profile", action="store_true",
                        help="print the engine dispatch hot-spot table "
@@ -762,50 +684,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_arguments(p_sim)
     p_sim.set_defaults(fn=cmd_simulate)
 
-    p_trace = sub.add_parser(
-        "trace",
-        help="run one fully-traced experiment and export Perfetto JSON",
-    )
-    _add_model_arguments(p_trace)
-    p_trace.add_argument("--strategy", choices=STRATEGIES,
-                         default="lazy-group")
-    p_trace.add_argument("--duration", type=float, default=30.0)
-    p_trace.add_argument("--seed", type=int, default=0)
-    p_trace.add_argument("--commutative", action="store_true",
-                         help="use commuting increment transactions")
-    p_trace.add_argument("--categories", default="all",
-                         help="comma-separated trace categories to record "
-                         "(default: all)")
-    p_trace.add_argument("--limit", type=int, default=100_000,
-                         help="trace ring-buffer size (events)")
-    p_trace.add_argument("--out", default="trace.json", metavar="PATH",
-                         help="output path (default: trace.json)")
-    _add_fault_arguments(p_trace)
-    p_trace.set_defaults(fn=cmd_trace)
-
     p_report = sub.add_parser(
         "report",
-        help="run one sampled experiment and render a markdown run report",
+        help="render a saved 'simulate --json' or 'loadtest --out' result "
+        "as markdown",
     )
-    _add_model_arguments(p_report)
-    p_report.add_argument("--strategy", choices=STRATEGIES,
-                          default="lazy-group")
-    p_report.add_argument("--duration", type=float, default=30.0)
-    p_report.add_argument("--seed", type=int, default=0)
-    p_report.add_argument("--commutative", action="store_true",
-                          help="use commuting increment transactions")
-    p_report.add_argument("--sample-interval", type=float, default=None,
-                          metavar="SEC",
-                          help="telemetry window in virtual seconds "
-                          "(default: duration/50)")
+    p_report.add_argument("path", metavar="PATH",
+                          help="the result JSON to render")
     p_report.add_argument("--out", default=None, metavar="PATH",
                           help="write markdown to PATH instead of stdout")
-    p_report.add_argument("--json", default=None, metavar="PATH",
-                          help="also write the report as JSON to PATH")
-    p_report.add_argument("--loadtest", default=None, metavar="PATH",
-                          help="render a saved 'repro loadtest' result "
-                          "JSON instead of running an experiment")
-    _add_fault_arguments(p_report)
     p_report.set_defaults(fn=cmd_report)
 
     p_cmp = sub.add_parser("compare", help="run every strategy, one table",

@@ -8,8 +8,9 @@ Table-2 parameters; the harness builds the system, drives the model workload
 measured counters, rates, and convergence state.
 
 :mod:`~repro.harness.campaign` runs strategy x axis x seed grids with a
-model column beside the measured one; :mod:`~repro.harness.comparison` is
-the cross-strategy scorecard at one load.
+model column beside the measured one, and is the one way to summarise seed
+replicas (a one-cell campaign over the seeds);
+:mod:`~repro.harness.comparison` is the cross-strategy scorecard at one load.
 """
 
 from repro.harness.experiment import (
@@ -22,7 +23,7 @@ from repro.harness.experiment import (
 )
 from repro.harness.comparison import strategy_comparison
 from repro.harness.export import result_to_dict, write_json
-from repro.harness.stats import RateEstimate, SeedStats, repeat_experiment
+from repro.harness.stats import RateEstimate
 from repro.harness.campaign import (
     Campaign,
     CampaignResult,
@@ -41,8 +42,6 @@ __all__ = [
     "build_system",
     "run_experiment",
     "strategy_comparison",
-    "repeat_experiment",
-    "SeedStats",
     "RateEstimate",
     "result_to_dict",
     "write_json",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Type
 
@@ -372,11 +371,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         extra["series"] = telemetry.to_dict()
     if config.tracer is not None and config.tracer.dropped > 0:
         extra["trace_dropped"] = config.tracer.dropped
-        print(
-            f"warning: tracer ring buffer overflowed; "
-            f"{config.tracer.dropped} events dropped (raise Tracer(limit=...))",
-            file=sys.stderr,
-        )
 
     return ExperimentResult(
         config=config,

@@ -1,9 +1,11 @@
 """Machine-readable result export.
 
 Downstream users replot reproduction results with their own tools; these
-helpers serialise experiment results, sweeps, and multi-seed statistics to
-plain JSON-compatible dictionaries (and to files), keeping the provenance —
-configuration, seeds, horizon — attached to every number.
+helpers serialise experiment results and campaigns to plain JSON-compatible
+dictionaries (and to files), keeping the provenance — configuration, seeds,
+horizon — attached to every number.  :func:`result_to_dict` is one run's
+document: ``repro simulate --json`` writes it, the campaign cache stores it,
+and :func:`repro.obs.report.run_report_markdown` renders it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Any, Dict, List, Tuple, Union
 
 from repro.core.acceptance import AcceptanceCriterion
 from repro.harness.experiment import ExperimentConfig, ExperimentResult
-from repro.harness.stats import SeedStats
 from repro.replication.reconciliation import ReconciliationRule
 
 #: ``ExperimentConfig`` fields that watch a run without changing it: they
@@ -78,23 +79,6 @@ def result_to_dict(result: ExperimentResult) -> Dict[str, Any]:
         "divergence": result.divergence,
         "end_time": result.end_time,
         "extra": {k: v for k, v in result.extra.items() if v is not None},
-    }
-
-
-def stats_to_dict(stats: SeedStats) -> Dict[str, Any]:
-    """Multi-seed statistics with per-rate CI."""
-    return {
-        "config": config_to_dict(stats.config),
-        "seeds": list(stats.seeds),
-        "rates": {
-            name: {
-                "mean": est.mean,
-                "std": est.std,
-                "ci95_half_width": est.ci95_half_width,
-                "samples": list(est.samples),
-            }
-            for name, est in stats.rates.items()
-        },
     }
 
 
@@ -231,7 +215,7 @@ def write_campaign_csv(outcome, path: Union[str, Path]) -> Path:
     return target
 
 
-Exportable = Union[ExperimentResult, SeedStats, Dict[str, Any]]
+Exportable = Union[ExperimentResult, Dict[str, Any]]
 
 
 def to_dict(obj: Exportable) -> Dict[str, Any]:
@@ -240,8 +224,6 @@ def to_dict(obj: Exportable) -> Dict[str, Any]:
 
     if isinstance(obj, ExperimentResult):
         return result_to_dict(obj)
-    if isinstance(obj, SeedStats):
-        return stats_to_dict(obj)
     if isinstance(obj, CampaignResult):
         return campaign_to_dict(obj)
     if isinstance(obj, dict):

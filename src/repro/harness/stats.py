@@ -1,10 +1,11 @@
 """Multi-seed replication statistics: means and confidence intervals.
 
 A single seeded run is a point estimate of a stochastic rate; credible
-measurement reports dispersion.  :func:`repeat_experiment` runs the same
-configuration under independent seeds and summarises each rate with its
-sample mean, standard deviation, and Student-t 95% confidence interval —
-the standard discrete-event-simulation methodology.
+measurement reports dispersion.  :func:`estimate` summarises one rate's
+seed replicas with its sample mean, standard deviation, and Student-t 95%
+confidence interval — the standard discrete-event-simulation methodology.
+The campaign layer (:meth:`~repro.harness.campaign.CampaignResult.aggregate`)
+is what runs the replicas and folds them through it.
 
 scipy provides the t quantile when available; a small built-in table covers
 the common sample sizes otherwise, so the module works in minimal installs.
@@ -13,11 +14,10 @@ the common sample sizes otherwise, so the module works in minimal installs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.exceptions import ConfigurationError
-from repro.harness.experiment import ExperimentConfig, run_experiment
 
 # two-sided 95% t quantiles by degrees of freedom (fallback when scipy is
 # absent); beyond the table the normal quantile is close enough
@@ -82,48 +82,4 @@ def estimate(name: str, samples: Sequence[float]) -> RateEstimate:
     return RateEstimate(
         name=name, samples=tuple(samples), mean=mean, std=std,
         ci95_half_width=half_width,
-    )
-
-
-@dataclass(frozen=True)
-class SeedStats:
-    """All rate estimates for one configuration across seeds."""
-
-    config: ExperimentConfig
-    seeds: tuple
-    rates: Dict[str, RateEstimate]
-
-    def __getitem__(self, name: str) -> RateEstimate:
-        return self.rates[name]
-
-    def table_rows(self) -> List[List]:
-        return [
-            [name, est.mean, est.std, est.ci95_half_width]
-            for name, est in sorted(self.rates.items())
-        ]
-
-
-def repeat_experiment(config: ExperimentConfig,
-                      seeds: Sequence[int]) -> SeedStats:
-    """Run ``config`` under each seed and summarise every rate.
-
-    The configuration's own ``seed`` field is ignored; each run uses one of
-    ``seeds``.
-    """
-    if len(seeds) < 2:
-        raise ConfigurationError("repeat_experiment needs >= 2 seeds")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigurationError("seeds must be distinct")
-    per_rate: Dict[str, List[float]] = {}
-    for seed in seeds:
-        result = run_experiment(replace(config, seed=seed))
-        for name, value in result.rates.as_dict().items():
-            if name == "horizon":
-                continue
-            per_rate.setdefault(name, []).append(value)
-    return SeedStats(
-        config=config,
-        seeds=tuple(seeds),
-        rates={name: estimate(name, values)
-               for name, values in per_rate.items()},
     )

@@ -12,11 +12,14 @@ hooks without touching the measurement semantics:
   with one track per node;
 * :mod:`repro.obs.profiler` — wall-clock hot spots of the engine itself,
   bucketed by process name;
-* :mod:`repro.obs.report` — a per-run markdown/JSON report stitching
-  counters, oracle verdict, fault timeline, and series summaries.
+* :mod:`repro.obs.report` — renders a run's one document
+  (:func:`~repro.harness.export.result_to_dict`) as markdown: counters,
+  oracle verdict, fault timeline, and series summaries.
 
-Entry points: ``ExperimentConfig(sample_interval=...)`` for sampling,
-``python -m repro trace`` / ``python -m repro report`` on the CLI.
+Entry points: ``ExperimentConfig(sample_interval=...)`` for sampling;
+on the CLI, ``python -m repro simulate`` (``--sample-interval``,
+``--trace-out``, ``--json``) runs and reports one experiment and
+``python -m repro report PATH`` renders a saved result.
 """
 
 from repro.obs.chrome_trace import (
@@ -25,7 +28,7 @@ from repro.obs.chrome_trace import (
     write_chrome_trace,
 )
 from repro.obs.profiler import Profiler, bucket_name
-from repro.obs.report import RunReport, build_report, write_report
+from repro.obs.report import run_report_markdown
 from repro.obs.samplers import (
     CounterDeltaSampler,
     GaugeSampler,
@@ -38,14 +41,12 @@ __all__ = [
     "CounterDeltaSampler",
     "GaugeSampler",
     "Profiler",
-    "RunReport",
     "SeriesSummary",
     "Telemetry",
     "TimeSeries",
     "bucket_name",
-    "build_report",
     "chrome_trace_events",
+    "run_report_markdown",
     "to_chrome_trace",
     "write_chrome_trace",
-    "write_report",
 ]

@@ -33,7 +33,7 @@ from repro.sim.tracing import TraceEvent, Tracer
 MICROSECONDS = 1e6
 
 #: categories drawn as global (trace-wide) instant markers
-_GLOBAL_CATEGORIES = frozenset({"fault", "partition", "message"})
+_GLOBAL_CATEGORIES = frozenset({"fault", "partition"})
 
 #: detail keys that locate an event on a node track, in preference order
 _NODE_KEYS = ("node", "origin", "mobile")

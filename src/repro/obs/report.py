@@ -1,241 +1,150 @@
-"""Per-run reports: counters, oracle verdict, fault timeline, series.
+"""Reports: one run's document, or one service load test, as markdown.
 
-One :class:`RunReport` stitches everything a run produced into a single
-markdown (or JSON) document: the configuration provenance, the measured
-rates and non-zero counters, the invariant-oracle verdict, the fault/mark
-timeline, and a sparkline summary (min/mean/max/last per window) of every
-telemetry series.  This is the artefact a chaos run leaves behind — the
-"what happened and when" that flat counters cannot answer.
+:func:`run_report_markdown` renders the document
+:func:`~repro.harness.export.result_to_dict` makes of one run — the
+configuration provenance, the measured rates and non-zero counters, the
+oracle's verdict, the fault timeline, and a sparkline summary
+(min/mean/max/last per window) of every telemetry series.  The document is
+its only input, so a live run, a campaign payload and a saved
+``simulate --json`` file render the same bytes.  This is the artefact a
+chaos run leaves behind — the "what happened and when" that flat counters
+cannot answer.
 
-The builder duck-types its input so it works both on a live
-:class:`~repro.harness.experiment.ExperimentResult` (with an attached
-:class:`~repro.obs.samplers.Telemetry`) and on a deserialised campaign
-payload whose series travelled inside ``extra["series"]``.
+:func:`service_report_markdown` renders a ``repro loadtest`` result, and
+:func:`saved_report_markdown` tells the two saved shapes apart.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+import json
+from typing import Any, Dict, List
 
 from repro.metrics.report import format_table
-from repro.obs.samplers import Telemetry, TimeSeries
+from repro.obs.samplers import sparkline
 
 
-@dataclass
-class RunReport:
-    """Everything the report renders, already shaped for output."""
-
-    title: str
-    config: Dict[str, Any]
-    rates: Dict[str, float]
-    counters: Dict[str, float]
-    divergence: int
-    end_time: float
-    oracle_ok: Optional[bool]
-    oracle_failures: List[str] = field(default_factory=list)
-    fault_stats: Dict[str, Any] = field(default_factory=dict)
-    timeline: List[Tuple[float, str, Dict[str, Any]]] = field(
-        default_factory=list
-    )
-    series: List[TimeSeries] = field(default_factory=list)
-    sample_interval: Optional[float] = None
-    trace_dropped: int = 0
-
-    # ------------------------------------------------------------------ #
-    # rendering
-    # ------------------------------------------------------------------ #
-
-    def to_markdown(self) -> str:
-        lines: List[str] = [f"# {self.title}", ""]
-
-        lines.append("## Run")
-        lines.append("")
-        lines.append("```")
-        for key in sorted(self.config):
-            lines.append(f"{key} = {self.config[key]}")
-        lines.append(f"end_time = {self.end_time:.6g}")
-        lines.append(f"divergence = {self.divergence}")
-        lines.append("```")
-        lines.append("")
-
-        verdict = ("n/a" if self.oracle_ok is None
-                   else "ok" if self.oracle_ok else "FAIL")
-        lines.append(f"## Oracle: {verdict}")
-        for failure in self.oracle_failures:
-            lines.append(f"- {failure}")
-        lines.append("")
-
-        lines.append("## Rates")
-        lines.append("")
-        lines.append("```")
-        lines.append(format_table(
-            ["rate", "per second"],
-            sorted(self.rates.items()),
-        ))
-        lines.append("```")
-        lines.append("")
-
-        lines.append("## Counters")
-        lines.append("")
-        lines.append("```")
-        lines.append(format_table(
-            ["counter", "count"],
-            sorted((k, v) for k, v in self.counters.items() if v),
-        ))
-        lines.append("```")
-        lines.append("")
-
-        if self.trace_dropped:
-            lines.append(
-                f"**Warning:** the tracer ring buffer dropped "
-                f"{self.trace_dropped} events; raise `Tracer(limit=...)` "
-                "for a complete trace."
-            )
-            lines.append("")
-
-        if self.fault_stats:
-            lines.append("## Injected faults")
-            lines.append("")
-            lines.append("```")
-            lines.append(format_table(
-                ["fault", "count"],
-                sorted(self.fault_stats.items()),
-            ))
-            lines.append("```")
-            lines.append("")
-
-        if self.timeline:
-            lines.append("## Fault timeline")
-            lines.append("")
-            for time, label, detail in sorted(self.timeline,
-                                              key=lambda m: m[0]):
-                suffix = ""
-                if detail:
-                    fields = " ".join(
-                        f"{k}={v}" for k, v in sorted(detail.items())
-                    )
-                    suffix = f" ({fields})"
-                lines.append(f"- `t={time:.3f}` {label}{suffix}")
-            lines.append("")
-
-        if self.series:
-            window = (f"{self.sample_interval:g}s"
-                      if self.sample_interval else "?")
-            lines.append(f"## Time series ({window} windows)")
-            lines.append("")
-            lines.append("```")
-            rows = []
-            for series in self.series:
-                s = series.summary()
-                rows.append([
-                    series.name, s.count, s.minimum, f"{s.mean:.4g}",
-                    s.maximum, s.last,
-                ])
-            lines.append(format_table(
-                ["series", "windows", "min", "mean", "max", "last"],
-                rows,
-            ))
-            lines.append("")
-            for series in self.series:
-                lines.append(f"{series.name:>24} |{series.sparkline()}|")
-            lines.append("```")
-            lines.append("")
-
-        return "\n".join(lines)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "title": self.title,
-            "config": dict(self.config),
-            "rates": dict(self.rates),
-            "counters": dict(self.counters),
-            "divergence": self.divergence,
-            "end_time": self.end_time,
-            "oracle_ok": self.oracle_ok,
-            "oracle_failures": list(self.oracle_failures),
-            "fault_stats": dict(self.fault_stats),
-            "trace_dropped": self.trace_dropped,
-            "timeline": [
-                {"time": t, "label": label, "detail": dict(detail)}
-                for t, label, detail in self.timeline
-            ],
-            "sample_interval": self.sample_interval,
-            "series": {s.name: s.to_dict() for s in self.series},
-        }
+#: the keys of one run's document (:func:`~repro.harness.export.result_to_dict`)
+_RUN_KEYS = frozenset({"config", "rates", "counters", "divergence", "end_time"})
 
 
-def _series_from_extra(extra: Dict[str, Any]) -> Tuple[
-        List[TimeSeries], List[Tuple[float, str, Dict[str, Any]]],
-        Optional[float]]:
-    """Rebuild series + marks from a serialised ``extra['series']`` blob."""
-    blob = extra.get("series")
-    if not isinstance(blob, dict):
-        return [], [], None
-    series = [
-        TimeSeries.from_dict(data)
-        for _name, data in sorted(blob.get("series", {}).items())
-    ]
-    marks = [
-        (m["time"], m["label"], m.get("detail", {}))
-        for m in blob.get("marks", ())
-    ]
-    return series, marks, blob.get("interval")
+def saved_report_markdown(payload: Any) -> str:
+    """Render a saved result, told apart by shape.
 
-
-def build_report(
-    result,
-    telemetry: Optional[Telemetry] = None,
-    title: Optional[str] = None,
-) -> RunReport:
-    """Assemble a :class:`RunReport` from one experiment result.
-
-    Args:
-        result: an :class:`~repro.harness.experiment.ExperimentResult`
-            (or anything shaped like one).
-        telemetry: the run's live telemetry handle; when ``None`` the
-            series are recovered from ``result.extra["series"]`` if the
-            run sampled (campaign payloads round-trip this way).
-        title: report heading (defaults to strategy + parameters).
+    A ``repro loadtest --out`` result (``kind == "service-loadtest"``) goes
+    to :func:`service_report_markdown`, a run's document (``repro simulate
+    --json``) to :func:`run_report_markdown`; anything else raises
+    :class:`ValueError`.
     """
-    from repro.harness.export import config_to_dict
-
-    config = config_to_dict(result.config)
-    params = config.pop("params", {})
-    flat_config = dict(params)
-    flat_config.update(
-        (k, v) for k, v in config.items() if v is not None
+    if isinstance(payload, dict):
+        if payload.get("kind") == "service-loadtest":
+            return service_report_markdown(payload)
+        if _RUN_KEYS <= payload.keys():
+            return run_report_markdown(payload)
+    raise ValueError(
+        "not a run or service loadtest result: expected the JSON "
+        "'repro simulate --json' or 'repro loadtest --out' writes"
     )
 
-    if telemetry is not None:
-        series = [telemetry.series[name]
-                  for name in sorted(telemetry.series)]
-        timeline = list(telemetry.marks)
-        interval: Optional[float] = telemetry.interval
-    else:
-        series, timeline, interval = _series_from_extra(result.extra)
 
-    extra = result.extra
-    return RunReport(
-        title=title or (
-            f"{result.config.strategy} run — nodes="
-            f"{result.config.params.nodes}, seed={result.config.seed}"
-        ),
-        config=flat_config,
-        rates={k: v for k, v in result.rates.as_dict().items()
-               if k != "horizon"},
-        counters=result.metrics.as_dict(),
-        divergence=result.divergence,
-        end_time=result.end_time,
-        oracle_ok=extra.get("oracle_ok"),
-        oracle_failures=list(extra.get("oracle_failures") or ()),
-        fault_stats=dict(extra.get("fault_stats") or {}),
-        timeline=timeline,
-        series=series,
-        sample_interval=interval,
-        trace_dropped=int(extra.get("trace_dropped") or 0),
-    )
+def _block(lines: List[str], heading: str, body: str) -> None:
+    lines.extend([heading, "", "```", body, "```", ""])
+
+
+def run_report_markdown(document: Dict[str, Any]) -> str:
+    """Render one run's :func:`~repro.harness.export.result_to_dict`
+    document as markdown."""
+    config = dict(document["config"])
+    params = config.pop("params")
+    extra = document.get("extra") or {}
+    lines: List[str] = [
+        f"# {config['strategy']} run — nodes={params['nodes']}, "
+        f"seed={config['seed']}",
+        "",
+    ]
+
+    run = dict(params)
+    run.update((k, v) for k, v in config.items() if v is not None)
+    # nested values (fault plan, placement) print as sorted-key JSON: a
+    # saved document's key order is not the live one's
+    facts = [
+        f"{key} = {json.dumps(run[key], sort_keys=True)}"
+        if isinstance(run[key], (dict, list)) else f"{key} = {run[key]}"
+        for key in sorted(run)
+    ]
+    facts.append(f"end_time = {document['end_time']:.6g}")
+    facts.append(f"divergence = {document['divergence']}")
+    resident = extra.get("resident_objects")
+    if resident:
+        facts.append(
+            f"resident objects/node: max {resident['max']} "
+            f"mean {resident['mean']:.1f} of db_size {resident['db_size']} "
+            f"(replication factor {resident['replication_factor']})"
+        )
+        if "materialized_total" in resident:
+            facts.append(
+                f"materialized records: {resident['materialized_total']} "
+                f"of {resident['total']} nominal "
+                f"(max/node {resident['materialized_max']})"
+            )
+    _block(lines, "## Run", "\n".join(facts))
+
+    oracle_ok = extra.get("oracle_ok")
+    verdict = "n/a" if oracle_ok is None else "ok" if oracle_ok else "FAIL"
+    lines.append(f"## Oracle: {verdict}")
+    for failure in extra.get("oracle_failures") or ():
+        lines.append(f"- {failure}")
+    lines.append("")
+
+    _block(lines, "## Rates", format_table(
+        ["rate", "per second"],
+        sorted((k, v) for k, v in document["rates"].items()
+               if k != "horizon"),
+    ))
+    _block(lines, "## Counters", format_table(
+        ["counter", "count"],
+        sorted((k, v) for k, v in document["counters"].items() if v),
+    ))
+
+    dropped = extra.get("trace_dropped")
+    if dropped:
+        lines.append(
+            f"**Warning:** the tracer ring buffer dropped {dropped} events; "
+            "re-run with `--trace-out PATH` for a complete trace."
+        )
+        lines.append("")
+
+    if extra.get("fault_stats"):
+        _block(lines, "## Injected faults", format_table(
+            ["fault", "count"], sorted(extra["fault_stats"].items()),
+        ))
+
+    telemetry = extra.get("series") or {}
+    marks = telemetry.get("marks")
+    if marks:
+        lines.append("## Fault timeline")
+        lines.append("")
+        for mark in sorted(marks, key=lambda m: m["time"]):
+            fields = " ".join(f"{k}={v}"
+                              for k, v in sorted(mark["detail"].items()))
+            suffix = f" ({fields})" if fields else ""
+            lines.append(f"- `t={mark['time']:.3f}` {mark['label']}{suffix}")
+        lines.append("")
+
+    series = telemetry.get("series")
+    if series:
+        rows, shapes = [], []
+        for name in sorted(series):
+            s = series[name]["summary"]
+            rows.append([name, s["count"], s["min"], f"{s['mean']:.4g}",
+                         s["max"], s["last"]])
+            shapes.append(f"{name:>24} |{sparkline(series[name]['values'])}|")
+        table = format_table(
+            ["series", "windows", "min", "mean", "max", "last"], rows
+        )
+        _block(lines, f"## Time series ({telemetry['interval']:g}s windows)",
+               "\n".join([table, ""] + shapes))
+
+    return "\n".join(lines)
 
 
 def service_report_markdown(payload: Dict[str, Any]) -> str:
@@ -325,12 +234,3 @@ def service_report_markdown(payload: Dict[str, Any]) -> str:
         lines.append("")
 
     return "\n".join(lines)
-
-
-def write_report(report: RunReport, path: Union[str, Path]) -> Path:
-    """Write the markdown form of ``report`` to ``path``."""
-    target = Path(path)
-    if target.parent != Path(""):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(report.to_markdown(), encoding="utf-8")
-    return target

@@ -27,8 +27,26 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 
-#: glyphs for :meth:`TimeSeries.sparkline`, lowest to highest
+#: glyphs for :func:`sparkline`, lowest to highest
 _SPARK_LEVELS = " .:-=+*#%@"
+
+
+def sparkline(values: List[float], width: int = 48) -> str:
+    """ASCII shape of a series' values, resampled to ``width`` columns."""
+    if not values:
+        return ""
+    n = len(values)
+    columns = min(width, n)
+    peak = max(values)
+    if peak <= 0:
+        return _SPARK_LEVELS[0] * columns
+    chars = []
+    for c in range(columns):
+        lo = c * n // columns
+        hi = max(lo + 1, (c + 1) * n // columns)
+        level = int(max(values[lo:hi]) / peak * (len(_SPARK_LEVELS) - 1))
+        chars.append(_SPARK_LEVELS[level])
+    return "".join(chars)
 
 
 @dataclass(frozen=True)
@@ -77,24 +95,6 @@ class TimeSeries:
             last=self.values[-1],
         )
 
-    def sparkline(self, width: int = 48) -> str:
-        """ASCII shape of the series, resampled to ``width`` columns."""
-        if not self.values:
-            return ""
-        n = len(self.values)
-        columns = min(width, n)
-        peak = max(self.values)
-        if peak <= 0:
-            return _SPARK_LEVELS[0] * columns
-        chars = []
-        for c in range(columns):
-            lo = c * n // columns
-            hi = max(lo + 1, (c + 1) * n // columns)
-            window_peak = max(self.values[lo:hi])
-            level = int(window_peak / peak * (len(_SPARK_LEVELS) - 1))
-            chars.append(_SPARK_LEVELS[level])
-        return "".join(chars)
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "name": self.name,
@@ -102,13 +102,6 @@ class TimeSeries:
             "values": list(self.values),
             "summary": self.summary().as_dict(),
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TimeSeries":
-        series = cls(data["name"])
-        series.times = [float(t) for t in data.get("times", ())]
-        series.values = [float(v) for v in data.get("values", ())]
-        return series
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<TimeSeries {self.name!r} n={len(self.values)}>"
@@ -237,9 +230,6 @@ class Telemetry:
     # ------------------------------------------------------------------ #
     # export
     # ------------------------------------------------------------------ #
-
-    def summaries(self) -> Dict[str, SeriesSummary]:
-        return {name: s.summary() for name, s in sorted(self.series.items())}
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-compatible snapshot (crosses the campaign worker boundary)."""

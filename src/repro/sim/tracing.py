@@ -1,7 +1,7 @@
 """Structured event tracing for simulated systems.
 
 A :class:`Tracer` collects timestamped, categorised events — transaction
-lifecycle, lock waits, deadlocks, replica traffic — so a run can be
+lifecycle, lock waits, deadlocks, reconciliations, faults — so a run can be
 inspected after the fact (or streamed to stdout while debugging a
 protocol).  Recording is cheap and optional; systems accept a tracer and
 emit into it at the same points the metrics counters tick.
@@ -40,20 +40,23 @@ class Tracer:
     Args:
         categories: record only these categories (None = record all).
         echo: print each event as it happens (interactive debugging).
-        limit: ring-buffer size; oldest events are dropped beyond it.
+        limit: ring-buffer size; oldest events are dropped beyond it
+            (``None`` keeps every event).
     """
 
+    #: every category the simulator emits: exactly the literal categories
+    #: passed to ``_trace`` under ``repro`` (a test pins the equality)
     KNOWN_CATEGORIES = (
-        "begin", "commit", "abort", "wait", "deadlock", "reconcile",
-        "stale", "replica", "message", "tentative", "reject", "reconnect",
-        "fault", "partition", "crash", "recover",
+        "abort", "cert-abort", "certify", "commit", "crash", "deadlock",
+        "fault", "migrate", "partition", "recover", "reconcile", "reject",
+        "validation-abort", "wait",
     )
 
     def __init__(
         self,
         categories: Optional[Iterable[str]] = None,
         echo: bool = False,
-        limit: int = 100_000,
+        limit: Optional[int] = 100_000,
     ):
         self.categories: Optional[Set[str]] = (
             set(categories) if categories is not None else None

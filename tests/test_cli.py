@@ -35,7 +35,7 @@ def test_simulate_command(capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "commit_rate" in out
-    assert "divergence after drain: 0" in out
+    assert "divergence = 0" in out
 
 
 def test_simulate_two_tier_commutative(capsys):
@@ -117,8 +117,9 @@ def test_parser_rejects_unknown_strategy():
 
 
 def test_parser_requires_command():
-    # no verb, or the retired ``bench`` verb: argparse usage error, exit 2
-    for argv in ([], ["bench"]):
+    # no verb, or a retired verb (``bench``, ``trace``): argparse usage
+    # error, exit 2
+    for argv in ([], ["bench"], ["trace"]):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2

@@ -1,6 +1,9 @@
-"""CLI smoke tests for the observability verbs: trace, report, series-out."""
+"""CLI smoke tests for the observability surface: ``simulate``'s report,
+trace export and profile, ``report PATH``, and ``sweep --series-out``."""
 
 import json
+
+import pytest
 
 from repro.cli import main
 
@@ -10,42 +13,36 @@ _SMALL = [
 ]
 
 
-def test_trace_command_writes_perfetto_json(tmp_path, capsys):
-    out = tmp_path / "trace.json"
+def test_report_command_stdout(tmp_path, capsys):
+    saved = tmp_path / "run.json"
     assert main([
-        "trace", "--strategy", "lazy-group", *_SMALL,
-        "--faults", "partition=3", "--out", str(out),
+        "simulate", "--strategy", "lazy-group", *_SMALL,
+        "--sample-interval", "0.2", "--json", str(saved),
     ]) == 0
-    printed = capsys.readouterr().out
-    assert "ui.perfetto.dev" in printed
-    doc = json.load(out.open())
-    assert doc["traceEvents"]
-    body = [e for e in doc["traceEvents"] if e["ph"] != "M"]
-    assert [e["ts"] for e in body] == sorted(e["ts"] for e in body)
-    assert any(e["cat"] == "partition" for e in body)
-
-
-def test_report_command_stdout(capsys):
-    assert main([
-        "report", "--strategy", "lazy-group", *_SMALL,
-    ]) == 0
+    simulated = capsys.readouterr().out
+    assert main(["report", str(saved)]) == 0
     out = capsys.readouterr().out
     assert "## Rates" in out
-    assert "## Time series" in out
+    assert "## Time series (0.2s windows)" in out
     assert "commit_rate" in out
+    # the saved document renders the report the run printed
+    assert simulated.startswith(out)
+    assert simulated[len(out):] == f"result written to {saved}\n"
 
 
 def test_report_command_files(tmp_path, capsys):
     md = tmp_path / "report.md"
-    js = tmp_path / "report.json"
+    js = tmp_path / "run.json"
     assert main([
-        "report", "--strategy", "two-tier", *_SMALL,
-        "--sample-interval", "0.5",
-        "--out", str(md), "--json", str(js),
+        "simulate", "--strategy", "two-tier", *_SMALL,
+        "--sample-interval", "0.5", "--json", str(js),
     ]) == 0
+    assert main(["report", str(js), "--out", str(md)]) == 0
+    assert f"report written to {md}" in capsys.readouterr().out
     assert "tentative_queue" in md.read_text()
     doc = json.load(js.open())
-    assert doc["sample_interval"] == 0.5
+    assert doc["config"]["sample_interval"] == 0.5
+    assert doc["extra"]["series"]["interval"] == 0.5
 
 
 def test_simulate_profile(capsys):
@@ -58,22 +55,40 @@ def test_simulate_profile(capsys):
 
 
 def test_simulate_trace_out(tmp_path, capsys):
+    # --trace-out alone records every category, none dropped
+    out = tmp_path / "trace.json"
+    assert main([
+        "simulate", "--strategy", "lazy-group", *_SMALL,
+        "--faults", "partition=3", "--trace-out", str(out),
+    ]) == 0
+    printed = capsys.readouterr().out
+    assert "ui.perfetto.dev" in printed
+    assert "trace sample" not in printed
+    doc = json.load(out.open())
+    assert doc["otherData"]["dropped"] == 0
+    body = [e for e in doc["traceEvents"] if e["ph"] != "M"]
+    assert [e["ts"] for e in body] == sorted(e["ts"] for e in body)
+    categories = {e["cat"] for e in body}
+    assert "partition" in categories
+    assert "reconcile" in categories and "txn,commit" in categories
+
+
+def test_simulate_trace_narrows_the_exported_categories(tmp_path, capsys):
     out = tmp_path / "trace.json"
     assert main([
         "simulate", "--strategy", "lazy-master", *_SMALL,
-        "--trace", "all", "--trace-out", str(out),
+        "--trace", "commit", "--trace-out", str(out),
     ]) == 0
-    assert json.load(out.open())["traceEvents"]
+    assert "trace sample" in capsys.readouterr().out
+    body = [e for e in json.load(out.open())["traceEvents"] if e["ph"] != "M"]
+    assert body and {e["cat"] for e in body} == {"txn,commit"}
 
 
-def test_simulate_trace_out_requires_trace(tmp_path):
-    import pytest
-
-    with pytest.raises(SystemExit):
-        main([
-            "simulate", "--strategy", "lazy-master", *_SMALL,
-            "--trace-out", str(tmp_path / "trace.json"),
-        ])
+def test_simulate_rejects_an_unknown_trace_category(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", *_SMALL, "--trace", "deadlocks"])
+    assert exc.value.code == 2
+    assert "unknown trace categories ['deadlocks']" in capsys.readouterr().err
 
 
 def test_sweep_series_out(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Tests for the service-mode CLI surface: ``serve``, ``loadtest``, and
-``report --loadtest``."""
+``report`` over a saved loadtest result."""
 
 import json
 
@@ -49,7 +49,7 @@ def test_loadtest_requires_an_endpoint():
 def test_report_renders_a_loadtest_result(tmp_path, capsys):
     source = tmp_path / "result.json"
     source.write_text(json.dumps(SAMPLE_RESULT), encoding="utf-8")
-    assert main(["report", "--loadtest", str(source)]) == 0
+    assert main(["report", str(source)]) == 0
     out = capsys.readouterr().out
     assert "Service loadtest report" in out
     assert "committed/sec" in out
@@ -62,8 +62,7 @@ def test_report_writes_the_markdown_file(tmp_path):
     source = tmp_path / "result.json"
     source.write_text(json.dumps(SAMPLE_RESULT), encoding="utf-8")
     target = tmp_path / "out" / "service.md"
-    assert main(["report", "--loadtest", str(source),
-                 "--out", str(target)]) == 0
+    assert main(["report", str(source), "--out", str(target)]) == 0
     text = target.read_text(encoding="utf-8")
     assert "# Service loadtest report" in text
     assert "rejection rate" in text
@@ -71,13 +70,16 @@ def test_report_writes_the_markdown_file(tmp_path):
 
 def test_report_rejects_missing_or_foreign_json(tmp_path):
     with pytest.raises(SystemExit, match="cannot read"):
-        main(["report", "--loadtest", str(tmp_path / "nope.json")])
+        main(["report", str(tmp_path / "nope.json")])
     foreign = tmp_path / "foreign.json"
-    for payload in ({"kind": "campaign"}, {},
+    campaign = {"summary": {}, "runs": [{"config": {}, "rates": {}}],
+                "cells": []}
+    for payload in ({"kind": "campaign"}, {}, campaign,
                     {"benchmark": "kernel-hotpath"}, []):
         foreign.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(SystemExit, match="not a service loadtest"):
-            main(["report", "--loadtest", str(foreign)])
+        with pytest.raises(SystemExit,
+                           match="not a run or service loadtest result"):
+            main(["report", str(foreign)])
 
 
 def test_markdown_marks_undrained_runs(tmp_path):

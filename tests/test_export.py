@@ -6,13 +6,13 @@ import pytest
 
 from repro.analytic import ModelParameters
 from repro.harness import ExperimentConfig, run_experiment
+from repro.harness.campaign import Campaign, run_campaign
 from repro.harness.export import (
+    campaign_to_dict,
     result_to_dict,
-    stats_to_dict,
     to_dict,
     write_json,
 )
-from repro.harness.stats import repeat_experiment
 
 
 def small_config(**kw):
@@ -43,11 +43,17 @@ def test_export_is_valid_json_text(tmp_path):
 
 
 def test_stats_export(tmp_path):
-    stats = repeat_experiment(small_config(), seeds=[1, 2])
-    data = stats_to_dict(stats)
-    assert data["seeds"] == [1, 2]
-    assert len(data["rates"]["commit_rate"]["samples"]) == 2
-    write_json(stats, tmp_path / "stats.json")
+    config = small_config()
+    outcome = run_campaign(Campaign(strategies=(config.strategy,),
+                                    base_params=config.params, seeds=(1, 2),
+                                    duration=config.duration), jobs=0)
+    data = campaign_to_dict(outcome)
+    assert [run["config"]["seed"] for run in data["runs"]] == [1, 2]
+    (cell,) = data["cells"]
+    assert len(cell["rates"]["commit_rate"]["samples"]) == 2
+    assert cell["rates"]["commit_rate"]["ci95_half_width"] >= 0
+    path = write_json(outcome, tmp_path / "stats.json")
+    assert json.loads(path.read_text())["cells"] == data["cells"]
 
 
 def test_to_dict_dispatch():

@@ -8,7 +8,7 @@ from repro.analytic import ModelParameters
 from repro.exceptions import ConfigurationError
 from repro.faults import FaultPlan
 from repro.harness import ExperimentConfig, run_experiment
-from repro.obs.samplers import Telemetry, TimeSeries
+from repro.obs.samplers import Telemetry, TimeSeries, sparkline
 from repro.sim.engine import Engine
 
 
@@ -38,28 +38,25 @@ def test_series_roundtrip():
     series = TimeSeries("x")
     series.append(1.0, 3.0)
     series.append(2.0, 4.0)
-    back = TimeSeries.from_dict(json.loads(json.dumps(series.to_dict())))
-    assert back.name == "x"
-    assert back.times == [1.0, 2.0]
-    assert back.values == [3.0, 4.0]
+    # the run's document carries the series as this dictionary
+    doc = series.to_dict()
+    assert json.loads(json.dumps(doc)) == doc
+    assert doc["name"] == "x"
+    assert doc["times"] == [1.0, 2.0]
+    assert doc["values"] == [3.0, 4.0]
+    assert doc["summary"]["last"] == 4.0
 
 
 def test_sparkline_shape():
-    series = TimeSeries("x")
-    for i in range(10):
-        series.append(float(i), float(i))
-    line = series.sparkline(width=10)
+    line = sparkline([float(i) for i in range(10)], width=10)
     assert len(line) == 10
     assert line[0] == " "  # zero level
     assert line[-1] == "@"  # peak level
 
 
 def test_sparkline_all_zero_and_empty():
-    series = TimeSeries("x")
-    assert series.sparkline() == ""
-    series.append(1.0, 0.0)
-    series.append(2.0, 0.0)
-    assert series.sparkline() == "  "
+    assert sparkline([]) == ""
+    assert sparkline([0.0, 0.0]) == "  "
 
 
 # --------------------------------------------------------------------- #

@@ -1,16 +1,14 @@
 """Tests for multi-seed statistics."""
 
+import dataclasses
+
 import pytest
 
 from repro.analytic import ModelParameters
 from repro.exceptions import ConfigurationError
-from repro.harness import ExperimentConfig
-from repro.harness.stats import (
-    RateEstimate,
-    estimate,
-    repeat_experiment,
-    t_quantile_95,
-)
+from repro.harness.campaign import Campaign, run_campaign
+from repro.harness.stats import estimate, t_quantile_95
+from repro.metrics.rates import RateSummary
 
 
 class TestTQuantile:
@@ -52,33 +50,36 @@ class TestEstimate:
 
 
 class TestRepeatExperiment:
-    def config(self):
-        return ExperimentConfig(
-            strategy="lazy-master",
-            params=ModelParameters(db_size=60, nodes=2, tps=3, actions=2,
-                                   action_time=0.002),
-            duration=20.0,
-        )
+    """Repeating one experiment over seeds: a one-cell campaign."""
+
+    PARAMS = ModelParameters(db_size=60, nodes=2, tps=3, actions=2,
+                             action_time=0.002)
+
+    def rates(self, seeds):
+        campaign = Campaign(strategies=("lazy-master",),
+                            base_params=self.PARAMS, seeds=tuple(seeds),
+                            duration=20.0)
+        (cell,) = run_campaign(campaign, jobs=0).aggregate()
+        assert cell.n == len(seeds)
+        return cell.rates
 
     def test_summarises_all_rates(self):
-        stats = repeat_experiment(self.config(), seeds=[1, 2, 3])
-        assert "commit_rate" in stats.rates
-        assert stats["commit_rate"].mean > 0
-        assert len(stats["commit_rate"].samples) == 3
-        assert stats.table_rows()
+        rates = self.rates([1, 2, 3])
+        every = {field.name for field in dataclasses.fields(RateSummary)}
+        assert set(rates) == every - {"horizon"}
+        assert rates["commit_rate"].mean > 0
+        assert len(rates["commit_rate"].samples) == 3
 
     def test_mean_commit_rate_tracks_offered_load(self):
-        stats = repeat_experiment(self.config(), seeds=[1, 2, 3, 4])
+        rates = self.rates([1, 2, 3, 4])
         # offered load is 3 tps x 2 nodes = 6/s
-        assert stats["commit_rate"].mean == pytest.approx(6.0, rel=0.25)
+        assert rates["commit_rate"].mean == pytest.approx(6.0, rel=0.25)
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            repeat_experiment(self.config(), seeds=[1])
-        with pytest.raises(ConfigurationError):
-            repeat_experiment(self.config(), seeds=[1, 1])
+        with pytest.raises(ConfigurationError, match="distinct"):
+            self.rates([1, 1])
 
     def test_deterministic_given_seed_set(self):
-        a = repeat_experiment(self.config(), seeds=[5, 6])
-        b = repeat_experiment(self.config(), seeds=[5, 6])
+        a = self.rates([5, 6])
+        b = self.rates([5, 6])
         assert a["commit_rate"].samples == b["commit_rate"].samples

@@ -1,7 +1,11 @@
 """Tests for the tracing facility."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.sim.tracing import TraceEvent, Tracer
 from repro.replication import SystemSpec
 
@@ -29,6 +33,25 @@ class TestTracerUnit:
         assert len(tracer) == 3
         assert tracer.dropped == 2
         assert tracer.events()[0].detail["txn"] == 2  # oldest kept
+
+    def test_unbounded_tracer_keeps_every_event(self):
+        tracer = Tracer(limit=None)
+        for i in range(150_000):
+            tracer.emit(float(i), "wait", txn=i)
+        assert len(tracer) == 150_000
+        assert tracer.dropped == 0
+        assert tracer.events()[0].detail["txn"] == 0
+
+    def test_known_categories_are_exactly_the_emitted_ones(self):
+        # every literal category handed to a system's _trace(...) under
+        # the package, however the call is wrapped across lines
+        emitted = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            emitted.update(re.findall(r'_trace\(\s*"([^"]+)"',
+                                      path.read_text(encoding="utf-8")))
+        assert emitted
+        assert set(Tracer.KNOWN_CATEGORIES) == emitted
+        assert len(Tracer.KNOWN_CATEGORIES) == len(emitted)
 
     def test_timeline_follows_one_transaction(self):
         tracer = Tracer()
