@@ -54,8 +54,8 @@ def test_simulate_profile(capsys):
     assert "lazy-group-txn" in out
 
 
-def test_simulate_trace_out(tmp_path, capsys):
-    # --trace-out alone records every category, none dropped
+def test_trace_command_writes_perfetto_json(tmp_path, capsys):
+    # `simulate --trace-out` is the command that writes the Perfetto file
     out = tmp_path / "trace.json"
     assert main([
         "simulate", "--strategy", "lazy-group", *_SMALL,
@@ -63,13 +63,24 @@ def test_simulate_trace_out(tmp_path, capsys):
     ]) == 0
     printed = capsys.readouterr().out
     assert "ui.perfetto.dev" in printed
-    assert "trace sample" not in printed
     doc = json.load(out.open())
-    assert doc["otherData"]["dropped"] == 0
+    assert doc["traceEvents"]
     body = [e for e in doc["traceEvents"] if e["ph"] != "M"]
     assert [e["ts"] for e in body] == sorted(e["ts"] for e in body)
-    categories = {e["cat"] for e in body}
-    assert "partition" in categories
+    assert any(e["cat"] == "partition" for e in body)
+
+
+def test_simulate_trace_out(tmp_path, capsys):
+    # --trace-out alone records every category, none dropped
+    out = tmp_path / "trace.json"
+    assert main([
+        "simulate", "--strategy", "lazy-group", *_SMALL,
+        "--faults", "partition=3", "--trace-out", str(out),
+    ]) == 0
+    assert "trace sample" not in capsys.readouterr().out
+    doc = json.load(out.open())
+    assert doc["otherData"]["dropped"] == 0
+    categories = {e["cat"] for e in doc["traceEvents"] if e["ph"] != "M"}
     assert "reconcile" in categories and "txn,commit" in categories
 
 
