@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Optional
 
 _message_ids = itertools.count(1)
 
@@ -15,7 +15,7 @@ def reset_message_ids() -> None:
     _message_ids = itertools.count(1)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Message:
     """One network message.
 
@@ -33,9 +33,21 @@ class Message:
     dst: int
     kind: str
     payload: Any
-    send_time: float = 0.0
-    deliver_time: float = 0.0
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
+    send_time: float
+    deliver_time: float
+    msg_id: int
+
+    def __init__(self, src: int, dst: int, kind: str, payload: Any,
+                 send_time: float = 0.0, deliver_time: float = 0.0,
+                 msg_id: Optional[int] = None):
+        # written out: a generated default factory costs a frame per send
+        self.src = src
+        self.dst = dst
+        self.kind = kind
+        self.payload = payload
+        self.send_time = send_time
+        self.deliver_time = deliver_time
+        self.msg_id = next(_message_ids) if msg_id is None else msg_id
 
     @property
     def latency(self) -> float:

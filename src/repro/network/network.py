@@ -11,6 +11,10 @@ from repro.sim.protocol import EngineProtocol
 
 Handler = Callable[[Message], Any]
 
+#: returned by a handler (via :meth:`Network.park_inbound`) that refuses a
+#: delivery: the node did not take the message
+PARKED = object()
+
 
 class Network:
     """Message fabric with delay, node disconnects, and store-and-forward.
@@ -197,12 +201,14 @@ class Network:
         is the store-and-forward behaviour mobile replication requires.  Use
         :meth:`is_connected` first if the caller needs fail-fast semantics.
         """
-        self._check_node(src)
-        self._check_node(dst)
+        num_nodes = self.num_nodes
+        if not (0 <= src < num_nodes and 0 <= dst < num_nodes):
+            self._check_node(src)  # raises for whichever end is out of range
+            self._check_node(dst)
+        now = self.engine.now
         msg = Message(
-            src=src, dst=dst, kind=kind, payload=payload, send_time=self.engine.now
+            src, dst, kind, payload, now, now + self.message_delay + extra_delay
         )
-        msg.deliver_time = self.engine.now + self.message_delay + extra_delay
         self.messages_sent += 1
         if src not in self._connected:
             self._outbound.setdefault(src, deque()).append(msg)
@@ -212,55 +218,70 @@ class Network:
         return msg
 
     def _route(self, msg: Message) -> None:
-        if msg.dst not in self._connected or not self.reachable(msg.src, msg.dst):
-            self._inbound.setdefault(msg.dst, deque()).append(msg)
+        dst = msg.dst
+        # the partition probe runs only while some pair is cut
+        if dst not in self._connected or (
+            self._unreachable_pairs and not self.reachable(msg.src, dst)
+        ):
+            self._inbound.setdefault(dst, deque()).append(msg)
             self.messages_parked += 1
             return
-        if self.fault_injector is not None and msg.src != msg.dst:
+        if self.fault_injector is not None and msg.src != dst:
+            now = self.engine.now
             for fault_msg, extra in self.fault_injector.route(msg):
                 if extra > 0.0:
-                    if fault_msg.deliver_time < self.engine.now:
-                        fault_msg.deliver_time = self.engine.now
+                    if fault_msg.deliver_time < now:
+                        fault_msg.deliver_time = now
                     fault_msg.deliver_time += extra
                 self._deliver_after_delay(fault_msg)
             return
         self._deliver_after_delay(msg)
 
-    def park_inbound(self, msg: Message) -> None:
-        """Re-park a delivered message for later redelivery.
+    def park_inbound(self, msg: Message) -> object:
+        """Refuse a delivery: park ``msg`` again for :meth:`flush_parked`.
 
-        Used when the receiver cannot process traffic yet (a crashed node
-        that a disconnect schedule reconnected); :meth:`flush_parked`
-        redelivers after recovery.
+        A handler whose node cannot take traffic yet (a crashed node that a
+        disconnect schedule reconnected) returns ``park_inbound(msg)``: the
+        :data:`PARKED` it hands back keeps the refused delivery uncounted.
         """
         self._inbound.setdefault(msg.dst, deque()).append(msg)
         self.messages_parked += 1
+        return PARKED
 
     def _deliver_after_delay(self, msg: Message) -> None:
-        delay = max(0.0, msg.deliver_time - self.engine.now)
-        # a message parked past its nominal delivery time goes out promptly
-        if msg.deliver_time < self.engine.now:
-            msg.deliver_time = self.engine.now
+        now = self.engine.now
+        delay = msg.deliver_time - now
+        if delay < 0.0:
+            # a message parked past its nominal delivery time goes out promptly
+            msg.deliver_time = now
+            delay = 0.0
         self.in_flight += 1
         self.engine.schedule(delay, self._deliver, msg)
 
     def _deliver(self, msg: Message) -> None:
         self.in_flight -= 1
-        if msg.dst not in self._connected or not self.reachable(msg.src, msg.dst):
+        dst = msg.dst
+        if dst not in self._connected or (
+            self._unreachable_pairs and not self.reachable(msg.src, dst)
+        ):
             # the destination went dark while the message was in flight:
             # park it for redelivery at the next reconnect
-            self._inbound.setdefault(msg.dst, deque()).append(msg)
+            self._inbound.setdefault(dst, deque()).append(msg)
             self.messages_parked += 1
             return
-        handler = self._handlers.get(msg.dst)
+        handler = self._handlers.get(dst)
         if handler is None:
-            raise SimulationError(f"no handler registered for node {msg.dst}")
-        msg.deliver_time = self.engine.now
-        self.messages_delivered += 1
-        self._latency_total += msg.latency
-        if msg.latency > self._latency_max:
-            self._latency_max = msg.latency
+            raise SimulationError(f"no handler registered for node {dst}")
+        now = msg.deliver_time = self.engine.now
         result = handler(msg)
+        if result is PARKED:
+            return
+        # counted once the node has taken the message
+        self.messages_delivered += 1
+        latency = now - msg.send_time
+        self._latency_total += latency
+        if latency > self._latency_max:
+            self._latency_max = latency
         if result is not None and hasattr(result, "send"):
             # one interned name per message kind: the per-message id suffix
             # only ever got stripped again by the profiler's bucketing

@@ -15,6 +15,7 @@ The base class's ``_run`` drives the composition.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -358,9 +359,9 @@ class ReplicatedSystem:
             if node.node_id in self.crashed:
                 # a disconnect schedule reconnected a crashed node: it
                 # cannot process traffic yet, so re-park for redelivery at
-                # recovery (no resend — parking schedules nothing)
-                self.network.park_inbound(msg)
-                return None
+                # recovery (no resend — parking schedules nothing); the
+                # refused delivery is not counted as one
+                return self.network.park_inbound(msg)
             self.metrics.messages += 1
             if msg.kind == "record-transfer":
                 # shard migration payload — strategy-agnostic, handled here
@@ -568,26 +569,33 @@ class ReplicatedSystem:
         as lazy-group).  ``compute_time`` is what each update action costs
         at the origin before anything is installed anywhere.
         """
-        node = self.nodes[ctx.origin]
+        origin = ctx.origin
+        node = self.nodes[origin]
         txn = ctx.txn = node.tm.begin(label=ctx.label)
         reads: List[Tuple[int, Timestamp]] = []
         writes: List[Tuple[int, Timestamp, Any, Operation]] = []
+        delay = self.network.message_delay
+        hop = self.engine.timeout(delay) if delay > 0 else None
+        compute = self.engine.timeout(compute_time) if compute_time > 0 else None
+        history = self.history
+        site_for = self._site_for
         for op in ctx.ops:
-            site = self._site_for(ctx.origin, op.oid)
-            if site is not node and self.network.message_delay > 0:
-                yield self.engine.timeout(self.network.message_delay)
-            record = site.store.read(op.oid)
+            oid = op.oid
+            site = site_for(origin, oid)
+            if site is not node and hop is not None:
+                yield hop
+            record = site.store.read(oid)
             if op.is_read:
                 txn.record_read(record.value)
-                if self.history is not None:
-                    self.history.record_read(site.node_id, txn.txn_id, op.oid)
-                reads.append((op.oid, record.ts))
+                if history is not None:
+                    history.record_read(site.node_id, txn.txn_id, oid)
+                reads.append((oid, record.ts))
                 continue
-            if compute_time > 0:
-                yield self.engine.timeout(compute_time)
-            if op.reads_state and self.history is not None:
-                self.history.record_read(site.node_id, txn.txn_id, op.oid)
-            writes.append((op.oid, record.ts, op.apply(record.value), op))
+            if compute is not None:
+                yield compute
+            if op.reads_state and history is not None:
+                history.record_read(site.node_id, txn.txn_id, oid)
+            writes.append((oid, record.ts, op.apply(record.value), op))
         ctx.scratch["reads"] = reads
         ctx.scratch["writes"] = writes
 
@@ -638,11 +646,14 @@ class ReplicatedSystem:
                     yield node_id, needed
             return
         extra_holders = tuple(range(placement.num_nodes, self.num_nodes))
-        needed_by_node: Dict[int, List[ReplicaUpdate]] = {}
+        needed_by_node: Dict[int, List[ReplicaUpdate]] = defaultdict(list)
         for update, skip in zip(updates, current):
-            for node_id in placement.replicas(update.oid) + extra_holders:
+            holders = placement.replicas(update.oid)
+            if extra_holders:
+                holders += extra_holders
+            for node_id in holders:
                 if node_id not in skip:
-                    needed_by_node.setdefault(node_id, []).append(update)
+                    needed_by_node[node_id].append(update)
         for node_id in sorted(needed_by_node):
             yield node_id, needed_by_node[node_id]
 
@@ -664,9 +675,11 @@ class ReplicatedSystem:
         Not once the object migrated away while the update was in flight
         or parked: the record travelled to its new holder at move time, so
         applying here would resurrect a copy the directory no longer
-        routes to.
+        routes to.  (:meth:`_node_holds`, inlined: one call per update.)
         """
-        return self.placement.is_full or self._node_holds(oid, node_id)
+        placement = self.placement
+        return (placement.is_full or node_id >= placement.num_nodes
+                or node_id in placement.replicas(oid))
 
     def _thomas_write_rule(
         self, node: NodeContext, local: Record, update: ReplicaUpdate
@@ -735,14 +748,17 @@ class ReplicatedSystem:
         tm = node.tm
         txn = tm.begin(label=msg.kind)
         try:
+            # nothing hoisted: a shipped message usually carries one update,
+            # and a hoisted bound method is an allocation a direct call skips
             for update in updates:
-                if not self._takes_shipped(update.oid, node.node_id):
+                oid = update.oid
+                if not self._takes_shipped(oid, node.node_id):
                     continue
-                event = node.locks.acquire(txn, update.oid, _EXCLUSIVE)
+                event = node.locks.acquire(txn, oid, _EXCLUSIVE)
                 if event is not None:
                     yield event
                     txn.require_active()
-                outcome = judge(node, node.store.read(update.oid), update)
+                outcome = judge(node, node.store.read(oid), update)
                 if tm.action_sleep is not None and outcome in _WRITES:
                     yield tm.action_sleep
                     txn.require_active()

@@ -160,7 +160,7 @@ class Engine:
 
     def _spawn(self, generator: Generator, name: str = "") -> Process:
         """Trusted-caller :meth:`process` without the generator check."""
-        proc = Process(self, generator, name=name)
+        proc = Process(self, generator, name)
         self._process_count += 1
         self.schedule_now(self._step, proc, None, None)
         return proc

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from repro.exceptions import ProcessKilled, SimulationError
-from repro.sim.events import TIMER_WAIT, SimEvent
+from repro.sim.events import _PENDING, TIMER_WAIT, SimEvent
 
 
 class Process(SimEvent):
@@ -37,7 +37,14 @@ class Process(SimEvent):
     __slots__ = ("generator", "engine", "waiting_on", "_timer_gen")
 
     def __init__(self, engine, generator: Generator[Any, Any, Any], name: str = ""):
-        super().__init__(name=name or getattr(generator, "__name__", "process"))
+        # SimEvent's fields, set in place: every transaction and every
+        # handler is a process, so the super() call was a frame per spawn
+        self.state = _PENDING
+        self.value: Any = None
+        self.exception: Optional[BaseException] = None
+        self._callbacks = None
+        self._waiters = None
+        self.name = name or getattr(generator, "__name__", "process")
         self.generator = generator
         self.engine = engine
         self.waiting_on: Optional[SimEvent] = None

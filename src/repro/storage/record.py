@@ -8,15 +8,17 @@ of section 6, an optional version vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.storage.versioning import Timestamp, VersionVector
 
 
-@dataclass
+@dataclass(slots=True)
 class Record:
     """One object replica: value plus versioning metadata.
+
+    Slotted, with no default factory: one is built per touched replica.
 
     Attributes:
         oid: object identifier, stable across all replicas.
@@ -27,7 +29,7 @@ class Record:
 
     oid: int
     value: Any = 0
-    ts: Timestamp = field(default_factory=lambda: Timestamp.ZERO)
+    ts: Timestamp = Timestamp.ZERO
     vector: Optional[VersionVector] = None
 
     def copy(self) -> "Record":

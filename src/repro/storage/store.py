@@ -61,11 +61,10 @@ class ObjectStore:
 
     def _miss(self, oid: int) -> Record:
         """Handle a ``_records`` miss: materialise a resident object or
-        re-raise."""
-        if self._holds(oid):
-            record = self._records[oid] = Record(
-                oid=oid, value=self._initial_value
-            )
+        re-raise.  (:meth:`_holds`, inlined: every first touch lands here.)"""
+        resident = self._resident
+        if 0 <= oid < self.db_size and (resident is None or resident(oid)):
+            record = self._records[oid] = Record(oid, self._initial_value)
             return record
         raise KeyError(oid)
 

@@ -87,9 +87,7 @@ class TransactionManager:
     def begin(self, label: str = "") -> Transaction:
         """Start a new transaction originating at this node."""
         self.begun += 1
-        return Transaction(
-            origin_node=self.node_id, start_time=self.engine.now, label=label
-        )
+        return Transaction(self.node_id, self.engine.now, label)
 
     def commit(self, txn: Transaction) -> None:
         """Single-node commit: flip state and release local resources; the

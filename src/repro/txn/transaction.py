@@ -58,6 +58,12 @@ class Transaction:
         reads: values observed by read operations, in order.
     """
 
+    # one per attempt and one per replica-apply housekeeping transaction
+    __slots__ = (
+        "txn_id", "origin_node", "start_time", "label", "state", "updates",
+        "reads", "end_time", "abort_reason", "restarts",
+    )
+
     def __init__(self, origin_node: int, start_time: float, label: str = ""):
         self.txn_id: int = next(_txn_ids)
         self.origin_node = origin_node

@@ -31,7 +31,7 @@ from typing import Any, Dict, Optional
 
 from repro.analytic.parameters import ModelParameters
 from repro.faults.plan import FaultPlan
-from repro.harness import ExperimentConfig, run_experiment
+from repro.harness import ExperimentConfig, ExperimentResult, run_experiment
 from repro.harness.experiment import STRATEGIES
 from repro.network.message import reset_message_ids
 from repro.sim.tracing import Tracer
@@ -119,6 +119,18 @@ def _build_partial_config(name: str, tracer: Optional[Tracer]) -> ExperimentConf
     )
 
 
+def _run_counted(config: ExperimentConfig) -> ExperimentResult:
+    """:func:`run_experiment`, checking that the network counted exactly
+    the deliveries the nodes took (a refused delivery is not one)."""
+    result = run_experiment(config)
+    delivered = result.system.network.messages_delivered
+    taken = result.system.metrics.messages
+    assert delivered == taken, (
+        f"network counted {delivered} deliveries, the nodes took {taken}"
+    )
+    return result
+
+
 def fingerprint(name: str) -> Dict[str, Any]:
     """Run one canonical case and reduce it to a comparable record.
 
@@ -129,7 +141,7 @@ def fingerprint(name: str) -> Dict[str, Any]:
     reset_txn_ids()
     reset_message_ids()
     tracer = Tracer(limit=1_000_000)
-    result = run_experiment(_build_config(name, tracer))
+    result = _run_counted(_build_config(name, tracer))
     trace_lines = "\n".join(e.format() for e in tracer.events())
     return {
         "metrics": {k: v for k, v in sorted(result.metrics.as_dict().items())},
@@ -146,7 +158,7 @@ def fingerprint_partial(name: str) -> Dict[str, Any]:
     reset_txn_ids()
     reset_message_ids()
     tracer = Tracer(limit=1_000_000)
-    result = run_experiment(_build_partial_config(name, tracer))
+    result = _run_counted(_build_partial_config(name, tracer))
     trace_lines = "\n".join(e.format() for e in tracer.events())
     resident = result.extra["resident_objects"]
     return {

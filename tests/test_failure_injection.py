@@ -191,3 +191,24 @@ class TestTwoTierAdversity:
         assert system.nodes[0].store.value(0) == 10
         assert system.base_divergence() == 0
         assert system.divergence() == 0
+
+    def test_a_delivery_a_crashed_mobile_refuses_is_counted_once(self):
+        """Reconnecting a crashed mobile hands it its parked update, which
+        it refuses and parks again; recovery delivers it for good.  The
+        network counts that one delivery once, as the node does."""
+        system = TwoTierSystem(
+            SystemSpec(num_nodes=3, db_size=4, action_time=0.001),
+            num_base=1,
+        )
+        mobile = 1
+        system.crash_node(mobile)
+        system.submit(0, [WriteOp(0, 7)])
+        system.run()
+        system.reconnect_mobile(mobile)
+        system.run()
+        assert system.network.parked_inbound(mobile) == 1  # refused
+        system.recover_node(mobile)
+        system.run()
+        assert system.nodes[mobile].store.value(0) == 7
+        assert system.metrics.messages == 2
+        assert system.network.messages_delivered == system.metrics.messages

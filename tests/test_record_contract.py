@@ -1,4 +1,5 @@
-"""The four per-update value records keep their contract.
+"""The per-update value records and the per-message objects keep their
+contract.
 
 ``Timestamp``, ``LogEntry``, ``UpdateRecord`` and ``ReplicaUpdate`` are built
 once or more per write, so their representation is a performance decision;
@@ -8,22 +9,36 @@ position in the declared field order, picklable, and named as they always
 were.  The hot construction sites skip the generated ``__new__`` (they call
 ``tuple.__new__`` directly), so each one is checked to hand out exactly
 the record its keyword constructor would.
+
+``Record``, ``Transaction`` and ``Message`` are the mutable per-object
+state of the replica-update stream (one per touched replica, per attempt,
+per send).  They are slotted — no instance ``__dict__`` — and keep their
+equality, ``repr``, copying and pickling; message ids stay a global, monotone
+send order.
 """
 
+import copy
 import pickle
 
 import pytest
 
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, LinkFaults
+from repro.network import Network
+from repro.network.message import Message, reset_message_ids
 from repro.replication import (
     DeferredUpdateSystem,
     LazyGroupSystem,
     ReplicaUpdate,
     SystemSpec,
 )
+from repro.sim import Engine
+from repro.sim.random_source import RandomSource
+from repro.storage.record import Record
 from repro.storage.versioning import Timestamp, TimestampGenerator
 from repro.storage.wal import LogEntry, WriteAheadLog
 from repro.txn.ops import IncrementOp, WriteOp
-from repro.txn.transaction import UpdateRecord
+from repro.txn.transaction import Transaction, TxnState, UpdateRecord
 
 OP = IncrementOp(2, 5)
 OLD, NEW = Timestamp(1, 0), Timestamp(2, 0)
@@ -190,3 +205,122 @@ def test_fast_construction_site_builds_the_declared_record(site):
     assert eval(repr(built), names) == expected
     clone = pickle.loads(pickle.dumps(built))
     assert type(clone) is cls and clone == expected
+
+
+# --------------------------------------------------------------------- #
+# the slotted per-object state: Record, Transaction, Message
+# --------------------------------------------------------------------- #
+
+
+def _transaction():
+    txn = Transaction(origin_node=2, start_time=1.5, label="t")
+    txn.record_read(4)
+    txn.record_update(UpdateRecord(oid=2, op=OP, old_value=10, old_ts=OLD,
+                                   new_value=15, new_ts=NEW))
+    txn.mark_committed(2.0)
+    return txn
+
+
+def _transaction_state(txn):
+    return (txn.txn_id, txn.origin_node, txn.start_time, txn.label,
+            txn.state, txn.updates, txn.reads, txn.end_time,
+            txn.abort_reason, txn.restarts)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Record(oid=3, value=7, ts=NEW),
+    _transaction,
+    lambda: Message(0, 1, "du-apply", ("payload", 1), 0.5, 1.5),
+], ids=["Record", "Transaction", "Message"])
+def test_per_object_state_has_no_instance_dict(build):
+    obj = build()
+    assert not hasattr(obj, "__dict__")
+    with pytest.raises(AttributeError):
+        obj.not_a_field = 1
+
+
+def test_record_keeps_its_defaults_equality_repr_and_copies():
+    record = Record(5)
+    assert (record.oid, record.value, record.ts, record.vector) == (
+        5, 0, Timestamp.ZERO, None
+    )
+    assert record.ts is Timestamp.ZERO  # the shared immutable default
+    assert Record(5, 0) == record == Record(oid=5, value=0, ts=Timestamp.ZERO)
+    assert Record(5, 1) != record and Record(6) != record
+    assert Record(5, 0, NEW) != record
+    assert repr(Record(3, 7, NEW)) == "Record(oid=3, value=7, ts=2@0)"
+    for clone in (record.copy(), copy.copy(record),
+                  pickle.loads(pickle.dumps(record))):
+        assert type(clone) is Record and clone == record
+        assert clone is not record
+    # a copy is a snapshot: writing the original leaves it alone
+    snapshot = record.copy()
+    record.value, record.ts = 9, NEW
+    assert (snapshot.value, snapshot.ts) == (0, Timestamp.ZERO)
+
+
+def test_transaction_keeps_identity_equality_repr_and_pickles():
+    txn = _transaction()
+    assert txn == txn and txn != _transaction()
+    assert repr(txn) == (
+        f"<Txn {txn.txn_id} 't' node=2 committed updates=1>"
+    )
+    for clone in (copy.copy(txn), pickle.loads(pickle.dumps(txn))):
+        assert type(clone) is Transaction and clone is not txn
+        assert _transaction_state(clone) == _transaction_state(txn)
+    assert pickle.loads(pickle.dumps(txn)).state is TxnState.COMMITTED
+
+
+def test_message_keeps_its_fields_equality_repr_and_pickles():
+    msg = Message(src=0, dst=1, kind="du-apply", payload=("x", 1),
+                  send_time=0.5, deliver_time=1.5, msg_id=41)
+    assert (msg.src, msg.dst, msg.kind, msg.payload, msg.send_time,
+            msg.deliver_time, msg.msg_id) == (0, 1, "du-apply", ("x", 1),
+                                              0.5, 1.5, 41)
+    assert msg.latency == 1.0
+    assert Message(0, 1, "du-apply", ("x", 1), 0.5, 1.5, 41) == msg
+    assert Message(0, 1, "du-apply", ("x", 1), 0.5, 1.5, 42) != msg
+    assert Message(0, 2, "du-apply", ("x", 1), 0.5, 1.5, 41) != msg
+    assert repr(msg) == "<Message #41 du-apply 0->1 @0.5>"
+    defaulted = Message(3, 4, "k", None)
+    assert (defaulted.send_time, defaulted.deliver_time) == (0.0, 0.0)
+    for clone in (copy.copy(msg), pickle.loads(pickle.dumps(msg))):
+        assert type(clone) is Message and clone == msg and clone is not msg
+
+
+def test_message_ids_are_monotone_and_restart_on_reset():
+    reset_message_ids()
+    engine = Engine()
+    net = Network(engine, 2)
+    net.register(1, lambda msg: None)
+    ids = [net.send(0, 1, "m", n).msg_id for n in range(3)]
+    ids.append(Message(0, 1, "m", None).msg_id)
+    assert ids == [1, 2, 3, 4]
+    reset_message_ids()
+    assert net.send(0, 1, "m", None).msg_id == 1
+    assert Message(0, 1, "m", None, msg_id=99).msg_id == 99
+    assert Message(0, 1, "m", None).msg_id == 2  # an explicit id draws none
+
+
+class _StubSystem:
+    def __init__(self):
+        self.engine = Engine()
+        self.network = Network(self.engine, 2)
+        self.rng = RandomSource(7)
+
+    def _trace(self, category, **detail):
+        pass
+
+
+def test_a_duplicated_message_gets_a_fresh_id():
+    system = _StubSystem()
+    FaultInjector(system, FaultPlan(link=LinkFaults(duplicate=1.0))).install()
+    inbox = []
+    system.network.register(1, inbox.append)
+    sent = system.network.send(0, 1, "m", "x")
+    system.engine.run()
+    original, clone = inbox
+    assert original is sent
+    assert clone.msg_id > sent.msg_id
+    assert (clone.src, clone.dst, clone.kind, clone.payload,
+            clone.send_time) == (0, 1, "m", "x", sent.send_time)

@@ -4,6 +4,23 @@ import pytest
 
 from repro.exceptions import ProcessKilled, SimulationError
 from repro.sim import Engine
+from repro.sim.events import EventState, SimEvent
+
+
+def test_a_fresh_process_starts_as_a_fresh_event():
+    """``Process.__init__`` sets the event fields itself: every one a
+    pending ``SimEvent`` has must be there, with the same value."""
+    engine = Engine()
+
+    def work():
+        yield engine.timeout(1.0)
+
+    proc = engine.process(work(), name="p")
+    event = SimEvent(name="p")
+    for slot in SimEvent.__slots__:
+        assert getattr(proc, slot) == getattr(event, slot), slot
+    assert proc.state is EventState.PENDING
+    assert engine.process(work()).name == "work"  # the generator's name
 
 
 def test_process_alive_until_finished():
