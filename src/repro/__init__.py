@@ -4,8 +4,9 @@ A production-quality reproduction of Gray, Helland, O'Neil & Shasha
 (SIGMOD 1996): the closed-form analytic model of replication instability
 (equations 1-19), a deterministic discrete-event simulator with real locking,
 deadlock detection and versioned storage, the four Table-1 replication
-strategies, the section-6 convergent schemes, and the paper's proposed
-**two-tier replication protocol** for mobile nodes.
+strategies (lazy-group carrying section 6's reconciliation rules and
+commutative updates), and the paper's proposed **two-tier replication
+protocol** for mobile nodes.
 
 Quick start::
 

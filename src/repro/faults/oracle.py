@@ -27,16 +27,22 @@ declaration and the executed fault plan:
 
 The verdict is attached to every experiment as ``oracle_ok``, printed by
 ``repro verify``, and carried in the gateway's ``drained`` frame.
+
+:func:`lost_updates`, section 6's yardstick, sits beside the verdict, not
+in it: it needs the committed transactions, which a run does not keep.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from repro.exceptions import InvalidStateError
+from repro.exceptions import ConfigurationError, InvalidStateError
 from repro.faults.plan import FaultPlan
+from repro.txn.ops import AppendOp, IncrementOp
+from repro.txn.transaction import Transaction
 
 
 @dataclass
@@ -163,11 +169,46 @@ def conservation_total(system) -> Any:
     for increment-only workloads on a converged system this must equal the
     sum of committed deltas (no lost updates).  Under full replication this
     is simply node 0's total."""
-    total: Any = 0
-    seen = set()
+    return sum(_first_holder_values(system).values())
+
+
+def lost_updates(system, committed: Iterable[Transaction]) -> Any:
+    """Section 6's lost-update count: what the committed root transactions
+    (the ``submit(...)`` values) did that a converged system no longer shows.
+
+    An :class:`~repro.txn.ops.IncrementOp` loses the committed delta missing
+    from the value at the object's first holder, net of ``initial_value``;
+    an :class:`~repro.txn.ops.AppendOp` loses the committed items missing
+    from its tuple.  Any other op raises :class:`ConfigurationError`: a
+    blind write replaces by design, so it has no lost update.
+    """
+    deltas: Counter = Counter()
+    items: Dict[int, Counter] = defaultdict(Counter)
+    for txn in committed:
+        # an eager txn records one update per replica: count each op once
+        for op in {id(u.op): u.op for u in txn.updates}.values():
+            if isinstance(op, IncrementOp):
+                deltas[op.oid] += op.delta
+            elif isinstance(op, AppendOp):
+                items[op.oid][op.item] += 1
+            else:
+                raise ConfigurationError(
+                    f"no lost update is defined for {op!r}"
+                )
+    values = _first_holder_values(system)
+    initial = system.spec.initial_value
+    lost = sum(d - (values[oid] - initial) for oid, d in deltas.items())
+    # an append's initial 0 is the empty tuple (AppendOp.apply)
+    return lost + sum(
+        sum((wanted - Counter(values[oid] or ())).values())
+        for oid, wanted in items.items()
+    )
+
+
+def _first_holder_values(system) -> Dict[int, Any]:
+    """Map oid -> the value at the lowest-numbered node holding it."""
+    values: Dict[int, Any] = {}
     for node in system.nodes:
         for oid, value in node.store.snapshot().items():
-            if oid not in seen:
-                seen.add(oid)
-                total += value
-    return total
+            values.setdefault(oid, value)
+    return values

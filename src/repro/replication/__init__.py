@@ -30,10 +30,10 @@ aborts:
   asynchronous replica refresh (Lu/Yu/Madden).
 
 Supporting modules: :mod:`~repro.replication.reconciliation` (the Oracle-7
-style rule library for resolving lazy-group conflicts),
-:mod:`~repro.replication.quorum` (Gifford weighted voting, used by eager
-systems for availability), and :mod:`~repro.replication.convergent`
-(section 6's Lotus Notes / Microsoft Access convergence schemes).
+style rule library for resolving lazy-group conflicts — with
+``propagate_ops=True`` and the merge rule, section 6's commutative
+updates) and :mod:`~repro.replication.quorum` (Gifford weighted voting,
+used by eager systems for availability).
 
 The proposed two-tier scheme lives in :mod:`repro.core`.  The canonical
 name -> class registry is ``repro.harness.experiment.STRATEGY_CLASSES``;

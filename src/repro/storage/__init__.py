@@ -3,8 +3,7 @@
 Each simulated node owns:
 
 * an :class:`~repro.storage.store.ObjectStore` of versioned
-  :class:`~repro.storage.record.Record` objects (value + Lamport timestamp +
-  optional version vector),
+  :class:`~repro.storage.record.Record` objects (value + Lamport timestamp),
 * a strict two-phase-locking :class:`~repro.storage.lock_manager.LockManager`
   with FIFO wait queues,
 * a :class:`~repro.storage.deadlock.DeadlockDetector` maintaining the global
@@ -22,7 +21,7 @@ from repro.storage.deadlock import DeadlockDetector
 from repro.storage.lock_manager import LockManager, LockMode
 from repro.storage.record import Record
 from repro.storage.store import ObjectStore
-from repro.storage.versioning import Timestamp, TimestampGenerator, VersionVector
+from repro.storage.versioning import Timestamp, TimestampGenerator
 from repro.storage.wal import LogEntry, WriteAheadLog
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "ObjectStore",
     "Timestamp",
     "TimestampGenerator",
-    "VersionVector",
     "LogEntry",
     "WriteAheadLog",
 ]

@@ -74,7 +74,7 @@ def test_protocol_is_runtime_checkable_not_nominal():
     "repro.txn.twopc",
     "repro.network.network",
     "repro.storage.lock_manager",
-    "repro.replication.gossip",
+    "repro.replication.base",
 ])
 def test_system_layers_type_against_the_protocol(module_name):
     """The layers the wall-clock kernel drives import the protocol, not

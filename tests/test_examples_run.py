@@ -28,7 +28,7 @@ def run_example(name: str, *args: str) -> subprocess.CompletedProcess:
     "sales_campaign.py",
     "scalability_report.py",
     "anomaly_hunt.py",
-    "notes_gossip.py",
+    "notes_lazy_group.py",
     "tpcb_bank.py",
 ])
 def test_example_runs_clean(script):
@@ -66,3 +66,11 @@ def test_tpcb_bank_breaks_only_under_timestamps():
     out = result.stdout
     assert "branch == sum(tellers) at every branch: False" in out
     assert out.count("branch == sum(tellers) at every branch: True") == 2
+
+
+def test_notes_lazy_group_loses_only_renames():
+    result = run_example("notes_lazy_group.py")
+    out = result.stdout
+    assert "converged: True (oracle ok" in out
+    assert out.count("rename was overwritten") == 2  # one title survives
+    assert "6 of 6 cast" in out

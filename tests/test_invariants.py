@@ -1,16 +1,23 @@
 """The one judge's checks, one by one: what each catches and reports."""
 
+import pytest
+
+from repro.exceptions import ConfigurationError
 from repro.faults.oracle import (
     OracleVerdict,
     conservation_total,
     divergence_report,
     evaluate,
+    lost_updates,
 )
 from repro.replication.eager_group import EagerGroupSystem
 from repro.replication.lazy_group import LazyGroupSystem
-from repro.replication.reconciliation import ManualReconciliation
+from repro.replication.reconciliation import (
+    ManualReconciliation,
+    MergeCommutative,
+)
 from repro.storage.lock_manager import LockMode
-from repro.txn.ops import IncrementOp, WriteOp
+from repro.txn.ops import AppendOp, IncrementOp, WriteOp
 from repro.replication import SystemSpec
 
 
@@ -121,3 +128,46 @@ class TestChecks:
     def test_conservation_total(self):
         system = healthy_system()
         assert conservation_total(system) == 12
+
+
+def racing(op_for, *, rule=None, propagate_ops=False, initial_value=0):
+    """Three lazy-group nodes each commit one op on object 0 before any
+    replica update lands; returns the system and the committed txns."""
+    system = LazyGroupSystem(
+        SystemSpec(num_nodes=3, db_size=2, action_time=0.001,
+                   message_delay=0.5, initial_value=initial_value),
+        rule=rule, propagate_ops=propagate_ops,
+    )
+    processes = [system.submit(origin, [op_for(origin)])
+                 for origin in range(3)]
+    system.run()
+    assert system.converged()
+    return system, [p.value for p in processes]
+
+
+class TestLostUpdates:
+    def test_increment_counts_the_missing_delta(self):
+        """Latest timestamp wins keeps node 2's +3 and loses +1 and +2,
+        net of the initial value."""
+        system, committed = racing(lambda origin: IncrementOp(0, origin + 1),
+                                   initial_value=100)
+        assert system.snapshot()[0] == 103
+        assert lost_updates(system, committed) == 3
+        assert lost_updates(system, committed[2:]) == 0
+        merged, committed = racing(lambda origin: IncrementOp(0, origin + 1),
+                                   rule=MergeCommutative(), propagate_ops=True)
+        assert lost_updates(merged, committed) == 0
+
+    def test_append_counts_the_missing_items(self):
+        system, committed = racing(lambda origin: AppendOp(0, f"n{origin}"))
+        assert system.snapshot()[0] == ("n2",)
+        assert lost_updates(system, committed) == 2
+        merged, committed = racing(lambda origin: AppendOp(0, f"n{origin}"),
+                                   rule=MergeCommutative(), propagate_ops=True)
+        assert merged.snapshot()[0] == ("n0", "n1", "n2")
+        assert lost_updates(merged, committed) == 0
+
+    def test_blind_write_is_rejected(self):
+        system, committed = racing(lambda origin: WriteOp(0, origin))
+        with pytest.raises(ConfigurationError, match="WriteOp"):
+            lost_updates(system, committed)

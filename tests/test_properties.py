@@ -5,6 +5,8 @@ paper's argument rests on:
 
 * serializable strategies (eager, lazy-master) conserve increments exactly;
 * lazy-master and lazy-group (timestamp rule) always converge after drain;
+* across a healing partition lazy-group converges either way, but only
+  shipped, merged commutative ops lose no update (section 6);
 * the two-tier base tier never diverges, whatever the mobiles do;
 * deadlock handling never leaks locks or undo records.
 """
@@ -13,10 +15,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import AlwaysAccept, NonNegativeOutputs, TwoTierSystem
+from repro.faults.injector import FaultInjector
+from repro.faults.oracle import evaluate, lost_updates
+from repro.faults.plan import FaultPlan, Partition
 from repro.replication.eager_group import EagerGroupSystem
 from repro.replication.lazy_group import LazyGroupSystem
 from repro.replication.lazy_master import LazyMasterSystem
-from repro.txn.ops import IncrementOp, WriteOp
+from repro.replication.reconciliation import (
+    LatestTimestampWins,
+    MergeCommutative,
+)
+from repro.txn.ops import AppendOp, IncrementOp, WriteOp
+from repro.txn.transaction import TxnState
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.profiles import uniform_update_profile
 from repro.replication import SystemSpec
@@ -44,15 +54,14 @@ def test_eager_group_conserves_increments(topo, txns):
                    retry_deadlocks=True),
     )
     processes = []
-    rng_oid = seed
     for i in range(txns):
         origin = i % nodes
         oid = (seed + i * 7) % db
         processes.append(system.submit(origin, [IncrementOp(oid, 1)]))
     system.run()
-    committed = sum(1 for p in processes if p.value.state.value == "committed")
-    total = sum(system.nodes[0].store.snapshot().values())
-    assert total == committed
+    committed = [p.value for p in processes
+                 if p.value.state is TxnState.COMMITTED]
+    assert lost_updates(system, committed) == 0
     assert system.converged()
 
 
@@ -96,6 +105,79 @@ def test_lazy_group_timestamp_rule_always_converges(topo):
     assert system.converged()
     for node in system.nodes:
         node.tm.assert_quiescent()
+
+
+#: objects in the partition scripts: even oids take increments, odd appends
+SCRIPT_DB = 4
+
+
+@st.composite
+def healing_partition_scripts(draw):
+    """2-4 lazy-group nodes, one or two partitions that heal, and one
+    script of ``(gap, oid, amount)`` steps per node."""
+    nodes = draw(st.integers(2, 4))
+    partitions = []
+    for _ in range(draw(st.integers(1, 2))):
+        left = draw(st.sets(st.integers(0, nodes - 1),
+                            min_size=1, max_size=nodes - 1))
+        partitions.append(Partition(
+            start=draw(st.integers(0, 30)) / 10,
+            duration=draw(st.integers(1, 150)) / 10,
+            left=tuple(sorted(left)),
+            right=tuple(n for n in range(nodes) if n not in left),
+        ))
+    step = st.tuples(st.integers(0, 30), st.integers(0, SCRIPT_DB - 1),
+                     st.integers(1, 5))
+    scripts = [draw(st.lists(step, max_size=6)) for _ in range(nodes)]
+    return nodes, FaultPlan(partitions=tuple(partitions)), scripts
+
+
+def run_scripts(nodes, plan, scripts, rule, propagate_ops):
+    """Drive every node's script across the plan; check the run converged
+    and was judged ok; return the system and its committed txns."""
+    system = LazyGroupSystem(
+        SystemSpec(num_nodes=nodes, db_size=SCRIPT_DB, action_time=0.001,
+                   message_delay=0.05),
+        rule=rule, propagate_ops=propagate_ops,
+    )
+    FaultInjector(system, plan).install()
+    processes = []
+
+    def script(node, steps):
+        for index, (gap, oid, amount) in enumerate(steps):
+            yield system.engine.timeout(gap / 10)
+            op = (IncrementOp(oid, amount) if oid % 2 == 0
+                  else AppendOp(oid, (node, index, amount)))
+            processes.append(system.submit(node, [op]))
+
+    for node, steps in enumerate(scripts):
+        system.engine.process(script(node, steps))
+    system.run()
+    assert system.converged()
+    verdict = evaluate(system, plan)
+    assert verdict.ok, verdict.describe()
+    return system, [p.value for p in processes
+                    if p.value.state is TxnState.COMMITTED]
+
+
+@SIM_SETTINGS
+@given(healing_partition_scripts())
+def test_lazy_group_loses_updates_only_when_shipping_values(case):
+    """Section 6 in the simulator: across a healing partition both forms
+    converge; shipped, merged commutative ops lose nothing, while value
+    shipping under time priority may lose up to everything committed."""
+    nodes, plan, scripts = case
+    system, committed = run_scripts(nodes, plan, scripts,
+                                    MergeCommutative(), propagate_ops=True)
+    assert lost_updates(system, committed) == 0
+
+    system, committed = run_scripts(nodes, plan, scripts,
+                                    LatestTimestampWins(), propagate_ops=False)
+    total = sum(
+        update.op.delta if isinstance(update.op, IncrementOp) else 1
+        for txn in committed for update in txn.updates
+    )
+    assert 0 <= lost_updates(system, committed) <= total
 
 
 @SIM_SETTINGS

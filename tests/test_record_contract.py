@@ -241,9 +241,8 @@ def test_per_object_state_has_no_instance_dict(build):
 
 def test_record_keeps_its_defaults_equality_repr_and_copies():
     record = Record(5)
-    assert (record.oid, record.value, record.ts, record.vector) == (
-        5, 0, Timestamp.ZERO, None
-    )
+    assert Record.__slots__ == ("oid", "value", "ts")
+    assert (record.oid, record.value, record.ts) == (5, 0, Timestamp.ZERO)
     assert record.ts is Timestamp.ZERO  # the shared immutable default
     assert Record(5, 0) == record == Record(oid=5, value=0, ts=Timestamp.ZERO)
     assert Record(5, 1) != record and Record(6) != record
@@ -256,7 +255,10 @@ def test_record_keeps_its_defaults_equality_repr_and_copies():
     # a copy is a snapshot: writing the original leaves it alone
     snapshot = record.copy()
     record.value, record.ts = 9, NEW
-    assert (snapshot.value, snapshot.ts) == (0, Timestamp.ZERO)
+    assert (snapshot.oid, snapshot.value, snapshot.ts) == (5, 0, Timestamp.ZERO)
+    # and copy() carries every slot
+    copied = record.copy()
+    assert (copied.oid, copied.value, copied.ts) == (5, 9, NEW)
 
 
 def test_transaction_keeps_identity_equality_repr_and_pickles():

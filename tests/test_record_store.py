@@ -16,7 +16,7 @@ class TestRecord:
         record = Record(oid=3)
         assert record.value == 0
         assert record.ts == Timestamp.ZERO
-        assert record.vector is None
+        assert Record.__slots__ == ("oid", "value", "ts")
 
     def test_copy_is_independent(self):
         record = Record(oid=1, value=10, ts=Timestamp(1, 0))
@@ -24,6 +24,7 @@ class TestRecord:
         record.value = 20
         assert snapshot.value == 10
         assert snapshot.ts == Timestamp(1, 0)
+        assert snapshot.oid == 1
 
 
 class TestObjectStore:

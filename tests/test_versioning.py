@@ -1,9 +1,9 @@
-"""Tests for Lamport timestamps and version vectors."""
+"""Tests for Lamport timestamps."""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.storage.versioning import Timestamp, TimestampGenerator, VersionVector
+from repro.storage.versioning import Timestamp, TimestampGenerator
 
 
 class TestTimestamp:
@@ -66,76 +66,3 @@ class TestTimestampGenerator:
         stamps = [a.tick() for _ in range(20)] + [b.tick() for _ in range(20)]
         assert len(set(stamps)) == 40
 
-
-class TestVersionVector:
-    def test_empty_vectors_equal(self):
-        assert VersionVector() == VersionVector()
-        assert not VersionVector().concurrent_with(VersionVector())
-
-    def test_bump_is_functional(self):
-        v = VersionVector()
-        v2 = v.bump(1)
-        assert v.get(1) == 0
-        assert v2.get(1) == 1
-
-    def test_dominates_after_bump(self):
-        v = VersionVector().bump(0)
-        assert v.dominates(VersionVector())
-        assert not VersionVector().dominates(v)
-
-    def test_concurrent_vectors(self):
-        a = VersionVector().bump(0)
-        b = VersionVector().bump(1)
-        assert a.concurrent_with(b)
-        assert b.concurrent_with(a)
-
-    def test_merge_is_component_max(self):
-        a = VersionVector({0: 3, 1: 1})
-        b = VersionVector({0: 1, 1: 5, 2: 2})
-        merged = a.merge(b)
-        assert merged.get(0) == 3
-        assert merged.get(1) == 5
-        assert merged.get(2) == 2
-
-    def test_merge_dominates_both(self):
-        a = VersionVector({0: 3})
-        b = VersionVector({1: 2})
-        merged = a.merge(b)
-        assert merged.dominates(a)
-        assert merged.dominates(b)
-
-    def test_zero_components_ignored_in_equality(self):
-        assert VersionVector({0: 0}) == VersionVector()
-        assert hash(VersionVector({0: 0})) == hash(VersionVector())
-
-    @given(
-        st.dictionaries(st.integers(0, 5), st.integers(0, 10)),
-        st.dictionaries(st.integers(0, 5), st.integers(0, 10)),
-    )
-    def test_merge_commutative(self, da, db):
-        a, b = VersionVector(da), VersionVector(db)
-        assert a.merge(b) == b.merge(a)
-
-    @given(
-        st.dictionaries(st.integers(0, 5), st.integers(0, 10)),
-        st.dictionaries(st.integers(0, 5), st.integers(0, 10)),
-        st.dictionaries(st.integers(0, 5), st.integers(0, 10)),
-    )
-    def test_merge_associative(self, da, db, dc):
-        a, b, c = VersionVector(da), VersionVector(db), VersionVector(dc)
-        assert a.merge(b).merge(c) == a.merge(b.merge(c))
-
-    @given(
-        st.dictionaries(st.integers(0, 5), st.integers(0, 10)),
-        st.dictionaries(st.integers(0, 5), st.integers(0, 10)),
-    )
-    def test_dominance_trichotomy_consistent(self, da, db):
-        a, b = VersionVector(da), VersionVector(db)
-        # exactly one of: a==b, a>b, b>a, concurrent
-        states = [
-            a == b,
-            a.dominates(b) and not b.dominates(a),
-            b.dominates(a) and not a.dominates(b),
-            a.concurrent_with(b),
-        ]
-        assert sum(states) == 1
