@@ -20,25 +20,39 @@ and explain the regeneration in the commit message.
 ``tests/data/partial_golden.json`` holds the analogous fingerprints for a
 partial placement (``hash:k=3``) run of every strategy; regenerate with
 ``--write-partial``.
+
+``tests/data/options_golden.json`` pins the constructor options and spec
+switches the default-constructor goldens never turn — quorum,
+``parallel_updates``, ``lock_reads`` on mixed read/write traffic,
+``master_broadcasts``, ``require_connected_masters=False`` and the master
+cells under ``hash:k=3`` — one system built directly per
+:data:`OPTION_CASES` entry; regenerate with ``--write-options``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, NamedTuple, Optional
 
 from repro.analytic.parameters import ModelParameters
 from repro.faults.plan import FaultPlan
 from repro.harness import ExperimentConfig, ExperimentResult, run_experiment
-from repro.harness.experiment import STRATEGIES
+from repro.harness.experiment import STRATEGIES, STRATEGY_CLASSES
 from repro.network.message import reset_message_ids
+from repro.placement import Placement
+from repro.replication import SystemSpec
 from repro.sim.tracing import Tracer
+from repro.txn.ops import ReadOp, WriteOp
 from repro.txn.transaction import reset_txn_ids
+from repro.workload.generator import WorkloadGenerator
+from repro.workload.profiles import TransactionProfile, uniform_update_profile
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "determinism_golden.json"
 PARTIAL_GOLDEN_PATH = Path(__file__).parent / "data" / "partial_golden.json"
+OPTIONS_GOLDEN_PATH = Path(__file__).parent / "data" / "options_golden.json"
 _PARTIAL_SPEC = "hash:k=3"
 _PARTIAL_NODES = 5
 
@@ -98,8 +112,6 @@ def partial_case_names():
 
 
 def _build_partial_config(name: str, tracer: Optional[Tracer]) -> ExperimentConfig:
-    from repro.placement import Placement
-
     strategy = name.split("/")[0]
     if strategy == "two-tier":
         # a 4-node base tier so k=3 shards it, plus two cycling mobiles
@@ -172,6 +184,105 @@ def fingerprint_partial(name: str) -> Dict[str, Any]:
     }
 
 
+def read_write_factory(oid: int, rng: random.Random):
+    """Half reads, half blind writes: the mixed traffic that makes
+    ``lock_reads`` and remote reads matter."""
+    if rng.random() < 0.5:
+        return ReadOp(oid)
+    return WriteOp(oid, rng.randrange(1_000_000))
+
+
+class OptionCase(NamedTuple):
+    """One system built directly: its strategy, constructor keywords and
+    the spec switches the default-constructor goldens leave off."""
+
+    strategy: str
+    options: Dict[str, Any] = {}
+    placement: Optional[str] = None
+    mixed: bool = False
+    lock_reads: bool = False
+    faulted: bool = False
+
+
+#: every option path a shared phase body serves, by case label
+OPTION_CASES: Dict[str, OptionCase] = {
+    "eager-group+quorum/faulted": OptionCase(
+        "eager-group", {"quorum": True}, faulted=True),
+    "eager-group+quorum/hash:k=3/faulted": OptionCase(
+        "eager-group", {"quorum": True}, _PARTIAL_SPEC, faulted=True),
+    "eager-group+parallel_updates": OptionCase(
+        "eager-group", {"parallel_updates": True}),
+    "eager-group+lock_reads/mixed": OptionCase(
+        "eager-group", mixed=True, lock_reads=True),
+    "eager-master+lock_reads/mixed": OptionCase(
+        "eager-master", mixed=True, lock_reads=True),
+    "lazy-group+lock_reads/mixed": OptionCase(
+        "lazy-group", mixed=True, lock_reads=True),
+    "lazy-master+lock_reads/mixed": OptionCase(
+        "lazy-master", mixed=True, lock_reads=True),
+    "eager-master/hash:k=3/mixed": OptionCase(
+        "eager-master", placement=_PARTIAL_SPEC, mixed=True),
+    "lazy-master+master_broadcasts/faulted": OptionCase(
+        "lazy-master", {"master_broadcasts": True}, faulted=True),
+    "lazy-master+require_connected_masters=False/faulted": OptionCase(
+        "lazy-master", {"require_connected_masters": False}, faulted=True),
+    "lazy-master/hash:k=3/mixed": OptionCase(
+        "lazy-master", placement=_PARTIAL_SPEC, mixed=True),
+}
+
+
+def option_case_names():
+    return list(OPTION_CASES)
+
+
+def fingerprint_option(name: str) -> Dict[str, Any]:
+    """Like :func:`fingerprint` for one :data:`OPTION_CASES` entry, built
+    with its keywords and driven by a plain :class:`WorkloadGenerator`."""
+    case = OPTION_CASES[name]
+    reset_txn_ids()
+    reset_message_ids()
+    tracer = Tracer(limit=1_000_000)
+    num_nodes = _PARTIAL_NODES if case.placement else _PARAMS.nodes
+    faults = None
+    if case.faulted:
+        faults = FaultPlan.from_spec(
+            _FAULT_SPEC, num_nodes=num_nodes, duration=_DURATION,
+            fault_seed=_FAULT_SEED,
+        )
+    spec = SystemSpec(
+        num_nodes=num_nodes,
+        db_size=_PARAMS.db_size,
+        action_time=_PARAMS.action_time,
+        message_delay=_PARAMS.message_delay,
+        seed=_SEED,
+        lock_reads=case.lock_reads,
+        tracer=tracer,
+        placement=(
+            Placement.from_spec(case.placement) if case.placement else None
+        ),
+        faults=faults,
+    )
+    system = STRATEGY_CLASSES[case.strategy](spec, **case.options)
+    if case.mixed:
+        profile = TransactionProfile(
+            actions=_PARAMS.actions, db_size=_PARAMS.db_size,
+            op_factory=read_write_factory,
+        )
+    else:
+        profile = uniform_update_profile(_PARAMS.actions, _PARAMS.db_size)
+    WorkloadGenerator(system, profile, tps=_PARAMS.tps).start(_DURATION)
+    system.run()
+    assert system.network.messages_delivered == system.metrics.messages
+    trace_lines = "\n".join(e.format() for e in tracer.events())
+    return {
+        "metrics": {k: v for k, v in sorted(system.metrics.as_dict().items())},
+        "divergence": system.divergence(),
+        "end_time": round(system.engine.now, 9),
+        "trace_events": len(tracer),
+        "trace_sha256": hashlib.sha256(trace_lines.encode()).hexdigest(),
+    }
+
+
 def load_golden() -> Dict[str, Any]:
     with GOLDEN_PATH.open(encoding="utf-8") as fh:
         return json.load(fh)
@@ -179,6 +290,11 @@ def load_golden() -> Dict[str, Any]:
 
 def load_partial_golden() -> Dict[str, Any]:
     with PARTIAL_GOLDEN_PATH.open(encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def load_options_golden() -> Dict[str, Any]:
+    with OPTIONS_GOLDEN_PATH.open(encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -201,6 +317,12 @@ def write_partial_golden() -> Dict[str, Any]:
     return golden
 
 
+def write_options_golden() -> Dict[str, Any]:
+    golden = {name: fingerprint_option(name) for name in option_case_names()}
+    _write(OPTIONS_GOLDEN_PATH, golden)
+    return golden
+
+
 if __name__ == "__main__":
     import sys
 
@@ -210,9 +332,13 @@ if __name__ == "__main__":
     elif "--write-partial" in sys.argv:
         golden = write_partial_golden()
         print(f"wrote {len(golden)} fingerprints to {PARTIAL_GOLDEN_PATH}")
+    elif "--write-options" in sys.argv:
+        golden = write_options_golden()
+        print(f"wrote {len(golden)} fingerprints to {OPTIONS_GOLDEN_PATH}")
     else:
         raise SystemExit(
-            "usage: python -m tests.determinism_helpers --write | --write-partial\n"
-            "(regenerates tests/data/determinism_golden.json or "
-            "tests/data/partial_golden.json)"
+            "usage: python -m tests.determinism_helpers "
+            "--write | --write-partial | --write-options\n"
+            "(regenerates tests/data/determinism_golden.json, "
+            "tests/data/partial_golden.json or tests/data/options_golden.json)"
         )

@@ -7,14 +7,25 @@ the same run repeated in-process, and (b) the committed golden captured
 before the kernel hot-path refactor.  Any change to event ordering,
 sequence-number consumption, or lock promotion order shows up here first.
 
+The option cases do the same for the constructor options and spec
+switches the default constructors leave off (``options_golden.json``).
+
 Regenerate the goldens (only after an *intentional* behaviour change)::
 
     PYTHONPATH=src python -m tests.determinism_helpers --write
+    PYTHONPATH=src python -m tests.determinism_helpers --write-options
 """
 
 import pytest
 
-from tests.determinism_helpers import case_names, fingerprint, load_golden
+from tests.determinism_helpers import (
+    case_names,
+    fingerprint,
+    fingerprint_option,
+    load_golden,
+    load_options_golden,
+    option_case_names,
+)
 
 
 @pytest.fixture(scope="module")
@@ -38,3 +49,25 @@ def test_fixed_seed_run_is_reproducible_and_matches_golden(case, golden):
 
 def test_golden_covers_every_canonical_case(golden):
     assert sorted(golden) == sorted(case_names())
+
+
+@pytest.fixture(scope="module")
+def options_golden():
+    data = load_options_golden()
+    assert data, "tests/data/options_golden.json is missing or empty"
+    return data
+
+
+@pytest.mark.parametrize("case", option_case_names())
+def test_option_path_is_reproducible_and_matches_golden(case, options_golden):
+    first = fingerprint_option(case)
+    second = fingerprint_option(case)
+    assert first == second, f"{case}: same-process repeat diverged"
+    assert case in options_golden, f"{case}: no committed golden"
+    assert first == options_golden[case], (
+        f"{case}: an option path changed observable behaviour"
+    )
+
+
+def test_options_golden_covers_every_option_case(options_golden):
+    assert sorted(options_golden) == sorted(option_case_names())

@@ -6,8 +6,6 @@ commit/abort release set, or the locks leak and the system convoys to a halt
 (found by the serializability ablation benchmark).
 """
 
-import random
-
 import pytest
 
 from repro.core import AlwaysAccept, TwoTierSystem
@@ -18,12 +16,7 @@ from repro.txn.ops import ReadOp, WriteOp
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.profiles import TransactionProfile
 from repro.replication import SystemSpec
-
-
-def read_write_factory(oid: int, rng: random.Random):
-    if rng.random() < 0.5:
-        return ReadOp(oid)
-    return WriteOp(oid, rng.randrange(1_000_000))
+from tests.determinism_helpers import read_write_factory
 
 
 @pytest.mark.parametrize("cls", [EagerGroupSystem, EagerMasterSystem,
