@@ -333,12 +333,15 @@ class TwoTierSystem(LazyMasterSystem):
         node = self.nodes[mobile_id]
         txn = node.tm.begin(label=label)
         try:
-            yield from self._execute_local(node, txn, ops)
+            for op in ops:
+                yield from node.tm.execute(txn, op)
+                if not op.is_read:
+                    self.metrics.actions += 1
         except DeadlockAbort as exc:
             self._abort_everywhere(txn, [node], reason=exc.reason)
             return txn
         self._commit_everywhere(txn, [node])
-        self._propagate_to_slaves(mobile_id, txn)
+        self._propagate(mobile_id, txn)
         return txn
 
     # ------------------------------------------------------------------ #

@@ -4,7 +4,12 @@ Every strategy expresses its transaction lifecycle as a **commit-protocol
 pipeline** — an ordered subset of the phases ``admission, execute,
 certify, commit, propagate`` (see :mod:`~repro.replication.pipeline`).
 
-Four baseline strategies span the paper's taxonomy:
+Four baseline strategies span the paper's taxonomy.  Table 1 is two
+axes and so are they: each is a row mixin from
+:mod:`~repro.replication.propagation` (``Eager`` or ``Lazy``) declared
+over an ownership column (group, or
+:class:`~repro.replication.base.MasterOwnership`), plus the behaviour that
+is its own:
 
 * :class:`~repro.replication.eager_group.EagerGroupSystem` — update anywhere,
   all replicas updated inside the originating transaction (one distributed
@@ -52,7 +57,7 @@ from repro.replication.eager_group import EagerGroupSystem
 from repro.replication.eager_master import EagerMasterSystem
 from repro.replication.lazy_group import LazyGroupSystem
 from repro.replication.lazy_master import LazyMasterSystem
-from repro.replication.pipeline import PHASE_ORDER, describe_pipeline
+from repro.replication.pipeline import PHASE_ORDER
 from repro.replication.scar import ScarSystem
 
 __all__ = [
@@ -67,5 +72,4 @@ __all__ = [
     "LazyGroupSystem",
     "LazyMasterSystem",
     "ScarSystem",
-    "describe_pipeline",
 ]

@@ -184,15 +184,15 @@ class ReplicatedSystem:
     stay keyword arguments on the concrete class
     (``EagerGroupSystem(spec, quorum=True)``).
 
-    A concrete strategy writes only its ``PHASES`` tuple, its Table-1
-    deltas — where writes execute, which node a fan-out leaves out, how an
-    arriving update is judged — and its message-kind dispatch.  The
-    mechanisms those deltas plug into exist once, here: admission refusal
-    (:meth:`_refuse`), lock-free execution (:meth:`_execute_optimistic`),
-    the default commit phase, the placement-aware fan-out
-    (:meth:`_fan_out`), the replica-apply housekeeping transaction
-    (:meth:`_apply_shipped`) and, for the master column,
-    :class:`MasterOwnership`.
+    A Table-1 class declares its row and column — ``class
+    LazyMasterSystem(Lazy, MasterOwnership, ReplicatedSystem)``, the row's
+    phase bodies from :mod:`repro.replication.propagation`, the column's
+    answer in :meth:`_owner` — and writes only what is its own: ``PHASES``,
+    options, how an arriving update is judged, its message dispatch.  The
+    mechanisms they plug into exist once, here: the driver, which begins
+    the transaction (:meth:`_run`), refusal (:meth:`_refuse`), lock-free
+    execution (:meth:`_execute_optimistic`), the default commit phase, the
+    fan-out (:meth:`_fan_out`) and the replica apply (:meth:`_apply_shipped`).
 
     The spec's ``placement`` decides which nodes hold each object: under
     :class:`~repro.placement.FullReplication` (the default) every node
@@ -220,6 +220,8 @@ class ReplicatedSystem:
     #: bases retry ("resubmitted and reprocessed until [they succeed]"),
     #: every other strategy surfaces deadlocks as failed transactions
     default_retry_deadlocks = False
+    #: abort reason of a transaction refused for an unreachable node
+    unreachable = "no-quorum"
 
     def __init__(self, spec: SystemSpec):
         if not isinstance(spec, SystemSpec):
@@ -252,6 +254,8 @@ class ReplicatedSystem:
         self.crashed: set = set()
         #: shipped updates abandoned after ``max_retries`` deadlocks
         self.replica_updates_dropped = 0
+        #: transactions refused for an unreachable node (:meth:`_refuse`)
+        self.blocked_by_disconnect = 0
         # per-node live user-transaction processes, insertion-ordered so a
         # crash interrupts them deterministically (a set of Process objects
         # would iterate in id() order, which differs run to run)
@@ -516,6 +520,7 @@ class ReplicatedSystem:
         a phase that loses the transaction to a :class:`DeadlockAbort` —
         deadlock victim or crash interrupt — just lets it escape, and the
         driver undoes the transaction at every node in ``ctx.touched``.
+        The transaction begins at its origin before the first phase;
         ``record`` rides along as ``ctx.record``.
         """
         pipeline = self._pipeline
@@ -527,7 +532,10 @@ class ReplicatedSystem:
                 raise NotImplementedError(
                     f"{type(self).__name__} declares no PHASES"
                 )
-        ctx = TxnContext(origin=origin, ops=ops, label=label, record=record)
+        ctx = TxnContext(
+            origin=origin, ops=ops, label=label,
+            txn=self.nodes[origin].tm.begin(label=label), record=record,
+        )
         try:
             for phase in pipeline:
                 step = phase(ctx)
@@ -538,6 +546,11 @@ class ReplicatedSystem:
         except DeadlockAbort as exc:
             self._abort_everywhere(ctx.txn, ctx.touched, reason=exc.reason)
         return ctx.txn
+
+    def _owner(self, oid: int) -> Optional[int]:
+        """The node every write of ``oid`` lands at first — Table 1's
+        column.  ``None`` here: group ownership, update anywhere."""
+        return None
 
     def handle_message(self, node: NodeContext, msg: Message):
         """Process an incoming network message at ``node``.
@@ -550,11 +563,12 @@ class ReplicatedSystem:
     # shared phase bodies
     # ------------------------------------------------------------------ #
 
-    def _refuse(self, ctx: TxnContext, reason: str) -> None:
-        """Admission failure: the transaction is born aborted at its
-        origin (it still gets an id, a trace and an abort count)."""
-        ctx.txn = self.nodes[ctx.origin].tm.begin(label=ctx.label)
-        self._abort_everywhere(ctx.txn, [], reason=reason)
+    def _refuse(self, ctx: TxnContext) -> None:
+        """A node the transaction needs is unreachable, so it aborts at its
+        origin before locking anything (it still has an id, a trace and an
+        abort count), counted in ``blocked_by_disconnect``."""
+        self.blocked_by_disconnect += 1
+        self._abort_everywhere(ctx.txn, [], reason=self.unreachable)
         ctx.finished = True
 
     def _execute_optimistic(self, ctx: TxnContext, compute_time: float):
@@ -569,9 +583,8 @@ class ReplicatedSystem:
         as lazy-group).  ``compute_time`` is what each update action costs
         at the origin before anything is installed anywhere.
         """
-        origin = ctx.origin
+        origin, txn = ctx.origin, ctx.txn
         node = self.nodes[origin]
-        txn = ctx.txn = node.tm.begin(label=ctx.label)
         reads: List[Tuple[int, Timestamp]] = []
         writes: List[Tuple[int, Timestamp, Any, Operation]] = []
         delay = self.network.message_delay
@@ -818,14 +831,6 @@ class ReplicatedSystem:
         """:meth:`master_of`, given ``oid``'s master-first replica tuple."""
         return self.nodes[replicas[0]]
 
-    def _execute_local(self, node: NodeContext, txn: Transaction,
-                       ops: Sequence[Operation]):
-        """Run ``ops`` for ``txn`` at one node, counting actions."""
-        for op in ops:
-            yield from node.tm.execute(txn, op)
-            if not op.is_read:
-                self.metrics.actions += 1
-
     def _abort_everywhere(self, txn: Transaction, nodes: Sequence[NodeContext],
                           reason: str) -> None:
         txn.mark_aborted(self.engine.now, reason=reason)
@@ -1030,6 +1035,11 @@ class MasterOwnership:
     master node id`` map, its validation, the routing and reachability
     questions asked of it, and its upkeep when an object migrates.
     """
+
+    unreachable = "master-unreachable"
+
+    def _owner(self, oid: int) -> Optional[int]:
+        return self.ownership[oid]
 
     def _bind_ownership(self, ownership: Optional[Dict[int, int]]) -> None:
         """Adopt ``ownership``, or default it from the placement directory.

@@ -29,7 +29,7 @@ from repro.replication.base import (
     ReplicaUpdate,
     SystemSpec,
 )
-from repro.replication.pipeline import TxnContext
+from repro.replication.propagation import Lazy
 from repro.replication.reconciliation import (
     Outcome,
     ReconciliationRule,
@@ -38,7 +38,7 @@ from repro.replication.reconciliation import (
 from repro.storage.record import Record
 
 
-class LazyGroupSystem(ReplicatedSystem):
+class LazyGroupSystem(Lazy, ReplicatedSystem):
     """Update-anywhere lazy replication (Table 1: lazy / group)."""
 
     name = "lazy-group"
@@ -73,55 +73,11 @@ class LazyGroupSystem(ReplicatedSystem):
         )
 
     # ------------------------------------------------------------------ #
-    # root transaction
-    # ------------------------------------------------------------------ #
-
-    def _phase_execute(self, ctx: TxnContext):
-        origin = ctx.origin
-        node = self.nodes[origin]
-        txn = ctx.txn = node.tm.begin(label=ctx.label)
-        # the origin is always in the release set; under a partial
-        # placement ops on non-resident objects execute at the object's
-        # master replica, which then joins the set
-        touched = ctx.touched = [node]
-        if self.placement.is_full:
-            yield from self._execute_local(node, txn, ctx.ops)
-            return
-        for op in ctx.ops:
-            site = self._site_for(origin, op.oid)
-            if site is not node:
-                if site not in touched:
-                    touched.append(site)
-                if self.network.message_delay > 0:
-                    # RPC round to the remote replica (same cost model as
-                    # lazy-master's remote-owner writes)
-                    yield self.engine.timeout(self.network.message_delay)
-            yield from site.tm.execute(txn, op)
-            if not op.is_read:
-                self.metrics.actions += 1
-
-    def _phase_propagate(self, ctx: TxnContext) -> None:
-        """One lazy replica-update transaction per remote node (Figure 1).
-
-        Under a partial placement each update travels only to the other
-        members of its object's replica set; nodes holding none of the
-        written objects receive nothing.
-        """
-        origin = ctx.origin
-        # where did the root execute each update?  that replica is already
-        # current and must not receive a redundant (and reconciliation-
-        # counting) copy
-        self._fan_out(
-            origin, "replica-update", self._shipped_updates(ctx.txn),
-            lambda update: (self._site_for(origin, update.oid).node_id,),
-        )
-
-    # ------------------------------------------------------------------ #
     # replica application
     # ------------------------------------------------------------------ #
 
     def handle_message(self, node: NodeContext, msg: Message):
-        if msg.kind != "replica-update":
+        if msg.kind != self.SHIP:
             raise ReplicationError(f"lazy-group got unexpected {msg.kind}")
         return self._apply_shipped(node, msg, self._figure4_test)
 

@@ -27,10 +27,11 @@ from repro.replication.base import (
     SystemSpec,
 )
 from repro.replication.pipeline import TxnContext
+from repro.replication.propagation import Lazy
 from repro.txn.transaction import Transaction
 
 
-class LazyMasterSystem(MasterOwnership, ReplicatedSystem):
+class LazyMasterSystem(Lazy, MasterOwnership, ReplicatedSystem):
     """Master-owned lazy replication (Table 1: lazy / master).
 
     Args:
@@ -54,6 +55,7 @@ class LazyMasterSystem(MasterOwnership, ReplicatedSystem):
     #: execute against master copies, commit, then lazy slave streams;
     #: stale suppression at the slaves plays the certification role
     PHASES = ("admission", "execute", "commit", "propagate")
+    SHIP = "slave-update"
 
     def __init__(
         self,
@@ -67,7 +69,6 @@ class LazyMasterSystem(MasterOwnership, ReplicatedSystem):
         self._bind_ownership(ownership)
         self.require_connected_masters = require_connected_masters
         self.master_broadcasts = master_broadcasts
-        self.blocked_by_disconnect = 0
 
     def _register_probes(self, telemetry) -> None:
         super()._register_probes(telemetry)
@@ -80,52 +81,19 @@ class LazyMasterSystem(MasterOwnership, ReplicatedSystem):
     # ------------------------------------------------------------------ #
 
     def _phase_admission(self, ctx: TxnContext) -> None:
+        """"A node wanting to update an object must be connected to the
+        object owner", unless ``require_connected_masters`` is off.  Unlike
+        the group strategies the release set starts empty: a committed-read
+        origin that masters nothing holds nothing."""
         masters_needed = {
             self.ownership[op.oid] for op in ctx.ops if not op.is_read
         }
         if self.require_connected_masters and not self._reachable(
             ctx.origin, masters_needed
         ):
-            self.blocked_by_disconnect += 1
-            return self._refuse(ctx, "master-unreachable")
-        ctx.txn = self.nodes[ctx.origin].tm.begin(label=ctx.label)
-        # unlike the group strategies the release set starts empty: a
-        # committed-read origin that masters nothing holds nothing
-        ctx.touched = []
+            self._refuse(ctx)
 
-    def _phase_execute(self, ctx: TxnContext):
-        origin, txn, involved = ctx.origin, ctx.txn, ctx.touched
-        for op in ctx.ops:
-            master = self.master_of(op.oid)
-            if op.is_read:
-                # committed-read at the local replica unless read locks
-                # are on, in which case the read-lock RPC goes to the
-                # master ("a read action should send read-lock RPCs to
-                # the masters of any objects it reads").  A node holding
-                # no replica of the object reads at the master too.
-                if self.nodes[origin].tm.lock_reads:
-                    target = master
-                    if target not in involved:
-                        involved.append(target)  # S locks need releasing
-                else:
-                    target = self._site_for(origin, op.oid)
-                yield from target.tm.execute(txn, op)
-                continue
-            if (
-                master.node_id != origin
-                and self.network.message_delay > 0
-            ):
-                # RPC round to the owner
-                yield self.engine.timeout(self.network.message_delay)
-            if master not in involved:
-                involved.append(master)
-            yield from master.tm.execute(txn, op)
-            self.metrics.actions += 1
-
-    def _phase_propagate(self, ctx: TxnContext) -> None:
-        self._propagate_to_slaves(ctx.origin, ctx.txn)
-
-    def _propagate_to_slaves(self, origin: int, txn: Transaction) -> None:
+    def _propagate(self, origin: int, txn: Transaction) -> None:
         """Ship committed master updates to every other replica.
 
         Default: one broadcast from the originator per destination.  With
@@ -136,10 +104,9 @@ class LazyMasterSystem(MasterOwnership, ReplicatedSystem):
         everyone else (including the originator, for remote-mastered
         objects) gets a slave refresh — N transactions total (Table 1).
         """
-        updates = self._shipped_updates(txn)
         if not self.master_broadcasts:
-            self._fan_out(origin, "slave-update", updates, self._mastered_at)
-            return
+            return super()._propagate(origin, txn)
+        updates = self._shipped_updates(txn)
         for node_id, needed in self._needed_by_holder(
             updates, self._mastered_at
         ):
@@ -150,7 +117,7 @@ class LazyMasterSystem(MasterOwnership, ReplicatedSystem):
                 ).append(update)
             for master_id, slice_updates in by_master.items():
                 self.network.send(
-                    master_id, node_id, "slave-update", (slice_updates, 0)
+                    master_id, node_id, self.SHIP, (slice_updates, 0)
                 )
 
     # ------------------------------------------------------------------ #
@@ -158,7 +125,7 @@ class LazyMasterSystem(MasterOwnership, ReplicatedSystem):
     # ------------------------------------------------------------------ #
 
     def handle_message(self, node: NodeContext, msg: Message):
-        if msg.kind != "slave-update":
+        if msg.kind != self.SHIP:
             raise ReplicationError(f"lazy-master got unexpected {msg.kind}")
         # "If the record timestamp is newer than a replica update
         # timestamp, the update is 'stale' and can be ignored."

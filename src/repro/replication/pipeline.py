@@ -3,7 +3,8 @@
 Every replication strategy is a composition of a small vocabulary of
 phases — the decomposition that makes post-1996 protocols cheap to add:
 
-* ``admission``    — reachability / quorum checks, ``begin``;
+* ``admission``    — reachability / quorum checks (the driver has
+  already begun the transaction);
 * ``execute``      — run the operations (locally, at masters, or at every
   replica, depending on the strategy);
 * ``certify``      — judge what ``execute`` produced: the read/write set
@@ -21,9 +22,10 @@ each name ``p`` the class provides a ``_phase_<p>`` method taking the
 :class:`TxnContext`.  Phase methods may be plain functions (instantaneous
 bookkeeping) or generators (anything that waits on locks, timeouts or
 messages); the driver in :meth:`ReplicatedSystem._run` interleaves them
-without adding any engine interaction of its own, which is what lets the
-five legacy strategies keep byte-identical determinism fingerprints after
-the refactor.
+without adding any engine interaction of its own, so a composition runs
+exactly the lifecycle its phases spell out.  The Table-1 strategies take
+their ``admission`` / ``execute`` / ``propagate`` bodies from the
+:mod:`~repro.replication.propagation` row mixins.
 
 A phase ends the transaction early — admission failure, certification
 abort — by setting ``ctx.finished = True``; a ``DeadlockAbort`` escaping a
@@ -33,7 +35,7 @@ phase makes the driver undo the transaction at every ``ctx.touched`` node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.txn.ops import Operation
 from repro.txn.transaction import Transaction
@@ -56,7 +58,7 @@ class TxnContext:
         origin: submitting node id.
         ops: the transaction's operations.
         label: workload label for traces.
-        txn: the live :class:`Transaction` (set by ``admission``/``execute``).
+        txn: the live :class:`Transaction`, begun by the driver.
         touched: nodes that acquired locks / wrote WAL entries for this
             transaction — the release set for commit/abort.
         finished: set by a phase to short-circuit the remaining phases
@@ -72,13 +74,8 @@ class TxnContext:
     origin: int
     ops: List[Operation]
     label: str
-    txn: Optional[Transaction] = None
+    txn: Transaction
     touched: List[Any] = field(default_factory=list)
     finished: bool = False
     scratch: Dict[str, Any] = field(default_factory=dict)
     record: Any = None
-
-
-def describe_pipeline(system_cls) -> Tuple[str, ...]:
-    """The phase composition a strategy class declares (for docs/CLI)."""
-    return tuple(getattr(system_cls, "PHASES", ()))

@@ -56,7 +56,6 @@ class ScarSystem(MasterOwnership, ReplicatedSystem):
         # master copies hold the authoritative timestamps
         self._bind_ownership(ownership)
         self.validated = 0
-        self.blocked_by_disconnect = 0
 
     def _register_probes(self, telemetry) -> None:
         super()._register_probes(telemetry)
@@ -101,10 +100,7 @@ class ScarSystem(MasterOwnership, ReplicatedSystem):
             for oid in write_oids + [oid for oid, _ts in reads]
         }
         if not self._reachable(ctx.origin, masters_needed):
-            self.blocked_by_disconnect += 1
-            self._abort_everywhere(txn, ctx.touched, reason="master-unreachable")
-            ctx.finished = True
-            return
+            return self._refuse(ctx)
         # a DeadlockAbort here is a crash interrupt, or a cycle against a
         # non-SCAR housekeeping transaction
         for oid in write_oids:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.replication.eager_group import EagerGroupSystem
+from repro.replication.eager_master import EagerMasterSystem
 from repro.replication import ReplicaUpdate, SystemSpec
 from repro.storage.versioning import Timestamp
 from repro.txn.ops import IncrementOp, ReadOp, WriteOp
@@ -85,13 +86,18 @@ def test_concurrent_increments_all_survive():
 
 
 def test_disconnected_node_blocks_updates_without_quorum():
-    system = make(num_nodes=3)
-    system.network.disconnect(2)
-    p = system.submit(0, [WriteOp(1, 9)])
-    system.run()
-    assert p.value.state.value == "aborted"
-    assert system.blocked_by_disconnect == 1
-    assert system.nodes[0].store.value(1) == 0
+    """Both eager cells share one admission: a dark replica refuses the
+    write, and the refusal is counted, under either ownership."""
+    for cls, reason in ((EagerGroupSystem, "no-quorum"),
+                        (EagerMasterSystem, "master-unreachable")):
+        system = cls(SystemSpec(num_nodes=3, db_size=20, action_time=0.01))
+        system.network.disconnect(2)
+        p = system.submit(0, [WriteOp(1, 9)])
+        system.run()
+        assert p.value.state.value == "aborted"
+        assert p.value.abort_reason == reason
+        assert system.blocked_by_disconnect == 1, cls.name
+        assert system.nodes[0].store.value(1) == 0
 
 
 def test_quorum_allows_updates_with_majority():

@@ -15,7 +15,13 @@ from repro.analytic.markov_strategies import MARKOV_REFERENCE, MARKOV_STRATEGIES
 from repro.faults import FaultPlan
 from repro.harness import ExperimentConfig, run_experiment
 from repro.harness.experiment import STRATEGIES, STRATEGY_CLASSES
-from repro.replication.pipeline import PHASE_ORDER, describe_pipeline
+from repro.replication.base import MasterOwnership
+from repro.replication.eager_group import EagerGroupSystem
+from repro.replication.eager_master import EagerMasterSystem
+from repro.replication.lazy_group import LazyGroupSystem
+from repro.replication.lazy_master import LazyMasterSystem
+from repro.replication.pipeline import PHASE_ORDER
+from repro.replication.propagation import Eager, Lazy
 
 NEW_STRATEGIES = ("deferred-update", "scar")
 
@@ -53,7 +59,7 @@ def test_every_registered_strategy_names_itself():
 
 def test_every_registered_strategy_declares_a_pipeline():
     for name, cls in STRATEGY_CLASSES.items():
-        phases = describe_pipeline(cls)
+        phases = cls.PHASES
         assert phases, f"{name} declares no PHASES"
         assert set(phases) <= set(PHASE_ORDER)
         # declared in canonical lifecycle order
@@ -66,15 +72,40 @@ def test_every_declared_phase_resolves_and_handlers_are_per_class():
     driver looks phases up as ``_phase_<name>``, and the layer ladder wraps
     ``handle_message`` on the class that defines it."""
     for name, cls in STRATEGY_CLASSES.items():
-        for phase in describe_pipeline(cls):
+        for phase in cls.PHASES:
             assert callable(getattr(cls, f"_phase_{phase}", None)), (
                 f"{name} declares phase {phase!r} but has no _phase_{phase}"
             )
-        ships_messages = {"certify", "propagate"} & set(describe_pipeline(cls))
+        ships_messages = {"certify", "propagate"} & set(cls.PHASES)
         if ships_messages:
             assert "handle_message" in vars(cls), (
                 f"{name} ships messages but inherits handle_message"
             )
+
+
+#: Table 1: each cell is its row's mixin × its column
+TABLE_1 = (
+    (EagerGroupSystem, Eager, False),
+    (EagerMasterSystem, Eager, True),
+    (LazyGroupSystem, Lazy, False),
+    (LazyMasterSystem, Lazy, True),
+)
+
+
+@pytest.mark.parametrize(
+    "cls, row, master", TABLE_1, ids=[cls.name for cls, _, _ in TABLE_1]
+)
+def test_table_1_cells_are_declarations_not_phase_bodies(cls, row, master):
+    """The cut must not fork back: a Table-1 class takes its execute body
+    from its row mixin and its ownership from its column."""
+    assert issubclass(cls, row)
+    assert not issubclass(cls, Lazy if row is Eager else Eager)
+    assert issubclass(cls, MasterOwnership) is master
+    assert "_phase_execute" not in vars(cls)
+    if cls is EagerMasterSystem:
+        assert "_phase_admission" not in vars(cls)
+    if cls is LazyGroupSystem:
+        assert "_phase_propagate" not in vars(cls)
 
 
 def test_markov_track_covers_the_whole_registry():

@@ -120,7 +120,7 @@ class ReferenceTwoTier(TwoTierSystem):
             )
             if accepted:
                 self._commit_everywhere(txn, involved)
-                self._propagate_to_slaves(host.node_id, txn)
+                self._propagate(host.node_id, txn)
                 record.status = TentativeStatus.ACCEPTED
                 record.base_txn_id = txn.txn_id
                 self.metrics.tentative_accepted += 1
@@ -148,7 +148,7 @@ class NoticeBeforeRefresh(TwoTierSystem):
     def _phase_propagate(self, ctx):
         ctx.record.base_txn_id = ctx.txn.txn_id
         self._settle(ctx.record)
-        self._propagate_to_slaves(ctx.origin, ctx.txn)
+        self._propagate(ctx.origin, ctx.txn)
 
 
 class CertifyBeforeExecute(TwoTierSystem):
