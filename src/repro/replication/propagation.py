@@ -181,10 +181,8 @@ class Lazy:
             )
             if locks and site not in touched:
                 touched.append(site)
-            if site is not node and delay > 0 and (
-                not op.is_read or self._owner(oid) is None
-            ):
-                # RPC round to the remote copy
+            if site is not node and delay > 0:
+                # RPC round to the remote copy, read or write
                 yield self.engine.timeout(delay)
             yield from site.tm.execute(txn, op)
             if not op.is_read:

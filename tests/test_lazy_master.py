@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.placement import HashShardPlacement
+from repro.replication.lazy_group import LazyGroupSystem
 from repro.replication.lazy_master import LazyMasterSystem
 from repro.replication import SystemSpec
 from repro.txn.ops import IncrementOp, ReadOp, WriteOp
@@ -195,3 +197,38 @@ def test_rpc_delay_slows_remote_master_updates():
         system.run()
         system.last = p.value.duration
     assert slow.last > fast.last
+
+
+# --------------------------------------------------------------------- #
+# one cost for a lazy hop
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("cls", [LazyGroupSystem, LazyMasterSystem])
+def test_a_read_served_by_a_remote_copy_pays_the_hop(cls):
+    """Both lazy cells charge one ``message_delay`` for a read that a
+    copy on another node serves: "a read action should send read-lock
+    RPCs to the masters"."""
+    system = cls(SystemSpec(num_nodes=3, db_size=12, action_time=0.01,
+                            message_delay=0.01,
+                            placement=HashShardPlacement(1)))
+    oid = 5
+    (holder,) = system.placement.replicas(oid)
+    origin = (holder + 1) % 3
+    p = system.submit(origin, [ReadOp(oid)])
+    system.run()
+    txn = p.value
+    assert txn.state.value == "committed"
+    assert txn.end_time - txn.start_time == pytest.approx(0.01)
+
+
+def test_a_locked_read_at_a_remote_master_pays_the_hop():
+    system = make(message_delay=0.01, lock_reads=True)
+    oid = 4  # master is node 1
+    p = system.submit(0, [ReadOp(oid)])
+    system.run()
+    txn = p.value
+    assert txn.state.value == "committed"
+    assert txn.end_time - txn.start_time == pytest.approx(0.01)
+    for node in system.nodes:
+        assert node.locks.holders(oid) == {}
