@@ -91,15 +91,14 @@ class TwoTierSystem(LazyMasterSystem):
         # tier, via our _placement_scope_nodes override
         self.num_base = num_base
         self.num_mobile = num_nodes - num_base
+        # overrides the placement's (base-tier) master; mobiles hold full
+        # replicas, so the owner always has a copy
+        self.mobile_mastered: Dict[int, int] = dict(mobile_mastered or {})
         super().__init__(spec, **kwargs)
         self.cascade_rejections = cascade_rejections
         # base_divergence() and the oracle compare only the master tier
         self.base_ids = list(range(num_base))
-        # mobile mastership overrides the placement-derived (base-tier)
-        # default; mobiles hold full replicas, so the owner always has a copy
-        for oid, owner in (mobile_mastered or {}).items():
-            self.ownership[oid] = owner
-        self.scope = TransactionScope(self.ownership, self.base_ids)
+        self.scope = TransactionScope(self.mobile_mastered, spec.db_size)
         self.mobiles: Dict[int, MobileNode] = {
             mid: MobileNode(self, mid, host_base_id=(mid - num_base) % num_base)
             for mid in range(num_base, num_nodes)
@@ -107,6 +106,10 @@ class TwoTierSystem(LazyMasterSystem):
 
     def _placement_scope_nodes(self) -> int:
         return self.num_base
+
+    def _owner(self, oid: int) -> int:
+        mobile = self.mobile_mastered.get(oid)
+        return self.placement.master(oid) if mobile is None else mobile
 
     def _register_probes(self, telemetry) -> None:
         # called from ReplicatedSystem.__init__, before self.mobiles exists;
@@ -319,7 +322,7 @@ class TwoTierSystem(LazyMasterSystem):
         """
         ops = list(ops)
         for op in ops:
-            if not op.is_read and self.ownership[op.oid] != mobile_id:
+            if not op.is_read and self.mobile_mastered.get(op.oid) != mobile_id:
                 raise ScopeViolationError(
                     f"object {op.oid} is not mastered at mobile {mobile_id}; "
                     "use a tentative transaction instead"

@@ -10,7 +10,7 @@ transaction will be able to read the master copy of each item in the scope."
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Set
+from typing import Dict, Sequence
 
 from repro.exceptions import ScopeViolationError
 from repro.txn.ops import Operation
@@ -19,28 +19,24 @@ from repro.txn.ops import Operation
 class TransactionScope:
     """Validates tentative transactions against the scope rule.
 
+    Every object in ``[0, db_size)`` is mastered at a base node unless
+    ``mobile_mastered`` hands it to a mobile, so a mobile's scope is the
+    whole database minus what the other mobiles master.
+
     Args:
-        ownership: map oid -> master node id (the system's full map).
-        base_node_ids: ids of the always-connected base nodes.
+        mobile_mastered: map oid -> mobile node id mastering it.
+        db_size: objects in the database; any other oid is out of scope.
     """
 
-    def __init__(self, ownership: Dict[int, int], base_node_ids: Iterable[int]):
-        self.ownership = ownership
-        self.base_node_ids: Set[int] = set(base_node_ids)
-
-    def allowed_oids(self, mobile_id: int) -> Set[int]:
-        """All objects a tentative transaction from ``mobile_id`` may touch."""
-        return {
-            oid
-            for oid, master in self.ownership.items()
-            if master in self.base_node_ids or master == mobile_id
-        }
+    def __init__(self, mobile_mastered: Dict[int, int], db_size: int):
+        self.mobile_mastered = mobile_mastered
+        self.db_size = db_size
 
     def master_is_in_scope(self, oid: int, mobile_id: int) -> bool:
-        master = self.ownership.get(oid)
-        if master is None:
-            return False
-        return master in self.base_node_ids or master == mobile_id
+        return (
+            0 <= oid < self.db_size
+            and self.mobile_mastered.get(oid, mobile_id) == mobile_id
+        )
 
     def validate(self, ops: Sequence[Operation], mobile_id: int) -> None:
         """Raise :class:`ScopeViolationError` if any op leaves the scope.
@@ -50,9 +46,15 @@ class TransactionScope:
         re-execution must find every master reachable.
         """
         for op in ops:
-            if not self.master_is_in_scope(op.oid, mobile_id):
-                master = self.ownership.get(op.oid)
+            if self.master_is_in_scope(op.oid, mobile_id):
+                continue
+            if not 0 <= op.oid < self.db_size:
                 raise ScopeViolationError(
-                    f"object {op.oid} is mastered at node {master!r}, which is "
-                    f"neither a base node nor mobile node {mobile_id}"
+                    f"object {op.oid} is outside the database "
+                    f"[0, {self.db_size})"
                 )
+            raise ScopeViolationError(
+                f"object {op.oid} is mastered at mobile node "
+                f"{self.mobile_mastered[op.oid]}, not at a base node or "
+                f"mobile node {mobile_id}"
+            )

@@ -1,8 +1,8 @@
 """Full replication: every node holds every object (the paper's model).
 
 This is the default placement and reproduces the pre-placement behaviour
-exactly — including the ``oid % num_nodes`` round-robin mastership that the
-master strategies used as their default ownership map.
+exactly — including the paper's ``oid % num_nodes`` round-robin mastership,
+which is what the master strategies ask for as each object's owner.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class BoundFullReplication(BoundPlacement):
         return self._all_nodes
 
     def master(self, oid: int) -> int:
-        # matches the classic round_robin_ownership default
+        # the classic round-robin ownership
         return oid % self.num_nodes
 
     def is_replica(self, oid: int, node_id: int) -> bool:

@@ -36,7 +36,6 @@ from repro.exceptions import (
     CrashAbort,
     DeadlockAbort,
     InvalidStateError,
-    MasterUnavailableError,
 )
 from repro.faults.plan import FaultPlan
 from repro.metrics.counters import Metrics
@@ -67,7 +66,7 @@ class SystemSpec:
     This is the one constructor argument every strategy accepts —
     ``EagerGroupSystem(SystemSpec(num_nodes=3, db_size=100), quorum=True)``
     — replacing the long positional/keyword tail the classes had grown.
-    Strategy-specific options (quorum, ownership, reconciliation rule, ...)
+    Strategy-specific options (quorum, reconciliation rule, ...)
     stay keyword arguments on the concrete class; the spec carries what is
     common to all five.
 
@@ -265,7 +264,7 @@ class ReplicatedSystem:
         self._txn_proc_names: Dict[int, str] = {}
         self._rejected_proc_names: Dict[int, str] = {}
         # bound phase methods, resolved lazily on the first transaction so
-        # subclass __init__ state (ownership maps, quorum configs) exists
+        # subclass __init__ state (quorum configs, lazy-master options) exists
         self._pipeline: Optional[List[Callable]] = None
         self.placement_spec = (
             spec.placement if spec.placement is not None else FullReplication()
@@ -812,7 +811,7 @@ class ReplicatedSystem:
 
     def master_of(self, oid: int) -> NodeContext:
         """The node holding ``oid``'s master copy (the placement's
-        deterministic first replica unless a strategy keeps its own map)."""
+        deterministic first replica)."""
         return self.nodes[self.placement.master(oid)]
 
     def _site_for(self, origin: int, oid: int) -> NodeContext:
@@ -1031,43 +1030,22 @@ class ReplicatedSystem:
 class MasterOwnership:
     """The master column of Table 1: every object has one owner node.
 
-    Mixed in ahead of :class:`ReplicatedSystem`, this owns the ``oid ->
-    master node id`` map, its validation, the routing and reachability
-    questions asked of it, and its upkeep when an object migrates.
+    Mixed in ahead of :class:`ReplicatedSystem`.  The owner is the bound
+    placement's master — round-robin ``oid % nodes`` under full
+    replication, the first node of the replica set under a partial one, so
+    the owner always holds a copy.  The directory keeps the master's
+    position when an object migrates, so ownership follows the record
+    with no upkeep here.  This class routes writes to the owner and
+    answers the reachability question asked of it.
     """
 
     unreachable = "master-unreachable"
 
     def _owner(self, oid: int) -> Optional[int]:
-        return self.ownership[oid]
-
-    def _bind_ownership(self, ownership: Optional[Dict[int, int]]) -> None:
-        """Adopt ``ownership``, or default it from the placement directory.
-
-        Full replication yields the classic round-robin ``oid % nodes``; a
-        partial placement masters each object at the first node of its
-        replica set (the HRW winner), so the owner always holds a copy.
-        """
-        self.ownership = (
-            dict(ownership)
-            if ownership is not None
-            else {oid: self.placement.master(oid) for oid in range(self.db_size)}
-        )
-        partial = not self.placement.is_full
-        for oid in range(self.db_size):
-            master = self.ownership.get(oid)
-            if master is None or not 0 <= master < self.num_nodes:
-                raise MasterUnavailableError(
-                    f"object {oid} has no valid master (got {master!r})"
-                )
-            if partial and not self._node_holds(oid, master):
-                raise MasterUnavailableError(
-                    f"object {oid} is mastered at node {master}, which holds "
-                    "no replica of it under the configured placement"
-                )
+        return self.placement.master(oid)
 
     def master_of(self, oid: int) -> NodeContext:
-        return self.nodes[self.ownership[oid]]
+        return self.nodes[self._owner(oid)]
 
     def _master_among(self, oid: int, replicas: Tuple[int, ...]) -> NodeContext:
         return self.master_of(oid)
@@ -1075,11 +1053,11 @@ class MasterOwnership:
     def _mastered_at(self, update: ReplicaUpdate) -> Tuple[int]:
         """The fan-out exclusion of the lazy master strategies: the master
         copy took the write itself and is already current."""
-        return (self.ownership[update.oid],)
+        return (self._owner(update.oid),)
 
     def _takes_shipped(self, oid: int, node_id: int) -> bool:
         # the master copy is the source of truth already
-        return self.ownership[oid] != node_id and super()._takes_shipped(
+        return self._owner(oid) != node_id and super()._takes_shipped(
             oid, node_id
         )
 
@@ -1089,11 +1067,3 @@ class MasterOwnership:
         if not self.network.is_connected(origin):
             return False
         return all(self.network.is_connected(m) for m in masters)
-
-    def migrate(self, oid: int, src: int, dst: int) -> None:
-        super().migrate(oid, src, dst)
-        # the map snapshots oid -> owner at construction; rebind the moved
-        # entry so writes keep routing to a node that holds a copy (the
-        # directory preserves the master position on move)
-        if self.ownership.get(oid) == src:
-            self.ownership[oid] = self.placement.master(oid)

@@ -15,7 +15,7 @@ propagations are silently suppressed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.exceptions import ReplicationError
 from repro.network.message import Message
@@ -34,8 +34,10 @@ from repro.txn.transaction import Transaction
 class LazyMasterSystem(Lazy, MasterOwnership, ReplicatedSystem):
     """Master-owned lazy replication (Table 1: lazy / master).
 
+    Every object is mastered at its placement's master (round-robin under
+    full replication).
+
     Args:
-        ownership: map oid -> master node id (default round-robin).
         require_connected_masters: when True (default), a transaction whose
             object masters are unreachable aborts immediately — "A node
             wanting to update an object must be connected to the object
@@ -61,12 +63,10 @@ class LazyMasterSystem(Lazy, MasterOwnership, ReplicatedSystem):
         self,
         spec: SystemSpec,
         *,
-        ownership: Optional[Dict[int, int]] = None,
         require_connected_masters: bool = True,
         master_broadcasts: bool = False,
     ):
         super().__init__(spec)
-        self._bind_ownership(ownership)
         self.require_connected_masters = require_connected_masters
         self.master_broadcasts = master_broadcasts
 
@@ -86,7 +86,7 @@ class LazyMasterSystem(Lazy, MasterOwnership, ReplicatedSystem):
         the group strategies the release set starts empty: a committed-read
         origin that masters nothing holds nothing."""
         masters_needed = {
-            self.ownership[op.oid] for op in ctx.ops if not op.is_read
+            self._owner(op.oid) for op in ctx.ops if not op.is_read
         }
         if self.require_connected_masters and not self._reachable(
             ctx.origin, masters_needed
@@ -113,7 +113,7 @@ class LazyMasterSystem(Lazy, MasterOwnership, ReplicatedSystem):
             by_master: Dict[int, List[ReplicaUpdate]] = {}
             for update in needed:
                 by_master.setdefault(
-                    self.ownership[update.oid], []
+                    self._owner(update.oid), []
                 ).append(update)
             for master_id, slice_updates in by_master.items():
                 self.network.send(

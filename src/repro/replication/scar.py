@@ -29,7 +29,7 @@ propagate``.  Reads never take locks (the strategy ignores
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.exceptions import ReplicationError
 from repro.network.message import Message
@@ -50,11 +50,8 @@ class ScarSystem(MasterOwnership, ReplicatedSystem):
     name = "scar"
     PHASES = ("execute", "certify", "commit", "propagate")
 
-    def __init__(self, spec: SystemSpec, *,
-                 ownership: Optional[Dict[int, int]] = None):
+    def __init__(self, spec: SystemSpec):
         super().__init__(spec)
-        # master copies hold the authoritative timestamps
-        self._bind_ownership(ownership)
         self.validated = 0
 
     def _register_probes(self, telemetry) -> None:
@@ -96,7 +93,7 @@ class ScarSystem(MasterOwnership, ReplicatedSystem):
             return
         write_oids = sorted({oid for oid, _ts, _v, _op in writes})
         masters_needed = {
-            self.ownership[oid]
+            self._owner(oid)
             for oid in write_oids + [oid for oid, _ts in reads]
         }
         if not self._reachable(ctx.origin, masters_needed):

@@ -305,10 +305,10 @@ def test_migrating_the_master_rebinds_ownership():
         n for n in range(system.num_nodes)
         if not placement.is_replica(oid, n)
     )
-    assert system.ownership[oid] == src
+    assert system.master_of(oid).node_id == src
     system.migrate(oid, src, dst)
     system.run()
-    assert system.ownership[oid] == dst
+    assert system.master_of(oid).node_id == dst
     # writes keep committing through the new owner
     origin = (dst + 1) % system.num_nodes
     system.submit(origin, [WriteOp(oid, 55)])

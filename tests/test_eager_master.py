@@ -2,40 +2,18 @@
 
 import pytest
 
-from repro.exceptions import MasterUnavailableError
-from repro.replication.eager_master import (
-    EagerMasterSystem,
-    round_robin_ownership,
-    single_master_ownership,
-)
+from repro.replication.eager_master import EagerMasterSystem
 from repro.txn.ops import IncrementOp, WriteOp
 from repro.replication import SystemSpec
 
 
 def make(num_nodes=3, db_size=12, **kw):
     kw.setdefault("action_time", 0.01)
-    extras = {k: kw.pop(k) for k in ("ownership",) if k in kw}
     return EagerMasterSystem(
-        SystemSpec(num_nodes=num_nodes, db_size=db_size, **kw), **extras)
+        SystemSpec(num_nodes=num_nodes, db_size=db_size, **kw))
 
 
 class TestOwnership:
-    def test_round_robin(self):
-        owners = round_robin_ownership(6, 3)
-        assert owners == {0: 0, 1: 1, 2: 2, 3: 0, 4: 1, 5: 2}
-
-    def test_single_master(self):
-        owners = single_master_ownership(4, master=1)
-        assert set(owners.values()) == {1}
-
-    def test_invalid_ownership_rejected(self):
-        with pytest.raises(MasterUnavailableError):
-            make(ownership={0: 99})
-
-    def test_partial_ownership_rejected(self):
-        with pytest.raises(MasterUnavailableError):
-            make(ownership={0: 0})  # other oids unmapped
-
     def test_master_of(self):
         system = make()
         assert system.master_of(4).node_id == 4 % 3

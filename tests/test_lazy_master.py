@@ -12,8 +12,7 @@ from repro.txn.ops import IncrementOp, ReadOp, WriteOp
 def make(num_nodes=3, db_size=12, **kw):
     kw.setdefault("action_time", 0.01)
     extras = {k: kw.pop(k)
-              for k in ("ownership", "require_connected_masters",
-                        "master_broadcasts")
+              for k in ("require_connected_masters", "master_broadcasts")
               if k in kw}
     return LazyMasterSystem(
         SystemSpec(num_nodes=num_nodes, db_size=db_size, **kw), **extras)

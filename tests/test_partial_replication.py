@@ -13,8 +13,9 @@ from repro.analytic import eager, lazy_group, markov_strategies, partial
 from repro.analytic.parameters import ModelParameters
 from repro.faults.oracle import evaluate as evaluate_oracle
 from repro.harness import ExperimentConfig, run_experiment
-from repro.harness.experiment import STRATEGIES
+from repro.harness.experiment import STRATEGIES, STRATEGY_CLASSES
 from repro.placement import HashShardPlacement, Placement
+from repro.placement.hash_shard import BoundHashShard
 from repro.replication import LazyGroupSystem, SystemSpec
 from repro.storage.versioning import Timestamp
 
@@ -67,6 +68,33 @@ def test_each_node_holds_only_its_shard():
         for node_id in range(5):
             held = oid in system.nodes[node_id].store
             assert held == system.placement.is_replica(oid, node_id)
+
+
+@pytest.mark.parametrize(
+    "strategy", ("eager-master", "lazy-master", "scar", "two-tier")
+)
+def test_building_a_master_strategy_walks_no_object(strategy, monkeypatch):
+    """Mastership is the placement's answer, asked per transaction: a
+    master cell over 32 base nodes × 200 000 objects is built without one
+    directory lookup."""
+    lookups = []
+    replicas = BoundHashShard.replicas
+
+    def counted(self, oid):
+        lookups.append(oid)
+        return replicas(self, oid)
+
+    monkeypatch.setattr(BoundHashShard, "replicas", counted)
+    spec = SystemSpec(
+        num_nodes=33 if strategy == "two-tier" else 32, db_size=200_000,
+        placement=HashShardPlacement(replication_factor=3),
+    )
+    cls = STRATEGY_CLASSES[strategy]
+    system = cls(spec, num_base=32) if strategy == "two-tier" else cls(spec)
+    assert lookups == []
+    oid = 123_456
+    master = system.master_of(oid).node_id
+    assert master == system.placement.replicas(oid)[0]
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

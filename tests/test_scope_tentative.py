@@ -12,9 +12,8 @@ from repro.txn.ops import IncrementOp, ReadOp, WriteOp
 
 class TestScopeRule:
     def scope(self):
-        # objects 0-3 mastered at base nodes 0/1; 4 at mobile 2; 5 at mobile 3
-        ownership = {0: 0, 1: 1, 2: 0, 3: 1, 4: 2, 5: 3}
-        return TransactionScope(ownership, base_node_ids=[0, 1])
+        # objects 0-3 mastered at base nodes; 4 at mobile 2; 5 at mobile 3
+        return TransactionScope({4: 2, 5: 3}, db_size=6)
 
     def test_base_mastered_objects_in_scope(self):
         scope = self.scope()
@@ -34,10 +33,6 @@ class TestScopeRule:
     def test_unknown_object_out_of_scope(self):
         with pytest.raises(ScopeViolationError):
             self.scope().validate([WriteOp(99, 1)], mobile_id=2)
-
-    def test_allowed_oids(self):
-        allowed = self.scope().allowed_oids(mobile_id=2)
-        assert allowed == {0, 1, 2, 3, 4}
 
 
 class TestTentativeStore:

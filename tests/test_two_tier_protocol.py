@@ -34,11 +34,15 @@ class TestConstruction:
 
     def test_objects_mastered_at_base_by_default(self):
         system = make()
-        assert all(owner in (0, 1) for owner in system.ownership.values())
+        assert all(
+            system.master_of(oid).node_id in (0, 1)
+            for oid in range(system.db_size)
+        )
 
     def test_mobile_mastered_override(self):
         system = make(mobile_mastered={7: 2})
-        assert system.ownership[7] == 2
+        assert system.master_of(7).node_id == 2
+        assert system.master_of(6).node_id in (0, 1)
 
     def test_invalid_mobile_master_rejected(self):
         with pytest.raises(ConfigurationError):
