@@ -183,24 +183,6 @@ class TransactionManager:
         txn.require_active()
         return self.install(txn, oid, value, new_ts, root_txn_id)
 
-    def execute_transform(
-        self,
-        txn: Transaction,
-        op: Operation,
-        new_ts: Timestamp,
-        root_txn_id: Optional[int] = None,
-    ) -> Generator[Any, Any, Any]:
-        """X-lock ``op.oid``, spend one action, then :meth:`transform`."""
-        txn.require_active()
-        event = self.locks.acquire(txn, op.oid, _EXCLUSIVE)
-        if event is not None:
-            yield event
-            txn.require_active()
-        if self.action_sleep is not None:
-            yield self.action_sleep
-        txn.require_active()
-        return self.transform(txn, op, new_ts, root_txn_id)
-
     def install(
         self,
         txn: Optional[Transaction],

@@ -222,13 +222,9 @@ def test_execute_transform_applies_op_and_max_timestamp():
     local_ts = tm.store.timestamp(2)
     older_foreign = Timestamp(0, 5)
 
-    def proc():
-        txn = tm.begin()
-        yield from tm.execute_transform(txn, IncrementOp(2, 5), older_foreign)
-        tm.commit(txn)
-
-    engine.process(proc())
-    engine.run()
+    txn = tm.begin()
+    tm.transform(txn, IncrementOp(2, 5), older_foreign, None)
+    tm.commit(txn)
     assert tm.store.value(2) == 15
     assert tm.store.timestamp(2) == max(local_ts, older_foreign)
 
