@@ -89,10 +89,6 @@ class ReconciliationRequired(ReplicationError):
         self.found_ts = found_ts
 
 
-class MasterUnavailableError(ReplicationError):
-    """An update needed its object's master node but the node is unreachable."""
-
-
 class ScopeViolationError(ReplicationError):
     """A tentative transaction touched data outside its allowed scope.
 

@@ -15,7 +15,7 @@ store-and-forward queues when they return.
 
 from __future__ import annotations
 
-from repro.exceptions import MasterUnavailableError
+from repro.exceptions import ReplicationError
 from repro.network.message import Message
 from repro.replication.base import NodeContext, ReplicatedSystem, SystemSpec
 from repro.replication.pipeline import TxnContext
@@ -72,7 +72,7 @@ class EagerGroupSystem(Eager, ReplicatedSystem):
 
     def handle_message(self, node: NodeContext, msg: Message):
         if msg.kind != "catchup":
-            raise MasterUnavailableError(f"unexpected message {msg.kind}")
+            raise ReplicationError(f"eager-group got unexpected {msg.kind}")
         # catch-up installs are housekeeping transactions like any lazy
         # stream's; a copy the node already has is suppressed by timestamp
         return self._apply_shipped(node, msg, self._thomas_write_rule)

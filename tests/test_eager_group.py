@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.exceptions import ReplicationError
+from repro.network.message import Message
 from repro.replication.eager_group import EagerGroupSystem
 from repro.replication.eager_master import EagerMasterSystem
 from repro.replication import ReplicaUpdate, SystemSpec
@@ -24,6 +26,17 @@ def test_update_applied_at_every_replica():
         assert node.store.value(5) == 42
     assert system.metrics.commits == 1
     assert system.metrics.actions == 3  # one action x three replicas
+
+
+def test_unexpected_message_kind_is_a_replication_error():
+    """Eager-group reports a stray message kind the way every other
+    strategy does: a :class:`ReplicationError` naming itself."""
+    system = make()
+    stray = Message(0, 1, "slave-update", ([], 0), msg_id=0)
+    with pytest.raises(
+        ReplicationError, match="eager-group got unexpected slave-update"
+    ):
+        system.handle_message(system.nodes[1], stray)
 
 
 def test_transaction_size_is_actions_times_nodes():

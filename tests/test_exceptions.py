@@ -47,7 +47,6 @@ def test_catching_the_root_catches_everything():
         exc.DeadlockAbort,
         exc.LockError,
         exc.InvalidStateError,
-        exc.MasterUnavailableError,
         exc.ScopeViolationError,
         exc.DisconnectedError,
         exc.ConfigurationError,
