@@ -222,9 +222,12 @@ class TwoTierSystem(LazyMasterSystem):
         "During this reprocessing, the base transaction reads and writes
         object master copies using a lazy-master execution model."  It is
         an ordinary user transaction of this system — same driver, same
-        deadlock resubmission (``retry_deadlocks`` / ``max_retries``), same
-        crash undo — whose ``certify`` phase is the record's acceptance
-        criterion and whose ``propagate`` phase ends with the notice.
+        lazy-master execute (writes at the master copies, a plain read at
+        the host's own copy when it holds one, one ``message_delay`` per
+        remote copy), same deadlock resubmission (``retry_deadlocks`` /
+        ``max_retries``), same crash undo — whose ``certify`` phase is the
+        record's acceptance criterion and whose ``propagate`` phase ends
+        with the notice.
         """
         host = self.mobiles[record.mobile_id].host_base_id
         txn = yield from self._run_with_retries(
@@ -258,25 +261,6 @@ class TwoTierSystem(LazyMasterSystem):
             "tentative-notice",
             (record.seq, record.status, record.diagnostic),
         )
-
-    def _phase_execute(self, ctx: TxnContext):
-        """Lazy-master's, unless a record is being re-executed: then reads
-        *and* writes run at the master copies, and no RPC round is charged
-        to a remote base master."""
-        if ctx.record is None:
-            yield from super()._phase_execute(ctx)
-            return
-        txn, involved = ctx.txn, ctx.touched
-        for op in ctx.ops:
-            master = self.master_of(op.oid)
-            # a read holds nothing to release unless reads take S locks
-            if master not in involved and (
-                master.tm.lock_reads or not op.is_read
-            ):
-                involved.append(master)
-            yield from master.tm.execute(txn, op)
-            if not op.is_read:
-                self.metrics.actions += 1
 
     def _phase_certify(self, ctx: TxnContext) -> None:
         """The acceptance criterion: tentative outputs against the base

@@ -5,7 +5,9 @@ against the hand-rolled lifecycle it replaced.
 a ``PHASES`` composition — its own ``begin``, execute loop, deadlock undo,
 retry loop and three refuse-and-notify sites — verbatim but for the name of
 the backoff stream (the driver draws from ``retry-backoff``; the draws must
-line up for clocks to).  Over hypothesis-drawn reconnect schedules the two
+line up for clocks to) and for where its execute loop reads: like every
+lazy-master read, a plain read uses the host's copy when it has one, and a
+copy or master on another node costs one ``message_delay``.  Over hypothesis-drawn reconnect schedules the two
 must agree on everything a user can see, and differ only where the driver
 now accounts a deadlocked base attempt as the abort it is.
 """
@@ -83,15 +85,19 @@ class ReferenceTwoTier(TwoTierSystem):
             try:
                 for op in record.ops:
                     master = self.master_of(op.oid)
-                    if op.is_read:
-                        if master.tm.lock_reads and master not in involved:
-                            involved.append(master)  # S locks need releasing
-                        yield from master.tm.execute(txn, op)
-                        continue
-                    if master not in involved:
-                        involved.append(master)
-                    yield from master.tm.execute(txn, op)
-                    self.metrics.actions += 1
+                    if op.is_read and not master.tm.lock_reads:
+                        # a plain read uses the host's copy when it has one
+                        site = self._site_for(host.node_id, op.oid)
+                    else:
+                        site = master
+                        if master not in involved:
+                            involved.append(master)  # its locks need releasing
+                    if site is not host and self.network.message_delay > 0:
+                        # RPC round to the remote copy
+                        yield self.engine.timeout(self.network.message_delay)
+                    yield from site.tm.execute(txn, op)
+                    if not op.is_read:
+                        self.metrics.actions += 1
             except DeadlockAbort as exc:
                 txn.mark_aborted(self.engine.now, reason=exc.reason)
                 for node in involved:
