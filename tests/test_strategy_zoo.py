@@ -12,9 +12,11 @@ import pytest
 
 from repro.analytic import ModelParameters
 from repro.analytic.markov_strategies import MARKOV_REFERENCE, MARKOV_STRATEGIES
+from repro.core import TwoTierSystem
 from repro.faults import FaultPlan
 from repro.harness import ExperimentConfig, run_experiment
 from repro.harness.experiment import STRATEGIES, STRATEGY_CLASSES
+from repro.replication import SystemSpec
 from repro.replication.base import MasterOwnership
 from repro.replication.eager_group import EagerGroupSystem
 from repro.replication.eager_master import EagerMasterSystem
@@ -104,8 +106,23 @@ def test_table_1_cells_are_declarations_not_phase_bodies(cls, row, master):
     assert "_phase_execute" not in vars(cls)
     if cls is EagerMasterSystem:
         assert "_phase_admission" not in vars(cls)
+        assert "__init__" not in vars(cls)
     if cls is LazyGroupSystem:
         assert "_phase_propagate" not in vars(cls)
+
+
+def test_two_tier_reexecutes_through_lazy_masters_execute():
+    assert "_phase_execute" not in vars(TwoTierSystem)
+
+
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_no_strategy_takes_an_ownership_map(name):
+    """A master cell's owner is the placement's master; there is no
+    second map to pass in."""
+    with pytest.raises(TypeError):
+        STRATEGY_CLASSES[name](
+            SystemSpec(num_nodes=2, db_size=4), ownership={0: 0}
+        )
 
 
 def test_markov_track_covers_the_whole_registry():
