@@ -306,7 +306,7 @@ class TwoTierSystem(LazyMasterSystem):
         """
         ops = list(ops)
         for op in ops:
-            if not op.is_read and self.mobile_mastered.get(op.oid) != mobile_id:
+            if not op.is_read and self._owner(op.oid) != mobile_id:
                 raise ScopeViolationError(
                     f"object {op.oid} is not mastered at mobile {mobile_id}; "
                     "use a tentative transaction instead"

@@ -31,8 +31,9 @@ class TestScopeRule:
             self.scope().validate([ReadOp(5)], mobile_id=2)
 
     def test_unknown_object_out_of_scope(self):
-        with pytest.raises(ScopeViolationError):
-            self.scope().validate([WriteOp(99, 1)], mobile_id=2)
+        for oid in (99, 6, -1):
+            with pytest.raises(ScopeViolationError):
+                self.scope().validate([WriteOp(oid, 1)], mobile_id=2)
 
 
 class TestTentativeStore:

@@ -7,9 +7,10 @@ retry loop and three refuse-and-notify sites — verbatim but for the name of
 the backoff stream (the driver draws from ``retry-backoff``; the draws must
 line up for clocks to) and for where its execute loop reads: like every
 lazy-master read, a plain read uses the host's copy when it has one, and a
-copy or master on another node costs one ``message_delay``.  Over hypothesis-drawn reconnect schedules the two
-must agree on everything a user can see, and differ only where the driver
-now accounts a deadlocked base attempt as the abort it is.
+copy or master on another node costs one ``message_delay``.  Over
+hypothesis-drawn reconnect schedules the two must agree on everything a
+user can see, and differ only where the driver now accounts a deadlocked
+base attempt as the abort it is.
 """
 
 from typing import List
