@@ -33,103 +33,59 @@ See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 paper-versus-measured results of every table and figure.
 """
 
-from repro.analytic import (
-    ModelParameters,
-    eager,
-    lazy_group,
-    lazy_master,
-    partial,
-    single_node,
-    two_tier,
-)
-from repro.core import (
-    AcceptanceCriterion,
-    AlwaysAccept,
-    IdenticalOutputs,
-    MobileNode,
-    NonNegativeOutputs,
-    PredicateCriterion,
-    PriceNotAbove,
-    TwoTierSystem,
-    WithinTolerance,
-)
-from repro.faults import (
-    Crash,
-    FaultInjector,
-    FaultPlan,
-    LinkFaults,
-    Partition,
-)
-from repro.harness import ExperimentConfig, run_experiment
-from repro.metrics import Metrics, summarize
-from repro.placement import FullReplication, HashShardPlacement, Placement
-from repro.replication import (
-    EagerGroupSystem,
-    EagerMasterSystem,
-    LazyGroupSystem,
-    LazyMasterSystem,
-    SystemSpec,
-)
-from repro.sim import Engine, RandomSource
-from repro.txn import (
-    AppendOp,
-    IncrementOp,
-    MultiplyOp,
-    Operation,
-    ReadOp,
-    WriteOp,
-)
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
     # analytic model
-    "ModelParameters",
-    "single_node",
-    "eager",
-    "lazy_group",
-    "lazy_master",
-    "two_tier",
-    "partial",
+    "ModelParameters": "repro.analytic.parameters",
+    "single_node": "repro.analytic.single_node",
+    "eager": "repro.analytic.eager",
+    "lazy_group": "repro.analytic.lazy_group",
+    "lazy_master": "repro.analytic.lazy_master",
+    "two_tier": "repro.analytic.two_tier",
+    "partial": "repro.analytic.partial",
     # simulation & measurement
-    "Engine",
-    "RandomSource",
-    "Metrics",
-    "summarize",
-    "ExperimentConfig",
-    "run_experiment",
+    "Engine": "repro.sim.engine",
+    "RandomSource": "repro.sim.random_source",
+    "Metrics": "repro.metrics.counters",
+    "summarize": "repro.metrics.rates",
+    "ExperimentConfig": "repro.harness.experiment",
+    "run_experiment": "repro.harness.experiment",
     # fault injection
-    "FaultPlan",
-    "LinkFaults",
-    "Partition",
-    "Crash",
-    "FaultInjector",
+    "FaultPlan": "repro.faults.plan",
+    "LinkFaults": "repro.faults.plan",
+    "Partition": "repro.faults.plan",
+    "Crash": "repro.faults.plan",
+    "FaultInjector": "repro.faults.injector",
     # operations
-    "Operation",
-    "ReadOp",
-    "WriteOp",
-    "IncrementOp",
-    "MultiplyOp",
-    "AppendOp",
+    "Operation": "repro.txn.ops",
+    "ReadOp": "repro.txn.ops",
+    "WriteOp": "repro.txn.ops",
+    "IncrementOp": "repro.txn.ops",
+    "MultiplyOp": "repro.txn.ops",
+    "AppendOp": "repro.txn.ops",
     # strategies
-    "SystemSpec",
-    "EagerGroupSystem",
-    "EagerMasterSystem",
-    "LazyGroupSystem",
-    "LazyMasterSystem",
+    "SystemSpec": "repro.replication.base",
+    "EagerGroupSystem": "repro.replication.eager_group",
+    "EagerMasterSystem": "repro.replication.eager_master",
+    "LazyGroupSystem": "repro.replication.lazy_group",
+    "LazyMasterSystem": "repro.replication.lazy_master",
     # placement
-    "Placement",
-    "FullReplication",
-    "HashShardPlacement",
+    "Placement": "repro.placement.base",
+    "FullReplication": "repro.placement.full",
+    "HashShardPlacement": "repro.placement.hash_shard",
     # two-tier
-    "TwoTierSystem",
-    "MobileNode",
-    "AcceptanceCriterion",
-    "AlwaysAccept",
-    "IdenticalOutputs",
-    "NonNegativeOutputs",
-    "PriceNotAbove",
-    "PredicateCriterion",
-    "WithinTolerance",
-    "__version__",
-]
+    "TwoTierSystem": "repro.core.protocol",
+    "MobileNode": "repro.core.mobile",
+    "AcceptanceCriterion": "repro.core.acceptance",
+    "AlwaysAccept": "repro.core.acceptance",
+    "IdenticalOutputs": "repro.core.acceptance",
+    "NonNegativeOutputs": "repro.core.acceptance",
+    "PriceNotAbove": "repro.core.acceptance",
+    "PredicateCriterion": "repro.core.acceptance",
+    "WithinTolerance": "repro.core.acceptance",
+})
+
+__all__.append("__version__")

@@ -32,37 +32,23 @@ layout follows the paper's sections:
   (strategy taxonomy) and Table 2 (parameter glossary).
 """
 
-from repro.analytic.parameters import ModelParameters
-from repro.analytic import (
-    dilation,
-    eager,
-    lazy_group,
-    lazy_master,
-    markov,
-    markov_strategies,
-    partial,
-    refinements,
-    single_node,
-    two_tier,
-)
-from repro.analytic.presets import PRESETS, preset
-from repro.analytic.scaling import fit_exponent, safe_fit_exponent, sweep
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ModelParameters",
-    "single_node",
-    "eager",
-    "lazy_group",
-    "lazy_master",
-    "two_tier",
-    "partial",
-    "dilation",
-    "markov",
-    "markov_strategies",
-    "refinements",
-    "fit_exponent",
-    "safe_fit_exponent",
-    "sweep",
-    "PRESETS",
-    "preset",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "ModelParameters": "repro.analytic.parameters",
+    "single_node": "repro.analytic.single_node",
+    "eager": "repro.analytic.eager",
+    "lazy_group": "repro.analytic.lazy_group",
+    "lazy_master": "repro.analytic.lazy_master",
+    "two_tier": "repro.analytic.two_tier",
+    "partial": "repro.analytic.partial",
+    "dilation": "repro.analytic.dilation",
+    "markov": "repro.analytic.markov",
+    "markov_strategies": "repro.analytic.markov_strategies",
+    "refinements": "repro.analytic.refinements",
+    "fit_exponent": "repro.analytic.scaling",
+    "safe_fit_exponent": "repro.analytic.scaling",
+    "sweep": "repro.analytic.scaling",
+    "PRESETS": "repro.analytic.presets",
+    "preset": "repro.analytic.presets",
+})

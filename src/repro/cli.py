@@ -45,24 +45,15 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analytic import (
-    ModelParameters,
-    eager,
-    lazy_group,
-    lazy_master,
-    partial,
-    two_tier,
-)
-from repro.analytic import markov_strategies
+# Each verb imports the layers it runs inside its own body, so a verb
+# loads only what it uses (``serve`` never loads the simulator harness,
+# the analytic equations or the campaign pool).  The parser itself needs
+# only the preset and strategy-name tables, which import no equation and
+# no strategy.
+from repro.analytic.parameters import ModelParameters
 from repro.analytic.presets import PRESETS, preset
-from repro.analytic.scaling import safe_fit_exponent, sweep
-from repro.analytic.tables import render_table_1, render_table_2
 from repro.exceptions import ConfigurationError
-from repro.harness import ExperimentConfig, run_experiment
-from repro.harness.campaign import Campaign, campaign_table, run_campaign
-from repro.harness.comparison import strategy_comparison, strategy_table
-from repro.harness.experiment import STRATEGIES
-from repro.metrics.report import format_series
+from repro.harness.strategies import STRATEGIES
 
 # Which flags reach which path: the analytic commands (``tables``,
 # ``danger`` without --measure) evaluate the closed-form model, which uses
@@ -138,6 +129,8 @@ def _params(args: argparse.Namespace) -> ModelParameters:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
+    from repro.analytic.tables import render_table_1, render_table_2
+
     print(render_table_1())
     print()
     print(render_table_2(_params(args)))
@@ -145,6 +138,17 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_danger(args: argparse.Namespace) -> int:
+    from repro.analytic import (
+        eager,
+        lazy_group,
+        lazy_master,
+        markov_strategies,
+        partial,
+        two_tier,
+    )
+    from repro.analytic.scaling import safe_fit_exponent, sweep
+    from repro.metrics.report import format_series
+
     params = _params(args)
     node_axis = sorted({1, 2, 5, 10, max(2, args.nodes)})
     placement = _placement_spec(args)
@@ -196,6 +200,8 @@ def cmd_danger(args: argparse.Namespace) -> int:
 def _print_measured_danger(args: argparse.Namespace, params: ModelParameters,
                            node_axis: List[int]) -> None:
     """The danger curves' measured side: a campaign over the node axis."""
+    from repro.harness.campaign import Campaign, campaign_table, run_campaign
+
     campaign = Campaign(
         strategies=STRATEGIES,
         base_params=params,
@@ -292,6 +298,7 @@ def _trace_categories(text: str) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Run one experiment and print its report (the run's one document)."""
+    from repro.harness.experiment import ExperimentConfig, run_experiment
     from repro.harness.export import result_to_dict, write_json
     from repro.obs.report import run_report_markdown
 
@@ -472,6 +479,8 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.harness.comparison import strategy_comparison, strategy_table
+
     params = _params(args)
     results = strategy_comparison(
         params, duration=args.duration, seed=args.seed,
@@ -486,6 +495,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Run a strategy with history recording and judge it against the
     guarantee it declares."""
     from repro.faults.oracle import evaluate
+    from repro.harness.experiment import ExperimentConfig, run_experiment
 
     params = _params(args)
     # the one harness path: history recording and deadlock retries are
@@ -538,6 +548,8 @@ def _parse_node_list(text: str) -> List[int]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run a (strategy × nodes × seed) campaign over a worker pool."""
+    from repro.harness.campaign import Campaign, campaign_table, run_campaign
+
     if args.strategy == "all":
         strategies = STRATEGIES
     else:

@@ -1,16 +1,14 @@
 """Deterministic fault injection: plans, the injector, and the oracle."""
 
-from repro.faults.injector import FaultInjector
-from repro.faults.oracle import OracleVerdict, evaluate
-from repro.faults.plan import FOREVER, Crash, FaultPlan, LinkFaults, Partition
+from repro._exports import lazy_exports
 
-__all__ = [
-    "FOREVER",
-    "Crash",
-    "FaultInjector",
-    "FaultPlan",
-    "LinkFaults",
-    "OracleVerdict",
-    "Partition",
-    "evaluate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "FOREVER": "repro.faults.plan",
+    "Crash": "repro.faults.plan",
+    "FaultInjector": "repro.faults.injector",
+    "FaultPlan": "repro.faults.plan",
+    "LinkFaults": "repro.faults.plan",
+    "OracleVerdict": "repro.faults.oracle",
+    "Partition": "repro.faults.plan",
+    "evaluate": "repro.faults.oracle",
+})

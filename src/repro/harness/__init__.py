@@ -13,43 +13,24 @@ replicas (a one-cell campaign over the seeds);
 :mod:`~repro.harness.comparison` is the cross-strategy scorecard at one load.
 """
 
-from repro.harness.experiment import (
-    STRATEGIES,
-    STRATEGY_CLASSES,
-    ExperimentConfig,
-    ExperimentResult,
-    build_system,
-    run_experiment,
-)
-from repro.harness.comparison import strategy_comparison
-from repro.harness.export import result_to_dict, write_json
-from repro.harness.stats import RateEstimate
-from repro.harness.campaign import (
-    Campaign,
-    CampaignResult,
-    CellStats,
-    RunOutcome,
-    RunSpec,
-    campaign_table,
-    run_campaign,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "STRATEGIES",
-    "STRATEGY_CLASSES",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "build_system",
-    "run_experiment",
-    "strategy_comparison",
-    "RateEstimate",
-    "result_to_dict",
-    "write_json",
-    "Campaign",
-    "CampaignResult",
-    "CellStats",
-    "RunOutcome",
-    "RunSpec",
-    "campaign_table",
-    "run_campaign",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "STRATEGIES": "repro.harness.strategies",
+    "STRATEGY_CLASSES": "repro.harness.experiment",
+    "ExperimentConfig": "repro.harness.experiment",
+    "ExperimentResult": "repro.harness.experiment",
+    "build_system": "repro.harness.experiment",
+    "run_experiment": "repro.harness.experiment",
+    "strategy_comparison": "repro.harness.comparison",
+    "RateEstimate": "repro.harness.stats",
+    "result_to_dict": "repro.harness.export",
+    "write_json": "repro.harness.export",
+    "Campaign": "repro.harness.campaign",
+    "CampaignResult": "repro.harness.campaign",
+    "CellStats": "repro.harness.campaign",
+    "RunOutcome": "repro.harness.campaign",
+    "RunSpec": "repro.harness.campaign",
+    "campaign_table": "repro.harness.campaign",
+    "run_campaign": "repro.harness.campaign",
+})

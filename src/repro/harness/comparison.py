@@ -22,7 +22,7 @@ def strategy_comparison(
     quantified.  Returns strategy -> result.
 
     ``strategies`` defaults to the whole registry
-    (:data:`~repro.harness.experiment.STRATEGIES`), so newly registered
+    (:data:`~repro.harness.strategies.STRATEGIES`), so newly registered
     strategies join the scorecard automatically.
 
     Runs through the campaign runner: ``jobs`` worker processes fan the

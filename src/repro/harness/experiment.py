@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Any, Dict, Optional, Type
 
 from repro.analytic.parameters import ModelParameters
@@ -11,20 +12,14 @@ from repro.core.acceptance import (
     AlwaysAccept,
     IdenticalOutputs,
 )
-from repro.core.protocol import TwoTierSystem
 from repro.exceptions import ConfigurationError
 from repro.faults.oracle import evaluate as evaluate_oracle
 from repro.faults.plan import FaultPlan
+from repro.harness.strategies import STRATEGIES, STRATEGY_SOURCES
 from repro.metrics.counters import Metrics
 from repro.metrics.rates import RateSummary, summarize
 from repro.placement import Placement
 from repro.replication.base import ReplicatedSystem, SystemSpec
-from repro.replication.deferred_update import DeferredUpdateSystem
-from repro.replication.eager_group import EagerGroupSystem
-from repro.replication.eager_master import EagerMasterSystem
-from repro.replication.lazy_group import LazyGroupSystem
-from repro.replication.lazy_master import LazyMasterSystem
-from repro.replication.scar import ScarSystem
 from repro.replication.reconciliation import ReconciliationRule
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.mobile_cycle import MobileCycleDriver
@@ -32,19 +27,12 @@ from repro.workload.profiles import uniform_update_profile
 from repro.workload.schedule import DisconnectScheduler
 
 # The single strategy registry: every place that needs "name -> system
-# class" (the CLI, the campaign runner, the verifier) looks here instead of
-# keeping a private map.
+# class" (the campaign runner, the verifier, the ladder) looks here instead
+# of keeping a private map; the names themselves live in harness.strategies.
 STRATEGY_CLASSES: Dict[str, Type[ReplicatedSystem]] = {
-    "deferred-update": DeferredUpdateSystem,
-    "eager-group": EagerGroupSystem,
-    "eager-master": EagerMasterSystem,
-    "lazy-group": LazyGroupSystem,
-    "lazy-master": LazyMasterSystem,
-    "scar": ScarSystem,
-    "two-tier": TwoTierSystem,
+    name: getattr(import_module(module), class_name)
+    for name, (module, class_name) in STRATEGY_SOURCES.items()
 }
-
-STRATEGIES = tuple(sorted(STRATEGY_CLASSES))
 
 
 @dataclass(frozen=True)

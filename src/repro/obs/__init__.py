@@ -22,31 +22,18 @@ on the CLI, ``python -m repro simulate`` (``--sample-interval``,
 ``python -m repro report PATH`` renders a saved result.
 """
 
-from repro.obs.chrome_trace import (
-    chrome_trace_events,
-    to_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.profiler import Profiler, bucket_name
-from repro.obs.report import run_report_markdown
-from repro.obs.samplers import (
-    CounterDeltaSampler,
-    GaugeSampler,
-    SeriesSummary,
-    Telemetry,
-    TimeSeries,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CounterDeltaSampler",
-    "GaugeSampler",
-    "Profiler",
-    "SeriesSummary",
-    "Telemetry",
-    "TimeSeries",
-    "bucket_name",
-    "chrome_trace_events",
-    "run_report_markdown",
-    "to_chrome_trace",
-    "write_chrome_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "CounterDeltaSampler": "repro.obs.samplers",
+    "GaugeSampler": "repro.obs.samplers",
+    "Profiler": "repro.obs.profiler",
+    "SeriesSummary": "repro.obs.samplers",
+    "Telemetry": "repro.obs.samplers",
+    "TimeSeries": "repro.obs.samplers",
+    "bucket_name": "repro.obs.profiler",
+    "chrome_trace_events": "repro.obs.chrome_trace",
+    "run_report_markdown": "repro.obs.report",
+    "to_chrome_trace": "repro.obs.chrome_trace",
+    "write_chrome_trace": "repro.obs.chrome_trace",
+})

@@ -40,36 +40,25 @@ style rule library for resolving lazy-group conflicts — with
 updates) and :mod:`~repro.replication.quorum` (Gifford weighted voting,
 used by eager systems for availability).
 
-The proposed two-tier scheme lives in :mod:`repro.core`.  The canonical
-name -> class registry is ``repro.harness.experiment.STRATEGY_CLASSES``;
-the CLI, docs, and comparison harness all derive their strategy lists
-from it.
+The proposed two-tier scheme lives in :mod:`repro.core`.  The strategy
+names live in ``repro.harness.strategies`` (name -> defining module and
+class, importing no strategy); ``repro.harness.experiment.STRATEGY_CLASSES``
+resolves them into the canonical name -> class registry, and the CLI, docs,
+and comparison harness all derive their strategy lists from the names.
 """
 
-from repro.replication.base import (
-    NodeContext,
-    ReplicatedSystem,
-    ReplicaUpdate,
-    SystemSpec,
-)
-from repro.replication.deferred_update import DeferredUpdateSystem
-from repro.replication.eager_group import EagerGroupSystem
-from repro.replication.eager_master import EagerMasterSystem
-from repro.replication.lazy_group import LazyGroupSystem
-from repro.replication.lazy_master import LazyMasterSystem
-from repro.replication.pipeline import PHASE_ORDER
-from repro.replication.scar import ScarSystem
+from repro._exports import lazy_exports
 
-__all__ = [
-    "NodeContext",
-    "PHASE_ORDER",
-    "ReplicatedSystem",
-    "ReplicaUpdate",
-    "SystemSpec",
-    "DeferredUpdateSystem",
-    "EagerGroupSystem",
-    "EagerMasterSystem",
-    "LazyGroupSystem",
-    "LazyMasterSystem",
-    "ScarSystem",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "NodeContext": "repro.replication.base",
+    "PHASE_ORDER": "repro.replication.pipeline",
+    "ReplicatedSystem": "repro.replication.base",
+    "ReplicaUpdate": "repro.replication.base",
+    "SystemSpec": "repro.replication.base",
+    "DeferredUpdateSystem": "repro.replication.deferred_update",
+    "EagerGroupSystem": "repro.replication.eager_group",
+    "EagerMasterSystem": "repro.replication.eager_master",
+    "LazyGroupSystem": "repro.replication.lazy_group",
+    "LazyMasterSystem": "repro.replication.lazy_master",
+    "ScarSystem": "repro.replication.scar",
+})

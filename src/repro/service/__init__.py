@@ -19,16 +19,13 @@ Wall-clock mode is additive: nothing in the simulator defaults to it, and
 the determinism goldens pin the sim kernel byte-for-byte.
 """
 
-from repro.service.gateway import GatewayConfig, ServiceGateway
-from repro.service.histogram import LatencyHistogram
-from repro.service.loadtest import LoadtestConfig, run_loadtest
-from repro.service.wallclock import WallClockEngine
+from repro._exports import lazy_exports
 
-__all__ = [
-    "GatewayConfig",
-    "LatencyHistogram",
-    "LoadtestConfig",
-    "ServiceGateway",
-    "WallClockEngine",
-    "run_loadtest",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "GatewayConfig": "repro.service.gateway",
+    "LatencyHistogram": "repro.service.histogram",
+    "LoadtestConfig": "repro.service.loadtest",
+    "ServiceGateway": "repro.service.gateway",
+    "WallClockEngine": "repro.service.wallclock",
+    "run_loadtest": "repro.service.loadtest",
+})

@@ -4,8 +4,12 @@ Documentation that drifts from the code is worse than none; these tests run
 the README quickstart claims verbatim so the docs stay honest.
 """
 
+import textwrap
+
 import pytest
 from repro.replication import SystemSpec
+
+from tests.fresh_python import run_python
 
 
 def test_headline_three_liner():
@@ -72,7 +76,30 @@ def test_package_init_quickstart_snippet():
 
 
 def test_all_public_names_importable():
-    import repro
+    """Every package that keeps an ``__all__``, in a fresh interpreter:
+    each name resolves through ``getattr`` and is listed by ``dir()``, so a
+    typo in a lazy export table fails here and not at its first use."""
+    checked = run_python(textwrap.dedent("""
+        import importlib
+        import pkgutil
 
-    for name in repro.__all__:
-        assert hasattr(repro, name), f"repro.{name} missing"
+        import repro
+
+        names = ["repro"] + [
+            info.name
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if info.ispkg
+        ]
+        for name in names:
+            package = importlib.import_module(name)
+            if "__all__" not in vars(package):
+                continue
+            listed = dir(package)
+            for attr in package.__all__:
+                assert attr in listed, f"{name}.{attr} missing from dir()"
+                getattr(package, attr)
+            print(name)
+    """)).split()
+    assert {"repro", "repro.analytic", "repro.faults", "repro.harness",
+            "repro.obs", "repro.placement", "repro.replication",
+            "repro.service"} <= set(checked)
