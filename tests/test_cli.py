@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
+from tests.fresh_python import ENV
 
 
 def test_tables_command(capsys):
@@ -11,6 +15,19 @@ def test_tables_command(capsys):
     assert "Table 1" in out
     assert "Table 2" in out
     assert "DB_Size" in out
+
+
+def test_a_reader_that_leaves_early_ends_the_run_without_a_traceback():
+    """``python -m repro tables | head -1``: the pipe's read end closes
+    before the first write, as it does when the reader has what it wants."""
+    with subprocess.Popen([sys.executable, "-m", "repro", "tables"], env=ENV,
+                          stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr
+    assert "BrokenPipeError" not in stderr
 
 
 def test_danger_command(capsys):
