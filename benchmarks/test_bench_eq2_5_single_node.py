@@ -53,8 +53,8 @@ def test_bench_eq2_5(benchmark):
 
     # the simulated wait rate tracks the closed form within 2x
     assert measured_wait_rate == pytest.approx(predicted_wait_rate, rel=1.0)
-    # deadlocks are rare^2: at these parameters the model predicts ~0.0013/s
-    # (~0.6 per run); the count must be of that order, not 10x off
+    # deadlocks are rare^2: at these parameters eq 5 predicts 0.0256/s
+    # (12.8 per 500 s run); the count must be of that order, not 10x off
     assert result.metrics.deadlocks <= 20
 
     # analytic scaling facts of equations 2-5

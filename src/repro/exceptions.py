@@ -60,6 +60,13 @@ class CrashAbort(DeadlockAbort):
         super(DeadlockAbort, self).__init__(message, reason="crash")
 
 
+class MigrationAbort(DeadlockAbort):
+    """The copy the transaction waited for migrated away (not retried)."""
+
+    def __init__(self, message: str = "object migrated"):
+        super(DeadlockAbort, self).__init__(message, reason="migrated")
+
+
 class LockError(TransactionError):
     """Invalid lock-manager usage (double release, unknown holder, ...)."""
 

@@ -177,6 +177,9 @@ class BoundPlacement:
             "DirectoryPlacement (spec 'dir:...')"
         )
 
+    #: :meth:`move`'s answer, bound nowhere (no directory: it raises too)
+    replicas_after_move = move
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<{type(self).__name__} nodes={self.num_nodes} "

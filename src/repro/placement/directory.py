@@ -249,12 +249,12 @@ class BoundDirectory(BoundPlacement):
 
     # -- migration ----------------------------------------------------- #
 
-    def move(self, oid: int, src: int, dst: int) -> Tuple[int, ...]:
-        """Rebind ``oid`` so ``dst`` replaces ``src`` in its replica set.
+    def replicas_after_move(self, oid: int, src: int, dst: int) -> Tuple[int, ...]:
+        """``oid``'s replica set with ``dst`` in ``src``'s place.
 
         Master position is preserved: moving the master makes ``dst`` the
-        new master.  The caller (``ReplicatedSystem.migrate``) is
-        responsible for shipping the record itself.
+        new master.  :meth:`move` binds the answer; the caller
+        (``ReplicatedSystem.migrate``) ships the record itself.
         """
         if not 0 <= oid < self.db_size:
             raise ConfigurationError(
@@ -277,6 +277,8 @@ class BoundDirectory(BoundPlacement):
                 f"node {dst} already holds object {oid} "
                 f"(replicas {current})"
             )
-        moved = tuple(dst if node == src else node for node in current)
-        self._overrides[oid] = moved
+        return tuple(dst if node == src else node for node in current)
+
+    def move(self, oid: int, src: int, dst: int) -> Tuple[int, ...]:
+        moved = self._overrides[oid] = self.replicas_after_move(oid, src, dst)
         return moved

@@ -36,6 +36,7 @@ from repro.exceptions import (
     CrashAbort,
     DeadlockAbort,
     InvalidStateError,
+    MigrationAbort,
 )
 from repro.faults.plan import FaultPlan
 from repro.metrics.counters import Metrics
@@ -255,9 +256,9 @@ class ReplicatedSystem:
         self.replica_updates_dropped = 0
         #: transactions refused for an unreachable node (:meth:`_refuse`)
         self.blocked_by_disconnect = 0
-        # per-node live user-transaction processes, insertion-ordered so a
-        # crash interrupts them deterministically (a set of Process objects
-        # would iterate in id() order, which differs run to run)
+        # per-node live user-transaction and migration processes, in
+        # insertion order so a crash interrupts them deterministically (a
+        # set would iterate in id() order, which differs run to run)
         self._live_processes: Dict[int, Dict[Process, None]] = {}
         # interned per-origin process names: submit() runs once per user
         # transaction, so the f-string was measurable at high TPS
@@ -468,13 +469,13 @@ class ReplicatedSystem:
         proc = self.engine._spawn(
             self._run_with_retries(origin, list(ops), label), name
         )
-        self._track_live(origin, proc)
-        return proc
+        return self._track_live(origin, proc)
 
-    def _track_live(self, origin: int, proc: Process) -> None:
+    def _track_live(self, origin: int, proc: Process) -> Process:
         table = self._live_processes.setdefault(origin, {})
         table[proc] = None
         proc.add_callback(lambda _event: table.pop(proc, None))
+        return proc
 
     def _reject_at_crashed_node(self, origin: int, label: str):
         txn = self.nodes[origin].tm.begin(label=label)
@@ -544,6 +545,10 @@ class ReplicatedSystem:
                     break
         except DeadlockAbort as exc:
             self._abort_everywhere(ctx.txn, ctx.touched, reason=exc.reason)
+        except KeyError:  # routed to a copy that migrated away meanwhile
+            if "migrations" not in self.metrics.extra:
+                raise  # a routing bug: no copy ever moved
+            self._abort_everywhere(ctx.txn, ctx.touched, reason="migrated")
         return ctx.txn
 
     def _owner(self, oid: int) -> Optional[int]:
@@ -901,48 +906,56 @@ class ReplicatedSystem:
     # shard migration (directory placements)
     # ------------------------------------------------------------------ #
 
-    def migrate(self, oid: int, src: int, dst: int) -> None:
-        """Move ``oid``'s replica from ``src`` to ``dst`` live.
+    def migrate(self, oid: int, src: int, dst: int) -> Process:
+        """Move ``oid``'s replica from ``src`` to ``dst`` live, as a
+        housekeeping transaction at ``src``: it X-locks the copy, waiting
+        like any writer, then in one instant rebinds the directory, ships
+        the committed record to ``dst`` as a ``record-transfer`` message
+        (the normal network path), fails every request queued on the copy
+        with :class:`MigrationAbort`, evicts the copy and commits.  A crash
+        at ``src`` during the wait moves nothing.  A transaction routed to
+        the copy before the move, or a concurrent move the directory no
+        longer allows, aborts as ``"migrated"`` when it gets there.
 
-        Rebinds the directory first (so routing, residency predicates and
-        propagation immediately see the new replica set), then ships the
-        record itself to ``dst`` as a ``record-transfer`` message through
-        the normal network path — it takes the same delay, faults and
-        store-and-forward parking as any replica update — and evicts the
-        source copy.  If ``dst`` commits a write while the transfer is in
-        flight, the transfer's older timestamp loses at adoption (the
-        Thomas write rule), same as a stale replica update.
-
-        Raises :class:`ConfigurationError` for placements without a
-        directory (full, hash) or invalid ``src``/``dst`` membership, and
-        :class:`InvalidStateError` when either endpoint is crashed.
+        Returns the move's process; raises at the call
+        :class:`ConfigurationError` (no directory, bad endpoints) or
+        :class:`InvalidStateError` (a crashed endpoint).
         """
+        self.placement.replicas_after_move(oid, src, dst)
         if src in self.crashed or dst in self.crashed:
             down = src if src in self.crashed else dst
             raise InvalidStateError(
                 f"cannot migrate object {oid}: node {down} is crashed"
             )
-        if not (0 <= src < len(self.nodes) and 0 <= dst < len(self.nodes)):
-            raise ConfigurationError(
-                f"migration endpoints ({src}, {dst}) outside the system's "
-                f"{len(self.nodes)} nodes"
-            )
-        record = self.nodes[src].store.read(oid)
-        value, ts = record.value, record.ts
-        # an in-flight transaction may have written the record without
-        # committing yet; ship the committed before-image from its WAL
-        # entry so an abort (or a crash at src) cannot leak the tentative
-        # value to the destination
-        pending = self.nodes[src].wal.pending_before(oid)
-        if pending is not None:
-            value, ts = pending
+        return self._track_live(src, self.engine._spawn(
+            self._migration(self.nodes[src], oid, dst), f"migrate@{src}"
+        ))
+
+    def _migration(self, node: NodeContext, oid: int, dst: int):
+        src = node.node_id
+        txn = node.tm.begin(label="migrate")
+        try:
+            event = node.locks.acquire(txn, oid, _EXCLUSIVE)
+            if event is not None:
+                yield event
+            if src in self.crashed:  # runnable when the crash came
+                raise CrashAbort(f"node {src} crashed")
+            if not self._node_holds(oid, src) or self._node_holds(oid, dst):
+                raise MigrationAbort()  # a concurrent move of oid came first
+        except DeadlockAbort as exc:
+            node.tm.abort(txn, reason=exc.reason)
+            return txn
+        record = node.store.read(oid)
         self.placement.move(oid, src, dst)
         self.network.send(
-            src, dst, "record-transfer", (oid, value, ts)
+            src, dst, "record-transfer", (oid, record.value, record.ts)
         )
-        self.nodes[src].store.evict(oid)
+        node.locks.cancel_queued(oid, MigrationAbort())
+        node.store.evict(oid)
+        node.tm.commit(txn)
         self.metrics.bump("migrations")
         self._trace("migrate", oid=oid, src=src, dst=dst)
+        return txn
 
     # ------------------------------------------------------------------ #
     # observation

@@ -326,6 +326,11 @@ class LockManager:
             request.event.fail(exc)
         self._promote_waiters(oid)
 
+    def cancel_queued(self, oid: int, exc: BaseException) -> None:
+        """:meth:`cancel_request` every request queued on ``oid``."""
+        for request in list(self._queues.get(oid, ())):
+            self.cancel_request(oid, request, exc)
+
     def _abort_victim(self, victim: Any) -> None:
         if self.on_deadlock is not None:
             self.on_deadlock(victim)

@@ -26,7 +26,7 @@ class ObjectStore:
     only what its transactions read; ``len(store)`` / iteration count
     *materialised* records while :meth:`oids` / :meth:`snapshot` / ``in``
     answer for the *logical* replica.  Touching a non-resident object
-    raises ``KeyError``, which is a routing bug, not a data condition.
+    raises ``KeyError``: a routing bug, or a route older than a migration.
 
     Example::
 
@@ -122,17 +122,7 @@ class ObjectStore:
         return record
 
     def restore(self, oid: int, value: Any, ts: Timestamp) -> None:
-        """Undo hook used by the WAL: reinstate an earlier version.
-
-        A no-op when the object is no longer resident here: it migrated
-        away while the writing transaction was in flight, so the
-        authoritative copy travelled to the new holder and reinstating a
-        local version would resurrect a replica the directory no longer
-        routes to (and crash the undo with a ``KeyError``, the residency
-        predicate already excluding the object).
-        """
-        if oid not in self:
-            return
+        """Undo hook used by the WAL: reinstate an earlier version."""
         record = self.read(oid)
         record.value = value
         record.ts = ts

@@ -148,26 +148,6 @@ class WriteAheadLog:
         """The in-flight entries of ``txn_id`` (oldest first)."""
         return list(self._by_txn.get(txn_id, []))
 
-    def pending_before(self, oid: int):
-        """``(value, ts)`` of ``oid``'s last *committed* version, if an
-        active transaction has uncommitted writes to it (None otherwise).
-
-        The earliest pending entry holds the committed before-image — any
-        later writes to the same object chain off the first.  Migration
-        uses this to ship committed state instead of leaking a value whose
-        transaction may still abort.
-        """
-        earliest = None
-        for entries in self._by_txn.values():
-            for entry in entries:
-                if entry.oid == oid and (
-                    earliest is None or entry.seq < earliest.seq
-                ):
-                    earliest = entry
-        if earliest is None:
-            return None
-        return earliest.before_value, earliest.before_ts
-
     def pending_transactions(self) -> int:
         return len(self._by_txn)
 

@@ -1,4 +1,4 @@
-"""Transaction substrate: operations, lifecycle, manager, atomic commit.
+"""Transaction substrate: operations, lifecycle, manager.
 
 A transaction here is a sequence of *operations* over objects.  Operations
 carry their own semantics — overwrite, increment, append — and declare
@@ -8,9 +8,7 @@ scheme's headline property (zero reconciliations when all transactions
 commute) falls directly out of this vocabulary.
 
 The :class:`~repro.txn.manager.TransactionManager` runs operations under
-strict two-phase locking with the per-node storage substrate; the
-:class:`~repro.txn.twopc.TwoPhaseCommit` coordinator provides atomic
-commitment across nodes for eager replication.
+strict two-phase locking with the per-node storage substrate.
 """
 
 from repro.txn.ops import (
@@ -23,7 +21,6 @@ from repro.txn.ops import (
 )
 from repro.txn.transaction import Transaction, TxnState, UpdateRecord
 from repro.txn.manager import TransactionManager
-from repro.txn.twopc import TwoPhaseCommit, Participant, Vote
 
 __all__ = [
     "AppendOp",
@@ -36,7 +33,4 @@ __all__ = [
     "TxnState",
     "UpdateRecord",
     "TransactionManager",
-    "TwoPhaseCommit",
-    "Participant",
-    "Vote",
 ]

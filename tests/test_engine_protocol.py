@@ -71,7 +71,6 @@ def test_protocol_is_runtime_checkable_not_nominal():
 
 @pytest.mark.parametrize("module_name", [
     "repro.txn.manager",
-    "repro.txn.twopc",
     "repro.network.network",
     "repro.storage.lock_manager",
     "repro.replication.base",

@@ -9,6 +9,7 @@ fault plan × a live migration, and hand-made mutants — a corrupted base
 store, a forced cycle, a lossy plan — must each get the verdict they earn.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,19 +79,13 @@ def build(strategy, placement="full", plan_spec=None, seed=1):
 
 def migrate_one(system, oid):
     """Move ``oid``'s last replica to a node holding none, if both ends
-    are up and no transaction holds or awaits a lock on it.  (An eager
-    transaction that holds the source copy's lock through its action
-    sleep wakes to an evicted record and dies holding its locks — an open
-    bug the judge reports as a quiescence failure, open in ROADMAP.md.)"""
+    are up; a transaction may hold or await a lock on it."""
     replicas = system.placement.replicas(oid)
     src = replicas[-1]
     dst = next(
         n for n in range(system.placement.num_nodes) if n not in replicas
     )
-    if (
-        src not in system.crashed and dst not in system.crashed
-        and all(node.locks.is_free(oid) for node in system.nodes)
-    ):
+    if src not in system.crashed and dst not in system.crashed:
         system.migrate(oid, src, dst)
 
 
@@ -117,6 +112,31 @@ def test_the_verdict_matches_the_declaration(
         system.guarantee == "serializable"
     )
     assert len(system.history.committed_ids) > 0
+
+
+@pytest.mark.parametrize("strategy, seed, oid", [
+    # a writer holds the source copy when the move is issued
+    ("eager-group", 3, 21),
+    ("eager-master", 0, 5),
+    ("eager-master", 3, 21),
+    ("deferred-update", 1, 10),
+    # an eager writer holds the master copy and reaches the source after
+    # the move: it finds no record there and aborts as "migrated"
+    ("eager-group", 3, 3),
+    ("eager-master", 3, 3),
+    # a base copy under two-tier
+    ("two-tier", 0, 17),
+    ("two-tier", 1, 18),
+])
+def test_a_migration_of_a_locked_object_passes_the_judge(strategy, seed, oid):
+    system, _ = build(strategy, "dir:k=2", None, seed)
+    system.run(until=DURATION / 2)
+    assert not all(node.locks.is_free(oid) for node in system.nodes)
+    migrate_one(system, oid)
+    system.run()
+    verdict = evaluate(system)
+    assert verdict.ok, verdict.describe()
+    assert system.metrics.as_dict()["migrations"] == 1
 
 
 def test_a_refresh_attempt_undone_by_a_deadlock_is_not_a_write():

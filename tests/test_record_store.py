@@ -183,14 +183,11 @@ class DictStore:
             return self.holds(oid)
         if name == "evict":
             self.records.pop(oid, None)
-        elif name == "write":
+        elif name in ("write", "restore"):
             self.touch(oid)
             self.records[oid] = (value, ts)
         elif name == "apply":
             self.records[oid] = (self.touch(oid)[0] + value, ts)
-        elif name == "restore":
-            if self.holds(oid):
-                self.records[oid] = (value, ts)
         elif name == "adopt":
             if oid not in self.records or ts > self.records[oid][1]:
                 self.records[oid] = (value, ts)
