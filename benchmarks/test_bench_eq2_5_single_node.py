@@ -18,6 +18,9 @@ from repro.metrics.report import format_table
 PARAMS = ModelParameters(db_size=100, nodes=1, tps=10, actions=4,
                          action_time=0.01)
 DURATION = 500.0
+#: the seeds pooled for the deadlock ratio: one seed sees about three
+#: deadlocks, too few for a ratio
+POOLED_SEEDS = range(1, 11)
 
 
 def simulate():
@@ -26,6 +29,16 @@ def simulate():
                          duration=DURATION, seed=3)
     )
     return result
+
+
+def pooled_deadlocks():
+    return sum(
+        run_experiment(
+            ExperimentConfig(strategy="eager-group", params=PARAMS,
+                             duration=DURATION, seed=seed)
+        ).metrics.deadlocks
+        for seed in POOLED_SEEDS
+    )
 
 
 def test_bench_eq2_5(benchmark):
@@ -65,3 +78,20 @@ def test_bench_eq2_5(benchmark):
     r = sweep(single_node.wait_probability, PARAMS, "db_size",
               [100, 1000, 10_000])
     assert fit_exponent(r.xs, r.ys) == pytest.approx(-1.0)
+
+
+def test_bench_eq5_pooled_deadlock_ratio(benchmark):
+    deadlocks = benchmark.pedantic(pooled_deadlocks, rounds=1, iterations=1)
+    predicted = (
+        single_node.node_deadlock_rate(PARAMS) * DURATION * len(POOLED_SEEDS)
+    )
+    ratio = deadlocks / predicted
+    print()
+    print(f"eq 5 pooled over {len(POOLED_SEEDS)} seeds x {DURATION:.0f} s: "
+          f"{deadlocks} deadlocks against {predicted:.1f} predicted, "
+          f"DES / eq 5 = {ratio:.3f}")
+    # the single-node DES deadlocks at a steady quarter of eq 5 (28 of
+    # 128 predicted at this gate's writing).  The band pins that measured
+    # ratio so a change to it shows; it does not claim the quarter is
+    # right, which is still to be derived
+    assert 0.10 <= ratio <= 0.40

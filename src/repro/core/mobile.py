@@ -30,7 +30,9 @@ from repro.txn.ops import Operation
 class MobileNode:
     """One mobile participant in a :class:`~repro.core.protocol.TwoTierSystem`.
 
-    Not constructed directly — the system builds one per mobile id.
+    Not constructed directly — the system builds one per mobile id and
+    hands it a weak proxy of itself, so a mobile is no path back to the
+    system that owns it.
     """
 
     def __init__(self, system, node_id: int, host_base_id: int):

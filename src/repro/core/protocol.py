@@ -94,15 +94,19 @@ class TwoTierSystem(LazyMasterSystem):
         # overrides the placement's (base-tier) master; mobiles hold full
         # replicas, so the owner always has a copy
         self.mobile_mastered: Dict[int, int] = dict(mobile_mastered or {})
+        # filled below; exists now for the telemetry probe to close over
+        self.mobiles: Dict[int, MobileNode] = {}
         super().__init__(spec, **kwargs)
         self.cascade_rejections = cascade_rejections
         # base_divergence() and the oracle compare only the master tier
         self.base_ids = list(range(num_base))
         self.scope = TransactionScope(self.mobile_mastered, spec.db_size)
-        self.mobiles: Dict[int, MobileNode] = {
-            mid: MobileNode(self, mid, host_base_id=(mid - num_base) % num_base)
+        self.mobiles.update(
+            (mid, MobileNode(
+                self._proxy, mid, host_base_id=(mid - num_base) % num_base
+            ))
             for mid in range(num_base, num_nodes)
-        }
+        )
 
     def _placement_scope_nodes(self) -> int:
         return self.num_base
@@ -112,17 +116,17 @@ class TwoTierSystem(LazyMasterSystem):
         return self.placement.master(oid) if mobile is None else mobile
 
     def _register_probes(self, telemetry) -> None:
-        # called from ReplicatedSystem.__init__, before self.mobiles exists;
-        # the closures only run at tick time (first tick at t = interval > 0)
+        # called from ReplicatedSystem.__init__, before self.mobiles is
+        # filled; the closures only run at tick time (first tick at
+        # t = interval > 0)
         super()._register_probes(telemetry)
+        mobiles, metrics = self.mobiles, self.metrics
         telemetry.gauge(
             "tentative_queue",
-            lambda: sum(
-                len(m.pending_transactions) for m in self.mobiles.values()
-            ),
+            lambda: sum(len(m.pending_transactions) for m in mobiles.values()),
         )
         telemetry.counter_rate(
-            "rejection_rate", lambda: self.metrics.tentative_rejected
+            "rejection_rate", lambda: metrics.tentative_rejected
         )
 
     # ------------------------------------------------------------------ #
@@ -325,6 +329,7 @@ class TwoTierSystem(LazyMasterSystem):
                 if not op.is_read:
                     self.metrics.actions += 1
         except DeadlockAbort as exc:
+            exc.__traceback__ = None  # a cycle to the system (see _run)
             self._abort_everywhere(txn, [node], reason=exc.reason)
             return txn
         self._commit_everywhere(txn, [node])

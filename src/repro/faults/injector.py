@@ -31,7 +31,9 @@ class FaultInjector:
     """Wires a :class:`FaultPlan` into a replicated system.
 
     Args:
-        system: any :class:`~repro.replication.base.ReplicatedSystem`.
+        system: any :class:`~repro.replication.base.ReplicatedSystem`; a
+            system that installs its own injector passes its weak proxy,
+            so the injector (kept by the network) is no path back to it.
         plan: the fault schedule to execute.
 
     Call :meth:`install` once, before the workload starts.

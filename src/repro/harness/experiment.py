@@ -153,6 +153,8 @@ class ExperimentResult:
     extra: Dict[str, Any] = field(default_factory=dict)
     # The live system, for post-run inspection (history certification,
     # trace samples).  Dropped when results cross a process boundary.
+    # Keeping the result keeps the whole world (stores, records, WAL); a
+    # sweep that holds its results holds every world it ran.
     system: Optional[ReplicatedSystem] = field(
         default=None, repr=False, compare=False
     )

@@ -52,7 +52,6 @@ class Network:
         self._outbound: Dict[int, Deque[Message]] = {}
         self._inbound: Dict[int, Deque[Message]] = {}
         self.fault_injector = None  # optional repro.faults.FaultInjector
-        self.telemetry = None  # optional repro.obs.samplers.Telemetry
         self._handler_proc_names: Dict[str, str] = {}  # kind -> process name
         self.messages_sent = 0
         self.messages_delivered = 0
@@ -89,7 +88,6 @@ class Network:
         make interesting: replica updates queued on the wire.  ``net_parked``
         counts store-and-forward backlog (dark mobiles, open partitions).
         """
-        self.telemetry = telemetry
         telemetry.gauge("net_inflight", lambda: self.in_flight)
         telemetry.gauge("net_parked", self.parked_total)
         telemetry.counter_rate("message_rate",

@@ -15,6 +15,7 @@ The base class's ``_run`` drives the composition.
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import (
@@ -167,6 +168,27 @@ _EXCLUSIVE = LockMode.EXCLUSIVE
 _new = tuple.__new__  # ReplicaUpdate(*fields) without the Python frame
 
 
+def _lock_hooks(metrics: Metrics, tracer: Any, engine: EngineProtocol):
+    """The lock managers' ``on_wait`` and ``on_deadlock`` hooks: a count
+    and a trace line each, closed over the counters and the tracer rather
+    than the system, so a node's lock table holds no reference back to it.
+    """
+
+    def _trace(category: str, **detail) -> None:
+        if tracer is not None:
+            tracer.emit(engine.now, category, **detail)
+
+    def on_wait(txn: Transaction) -> None:
+        metrics.waits += 1
+        _trace("wait", txn=txn.txn_id, node=txn.origin_node)
+
+    def on_deadlock(txn: Transaction) -> None:
+        metrics.deadlocks += 1
+        _trace("deadlock", txn=txn.txn_id, node=txn.origin_node)
+
+    return on_wait, on_deadlock
+
+
 def _failed_handler(exc: Exception):
     """A message-handler generator whose process fails with ``exc``."""
     raise exc
@@ -264,9 +286,15 @@ class ReplicatedSystem:
         # transaction, so the f-string was measurable at high TPS
         self._txn_proc_names: Dict[int, str] = {}
         self._rejected_proc_names: Dict[int, str] = {}
-        # bound phase methods, resolved lazily on the first transaction so
-        # subclass __init__ state (quorum configs, lazy-master options) exists
+        # the phase functions of the class, resolved lazily on the first
+        # transaction and called as ``phase(self, ctx)``: bound methods
+        # cached here would point the system back at itself
         self._pipeline: Optional[List[Callable]] = None
+        #: a weak proxy of this system for the parts that must call back
+        #: into it (network handlers, the fault injector, two-tier mobiles):
+        #: with no strong reference back from its parts, a drained world is
+        #: freed by reference counting once its last outside holder lets go
+        self._proxy = weakref.proxy(self)
         self.placement_spec = (
             spec.placement if spec.placement is not None else FullReplication()
         )
@@ -291,7 +319,9 @@ class ReplicatedSystem:
         if spec.faults is not None and not spec.faults.empty:
             from repro.faults.injector import FaultInjector
 
-            self.fault_injector = FaultInjector(self, spec.faults).install()
+            self.fault_injector = FaultInjector(
+                self._proxy, spec.faults
+            ).install()
 
     # ------------------------------------------------------------------ #
     # construction
@@ -333,13 +363,15 @@ class ReplicatedSystem:
         initial_value: Any,
     ) -> NodeContext:
         store = self._make_store(node_id, db_size, initial_value)
+        on_wait, on_deadlock = _lock_hooks(
+            self.metrics, self.tracer, self.engine
+        )
         locks = LockManager(
             self.engine,
             node_id,
             self.detector,
-            on_wait=self._on_wait,
-            on_deadlock=self._on_deadlock,
-            telemetry=self.telemetry,
+            on_wait=on_wait,
+            on_deadlock=on_deadlock,
         )
         wal = WriteAheadLog()
         clock = TimestampGenerator(node_id)
@@ -359,21 +391,25 @@ class ReplicatedSystem:
         )
 
     def _make_handler(self, node: NodeContext):
+        # the network keeps this closure, so it holds the system (and the
+        # network) only through the weak proxy: one dereference per message
+        crashed, metrics, system = self.crashed, self.metrics, self._proxy
+
         def handler(msg: Message):
-            if node.node_id in self.crashed:
+            if node.node_id in crashed:
                 # a disconnect schedule reconnected a crashed node: it
                 # cannot process traffic yet, so re-park for redelivery at
                 # recovery (no resend — parking schedules nothing); the
                 # refused delivery is not counted as one
-                return self.network.park_inbound(msg)
-            self.metrics.messages += 1
+                return system.network.park_inbound(msg)
+            metrics.messages += 1
             if msg.kind == "record-transfer":
                 # shard migration payload — strategy-agnostic, handled here
                 # so every system supports moves without its own plumbing
                 oid, value, ts = msg.payload
                 node.store.adopt(oid, value, ts)
                 return None
-            return self.handle_message(node, msg)
+            return system.handle_message(node, msg)
 
         return handler
 
@@ -387,16 +423,19 @@ class ReplicatedSystem:
         Subclasses extend (call ``super()._register_probes(telemetry)``)
         with strategy-specific series.  Probes are closures over live
         structures, evaluated only at sample ticks — nothing here runs on
-        the transaction hot path.
+        the transaction hot path.  The system keeps the handle, so a probe
+        closes over the structures it reads (the engine, the nodes, the
+        metrics), never over the system itself.
         """
-        telemetry.gauge("engine_queue", lambda: self.engine.queued_events)
+        engine, nodes, metrics = self.engine, self.nodes, self.metrics
+        telemetry.gauge("engine_queue", lambda: engine.queued_events)
         telemetry.gauge(
             "lock_wait_queue",
-            lambda: sum(n.locks.total_queued() for n in self.nodes),
+            lambda: sum(n.locks.total_queued() for n in nodes),
         )
         telemetry.gauge(
             "wal_active_txns",
-            lambda: sum(n.wal.pending_transactions() for n in self.nodes),
+            lambda: sum(n.wal.pending_transactions() for n in nodes),
         )
         # per-node series are priceless at demo scale and pure overhead at
         # sweep scale; cap them so a 10k-node system doesn't register tens
@@ -412,7 +451,7 @@ class ReplicatedSystem:
         # the placement's nominal shard sizes (or, full, the database)
         telemetry.gauge(
             "resident_objects",
-            lambda: sum(len(n.store) for n in self.nodes),
+            lambda: sum(len(n.store) for n in nodes),
         )
         if per_node:
             for node in self.nodes:
@@ -420,25 +459,17 @@ class ReplicatedSystem:
                     f"resident_objects/node{node.node_id}", node.store.__len__
                 )
         self.network.bind_telemetry(telemetry)
-        telemetry.counter_rate("commit_rate", lambda: self.metrics.commits)
-        telemetry.counter_rate("abort_rate", lambda: self.metrics.aborts)
-        telemetry.counter_rate("deadlock_rate", lambda: self.metrics.deadlocks)
-        telemetry.counter_rate("wait_rate", lambda: self.metrics.waits)
+        telemetry.counter_rate("commit_rate", lambda: metrics.commits)
+        telemetry.counter_rate("abort_rate", lambda: metrics.aborts)
+        telemetry.counter_rate("deadlock_rate", lambda: metrics.deadlocks)
+        telemetry.counter_rate("wait_rate", lambda: metrics.waits)
         telemetry.counter_rate(
-            "reconciliation_rate", lambda: self.metrics.reconciliations
+            "reconciliation_rate", lambda: metrics.reconciliations
         )
 
     def _trace(self, category: str, **detail) -> None:
         if self.tracer is not None:
             self.tracer.emit(self.engine.now, category, **detail)
-
-    def _on_wait(self, txn: Transaction) -> None:
-        self.metrics.waits += 1
-        self._trace("wait", txn=txn.txn_id, node=txn.origin_node)
-
-    def _on_deadlock(self, txn: Transaction) -> None:
-        self.metrics.deadlocks += 1
-        self._trace("deadlock", txn=txn.txn_id, node=txn.origin_node)
 
     # ------------------------------------------------------------------ #
     # strategy interface
@@ -525,8 +556,9 @@ class ReplicatedSystem:
         """
         pipeline = self._pipeline
         if pipeline is None:
+            cls = type(self)
             pipeline = self._pipeline = [
-                getattr(self, f"_phase_{name}") for name in self.PHASES
+                getattr(cls, f"_phase_{name}") for name in self.PHASES
             ]
             if not pipeline:
                 raise NotImplementedError(
@@ -538,12 +570,16 @@ class ReplicatedSystem:
         )
         try:
             for phase in pipeline:
-                step = phase(ctx)
+                step = phase(self, ctx)
                 if step is not None:
                     yield from step
                 if ctx.finished:
                     break
         except DeadlockAbort as exc:
+            # the traceback holds the frame that waited on the failed lock
+            # event, whose exception is this one: a cycle through this
+            # frame's ``self`` that would keep the whole world alive
+            exc.__traceback__ = None
             self._abort_everywhere(ctx.txn, ctx.touched, reason=exc.reason)
         except KeyError:  # routed to a copy that migrated away meanwhile
             if "migrations" not in self.metrics.extra:
@@ -783,6 +819,7 @@ class ReplicatedSystem:
             tm.commit(txn)
             self.metrics.replica_updates += 1
         except DeadlockAbort as exc:
+            exc.__traceback__ = None  # a cycle to the system (see _run)
             tm.abort(txn, reason=exc.reason)
             if attempt < self.max_retries:
                 self.metrics.restarts += 1
@@ -943,6 +980,7 @@ class ReplicatedSystem:
             if not self._node_holds(oid, src) or self._node_holds(oid, dst):
                 raise MigrationAbort()  # a concurrent move of oid came first
         except DeadlockAbort as exc:
+            exc.__traceback__ = None  # a cycle to the system (see _run)
             node.tm.abort(txn, reason=exc.reason)
             return txn
         record = node.store.read(oid)

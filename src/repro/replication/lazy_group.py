@@ -65,11 +65,12 @@ class LazyGroupSystem(Lazy, ReplicatedSystem):
         super()._register_probes(telemetry)
         # the lazy-group danger signals: replica-update application rate
         # and updates abandoned after exhausting deadlock retries
+        metrics, system = self.metrics, self._proxy
         telemetry.counter_rate(
-            "replica_update_rate", lambda: self.metrics.replica_updates
+            "replica_update_rate", lambda: metrics.replica_updates
         )
         telemetry.gauge(
-            "replica_updates_dropped", lambda: self.replica_updates_dropped
+            "replica_updates_dropped", lambda: system.replica_updates_dropped
         )
 
     # ------------------------------------------------------------------ #

@@ -74,7 +74,8 @@ class LazyMasterSystem(Lazy, MasterOwnership, ReplicatedSystem):
         super()._register_probes(telemetry)
         # stale propagated updates suppressed at replicas: the lazy-master
         # analogue of lazy-group's reconciliations
-        telemetry.counter_rate("stale_rate", lambda: self.metrics.stale_updates)
+        metrics = self.metrics
+        telemetry.counter_rate("stale_rate", lambda: metrics.stale_updates)
 
     # ------------------------------------------------------------------ #
     # root (master) transaction

@@ -56,12 +56,12 @@ class ScarSystem(MasterOwnership, ReplicatedSystem):
 
     def _register_probes(self, telemetry) -> None:
         super()._register_probes(telemetry)
+        metrics = self.metrics
         telemetry.counter_rate(
-            "cert_abort_rate",
-            lambda: self.metrics.extra.get("cert_aborts", 0),
+            "cert_abort_rate", lambda: metrics.extra.get("cert_aborts", 0)
         )
         telemetry.counter_rate(
-            "replica_update_rate", lambda: self.metrics.replica_updates
+            "replica_update_rate", lambda: metrics.replica_updates
         )
 
     # ------------------------------------------------------------------ #

@@ -71,10 +71,10 @@ class LockManager:
         detector: shared :class:`~repro.storage.deadlock.DeadlockDetector`.
         on_wait: optional metrics hook called once per blocked request.
         on_deadlock: optional metrics hook called once per chosen victim.
-        telemetry: optional :class:`~repro.obs.samplers.Telemetry` handle
-            (the owning system registers an aggregate wait-queue-depth
-            gauge over all nodes; the handle is kept here so per-node
-            probes can be added without re-plumbing).
+            The table keeps both hooks for its life, so a hook must not
+            hold the table's owner: a bound method of the owning system
+            would make every world a reference cycle that only the
+            cyclic collector frees.
     """
 
     def __init__(
@@ -84,14 +84,12 @@ class LockManager:
         detector,
         on_wait: Optional[Callable[[Any], None]] = None,
         on_deadlock: Optional[Callable[[Any], None]] = None,
-        telemetry=None,
     ):
         self.engine = engine
         self.node_id = node_id
         self.detector = detector
         self.on_wait = on_wait
         self.on_deadlock = on_deadlock
-        self.telemetry = telemetry
         # _holders keeps the order entries were created in: the abort path
         # of release_all walks it, so promotion order is creation order
         self._holders: Dict[int, Dict[Any, LockMode]] = {}
