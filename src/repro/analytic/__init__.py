@@ -19,6 +19,9 @@ layout follows the paper's sections:
 * :mod:`~repro.analytic.partial` — the danger curves re-derived with a
   replication-factor axis ``k``: partial replication softens equation 12's
   cubic to ``Nodes^2 x k``.
+* :mod:`~repro.analytic.reference` — the one table of what the model
+  predicts for each strategy: the rate it is judged on, its closed-form
+  and partial curves, and the Markov track's prediction of the same rate.
 * :mod:`~repro.analytic.refinements` — exact (non-linearised) versions of
   the probability approximations, for checking the approximations' validity
   region.

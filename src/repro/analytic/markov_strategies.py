@@ -50,30 +50,6 @@ from repro.analytic.markov import MarkovChain, stationary_distribution
 from repro.analytic.parameters import ModelParameters
 from repro.exceptions import ConfigurationError
 
-#: strategies with a Markov chain model (the paper's five plus the two
-#: certification-based strategies)
-MARKOV_STRATEGIES: Tuple[str, ...] = (
-    "deferred-update",
-    "eager-group",
-    "eager-master",
-    "lazy-group",
-    "lazy-master",
-    "scar",
-    "two-tier",
-)
-
-#: the danger rate each strategy's chain predicts, mirroring the campaign
-#: layer's ANALYTIC_REFERENCE so the two model tracks stay comparable
-MARKOV_REFERENCE: Dict[str, Tuple[str, str]] = {
-    "deferred-update": ("abort_rate", "cert aborts/s (markov)"),
-    "eager-group": ("deadlock_rate", "deadlocks/s (markov)"),
-    "eager-master": ("deadlock_rate", "deadlocks/s (markov)"),
-    "lazy-group": ("reconciliation_rate", "reconciliations/s (markov)"),
-    "lazy-master": ("deadlock_rate", "deadlocks/s (markov)"),
-    "scar": ("abort_rate", "validation aborts/s (markov)"),
-    "two-tier": ("deadlock_rate", "base deadlocks/s (markov)"),
-}
-
 #: guard against zero durations (action_time=0 means "infinitely fast")
 _EPS = 1e-12
 
@@ -437,10 +413,7 @@ def build_chain(
         return _deferred_update_chain(p, k, congestion)
     if strategy == "scar":
         return _scar_chain(p, k, congestion)
-    raise ConfigurationError(
-        f"no markov chain for strategy {strategy!r}; "
-        f"expected one of {MARKOV_STRATEGIES}"
-    )
+    raise ConfigurationError(f"no markov chain for strategy {strategy!r}")
 
 
 # --------------------------------------------------------------------- #
@@ -532,22 +505,3 @@ def _sojourn(sc: StrategyChain, pi: Tuple[float, ...]) -> float:
     if flux <= 0.0:
         return 0.0
     return 1.0 / flux
-
-
-def reference_rate(
-    strategy: str, p: ModelParameters, k: Optional[int] = None
-) -> float:
-    """The strategy's modelled danger rate under the Markov track.
-
-    The Markov counterpart of the campaign layer's ``ANALYTIC_REFERENCE``
-    column: eager and master schemes are judged on deadlocks/s, lazy-group
-    on reconciliations/s.  Raises for strategies without a chain.
-    """
-    try:
-        name, _ = MARKOV_REFERENCE[strategy]
-    except KeyError:
-        raise ConfigurationError(
-            f"no markov reference rate for strategy {strategy!r}; "
-            f"expected one of {MARKOV_STRATEGIES}"
-        )
-    return predict(strategy, p, k).rate(name)

@@ -135,41 +135,6 @@ def reconciliation_rate(p: ModelParameters, k: int) -> float:
     return wait_rate(p, k)
 
 
-def scaled_db_deadlock_rate(p: ModelParameters, k: int) -> float:
-    """Partial deadlock rate in the scaled-database regime (cf. eq 13).
-
-    When the database grows with the system (``DB_Size`` per replica
-    cluster, workload local to the cluster), the system factorises into
-    ``Nodes / k`` independent ``k``-node eager subsystems, each
-    contributing equation 12 at ``Nodes := k``:
-
-    ``TPS^2 x Action_Time x Actions^5 x Nodes x k^2 / (4 DB_Size^2)``
-
-    Linear in nodes for fixed ``k`` — and at ``k = 1`` it reduces exactly
-    to equation 13's scaled-database rate.
-    """
-    k = _factor(p, k)
-    per_cluster = (
-        p.tps**2 * p.action_time * p.actions**5 * k**3 / (4 * p.db_size**2)
-    )
-    return per_cluster * p.nodes / k
-
-
-def reference_rate(strategy: str, p: ModelParameters, k: int):
-    """The partial analogue of a strategy's modelled danger rate.
-
-    Used by the campaign layer's measured-vs-model column when a placement
-    is configured.  Returns ``None`` for strategies whose modelled rate
-    does not depend on the replica fan-out (lazy-master and two-tier
-    deadlock on master copies, whose count a placement does not change).
-    """
-    if strategy in ("eager-group", "eager-master"):
-        return deadlock_rate(p, k)
-    if strategy == "lazy-group":
-        return reconciliation_rate(p, k)
-    return None
-
-
 def softening(p: ModelParameters, k: int) -> float:
     """The partial-to-full danger ratio ``k / Nodes`` (uniform workload).
 

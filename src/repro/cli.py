@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import List, Optional
 
 # Each verb imports the layers it runs inside its own body, so a verb
@@ -71,61 +72,45 @@ _FLAG_PATHS_EPILOG = (
 
 def _add_model_arguments(parser: argparse.ArgumentParser,
                          nodes_list: bool = False) -> None:
-    parser.add_argument("--preset", choices=sorted(PRESETS), default=None,
-                        help="start from a named scenario preset; explicit "
-                        "flags override its fields")
-    parser.add_argument("--db-size", type=int, default=10_000,
+    # every model flag defaults to None: _params starts from the preset
+    # (paper-baseline unless --preset names another) and overrides exactly
+    # the flags the user gave
+    parser.add_argument("--preset", choices=sorted(PRESETS),
+                        default="paper-baseline",
+                        help="start from a named scenario preset (default: "
+                        "paper-baseline); explicit flags override its "
+                        "fields")
+    parser.add_argument("--db-size", type=int,
                         help="objects in the database (Table 2 DB_Size)")
     if nodes_list:
-        parser.add_argument("--nodes", default="10",
+        parser.add_argument("--nodes",
                             help="comma-separated replica node counts to "
                             "sweep (e.g. 1,2,4,8)")
     else:
-        parser.add_argument("--nodes", type=int, default=10,
+        parser.add_argument("--nodes", type=int,
                             help="replica nodes (Table 2 Nodes)")
-    parser.add_argument("--tps", type=float, default=10.0,
+    parser.add_argument("--tps", type=float,
                         help="transactions/second per node (Table 2 TPS)")
-    parser.add_argument("--actions", type=int, default=5,
+    parser.add_argument("--actions", type=int,
                         help="updates per transaction (Table 2 Actions)")
-    parser.add_argument("--action-time", type=float, default=0.01,
+    parser.add_argument("--action-time", type=float,
                         help="seconds per action (Table 2 Action_Time)")
-    parser.add_argument("--disconnect-time", type=float, default=0.0,
+    parser.add_argument("--disconnect-time", type=float,
                         help="mean dark period for mobile scenarios")
-    parser.add_argument("--message-delay", type=float, default=0.0,
+    parser.add_argument("--message-delay", type=float,
                         help="replica propagation delay in seconds; the "
                         "simulator honours it, the analytic model ignores "
                         "it (the paper drops message costs)")
 
 
-_MODEL_FLAGS = {
-    "db_size": 10_000,
-    "nodes": 10,
-    "tps": 10.0,
-    "actions": 5,
-    "action_time": 0.01,
-    "disconnect_time": 0.0,
-    "message_delay": 0.0,
-}
-
-
 def _params(args: argparse.Namespace) -> ModelParameters:
-    if args.preset:
-        base = preset(args.preset)
-        overrides = {
-            name: getattr(args, name)
-            for name, default in _MODEL_FLAGS.items()
-            if getattr(args, name) != default  # flag explicitly set
-        }
-        return base.with_(**overrides)
-    return ModelParameters(
-        db_size=args.db_size,
-        nodes=args.nodes,
-        tps=args.tps,
-        actions=args.actions,
-        action_time=args.action_time,
-        disconnect_time=args.disconnect_time,
-        message_delay=args.message_delay,
-    )
+    """The preset, with every model flag the user gave in place."""
+    base = preset(args.preset)
+    return base.with_(**{
+        field.name: getattr(args, field.name)
+        for field in fields(ModelParameters)
+        if getattr(args, field.name, None) is not None
+    })
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
@@ -138,57 +123,25 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_danger(args: argparse.Namespace) -> int:
-    from repro.analytic import (
-        eager,
-        lazy_group,
-        lazy_master,
-        markov_strategies,
-        partial,
-        two_tier,
-    )
+    from repro.analytic import lazy_group
+    from repro.analytic.reference import danger_curves
     from repro.analytic.scaling import safe_fit_exponent, sweep
     from repro.metrics.report import format_series
 
     params = _params(args)
-    node_axis = sorted({1, 2, 5, 10, max(2, args.nodes)})
+    # the fixed axis, plus the node count asked for with --nodes
+    node_axis = sorted({1, 2, 5, 10} | (
+        set() if args.nodes is None else {max(2, args.nodes)}))
     placement = _placement_spec(args)
     k = getattr(placement, "replication_factor", None)
-    if args.model == "markov":
-        # the Markov track: every strategy's chain-predicted danger rate
-        curves = [
-            (f"{strategy} {markov_strategies.MARKOV_REFERENCE[strategy][1]}"
-             + (f" (k={k})" if k is not None else ""),
-             lambda p, s=strategy: markov_strategies.reference_rate(s, p, k))
-            for strategy in markov_strategies.MARKOV_STRATEGIES
-        ]
-    else:
-        curves = [
-            ("eager deadlocks/s (eq 12)", eager.total_deadlock_rate),
-            ("lazy-group reconciliations/s (eq 14)",
-             lazy_group.reconciliation_rate),
-            ("lazy-master deadlocks/s (eq 19)", lazy_master.deadlock_rate),
-            ("two-tier base deadlocks/s", two_tier.base_deadlock_rate),
-        ]
-        if k is not None:
-            # partial-replication analogues alongside the full laws
-            curves += [
-                (f"partial eager deadlocks/s (k={k})",
-                 lambda p, k=k: partial.deadlock_rate(p, k)),
-                (f"partial lazy-group reconciliations/s (k={k})",
-                 lambda p, k=k: partial.reconciliation_rate(p, k)),
-            ]
+    curves = danger_curves(args.model, k)
+    if params.disconnect_time > 0:
+        curves.append(("mobile reconciliations/s (eq 18)",
+                       lazy_group.mobile_reconciliation_rate))
     for label, fn in curves:
         result = sweep(fn, params, "nodes", node_axis)
         print(format_series(result.xs, result.ys, x_label="nodes",
                             y_label=label))
-        exponent = safe_fit_exponent(result.xs, result.ys)
-        order = "n/a" if exponent is None else f"N^{exponent:.1f}"
-        print(f"  growth order: {order}\n")
-    if params.disconnect_time > 0:
-        result = sweep(lazy_group.mobile_reconciliation_rate, params,
-                       "nodes", node_axis)
-        print(format_series(result.xs, result.ys, x_label="nodes",
-                            y_label="mobile reconciliations/s (eq 18)"))
         exponent = safe_fit_exponent(result.xs, result.ys)
         order = "n/a" if exponent is None else f"N^{exponent:.1f}"
         print(f"  growth order: {order}\n")
@@ -560,9 +513,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                  f"one of {', '.join(STRATEGIES)} or 'all'")
     if args.seeds < 1:
         raise SystemExit("--seeds must be at least 1")
-    node_values = _parse_node_list(args.nodes)
-    args.nodes = node_values[0]  # _params wants a scalar for the base point
+    # the list is the axis; its first value (or the preset's node count)
+    # is the base point
+    node_values = (None if args.nodes is None
+                   else _parse_node_list(args.nodes))
+    args.nodes = node_values[0] if node_values else None
     params = _params(args)
+    node_values = node_values or [params.nodes]
     sample_interval = args.sample_interval
     if sample_interval is None:
         # --series-out implies sampling; default to 50 windows per run

@@ -54,8 +54,8 @@ from typing import (
     Union,
 )
 
-from repro.analytic import eager, lazy_group, lazy_master, two_tier
 from repro.analytic.parameters import ModelParameters
+from repro.analytic.reference import MODEL_TRACKS, predicted_rate
 from repro.analytic.scaling import safe_fit_exponent
 from repro.exceptions import ConfigurationError
 from repro.harness.experiment import (
@@ -88,25 +88,6 @@ TIMEOUT = "timeout"
 #  The *config* half of the key needs no bump: it is a walk of the
 #  ExperimentConfig dataclass, see harness.export.describe_config)
 CACHE_VERSION = 8
-
-#: the selectable analytic tracks the campaign layer can judge cells with
-MODEL_TRACKS: Tuple[str, ...] = ("closed-form", "markov")
-
-# The rate the analytic model predicts for each strategy — the "danger"
-# curve of cmd_danger, used for the measured-vs-model column and the fit
-# exponents (eq 12 / 14 / 19 and the two-tier base rate).
-ANALYTIC_REFERENCE: Dict[str, Tuple[str, Callable[[ModelParameters], float], str]] = {
-    "eager-group": ("deadlock_rate", eager.total_deadlock_rate,
-                    "deadlocks/s (eq 12)"),
-    "eager-master": ("deadlock_rate", eager.total_deadlock_rate,
-                     "deadlocks/s (eq 12)"),
-    "lazy-group": ("reconciliation_rate", lazy_group.reconciliation_rate,
-                   "reconciliations/s (eq 14)"),
-    "lazy-master": ("deadlock_rate", lazy_master.deadlock_rate,
-                    "deadlocks/s (eq 19)"),
-    "two-tier": ("deadlock_rate", two_tier.base_deadlock_rate,
-                 "base deadlocks/s"),
-}
 
 
 # --------------------------------------------------------------------- #
@@ -642,52 +623,14 @@ def _estimate(name: str, samples: Sequence[float]) -> RateEstimate:
                         ci95_half_width=0.0)
 
 
-def model_reference(
-    strategy: str,
-    params: ModelParameters,
-    k: Optional[int] = None,
-    model: str = "closed-form",
-) -> Tuple[Optional[str], Optional[float]]:
-    """``(rate name, predicted value)`` for one cell under a model track.
-
-    ``closed-form`` uses the paper's equations (with the partial-model
-    ``k/N`` override under a placement); ``markov`` solves the strategy's
-    transaction-state chain.  ``(None, None)`` when the track does not
-    model the strategy's danger rate.
-    """
-    if model not in MODEL_TRACKS:
-        raise ConfigurationError(
-            f"unknown model track {model!r}; expected one of {MODEL_TRACKS}"
-        )
-    if model == "markov":
-        from repro.analytic import markov_strategies
-
-        ref = markov_strategies.MARKOV_REFERENCE.get(strategy)
-        if ref is None:
-            return None, None
-        return ref[0], markov_strategies.reference_rate(strategy, params, k)
-    reference = ANALYTIC_REFERENCE.get(strategy)
-    if reference is None:
-        return None, None
-    analytic = reference[1](params)
-    if k is not None:
-        # partial placement: the danger laws soften by k/N — use the
-        # partial model's prediction where the rate depends on fan-out
-        from repro.analytic import partial as partial_model
-
-        override = partial_model.reference_rate(strategy, params, k)
-        if override is not None:
-            analytic = override
-    return reference[0], analytic
-
-
 def aggregate(
     outcomes: Sequence[RunOutcome], model: str = "closed-form"
 ) -> List[CellStats]:
     """Group outcomes by (strategy, axis value); summarise each rate.
 
     ``model`` selects the analytic track attached to each cell's
-    ``analytic`` column (see :func:`model_reference`).
+    ``analytic`` column (see
+    :func:`~repro.analytic.reference.predicted_rate`).
     """
     order: List[Tuple[str, float]] = []
     grouped: Dict[Tuple[str, float], List[RunOutcome]] = {}
@@ -710,7 +653,7 @@ def aggregate(
                 samples.setdefault(name, []).append(value)
         placement = getattr(spec.config, "placement", None)
         k = getattr(placement, "replication_factor", None)
-        rate_name, analytic = model_reference(
+        rate_name, analytic = predicted_rate(
             spec.config.strategy, spec.config.params, k, model
         )
         verdicts = [v for v in (o.oracle_ok() for o in members)

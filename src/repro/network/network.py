@@ -7,7 +7,7 @@ from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.network.message import Message
-from repro.sim.protocol import EngineProtocol
+from repro.sim.engine import Engine
 
 Handler = Callable[[Message], Any]
 
@@ -35,7 +35,7 @@ class Network:
 
     def __init__(
         self,
-        engine: EngineProtocol,
+        engine: Engine,
         num_nodes: int,
         message_delay: float = 0.0,
     ):

@@ -192,9 +192,6 @@ class BoundDirectory(BoundPlacement):
             return oid * self._shards // self.db_size
         return _score(self._seed, oid, _HASH_LANE) % self._shards
 
-    def shard_members(self, shard: int) -> Tuple[int, ...]:
-        return self._map[shard]
-
     def replicas(self, oid: int) -> Tuple[int, ...]:
         override = self._overrides.get(oid)
         if override is not None:

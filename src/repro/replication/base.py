@@ -48,7 +48,6 @@ from repro.replication.pipeline import TxnContext
 from repro.replication.reconciliation import Outcome
 from repro.sim.engine import Engine
 from repro.sim.process import Process
-from repro.sim.protocol import EngineProtocol
 from repro.sim.random_source import RandomSource
 from repro.storage.deadlock import DeadlockDetector, youngest_victim
 from repro.storage.lock_manager import LockManager, LockMode
@@ -112,7 +111,7 @@ class SystemSpec:
     max_retries: int = 25
     victim_policy: Callable = youngest_victim
     initial_value: Any = 0
-    engine: Optional[EngineProtocol] = None
+    engine: Optional[Engine] = None
     record_history: bool = False
     tracer: Any = None
     telemetry: Any = None
@@ -168,7 +167,7 @@ _EXCLUSIVE = LockMode.EXCLUSIVE
 _new = tuple.__new__  # ReplicaUpdate(*fields) without the Python frame
 
 
-def _lock_hooks(metrics: Metrics, tracer: Any, engine: EngineProtocol):
+def _lock_hooks(metrics: Metrics, tracer: Any, engine: Engine):
     """The lock managers' ``on_wait`` and ``on_deadlock`` hooks: a count
     and a trace line each, closed over the counters and the tracer rather
     than the system, so a node's lock table holds no reference back to it.

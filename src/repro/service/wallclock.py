@@ -5,10 +5,10 @@
 timer generations, dead-entry accounting, the profiler tap — but reads the
 clock from ``time.monotonic`` instead of jumping it to the next heap entry.
 Every strategy, the fault injector, and the telemetry/profiler hooks run
-unmodified: they only ever call the
-:class:`~repro.sim.protocol.EngineProtocol` surface, and this class conforms
-to all of it except synchronous :meth:`run` (which raises — wall-clock time
-cannot be driven by a blocking loop inside asyncio).
+unmodified: they are typed against :class:`~repro.sim.engine.Engine`, the
+one kernel type, and this subclass keeps all of its surface except
+synchronous :meth:`run` (which raises — wall-clock time cannot be driven by
+a blocking loop inside asyncio).
 
 Integration with asyncio is cooperative, not threaded:
 

@@ -245,9 +245,6 @@ class DeadlockDetector:
     # introspection
     # ------------------------------------------------------------------ #
 
-    def waiting_count(self) -> int:
-        return len(self._waits)
-
     def edges(self) -> Dict[Any, Set[Any]]:
         return {txn: self.blockers_of(txn) for txn in self._waits}
 

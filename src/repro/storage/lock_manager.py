@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.exceptions import DeadlockAbort, LockError
+from repro.sim.engine import Engine
 from repro.sim.events import SimEvent
-from repro.sim.protocol import EngineProtocol
 
 
 class LockMode(enum.Enum):
@@ -79,7 +79,7 @@ class LockManager:
 
     def __init__(
         self,
-        engine: EngineProtocol,
+        engine: Engine,
         node_id: int,
         detector,
         on_wait: Optional[Callable[[Any], None]] = None,

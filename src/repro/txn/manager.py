@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from repro.exceptions import InvalidStateError
-from repro.sim.protocol import EngineProtocol
+from repro.sim.engine import Engine
 from repro.storage.lock_manager import LockManager, LockMode
 from repro.storage.store import ObjectStore
 from repro.storage.versioning import Timestamp, TimestampGenerator
@@ -53,7 +53,7 @@ class TransactionManager:
 
     def __init__(
         self,
-        engine: EngineProtocol,
+        engine: Engine,
         node_id: int,
         store: ObjectStore,
         locks: LockManager,

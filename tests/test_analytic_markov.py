@@ -32,16 +32,17 @@ from repro.analytic.markov import (
     state_map,
     stationary_distribution,
 )
-from repro.analytic.markov_strategies import (
-    MARKOV_REFERENCE,
-    MARKOV_STRATEGIES,
-    build_chain,
-    predict,
-    reference_rate,
-)
+from repro.analytic.markov_strategies import build_chain, predict
+from repro.analytic.reference import predicted_rate
 from repro.exceptions import ConfigurationError
+from repro.harness.strategies import STRATEGIES
 
 SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def reference_rate(strategy, p, k=None):
+    """The strategy's modelled danger rate under the Markov track."""
+    return predicted_rate(strategy, p, k, "markov")[1]
 
 # fully-connected random chains are irreducible by construction
 chain_strategy = st.integers(2, 5).flatmap(
@@ -173,7 +174,7 @@ class TestSolverErrorPaths:
 
 class TestStrategyChains:
     @SETTINGS
-    @given(params_strategy, st.sampled_from(MARKOV_STRATEGIES))
+    @given(params_strategy, st.sampled_from(STRATEGIES))
     def test_reference_rate_monotonic_in_nodes(self, p, strategy):
         grown = p.with_(nodes=p.nodes + 1)
         low = reference_rate(strategy, p)
@@ -181,7 +182,7 @@ class TestStrategyChains:
         assert high >= low * (1.0 - 1e-9)
 
     @SETTINGS
-    @given(params_strategy, st.sampled_from(MARKOV_STRATEGIES))
+    @given(params_strategy, st.sampled_from(STRATEGIES))
     def test_reference_rate_monotonic_in_txn_size(self, p, strategy):
         grown = p.with_(actions=p.actions + 1)
         low = reference_rate(strategy, p)
@@ -189,7 +190,7 @@ class TestStrategyChains:
         assert high >= low * (1.0 - 1e-9)
 
     @SETTINGS
-    @given(params_strategy, st.sampled_from(MARKOV_STRATEGIES))
+    @given(params_strategy, st.sampled_from(STRATEGIES))
     def test_exit_rates_conserve_the_arrival_rate(self, p, strategy):
         # abort_rate already folds in the deadlock exits, so the renewal
         # flux is commits + reconciliations + aborts of either kind
@@ -199,7 +200,7 @@ class TestStrategyChains:
         assert total_exits == pytest.approx(p.tps * p.nodes, rel=1e-9)
 
     @SETTINGS
-    @given(params_strategy, st.sampled_from(MARKOV_STRATEGIES))
+    @given(params_strategy, st.sampled_from(STRATEGIES))
     def test_prediction_is_finite_and_well_formed(self, p, strategy):
         pred = predict(strategy, p)
         assert len(pred.pi) == len(pred.states)
@@ -260,7 +261,7 @@ class TestChainConfiguration:
             build_chain("quantum-consensus", self._P)
 
     def test_reference_rate_unknown_strategy_rejected(self):
-        with pytest.raises(ConfigurationError, match="no markov reference"):
+        with pytest.raises(ConfigurationError, match="no reference rate"):
             reference_rate("quantum-consensus", self._P)
 
     def test_sub_unit_congestion_rejected(self):
@@ -275,6 +276,3 @@ class TestChainConfiguration:
         pred = predict("eager-group", self._P)
         with pytest.raises(ConfigurationError, match="no rate named"):
             pred.rate("teleportation_rate")
-
-    def test_every_strategy_has_a_reference_entry(self):
-        assert set(MARKOV_REFERENCE) == set(MARKOV_STRATEGIES)

@@ -5,11 +5,11 @@ import json
 
 import pytest
 
-from repro.analytic import ModelParameters
+from repro.analytic import ModelParameters, lazy_master
+from repro.analytic.reference import predicted_rate
 from repro.exceptions import ConfigurationError
 from repro.harness import ExperimentConfig, run_experiment
 from repro.harness.campaign import (
-    ANALYTIC_REFERENCE,
     Campaign,
     ResultCache,
     RunSpec,
@@ -301,8 +301,10 @@ class TestAggregation:
         # lazy-master's modelled rate is its deadlock rate (eq 19)
         assert cell.reference_rate == "deadlock_rate"
         assert cell.analytic == pytest.approx(
-            ANALYTIC_REFERENCE["lazy-master"][1](cell.params)
+            lazy_master.deadlock_rate(cell.params)
         )
+        assert predicted_rate("lazy-master", cell.params) == (
+            cell.reference_rate, cell.analytic)
 
     def test_single_seed_has_zero_width(self):
         outcome = run_campaign(tiny_campaign(seeds=(0,)), jobs=0)

@@ -9,8 +9,9 @@ system-level audit, which compares each object across its own holders.
 
 import pytest
 
-from repro.analytic import eager, lazy_group, markov_strategies, partial
+from repro.analytic import eager, lazy_group, partial
 from repro.analytic.parameters import ModelParameters
+from repro.analytic.reference import predicted_rate
 from repro.faults.oracle import evaluate as evaluate_oracle
 from repro.harness import ExperimentConfig, run_experiment
 from repro.harness.experiment import STRATEGIES, STRATEGY_CLASSES
@@ -235,18 +236,18 @@ class TestFullReplicationLimit:
             "eager-master": eager.total_deadlock_rate(p),
             "lazy-group": lazy_group.reconciliation_rate(p),
         }[strategy]
-        assert partial.reference_rate(strategy, p, n) == pytest.approx(
+        assert predicted_rate(strategy, p, n)[1] == pytest.approx(
             full, rel=1e-12)
 
 
 class TestMarkovAgreesWithPartialAtKEqualsN:
     """The Markov chains must honour the same k = N reduction."""
 
-    @pytest.mark.parametrize("strategy", markov_strategies.MARKOV_STRATEGIES)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_k_equals_n_matches_default_full_replication(self, strategy):
         p, n = _LIMIT_PARAMS, _LIMIT_PARAMS.nodes
-        explicit = markov_strategies.reference_rate(strategy, p, k=n)
-        implicit = markov_strategies.reference_rate(strategy, p, k=None)
+        explicit = predicted_rate(strategy, p, n, "markov")[1]
+        implicit = predicted_rate(strategy, p, None, "markov")[1]
         assert explicit == implicit
 
     @pytest.mark.parametrize("strategy", ("eager-group", "lazy-group"))
@@ -255,14 +256,14 @@ class TestMarkovAgreesWithPartialAtKEqualsN:
         # ~1 and the chain's rate converges to the partial closed form
         p = _LIMIT_PARAMS.with_(db_size=200_000)
         n = p.nodes
-        chain_rate = markov_strategies.reference_rate(strategy, p, k=n)
-        closed = partial.reference_rate(strategy, p, n)
+        chain_rate = predicted_rate(strategy, p, n, "markov")[1]
+        closed = predicted_rate(strategy, p, n)[1]
         assert chain_rate == pytest.approx(closed, rel=1e-3)
 
     @pytest.mark.parametrize("k", (1, 2, 4))
     def test_partial_softening_tracks_k_over_n(self, k):
         # at fixed nodes the chain inherits the closed forms' k-scaling
         p = _LIMIT_PARAMS.with_(db_size=200_000)
-        chain = markov_strategies.reference_rate("lazy-group", p, k=k)
-        closed = partial.reference_rate("lazy-group", p, k)
+        chain = predicted_rate("lazy-group", p, k, "markov")[1]
+        closed = predicted_rate("lazy-group", p, k)[1]
         assert chain == pytest.approx(closed, rel=1e-3)

@@ -49,3 +49,26 @@ def test_cli_preset_with_override(capsys):
     assert main(["tables", "--preset", "checkbook", "--nodes", "7"]) == 0
     out = capsys.readouterr().out
     assert "7" in out
+
+
+@pytest.mark.parametrize("argv, field, value", [
+    # each flag equals the old argparse default, which the CLI once took
+    # for "not given" and so dropped in favour of the preset's field
+    (["--preset", "oltp-cluster", "--nodes", "10"], "Nodes", "10"),
+    (["--preset", "mobile-nightly", "--disconnect-time", "0"],
+     "Disconnected_Time", "0"),
+], ids=["oltp-nodes-10", "nightly-disconnect-0"])
+def test_cli_flag_at_the_baseline_value_overrides_preset(
+    capsys, argv, field, value
+):
+    assert main(["tables", *argv]) == 0
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.split("|")[0].strip() == field)
+    assert row.split("|")[1].strip() == value
+
+
+def test_paper_baseline_is_the_default_preset(capsys):
+    assert main(["tables"]) == 0
+    default = capsys.readouterr().out
+    assert main(["tables", "--preset", "paper-baseline"]) == 0
+    assert capsys.readouterr().out == default

@@ -4,14 +4,15 @@ faulted run with a green oracle.
 
 `test_faults_chaos.py` grills the 1996 strategies; this file extends the
 same contract to everything `STRATEGY_CLASSES` registers, so adding a
-strategy without wiring it into the CLI, the Markov track, and the chaos
+strategy without wiring it into the CLI, the reference table, and the chaos
 oracle fails here rather than in a user's sweep.
 """
 
 import pytest
 
 from repro.analytic import ModelParameters
-from repro.analytic.markov_strategies import MARKOV_REFERENCE, MARKOV_STRATEGIES
+from repro.analytic.reference import REFERENCE, danger_curves
+from repro.cli import main
 from repro.core import TwoTierSystem
 from repro.faults import FaultPlan
 from repro.harness import ExperimentConfig, run_experiment
@@ -125,9 +126,22 @@ def test_no_strategy_takes_an_ownership_map(name):
         )
 
 
-def test_markov_track_covers_the_whole_registry():
-    assert MARKOV_STRATEGIES == STRATEGIES
-    assert set(MARKOV_REFERENCE) == set(STRATEGIES)
+@pytest.mark.parametrize("model, k", [
+    ("closed-form", None), ("markov", None),
+    ("closed-form", 3), ("markov", 3),
+])
+def test_reference_table_covers_the_registry(capsys, model, k):
+    """One row per strategy, and ``repro danger`` prints exactly the
+    table's curves: no curve list of its own beside the table."""
+    assert tuple(REFERENCE) == STRATEGIES
+    argv = ["danger", "--model", model]
+    if k is not None:
+        argv += ["--placement", f"hash:k={k}"]
+    assert main(argv) == 0
+    printed = [line[:-len(" vs nodes")]
+               for line in capsys.readouterr().out.splitlines()
+               if line.endswith(" vs nodes")]
+    assert printed == [label for label, _ in danger_curves(model, k)]
 
 
 def test_cli_choices_derive_from_the_registry():

@@ -7,6 +7,8 @@ pins that nothing in the simulator defaults to it.
 """
 
 import asyncio
+import importlib
+import typing
 
 import pytest
 
@@ -256,6 +258,35 @@ class TestWallClockIsAdditive:
             SystemSpec(num_nodes=2, db_size=10, engine=engine), num_base=1
         )
         assert system.engine is engine
+
+
+# ``Engine`` is the one kernel type: the wall-clock kernel subclasses it, and
+# the layers that kernel drives are annotated against it
+
+
+def test_wallclock_engine_is_an_engine():
+    assert issubclass(WallClockEngine, Engine)
+
+
+@pytest.mark.parametrize("module_name, owners", [
+    pytest.param("repro.txn.manager", ("TransactionManager.__init__",),
+                 id="repro.txn.manager"),
+    pytest.param("repro.network.network", ("Network.__init__",),
+                 id="repro.network.network"),
+    pytest.param("repro.storage.lock_manager", ("LockManager.__init__",),
+                 id="repro.storage.lock_manager"),
+    pytest.param("repro.replication.base", ("SystemSpec", "_lock_hooks"),
+                 id="repro.replication.base"),
+])
+def test_layers_are_typed_against_engine(module_name, owners):
+    # resolving the hints fails on an annotation naming a retired type
+    module = importlib.import_module(module_name)
+    for owner in owners:
+        target = module
+        for attr in owner.split("."):
+            target = getattr(target, attr)
+        assert typing.get_type_hints(target)["engine"] in (
+            Engine, typing.Optional[Engine]), owner
 
 
 class TestTimeoutCacheOverflow:
