@@ -16,9 +16,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, Tuple
 
 from repro.exceptions import ConfigurationError
+
+#: the analytic tracks that predict a rate from these parameters: the
+#: paper's closed-form equations (the default) and the Markov
+#: transaction-state chains.  Kept here, beside the parameters, so the CLI
+#: parser can offer them without importing an equation.
+MODEL_TRACKS: Tuple[str, ...] = ("closed-form", "markov")
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analytic import eager, lazy_group, lazy_master, partial, two_tier
-from repro.analytic.parameters import ModelParameters
+from repro.analytic.parameters import MODEL_TRACKS, ModelParameters
 from repro.exceptions import ConfigurationError
-
-#: the selectable analytic tracks
-MODEL_TRACKS: Tuple[str, ...] = ("closed-form", "markov")
 
 
 @dataclass(frozen=True)

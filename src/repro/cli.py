@@ -51,7 +51,7 @@ from typing import List, Optional
 # the analytic equations or the campaign pool).  The parser itself needs
 # only the preset and strategy-name tables, which import no equation and
 # no strategy.
-from repro.analytic.parameters import ModelParameters
+from repro.analytic.parameters import MODEL_TRACKS, ModelParameters
 from repro.analytic.presets import PRESETS, preset
 from repro.exceptions import ConfigurationError
 from repro.harness.strategies import STRATEGIES
@@ -129,9 +129,9 @@ def cmd_danger(args: argparse.Namespace) -> int:
     from repro.metrics.report import format_series
 
     params = _params(args)
-    # the fixed axis, plus the node count asked for with --nodes
-    node_axis = sorted({1, 2, 5, 10} | (
-        set() if args.nodes is None else {max(2, args.nodes)}))
+    # the fixed axis, plus the scenario's own node count (the preset's, or
+    # the one asked for with --nodes)
+    node_axis = sorted({1, 2, 5, 10, max(2, params.nodes)})
     placement = _placement_spec(args)
     k = getattr(placement, "replication_factor", None)
     curves = danger_curves(args.model, k)
@@ -163,7 +163,7 @@ def _print_measured_danger(args: argparse.Namespace, params: ModelParameters,
         seeds=tuple(range(args.seeds)),
         duration=args.duration,
         placement=getattr(args, "placement", None),
-        model=getattr(args, "model", "closed-form"),
+        model=args.model,
     )
     outcome = run_campaign(campaign, jobs=args.jobs,
                            cache_dir=args.cache_dir,
@@ -184,21 +184,19 @@ def _fault_plan(args: argparse.Namespace, params: ModelParameters):
     if not getattr(args, "faults", None):
         return None
     from repro.faults.plan import FaultPlan
+    from repro.harness.experiment import network_size
 
-    num_nodes = params.nodes
-    if getattr(args, "strategy", None) == "two-tier":
-        num_nodes += 1  # the default single base node
     return FaultPlan.from_spec(
         args.faults,
-        num_nodes=num_nodes,
+        num_nodes=network_size(args.strategy, params.nodes),
         duration=args.duration,
         fault_seed=args.fault_seed,
     )
 
 
 def _add_model_track_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=("closed-form", "markov"),
-                        default="closed-form",
+    parser.add_argument("--model", choices=MODEL_TRACKS,
+                        default=MODEL_TRACKS[0],
                         help="analytic track for predicted rates and fit "
                         "exponents: the paper's closed-form equations "
                         "(default) or the Markov transaction-state chains")

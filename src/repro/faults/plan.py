@@ -18,14 +18,17 @@ CLI's compact ``drop=0.05,partition=2`` syntax via :meth:`FaultPlan.from_spec`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Tuple
 
 from repro.exceptions import ConfigurationError
-from repro.specs import coerce_float, coerce_window, split_spec_items
-
-#: spec value meaning "the partition never heals / the node never recovers"
-FOREVER = math.inf
+from repro.specs import (
+    FOREVER,  # noqa: F401 - the spec value for "never heals / recovers"
+    canonical,
+    coerce_float,
+    coerce_window,
+    split_spec_items,
+)
 
 
 def _check_probability(name: str, value: float) -> None:
@@ -188,76 +191,14 @@ class FaultPlan:
             and all(c.recovers for c in self.crashes)
         )
 
-    def with_seed(self, fault_seed: int) -> "FaultPlan":
-        """The same fault schedule under a different randomness stream."""
-        return replace(self, fault_seed=fault_seed)
-
     # ------------------------------------------------------------------ #
     # serialisation (canonical: joins the campaign cache key)
     # ------------------------------------------------------------------ #
 
     def to_dict(self) -> Dict[str, Any]:
-        def number(x: float) -> Any:
-            # "inf" as a string: strict-JSON safe for cache keys and exports
-            return "inf" if math.isinf(x) else x
-
-        return {
-            "link": {
-                "drop": self.link.drop,
-                "duplicate": self.link.duplicate,
-                "reorder": self.link.reorder,
-                "reorder_window": self.link.reorder_window,
-                "jitter": self.link.jitter,
-            },
-            "partitions": [
-                {
-                    "start": p.start,
-                    "duration": number(p.duration),
-                    "left": list(p.left),
-                    "right": list(p.right),
-                }
-                for p in self.partitions
-            ],
-            "crashes": [
-                {
-                    "node": c.node,
-                    "at": c.at,
-                    "downtime": number(c.downtime),
-                }
-                for c in self.crashes
-            ],
-            "fault_seed": self.fault_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
-        def number(x: Any) -> float:
-            return math.inf if x == "inf" else float(x)
-
-        link = data.get("link", {})
-        return cls(
-            link=LinkFaults(
-                drop=link.get("drop", 0.0),
-                duplicate=link.get("duplicate", 0.0),
-                reorder=link.get("reorder", 0.0),
-                reorder_window=link.get("reorder_window", 0.1),
-                jitter=link.get("jitter", 0.0),
-            ),
-            partitions=tuple(
-                Partition(
-                    start=p["start"],
-                    duration=number(p["duration"]),
-                    left=tuple(p["left"]),
-                    right=tuple(p["right"]),
-                )
-                for p in data.get("partitions", ())
-            ),
-            crashes=tuple(
-                Crash(node=c["node"], at=c["at"], downtime=number(c["downtime"]))
-                for c in data.get("crashes", ())
-            ),
-            fault_seed=data.get("fault_seed", 0),
-        )
+        """The plan as strict JSON, a walk of its dataclass fields: a
+        tuple is a list and a window that never ends is ``"inf"``."""
+        return canonical(self)
 
     # ------------------------------------------------------------------ #
     # CLI spec parsing

@@ -54,14 +54,15 @@ from typing import (
     Union,
 )
 
-from repro.analytic.parameters import ModelParameters
-from repro.analytic.reference import MODEL_TRACKS, predicted_rate
+from repro.analytic.parameters import MODEL_TRACKS, ModelParameters
+from repro.analytic.reference import predicted_rate
 from repro.analytic.scaling import safe_fit_exponent
 from repro.exceptions import ConfigurationError
 from repro.harness.experiment import (
     STRATEGIES,
     ExperimentConfig,
     ExperimentResult,
+    network_size,
     run_experiment,
 )
 from repro.harness.stats import RateEstimate, estimate
@@ -257,13 +258,9 @@ class Campaign:
             return None
         from repro.faults.plan import FaultPlan
 
-        num_nodes = params.nodes
-        if strategy == "two-tier":
-            # network ids cover base tier + mobiles
-            num_nodes += self.num_base
         return FaultPlan.from_spec(
             self.faults,
-            num_nodes=num_nodes,
+            num_nodes=network_size(strategy, params.nodes, self.num_base),
             duration=self.duration,
             fault_seed=self.fault_seed,
         )

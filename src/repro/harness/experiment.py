@@ -78,15 +78,12 @@ class ExperimentConfig:
             the system (instrumentation only — excluded from provenance
             dictionaries and cache keys).
         sample_interval: telemetry sampling window in virtual seconds.
-            ``0`` (the default) disables sampling entirely; when positive a
-            :class:`~repro.obs.samplers.Telemetry` handle is created, probes
-            registered by the system and its network/lock-manager/injector
-            fire every window, and the resulting series land (serialised) in
-            ``result.extra["series"]``.
-        telemetry: pre-built telemetry handle to use instead of creating
-            one; implies sampling even when ``sample_interval`` is 0 (the
-            handle carries its own interval).  Instrumentation only, like
-            ``tracer``.
+            ``0`` (the default) disables sampling entirely; when positive
+            :func:`build_system` creates a
+            :class:`~repro.obs.samplers.Telemetry` handle (the system's
+            ``telemetry``), probes registered by the system and its
+            network/lock-manager/injector fire every window, and the
+            resulting series land (serialised) in ``result.extra["series"]``.
         profiler: optional :class:`~repro.obs.profiler.Profiler` installed
             on the engine for the whole run (wall-clock hot-spot
             bucketing).  Instrumentation only, like ``tracer``.
@@ -114,7 +111,6 @@ class ExperimentConfig:
     faults: Optional[FaultPlan] = None
     tracer: Optional[Any] = None
     sample_interval: float = 0.0
-    telemetry: Optional[Any] = None
     profiler: Optional[Any] = None
     placement: Optional[Placement] = None
 
@@ -172,39 +168,28 @@ class ExperimentResult:
         return self.rates.reconciliation_rate
 
 
-def _make_telemetry(config: ExperimentConfig):
-    """The telemetry handle this config asks for, or None.
-
-    An explicit ``config.telemetry`` wins; otherwise a fresh handle is
-    created when ``sample_interval > 0``.  Imported lazily so the harness
-    stays importable even if the obs subsystem is trimmed out.
-    """
-    if config.telemetry is not None:
-        return config.telemetry
-    if config.sample_interval > 0:
-        from repro.obs.samplers import Telemetry
-
-        return Telemetry(interval=config.sample_interval)
-    return None
+def network_size(strategy: str, nodes: int,
+                 num_base: int = ExperimentConfig.num_base) -> int:
+    """Network ids a run spans: two-tier counts ``nodes`` as mobiles on
+    top of ``num_base`` base nodes; everyone else runs ``nodes`` peers."""
+    return num_base + nodes if strategy == "two-tier" else nodes
 
 
-def build_system(
-    config: ExperimentConfig, telemetry: Optional[Any] = None
-) -> ReplicatedSystem:
+def build_system(config: ExperimentConfig) -> ReplicatedSystem:
     """Construct the configured replication system (without workload).
 
-    ``telemetry`` overrides the config's handle (``run_experiment`` passes
-    the one it created from ``sample_interval``).
+    A positive ``sample_interval`` gives the system a fresh
+    :class:`~repro.obs.samplers.Telemetry` handle, imported only then.
     """
     p = config.params
     cls = STRATEGY_CLASSES[config.strategy]
-    # two-tier counts p.nodes as mobiles on top of config.num_base base
-    # nodes; everyone else runs p.nodes peers
-    num_nodes = (
-        config.num_base + p.nodes if config.strategy == "two-tier" else p.nodes
-    )
+    telemetry = None
+    if config.sample_interval > 0:
+        from repro.obs.samplers import Telemetry
+
+        telemetry = Telemetry(interval=config.sample_interval)
     spec = SystemSpec(
-        num_nodes=num_nodes,
+        num_nodes=network_size(config.strategy, p.nodes, config.num_base),
         db_size=p.db_size,
         action_time=p.action_time,
         message_delay=p.message_delay,
@@ -214,7 +199,7 @@ def build_system(
         retry_deadlocks=config.retry_deadlocks,
         record_history=config.record_history,
         tracer=config.tracer,
-        telemetry=telemetry if telemetry is not None else _make_telemetry(config),
+        telemetry=telemetry,
         placement=config.placement,
         faults=config.faults,
     )
@@ -241,8 +226,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     deadline are subtracted from the reported metrics.
     """
     p = config.params
-    telemetry = _make_telemetry(config)
-    system = build_system(config, telemetry=telemetry)
+    system = build_system(config)
+    telemetry = system.telemetry
     if config.profiler is not None:
         config.profiler.install(system.engine)
 

@@ -23,7 +23,7 @@ from repro.replication.reconciliation import ReconciliationRule
 #: join neither the provenance dictionary nor the campaign cache key.
 #: Every other field does, by construction — the dictionary is a walk of
 #: the dataclass, not a hand-kept list.
-INSTRUMENTATION = ("tracer", "telemetry", "profiler")
+INSTRUMENTATION = ("tracer", "profiler")
 
 
 def _keyed(value: Any, opaque: List[Any]) -> Any:

@@ -3,11 +3,11 @@
 A placement comes in two forms:
 
 * the **spec** (:class:`Placement`): a frozen dataclass carrying only
-  configuration (replication factor, seed).  It serialises to strict JSON
-  (:meth:`Placement.to_dict`), parses from the CLI's compact
-  ``kind:key=value`` syntax (:meth:`Placement.from_spec`, the same grammar
-  as ``--faults`` via :mod:`repro.specs`), and joins the campaign cache
-  key untouched.
+  configuration (replication factor, seed).  It parses from the CLI's
+  compact ``kind:key=value`` syntax (:meth:`Placement.from_spec`, the same
+  grammar as ``--faults`` via :mod:`repro.specs`) and serialises to strict
+  JSON (:meth:`Placement.to_dict`), which joins the campaign cache key.
+  Both walk the dataclass's fields, so no kind restates its format.
 * the **bound directory** (:class:`BoundPlacement`): the spec applied to a
   concrete ``(num_nodes, db_size)``.  This is what the replication
   strategies query on the hot path; implementations memoise their replica
@@ -19,13 +19,19 @@ hold caches.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.exceptions import ConfigurationError
-from repro.specs import parse_prefixed_spec
+from repro.specs import canonical, coerce_int, parse_prefixed_spec
 
 #: registry kind -> spec class, populated by ``Placement.__init_subclass__``
 _KINDS: Dict[str, Type["Placement"]] = {}
+
+#: the spec grammar's short keys, one table for every kind
+_ALIASES = {"k": "replication_factor", "seed": "placement_seed",
+            "group": "grouping"}
+_SHORT_KEYS = {name: key for key, name in _ALIASES.items()}
 
 
 class Placement:
@@ -33,7 +39,8 @@ class Placement:
 
     Subclasses are frozen dataclasses defining a class attribute ``kind``
     (the spec prefix and the ``to_dict`` discriminator) and implementing
-    :meth:`bind` plus the serialisation hooks.
+    :meth:`bind`; their fields are all :meth:`to_dict` writes and all
+    :meth:`from_spec` reads.
     """
 
     kind: str = "abstract"
@@ -52,41 +59,27 @@ class Placement:
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #
-    # serialisation (canonical: joins the campaign cache key)
+    # one way out, one way in
     # ------------------------------------------------------------------ #
 
     def to_dict(self) -> Dict[str, Any]:
-        """Strict-JSON canonical form; must round-trip via from_dict."""
-        raise NotImplementedError
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Placement":
-        kind = data.get("kind")
-        impl = _KINDS.get(kind)
-        if impl is None:
-            raise ConfigurationError(
-                f"unknown placement kind {kind!r}; expected one of "
-                f"{sorted(_KINDS)}"
-            )
-        return impl._from_dict(data)
-
-    @classmethod
-    def _from_dict(cls, data: Dict[str, Any]) -> "Placement":
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # CLI spec parsing (same grammar as FaultPlan.from_spec)
-    # ------------------------------------------------------------------ #
+        """Strict-JSON canonical form: the kind, then the fields in
+        declaration order.  Joins the campaign cache key."""
+        return {"kind": self.kind, **canonical(self)}
 
     @classmethod
     def from_spec(cls, spec: str) -> "Placement":
         """Parse a compact CLI spec.
 
-        Syntax: ``kind`` or ``kind:key=value,...``.  Examples::
+        Syntax: ``kind`` or ``kind:key=value,...``, where each key is a
+        field of the kind's dataclass or its short name (``k``, ``seed``,
+        ``group``).  A value is an integer where the field's default is
+        one, else the raw text.  Examples::
 
             full
             hash:k=3
             hash:k=3,seed=7
+            dir:k=2,shards=8,group=hash
         """
         kind, items = parse_prefixed_spec(spec, what="placement")
         impl = _KINDS.get(kind)
@@ -95,15 +88,24 @@ class Placement:
                 f"unknown placement kind {kind!r}; expected one of "
                 f"{sorted(_KINDS)}"
             )
-        return impl._from_items(items)
-
-    @classmethod
-    def _from_items(cls, items: Sequence[Tuple[str, str]]) -> "Placement":
-        raise NotImplementedError
-
-    def spec(self) -> str:
-        """The compact spec string this placement parses from."""
-        raise NotImplementedError
+        defaults = {f.name: f.default for f in fields(impl)}
+        if items and not defaults:
+            keys = sorted({key for key, _ in items})
+            raise ConfigurationError(
+                f"placement kind {kind!r} takes no parameters, got {keys}"
+            )
+        kwargs: Dict[str, Any] = {}
+        for key, raw in items:
+            name = _ALIASES.get(key, key)
+            if name not in defaults:
+                raise ConfigurationError(
+                    f"unknown placement spec key {key!r}; expected one of "
+                    f"{[_SHORT_KEYS.get(known, known) for known in defaults]}"
+                )
+            kwargs[name] = (
+                coerce_int(key, raw) if isinstance(defaults[name], int) else raw
+            )
+        return impl(**kwargs)
 
 
 class BoundPlacement:

@@ -27,12 +27,11 @@ milliseconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.placement.base import BoundPlacement, Placement
 from repro.placement.hash_shard import _score
-from repro.specs import coerce_int
 
 #: lane constants decorrelate the mixer's uses (ring, rotation, grouping)
 _RING_LANE = 0x51
@@ -87,53 +86,6 @@ class DirectoryPlacement(Placement):
 
     def bind(self, num_nodes: int, db_size: int) -> "BoundDirectory":
         return BoundDirectory(self, num_nodes, db_size)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": "dir",
-            "replication_factor": self.replication_factor,
-            "shards": self.shards,
-            "grouping": self.grouping,
-            "placement_seed": self.placement_seed,
-        }
-
-    @classmethod
-    def _from_dict(cls, data: Dict[str, Any]) -> "DirectoryPlacement":
-        return cls(
-            replication_factor=int(data.get("replication_factor", 3)),
-            shards=int(data.get("shards", 0)),
-            grouping=str(data.get("grouping", "locality")),
-            placement_seed=int(data.get("placement_seed", 0)),
-        )
-
-    @classmethod
-    def _from_items(cls, items) -> "DirectoryPlacement":
-        kwargs: Dict[str, Any] = {}
-        for key, raw in items:
-            if key in ("k", "replication_factor"):
-                kwargs["replication_factor"] = coerce_int(key, raw)
-            elif key == "shards":
-                kwargs["shards"] = coerce_int(key, raw)
-            elif key in ("group", "grouping"):
-                kwargs["grouping"] = raw
-            elif key in ("seed", "placement_seed"):
-                kwargs["placement_seed"] = coerce_int(key, raw)
-            else:
-                raise ConfigurationError(
-                    f"unknown placement spec key {key!r}; expected one of "
-                    "['k', 'shards', 'group', 'seed']"
-                )
-        return cls(**kwargs)
-
-    def spec(self) -> str:
-        text = f"dir:k={self.replication_factor}"
-        if self.shards:
-            text += f",shards={self.shards}"
-        if self.grouping != "locality":
-            text += f",group={self.grouping}"
-        if self.placement_seed:
-            text += f",seed={self.placement_seed}"
-        return text
 
 
 class BoundDirectory(BoundPlacement):

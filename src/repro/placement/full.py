@@ -8,9 +8,8 @@ which is what the master strategies ask for as each object's owner.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from repro.exceptions import ConfigurationError
 from repro.placement.base import BoundPlacement, Placement
 
 
@@ -22,25 +21,6 @@ class FullReplication(Placement):
 
     def bind(self, num_nodes: int, db_size: int) -> "BoundFullReplication":
         return BoundFullReplication(self, num_nodes, db_size)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "full"}
-
-    @classmethod
-    def _from_dict(cls, data: Dict[str, Any]) -> "FullReplication":
-        return cls()
-
-    @classmethod
-    def _from_items(cls, items) -> "FullReplication":
-        if items:
-            keys = sorted({key for key, _ in items})
-            raise ConfigurationError(
-                f"placement kind 'full' takes no parameters, got {keys}"
-            )
-        return cls()
-
-    def spec(self) -> str:
-        return "full"
 
 
 class BoundFullReplication(BoundPlacement):

@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.placement.base import BoundPlacement, Placement
-from repro.specs import coerce_int
 
 _MASK = (1 << 64) - 1
 _SEED_MUL = 0x9E3779B97F4A7C15
@@ -89,41 +88,6 @@ class HashShardPlacement(Placement):
 
     def bind(self, num_nodes: int, db_size: int) -> "BoundHashShard":
         return BoundHashShard(self, num_nodes, db_size)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": "hash",
-            "replication_factor": self.replication_factor,
-            "placement_seed": self.placement_seed,
-        }
-
-    @classmethod
-    def _from_dict(cls, data: Dict[str, Any]) -> "HashShardPlacement":
-        return cls(
-            replication_factor=int(data.get("replication_factor", 3)),
-            placement_seed=int(data.get("placement_seed", 0)),
-        )
-
-    @classmethod
-    def _from_items(cls, items) -> "HashShardPlacement":
-        kwargs: Dict[str, int] = {}
-        for key, raw in items:
-            if key in ("k", "replication_factor"):
-                kwargs["replication_factor"] = coerce_int(key, raw)
-            elif key in ("seed", "placement_seed"):
-                kwargs["placement_seed"] = coerce_int(key, raw)
-            else:
-                raise ConfigurationError(
-                    f"unknown placement spec key {key!r}; expected one of "
-                    "['k', 'seed']"
-                )
-        return cls(**kwargs)
-
-    def spec(self) -> str:
-        text = f"hash:k={self.replication_factor}"
-        if self.placement_seed:
-            text += f",seed={self.placement_seed}"
-        return text
 
 
 class BoundHashShard(BoundPlacement):

@@ -404,9 +404,11 @@ class ReplicatedSystem:
             metrics.messages += 1
             if msg.kind == "record-transfer":
                 # shard migration payload — strategy-agnostic, handled here
-                # so every system supports moves without its own plumbing
-                oid, value, ts = msg.payload
+                # so every system supports moves without its own plumbing;
+                # adopting the record frees the copy the move held locked
+                oid, value, ts, move = msg.payload
                 node.store.adopt(oid, value, ts)
+                node.locks.release_all(move)
                 return None
             return system.handle_message(node, msg)
 
@@ -945,13 +947,15 @@ class ReplicatedSystem:
     def migrate(self, oid: int, src: int, dst: int) -> Process:
         """Move ``oid``'s replica from ``src`` to ``dst`` live, as a
         housekeeping transaction at ``src``: it X-locks the copy, waiting
-        like any writer, then in one instant rebinds the directory, ships
-        the committed record to ``dst`` as a ``record-transfer`` message
-        (the normal network path), fails every request queued on the copy
-        with :class:`MigrationAbort`, evicts the copy and commits.  A crash
-        at ``src`` during the wait moves nothing.  A transaction routed to
-        the copy before the move, or a concurrent move the directory no
-        longer allows, aborts as ``"migrated"`` when it gets there.
+        like any writer, then in one instant rebinds the directory, X-locks
+        the new copy at ``dst``, ships the committed record there as a
+        ``record-transfer`` message (the normal network path), fails every
+        request queued on the old copy with :class:`MigrationAbort`,
+        evicts it and commits.  The new copy stays locked until the record
+        lands, so nothing reads it before then.  A crash at ``src`` during
+        the wait moves nothing.  A transaction routed to the copy before
+        the move, or a concurrent move the directory no longer allows,
+        aborts as ``"migrated"`` when it gets there.
 
         Returns the move's process; raises at the call
         :class:`ConfigurationError` (no directory, bad endpoints) or
@@ -976,16 +980,21 @@ class ReplicatedSystem:
                 yield event
             if src in self.crashed:  # runnable when the crash came
                 raise CrashAbort(f"node {src} crashed")
-            if not self._node_holds(oid, src) or self._node_holds(oid, dst):
-                raise MigrationAbort()  # a concurrent move of oid came first
+            target = self.nodes[dst].locks
+            if (not self._node_holds(oid, src) or self._node_holds(oid, dst)
+                    or not target.is_free(oid)):
+                # a concurrent move of oid came first, or a transaction
+                # still holds what an earlier move left at dst
+                raise MigrationAbort()
         except DeadlockAbort as exc:
             exc.__traceback__ = None  # a cycle to the system (see _run)
             node.tm.abort(txn, reason=exc.reason)
             return txn
         record = node.store.read(oid)
         self.placement.move(oid, src, dst)
+        target.acquire(txn, oid, _EXCLUSIVE)  # free: granted at once
         self.network.send(
-            src, dst, "record-transfer", (oid, record.value, record.ts)
+            src, dst, "record-transfer", (oid, record.value, record.ts, txn)
         )
         node.locks.cancel_queued(oid, MigrationAbort())
         node.store.evict(oid)

@@ -131,31 +131,6 @@ class LatencyHistogram:
             "buckets": [[index, n] for index, n in buckets],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "LatencyHistogram":
-        # bucket indices are only meaningful under this module's layout;
-        # silently adopting counts serialized with a different base/growth
-        # would mis-bucket every sample on merge
-        base = data.get("base_seconds", _BASE)
-        growth = data.get("growth", _GROWTH)
-        if not (
-            math.isclose(float(base), _BASE, rel_tol=1e-9)
-            and math.isclose(float(growth), _GROWTH, rel_tol=1e-9)
-        ):
-            raise ValueError(
-                "histogram bucket layout mismatch: serialized "
-                f"base_seconds={base!r}, growth={growth!r} but this build "
-                f"uses base_seconds={_BASE!r}, growth={_GROWTH!r} — refusing "
-                "to mis-bucket; re-serialize with a matching build"
-            )
-        hist = cls()
-        hist.counts = {int(index): int(n) for index, n in data["buckets"]}
-        hist.count = int(data["count"])
-        hist.total = float(data["total_seconds"])
-        hist.min = data["min_seconds"]
-        hist.max = data["max_seconds"]
-        return hist
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         if not self.count:
             return "<LatencyHistogram empty>"

@@ -8,7 +8,9 @@ parse — and fail — identically:
 * :func:`split_spec_items` tokenises a comma-separated ``key=value`` list,
 * :func:`parse_prefixed_spec` peels an optional ``kind:`` prefix
   (``hash:k=3`` → ``("hash", [("k", "3")])``),
-* the ``coerce_*`` helpers convert raw values with uniform error wording.
+* the ``coerce_*`` helpers convert raw values with uniform error wording,
+* :func:`canonical` is the way back out: a spec dataclass as the strict-JSON
+  dictionary that joins the campaign cache key.
 
 All errors are :class:`~repro.exceptions.ConfigurationError` with messages
 of the shape ``bad <what> spec item '...'`` / ``bad value for 'key'``.
@@ -17,7 +19,8 @@ of the shape ``bad <what> spec item '...'`` / ``bad value for 'key'``.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from dataclasses import fields, is_dataclass
+from typing import Any, List, Tuple
 
 from repro.exceptions import ConfigurationError
 
@@ -100,3 +103,16 @@ def coerce_window(key: str, raw: str) -> float:
     if window <= 0:
         raise ConfigurationError(f"{key} window must be > 0")
     return window
+
+
+def canonical(value: Any) -> Any:
+    """``value`` as strict JSON, by walking it: a dataclass is the
+    dictionary of its fields in declaration order, a tuple is a list and
+    an infinity (:data:`FOREVER`) is the string ``"inf"``."""
+    if is_dataclass(value):
+        return {f.name: canonical(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [canonical(item) for item in value]
+    if isinstance(value, float) and math.isinf(value):
+        return "inf"
+    return value

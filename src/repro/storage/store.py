@@ -136,9 +136,9 @@ class ObjectStore:
 
         Bypasses the residency predicate — the directory has already been
         rebound, and the predicate closure sees the post-move membership.
-        If the object was touched here while the transfer was in flight,
-        the newer timestamp wins (the Thomas write rule, same as replica
-        updates).
+        The move holds the copy locked until this lands, so only a
+        duplicated transfer finds a record here; the newer timestamp wins
+        (the Thomas write rule, same as replica updates).
         """
         record = self._records.get(oid)
         if record is None:

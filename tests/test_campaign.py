@@ -81,6 +81,29 @@ class TestGridExpansion:
 
 
 class TestSpecKeys:
+    @pytest.mark.parametrize("strategy, placement, faults, digest", [
+        ("lazy-master", None, None,
+         "087da34856e7aad50453a3a91403fa20bac1e8d9598d7dc94b3a83b707305ca9"),
+        ("lazy-master", "hash:k=2", None,
+         "559afbd28fd86a6d2e2cb3d1c09ccfc4a0c2cf1598732606149f7a9045555d9a"),
+        ("lazy-group", "dir:k=2,shards=8,group=hash,seed=3",
+         "drop=0.05,partition=forever,crash=2",
+         "dff6825ef0919188999327585b18c31d2ef703c6fc47588060a9cdcd12245937"),
+        ("two-tier", "full", "dup=0.2,reorder=0.1,jitter=0.01",
+         "43f35308c4abbeb553e2bf37fe302d16e240581afe6222db86d7bd0945d5ffd7"),
+    ])
+    def test_key_is_pinned(self, strategy, placement, faults, digest):
+        """The dictionaries a key hashes (config, placement, fault plan)
+        may be rewritten but must not change: a cache written before the
+        rewrite still hits after it."""
+        campaign = Campaign(
+            strategies=(strategy,),
+            base_params=ModelParameters(db_size=60, nodes=4, tps=5,
+                                        actions=3, action_time=0.005),
+            seeds=(1,), duration=10.0, placement=placement, faults=faults,
+        )
+        assert [spec.key() for spec in campaign.specs()] == [digest]
+
     def test_key_is_deterministic_and_seed_sensitive(self):
         a, b = tiny_campaign().specs()
         assert a.key() == RunSpec(config=a.config).key()

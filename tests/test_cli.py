@@ -38,6 +38,18 @@ def test_danger_command(capsys):
     assert "N^2.0" in out  # lazy-master quadratic
 
 
+@pytest.mark.parametrize("preset, axis", [
+    ("paper-baseline", ["1", "2", "5", "10"]),
+    ("oltp-cluster", ["1", "2", "4", "5", "10"]),
+    ("mobile-hourly", ["1", "2", "5", "10", "100"]),
+])
+def test_danger_draws_the_presets_own_node_count(capsys, preset, axis):
+    assert main(["danger", "--preset", preset]) == 0
+    out = capsys.readouterr().out
+    first = out.split("\n\n")[0].splitlines()[1:-1]
+    assert [line.split("|")[0].strip() for line in first] == axis
+
+
 def test_danger_with_disconnects(capsys):
     assert main(["danger", "--nodes", "8", "--disconnect-time", "100"]) == 0
     out = capsys.readouterr().out

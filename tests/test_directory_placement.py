@@ -58,29 +58,38 @@ def test_from_spec_dir_variants():
     ) == DirectoryPlacement(replication_factor=4, placement_seed=1)
 
 
-def test_spec_round_trips_through_string_and_dict():
-    for spec in (
-        DirectoryPlacement(),
-        DirectoryPlacement(replication_factor=2),
-        DirectoryPlacement(replication_factor=3, shards=16),
-        DirectoryPlacement(replication_factor=2, grouping="hash",
-                           placement_seed=5),
+def test_spec_string_parses_to_the_pinned_dict():
+    for text, fields in (
+        ("dir", (3, 0, "locality", 0)),
+        ("dir:k=2", (2, 0, "locality", 0)),
+        ("dir:k=3,shards=16", (3, 16, "locality", 0)),
+        ("dir:k=2,group=hash,seed=5", (2, 0, "hash", 5)),
     ):
-        assert Placement.from_spec(spec.spec()) == spec
-        assert Placement.from_dict(spec.to_dict()) == spec
+        data = Placement.from_spec(text).to_dict()
+        assert list(data.items()) == list(zip(
+            ("kind", "replication_factor", "shards", "grouping",
+             "placement_seed"),
+            ("dir",) + fields,
+        ))
 
 
-@pytest.mark.parametrize("bad", [
-    "dir:k=0",
-    "dir:k=x",
-    "dir:shards=-1",
-    "dir:group=wat",
-    "dir:seed=-1",
-    "dir:wat=3",
-])
+#: each bad spec and the one-line message it is rejected with
+BAD_SPECS = {
+    "dir:k=0": "replication_factor must be >= 1, got 0",
+    "dir:k=x": "bad value for 'k': 'x' is not an integer",
+    "dir:shards=-1": "shards must be >= 0 (0 means auto), got -1",
+    "dir:group=wat": "grouping must be one of ['locality', 'hash'], got 'wat'",
+    "dir:seed=-1": "placement_seed must be >= 0, got -1",
+    "dir:wat=3": "unknown placement spec key 'wat'; expected one of "
+                 "['k', 'shards', 'group', 'seed']",
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_SPECS))
 def test_bad_specs_are_rejected(bad):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as caught:
         Placement.from_spec(bad)
+    assert str(caught.value) == BAD_SPECS[bad]
 
 
 # --------------------------------------------------------------------- #

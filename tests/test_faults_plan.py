@@ -111,13 +111,6 @@ def test_plan_empty_and_lossless():
     ).lossless
 
 
-def test_with_seed_changes_only_the_stream():
-    plan = FaultPlan(link=LinkFaults(drop=0.1))
-    reseeded = plan.with_seed(9)
-    assert reseeded.fault_seed == 9
-    assert reseeded.link == plan.link
-
-
 # --------------------------------------------------------------------- #
 # CLI spec parsing
 # --------------------------------------------------------------------- #
@@ -207,16 +200,32 @@ def test_to_dict_round_trips_including_infinities():
         fault_seed=3,
     )
     data = plan.to_dict()
+    assert data == {
+        "link": {"drop": 0.05, "duplicate": 0.1, "reorder": 0.2,
+                 "reorder_window": 0.3, "jitter": 0.01},
+        "partitions": [
+            {"start": 2.0, "duration": "inf", "left": [0], "right": [1, 2]},
+        ],
+        "crashes": [{"node": 2, "at": 5.0, "downtime": "inf"}],
+        "fault_seed": 3,
+    }
     # strict JSON (the cache-key serialiser rejects NaN/Infinity tokens)
     encoded = json.dumps(data, sort_keys=True, allow_nan=False)
-    assert FaultPlan.from_dict(json.loads(encoded)) == plan
+    assert json.loads(encoded) == data
 
 
 def test_to_dict_is_deterministic():
     plan = FaultPlan.from_spec("drop=0.05,partition=2", num_nodes=3,
                                duration=20.0)
-    assert plan.to_dict() == plan.to_dict()
-    assert FaultPlan.from_dict(plan.to_dict()) == plan
+    assert plan.to_dict() == plan.to_dict() == {
+        "link": {"drop": 0.05, "duplicate": 0.0, "reorder": 0.0,
+                 "reorder_window": 0.1, "jitter": 0.0},
+        "partitions": [
+            {"start": 5.0, "duration": 2.0, "left": [0], "right": [1, 2]},
+        ],
+        "crashes": [],
+        "fault_seed": 0,
+    }
 
 
 # --------------------------------------------------------------------- #

@@ -13,9 +13,12 @@ the move aborts with reason ``"migrated"``.
 import pytest
 
 from repro.exceptions import ConfigurationError, DeadlockAbort, InvalidStateError
+from repro.faults.oracle import evaluate
+from repro.harness.experiment import STRATEGY_CLASSES
 from repro.placement import Placement
 from repro.replication import EagerGroupSystem, LazyGroupSystem, SystemSpec
-from repro.txn.ops import WriteOp
+from repro.storage.lock_manager import LockMode
+from repro.txn.ops import IncrementOp, WriteOp
 from repro.txn.transaction import TxnState
 
 
@@ -279,3 +282,47 @@ def test_a_transaction_queued_behind_the_migration_aborts_as_migrated():
     assert system.nodes[dst].store.peek(oid) == 111
     assert system.divergence() == 0
     _assert_quiescent(system)
+
+
+@pytest.mark.parametrize("strategy", sorted(set(STRATEGY_CLASSES) - {"two-tier"}))
+def test_the_new_copy_is_unusable_until_the_record_lands(strategy):
+    """The transfer window: once the directory is rebound, a write that
+    reaches the new holder before the ``record-transfer`` waits on the
+    move's lock there instead of reading the initial value, so the
+    increment lands on 50 at both replicas."""
+    system = _dir_system(cls=STRATEGY_CLASSES[strategy], db_size=20,
+                         message_delay=0.01, seed=0)
+    oid = 9
+    master, src = system.placement.replicas(oid)
+    dst = next(n for n in range(system.num_nodes)
+               if not system.placement.is_replica(oid, n))
+    system.submit(master, [WriteOp(oid, 50)])
+    system.run()
+    move = system.migrate(oid, src, dst)
+    increment = system.submit(master, [IncrementOp(oid, 1)])
+    system.run()
+    assert move.value.state is TxnState.COMMITTED
+    assert increment.value.state is TxnState.COMMITTED
+    assert system.placement.replicas(oid) == (master, dst)
+    assert system.nodes[master].store.peek(oid) == 51
+    assert system.nodes[dst].store.peek(oid) == 51
+    verdict = evaluate(system)
+    assert verdict.ok, verdict.describe()
+    _assert_quiescent(system)
+
+
+def test_a_move_to_a_copy_still_locked_there_moves_nothing():
+    """A transaction can still hold the lock an earlier move left behind
+    at the destination; rebinding under it would let it read the initial
+    value, so the move aborts as ``"migrated"`` instead."""
+    system = _dir_system()
+    oid = 9
+    src, dst = _move_target(system, oid)
+    replicas = system.placement.replicas(oid)
+    stale = system.nodes[dst].tm.begin(label="stale")
+    assert system.nodes[dst].locks.acquire(stale, oid, LockMode.EXCLUSIVE) is None
+    move = system.migrate(oid, src, dst)
+    system.run()
+    assert move.value.abort_reason == "migrated"
+    assert system.placement.replicas(oid) == replicas
+    assert system.placement.moved == 0

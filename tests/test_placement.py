@@ -27,7 +27,7 @@ from repro.placement.hash_shard import _score
 def test_from_spec_full():
     spec = Placement.from_spec("full")
     assert isinstance(spec, FullReplication)
-    assert spec.spec() == "full"
+    assert spec.to_dict() == {"kind": "full"}
 
 
 def test_from_spec_hash_variants():
@@ -44,27 +44,38 @@ def test_from_spec_hash_variants():
     assert Placement.from_spec("hash") == HashShardPlacement()
 
 
-def test_spec_round_trips_through_string_and_dict():
-    for spec in (
-        FullReplication(),
-        HashShardPlacement(replication_factor=3),
-        HashShardPlacement(replication_factor=2, placement_seed=9),
+def test_spec_string_parses_to_the_pinned_dict():
+    """``to_dict`` is the kind, then the dataclass fields in declaration
+    order: the form the campaign cache key hashes."""
+    for text, expected in (
+        ("full", {"kind": "full"}),
+        ("hash:k=3", {"kind": "hash", "replication_factor": 3,
+                      "placement_seed": 0}),
+        ("hash:k=2,seed=9", {"kind": "hash", "replication_factor": 2,
+                             "placement_seed": 9}),
     ):
-        assert Placement.from_spec(spec.spec()) == spec
-        assert Placement.from_dict(spec.to_dict()) == spec
+        data = Placement.from_spec(text).to_dict()
+        assert data == expected
+        assert list(data) == list(expected)
 
 
-@pytest.mark.parametrize("bad", [
-    "hash:k=0", "hash:k=x", "hash:wat=3", "mesh:k=3", "full:k=3",
-])
+#: each bad spec and the one-line message it is rejected with
+BAD_SPECS = {
+    "hash:k=0": "replication_factor must be >= 1, got 0",
+    "hash:k=x": "bad value for 'k': 'x' is not an integer",
+    "hash:wat=3": "unknown placement spec key 'wat'; expected one of "
+                  "['k', 'seed']",
+    "mesh:k=3": "unknown placement kind 'mesh'; expected one of "
+                "['dir', 'full', 'hash']",
+    "full:k=3": "placement kind 'full' takes no parameters, got ['k']",
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_SPECS))
 def test_bad_specs_are_rejected(bad):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as caught:
         Placement.from_spec(bad)
-
-
-def test_from_dict_rejects_unknown_kind():
-    with pytest.raises(ConfigurationError):
-        Placement.from_dict({"kind": "mesh"})
+    assert str(caught.value) == BAD_SPECS[bad]
 
 
 # --------------------------------------------------------------------- #
