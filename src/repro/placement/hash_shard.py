@@ -7,8 +7,11 @@ that make this the right default directory for a simulator:
 * **deterministic & seedable** — the assignment is a pure function of
   ``(placement_seed, oid, node)``; no directory state to replicate, no
   coordination (the SCAR-style "cheap placement" argument).
-* **O(1) memory** — nothing is stored per object; replica sets are
-  recomputed (and memoised per bound directory) on demand.
+* **memory per touched object, not per object** — there is no directory
+  to build: a replica set is computed on an object's first lookup and
+  memoised as a row of ``k`` small node ids (1 byte each below 255
+  nodes), so a bound directory holds about ``k`` bytes per object looked
+  up and nothing for the rest.
 * **balanced** — scores are i.i.d. uniform per (oid, node), so shard sizes
   concentrate tightly around ``k · db_size / N``.
 * **minimal movement** — adding a node only claims the objects where the
@@ -24,9 +27,16 @@ it per node: it scores all ``N`` nodes of an object at once by running the
 same two rounds lane-wise over one wide Python integer — node ``n``'s
 64-bit state sits in the low half of the 128-bit lane at bit ``128·n`` —
 so a first-touch lookup is about fifteen big-integer operations, one
-``struct`` unpack and one sort instead of ``N`` Python calls.  The
-per-node term is packed at bind time; the replica sets are bit-identical
-to ranking by :func:`_score` (pinned in ``tests/test_placement.py``).
+``struct`` unpack and ``k`` rounds of :func:`_top` instead of ``N``
+Python calls.  The per-node term is packed at bind time; the replica sets
+are bit-identical to ranking by :func:`_score` (pinned in
+``tests/test_placement.py``).
+
+The memo is paged: the rows of ``2**_PAGE_SHIFT`` consecutive oids share
+one ``bytearray``, allocated on the first lookup among them and kept in a
+dict keyed by ``oid >> _PAGE_SHIFT``; an all-ones row is one not scored
+yet.  A repeated lookup is one ``struct`` unpack of the row, which is
+already the replica tuple.
 """
 
 from __future__ import annotations
@@ -46,6 +56,8 @@ _OFFSET = 0x2545F4914F6CDD1D
 _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 _LANE_BYTES = 16  # a 64-bit state times a 64-bit constant fits its lane
+_PAGE_SHIFT = 6  # 64 consecutive oids share a page of replica rows
+_PAGE_MASK = (1 << _PAGE_SHIFT) - 1
 
 
 def _score(seed: int, oid: int, node: int) -> int:
@@ -56,6 +68,19 @@ def _score(seed: int, oid: int, node: int) -> int:
     x = ((x ^ (x >> 30)) * _MIX_1) & _MASK
     x = ((x ^ (x >> 27)) * _MIX_2) & _MASK
     return x ^ (x >> 31)
+
+
+def _top(scores: List[int], k: int) -> Tuple[int, ...]:
+    """Indices of the ``k`` largest non-negative ``scores``, largest
+    first; consumes ``scores``.  ``index`` finds the first maximum, so
+    equal scores rank the lower node id first — the tie rule of a stable
+    descending sort."""
+    ranked = []
+    for _ in range(k):
+        best = scores.index(max(scores))
+        scores[best] = -1
+        ranked.append(best)
+    return tuple(ranked)
 
 
 @dataclass(frozen=True)
@@ -100,8 +125,6 @@ class BoundHashShard(BoundPlacement):
         # k == N degenerates to full replication (every node holds every
         # object); flagging it lets strategies keep the classic paths
         self.is_full = self._k >= num_nodes
-        self._cache: Dict[int, Tuple[int, ...]] = {}
-        self._by_node: Optional[List[List[int]]] = None
         # lane constants of the wide-integer kernel (see module docstring):
         # everything of _score's first line that does not depend on the oid
         base = self._seed * _SEED_MUL + _OFFSET
@@ -115,33 +138,48 @@ class BoundHashShard(BoundPlacement):
         )
         self._lane_mask = self._lane_ones * _MASK
         self._unpack_lanes = struct.Struct("<" + "Q8x" * num_nodes).unpack
+        # the memo's replica rows: k node ids of the narrowest width that
+        # leaves the all-ones value free to mean "not scored yet"
+        width = "B" if num_nodes < 0xFF else "H" if num_nodes < 0xFFFF else "I"
+        row = struct.Struct(f"<{self._k}{width}")
+        self._stride = row.size
+        self._unscored = (1 << 8 * struct.calcsize(width)) - 1
+        self._blank_page = b"\xff" * (row.size << _PAGE_SHIFT)
+        self._pages: Dict[int, bytearray] = {}
+        self._page_of = self._pages.get
+        self._unpack_row = row.unpack_from
+        self._pack_row = row.pack_into
 
     @property
     def replication_factor(self) -> int:
         return self._k
 
     def replicas(self, oid: int) -> Tuple[int, ...]:
-        cached = self._cache.get(oid)
-        if cached is None:
-            # _score for every node at once.  Each right shift is masked
-            # before use so a neighbour lane's low bits never leak in, and
-            # each product is masked back to 64 bits per lane.
-            mask = self._lane_mask
-            x = (
-                self._lane_terms + ((oid * _OID_MUL) & _MASK) * self._lane_ones
-            ) & mask
-            x = ((x ^ ((x >> 30) & mask)) * _MIX_1) & mask
-            x = ((x ^ ((x >> 27) & mask)) * _MIX_2) & mask
-            x ^= (x >> 31) & mask
-            scores = self._unpack_lanes(
+        page = self._page_of(oid >> _PAGE_SHIFT)
+        if page is not None:
+            row = self._unpack_row(page, (oid & _PAGE_MASK) * self._stride)
+            if row[0] != self._unscored:
+                return row
+        # _score for every node at once.  Each right shift is masked
+        # before use so a neighbour lane's low bits never leak in, and
+        # each product is masked back to 64 bits per lane.
+        mask = self._lane_mask
+        x = (
+            self._lane_terms + ((oid * _OID_MUL) & _MASK) * self._lane_ones
+        ) & mask
+        x = ((x ^ ((x >> 30) & mask)) * _MIX_1) & mask
+        x = ((x ^ ((x >> 27) & mask)) * _MIX_2) & mask
+        x ^= (x >> 31) & mask
+        row = _top(
+            list(self._unpack_lanes(
                 x.to_bytes(_LANE_BYTES * self.num_nodes, "little")
-            )
-            # stable descending sort: equal scores keep the lower node id
-            ranked = sorted(
-                range(self.num_nodes), key=scores.__getitem__, reverse=True
-            )
-            cached = self._cache[oid] = tuple(ranked[: self._k])
-        return cached
+            )),
+            self._k,
+        )
+        if page is None:
+            page = self._pages[oid >> _PAGE_SHIFT] = bytearray(self._blank_page)
+        self._pack_row(page, (oid & _PAGE_MASK) * self._stride, *row)
+        return row
 
     def master(self, oid: int) -> int:
         return self.replicas(oid)[0]
@@ -152,10 +190,15 @@ class BoundHashShard(BoundPlacement):
     def objects_at(self, node_id: int) -> Optional[Sequence[int]]:
         if self.is_full:
             return None
-        if self._by_node is None:
-            by_node: List[List[int]] = [[] for _ in range(self.num_nodes)]
-            for oid in range(self.db_size):
-                for node in self.replicas(oid):
-                    by_node[node].append(oid)
-            self._by_node = by_node
-        return self._by_node[node_id]
+        replicas = self.replicas
+        return [oid for oid in range(self.db_size) if node_id in replicas(oid)]
+
+    def resident_counts(self) -> List[int]:
+        if self.is_full:
+            return [self.db_size] * self.num_nodes
+        counts = [0] * self.num_nodes
+        replicas = self.replicas
+        for oid in range(self.db_size):
+            for node in replicas(oid):
+                counts[node] += 1
+        return counts

@@ -1023,27 +1023,35 @@ class ReplicatedSystem:
 
         An object's holders are its replica set plus every node outside
         the placement scope (two-tier mobiles hold full replicas),
-        narrowed to ``node_ids`` when given.  An object no compared store
-        has materialised reads ``initial_value`` at every holder, so only
-        the union of materialised oids is visited — O(touched) — and each
-        holder is probed with ``peek``, which materialises nothing and,
-        the directory having just vouched for residency, cannot miss.
+        narrowed to ``node_ids`` when they leave a node out.  An object no
+        compared store has materialised reads ``initial_value`` at every
+        holder, so only the union of materialised oids is visited —
+        O(touched) lookups — and each holder is probed with ``peek``,
+        which materialises nothing and, the directory having just vouched
+        for residency, cannot miss.  The union is marked in one
+        ``bytearray(db_size)`` and walked with ``find``, so the audit
+        copies no oid set and sorts nothing.
         """
         placement = self.placement
         stores = [node.store for node in self.nodes]
-        compared = range(self.num_nodes) if node_ids is None else set(node_ids)
+        every = range(self.num_nodes)
+        compared = every if node_ids is None else set(node_ids)
+        narrow = node_ids is not None and not compared.issuperset(every)
         extra_holders = tuple(range(placement.num_nodes, self.num_nodes))
-        visited = set().union(
-            *(stores[node_id].materialized_oids() for node_id in compared)
-        )
-        for oid in sorted(visited):
+        visited = bytearray(self.db_size)
+        for node_id in compared:
+            for oid in stores[node_id].materialized_oids():
+                visited[oid] = 1
+        oid = visited.find(1)
+        while oid >= 0:
             holders = placement.replicas(oid) + extra_holders
-            if node_ids is not None:
+            if narrow:
                 holders = tuple(n for n in holders if n in compared)
             # True = resident: the directory has just named each holder
             values = [stores[node_id].peek(oid, True) for node_id in holders]
             if values and values.count(values[0]) != len(values):
                 yield oid, holders, values
+            oid = visited.find(1, oid + 1)
 
     def divergence(self, node_ids: Optional[Sequence[int]] = None) -> int:
         """Objects whose value differs across their replicas (delusion),

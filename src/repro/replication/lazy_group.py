@@ -103,16 +103,18 @@ class LazyGroupSystem(Lazy, ReplicatedSystem):
                 "reconcile", node=node.node_id, oid=update.oid,
                 txn=update.root_txn_id, outcome=outcome.value,
             )
-        if outcome is Outcome.APPLY:
-            if (
-                self.propagate_ops
-                and update.op is not None
-                and update.op.commutative
-            ):
-                # ship-the-operation mode: a commutative update is
-                # re-applied to the local value, not installed over it
-                return Outcome.MERGE
-        elif outcome is not Outcome.MERGE:
+        if (
+            (outcome is Outcome.APPLY or outcome is Outcome.DISCARD)
+            and self.propagate_ops
+            and update.op is not None
+            and update.op.commutative
+        ):
+            # ship-the-operation mode: a commutative update is re-applied
+            # to the local value, never installed over it nor dropped — a
+            # replica that discarded an increment its peers applied would
+            # diverge from them for good
+            return Outcome.MERGE
+        if outcome is not Outcome.APPLY and outcome is not Outcome.MERGE:
             # DISCARD and DEFER keep the local version; DEFER represents an
             # unresolved conflict awaiting a human (system delusion shows up
             # as divergence in the end-state check).  Either way the

@@ -78,6 +78,20 @@ def test_simulate_two_tier_commutative(capsys):
     assert "tentative_accepted" in out
 
 
+def test_simulate_lazy_group_commutative_converges(capsys):
+    """Operation shipping under the default timestamp rule: racing
+    increments merge at every replica instead of being dropped at some."""
+    assert main([
+        "simulate", "--strategy", "lazy-group", "--commutative",
+        "--nodes", "4", "--db-size", "30", "--tps", "12", "--actions", "2",
+        "--action-time", "0.002", "--message-delay", "0.002",
+        "--duration", "4", "--seed", "1",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "divergence = 0" in out
+    assert "## Oracle: ok" in out
+
+
 def test_simulate_writes_json(tmp_path, capsys):
     out_file = tmp_path / "run.json"
     assert main([

@@ -11,10 +11,10 @@ The contract under test is the oracle's, not any single metric's:
   replicas disagreeing and the oracle must flag it (the paper's system
   delusion made visible).
 
-Lazy-group runs here ship values (``commutative=False``): operation
-shipping under the default latest-timestamp-wins rule merges on one side
-and discards on the other, a pre-existing semantic divergence unrelated
-to faults.
+Lazy-group runs here ship values (``commutative=False``): a shipped
+operation is recognised as a duplicate only while the replica still holds
+its timestamp, so a redelivered increment that lands after a later update
+is merged twice — duplicates alone diverge operation shipping.
 """
 
 import pytest

@@ -86,6 +86,40 @@ def test_merge_commutative_rule_preserves_both_updates():
     assert system.nodes[0].store.value(0) == 110
 
 
+def test_default_rule_merges_commutative_updates_it_would_discard():
+    """Shipping operations under the default timestamp rule: the replica
+    whose own increment is newer must still merge the older one, not drop
+    it while its peers apply it."""
+    system = make(message_delay=1.0, db_size=5, propagate_ops=True)
+    system.submit(0, [IncrementOp(0, 100)])
+    system.submit(1, [IncrementOp(0, 10)])
+    system.run()
+    # every dangerous arrival is still counted as a reconciliation
+    assert system.metrics.reconciliations >= 1
+    assert system.converged()
+    assert [node.store.value(0) for node in system.nodes] == [110] * 3
+
+
+def test_duplicate_commutative_update_is_still_discarded():
+    """A redelivered operation whose timestamp the replica already holds
+    is a duplicate: merging it again would count the increment twice."""
+    from repro.replication.base import ReplicaUpdate
+
+    system = make(propagate_ops=True)
+    p = system.submit(0, [IncrementOp(2, 7)])
+    system.run()
+    txn = p.value
+    dup = [
+        ReplicaUpdate(oid=u.oid, old_ts=u.old_ts, new_ts=u.new_ts,
+                      new_value=u.new_value, op=u.op, root_txn_id=txn.txn_id)
+        for u in txn.updates
+    ]
+    system.network.send(0, 1, "replica-update", (dup, 0))
+    system.run()
+    assert system.nodes[1].store.value(2) == 7
+    assert system.metrics.reconciliations == 0
+
+
 def test_manual_rule_leaves_system_diverged():
     """DEFER = waiting for a human: replicas disagree — system delusion."""
     system = make(message_delay=1.0, db_size=5, rule=ManualReconciliation())

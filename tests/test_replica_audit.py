@@ -13,9 +13,14 @@ keyspace), for every strategy, after a live migration, and on
 hand-corrupted replicas; and none of the three may materialise a record.
 """
 
+from itertools import islice
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analytic import ModelParameters
+from repro.core import TwoTierSystem
 from repro.harness import ExperimentConfig, run_experiment
 from repro.harness.experiment import STRATEGIES, build_system
 from repro.placement import Placement
@@ -201,3 +206,138 @@ def test_run_experiment_reports_what_the_run_touched():
     assert resident["materialized_total"] == sum(s.materialized for s in stores)
     assert resident["total"] == 2 * 2000 + 2 * 2000  # nominal is unchanged
     assert result.extra["base_divergence"] == 0 == result.divergence
+
+
+# --------------------------------------------------------------------- #
+# the bytearray walk is the set + sorted walk it replaced
+# --------------------------------------------------------------------- #
+
+
+def set_sorted_audit(system, node_ids=None):
+    """The audit as it was written before the walk over one
+    ``bytearray(db_size)``: the union of materialised oids copied into a
+    ``set``, sorted, and every holder tuple narrowed whenever ``node_ids``
+    is given.  The reference the differential below holds it to."""
+    placement = system.placement
+    stores = [node.store for node in system.nodes]
+    compared = range(system.num_nodes) if node_ids is None else set(node_ids)
+    extra_holders = tuple(range(placement.num_nodes, system.num_nodes))
+    visited = set().union(
+        *(stores[node_id].materialized_oids() for node_id in compared)
+    )
+    for oid in sorted(visited):
+        holders = placement.replicas(oid) + extra_holders
+        if node_ids is not None:
+            holders = tuple(n for n in holders if n in compared)
+        values = [stores[node_id].peek(oid, True) for node_id in holders]
+        if values and values.count(values[0]) != len(values):
+            yield oid, holders, values
+
+
+def _counted_walk(system, audit, node_ids):
+    """Run one audit to the end, counting its directory lookups and its
+    store probes through instance attributes that shadow the methods."""
+    calls = {"replicas": 0, "peek": 0}
+    placement = system.placement
+
+    def replicas(oid, _replicas=type(placement).replicas):
+        calls["replicas"] += 1
+        return _replicas(placement, oid)
+
+    placement.replicas = replicas
+    stores = [node.store for node in system.nodes]
+    for store in stores:
+        def peek(oid, resident=False, _store=store):
+            calls["peek"] += 1
+            return type(_store).peek(_store, oid, resident)
+
+        store.peek = peek
+    try:
+        return list(audit(system, node_ids)), calls
+    finally:
+        del placement.replicas
+        for store in stores:
+            del store.peek
+
+
+DB = 40
+SHAPES = ("hash", "dir", "full", "two-tier")
+
+
+def _shaped_system(shape):
+    if shape == "two-tier":
+        return TwoTierSystem(SystemSpec(
+            num_nodes=6, db_size=DB, message_delay=0.002,
+            placement=Placement.from_spec("hash:k=2"),
+        ), num_base=4)
+    return LazyGroupSystem(SystemSpec(
+        num_nodes=5, db_size=DB, message_delay=0.002,
+        placement=Placement.from_spec(
+            {"hash": "hash:k=2", "dir": "dir:k=3", "full": "full"}[shape]
+        ),
+    ))
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    shape=st.sampled_from(SHAPES),
+    touches=st.lists(
+        st.tuples(
+            st.integers(0, DB - 1),  # oid
+            st.integers(0, 7),  # which of its holders
+            st.one_of(st.none(), st.integers(0, 2)),  # None: a read
+        ),
+        max_size=40,
+    ),
+    subset=st.one_of(
+        st.none(),
+        st.just("every"),
+        st.sets(st.integers(0, 5), min_size=1),
+    ),
+    migrate=st.one_of(st.none(), st.integers(0, DB - 1)),
+    limit=st.integers(0, 6),
+)
+def test_the_walk_yields_what_set_and_sorted_yielded(
+    shape, touches, subset, migrate, limit
+):
+    system = _shaped_system(shape)
+    placement = system.placement
+    extra = tuple(range(placement.num_nodes, system.num_nodes))
+    for oid, pick, value in touches:
+        holders = placement.replicas(oid) + extra
+        store = system.nodes[holders[pick % len(holders)]].store
+        if value is None:
+            store.read(oid)  # materialised at initial_value
+        else:
+            store.write(oid, value, Timestamp(1, pick))
+    if migrate is not None and shape == "dir":
+        src = placement.replicas(migrate)[1]
+        dst = next(n for n in range(system.num_nodes)
+                   if n not in placement.replicas(migrate))
+        system.migrate(migrate, src, dst)
+        # moved and evicted at the source, the transfer still in flight
+        system.run(until=0.001)
+        assert migrate not in system.nodes[src].store._records
+    if subset == "every":
+        node_ids = list(reversed(range(system.num_nodes)))
+    elif subset is None:
+        # the oracle's call: base_ids (None for a flat system)
+        node_ids = system.base_ids
+    else:
+        node_ids = sorted(n for n in subset if n < system.num_nodes)
+
+    walked, walk_calls = _counted_walk(
+        system, type(system).diverged_objects, node_ids
+    )
+    expected, reference_calls = _counted_walk(
+        system, set_sorted_audit, node_ids
+    )
+    assert walked == expected
+    # every holder is still probed and every visited oid still looked up
+    assert walk_calls == reference_calls
+    assert system.divergence(node_ids) == len(expected)
+    assert divergence_report(system, limit, node_ids) == {
+        oid: values
+        for oid, _holders, values in islice(expected, limit)
+    }
