@@ -27,16 +27,17 @@ it per node: it scores all ``N`` nodes of an object at once by running the
 same two rounds lane-wise over one wide Python integer — node ``n``'s
 64-bit state sits in the low half of the 128-bit lane at bit ``128·n`` —
 so a first-touch lookup is about fifteen big-integer operations, one
-``struct`` unpack and ``k`` rounds of :func:`_top` instead of ``N``
-Python calls.  The per-node term is packed at bind time; the replica sets
-are bit-identical to ranking by :func:`_score` (pinned in
-``tests/test_placement.py``).
+``struct`` unpack and one sort instead of ``N`` Python calls.  The
+per-node term is packed at bind time; the replica sets are bit-identical
+to ranking by :func:`_score` (pinned in ``tests/test_placement.py``).
 
-The memo is paged: the rows of ``2**_PAGE_SHIFT`` consecutive oids share
-one ``bytearray``, allocated on the first lookup among them and kept in a
-dict keyed by ``oid >> _PAGE_SHIFT``; an all-ones row is one not scored
-yet.  A repeated lookup is one ``struct`` unpack of the row, which is
-already the replica tuple.
+The memo is paged, because a keyspace may be far larger than memory
+(``tests/test_placement.py`` binds ``2**48`` objects): the rows of
+``2**_PAGE_SHIFT`` consecutive oids share one ``bytearray``, allocated on
+the first lookup among them and kept in a dict keyed by
+``oid >> _PAGE_SHIFT``; an all-ones row is one not scored yet.  A
+repeated lookup is one ``struct`` unpack of the row, which is already the
+replica tuple.
 """
 
 from __future__ import annotations
@@ -68,19 +69,6 @@ def _score(seed: int, oid: int, node: int) -> int:
     x = ((x ^ (x >> 30)) * _MIX_1) & _MASK
     x = ((x ^ (x >> 27)) * _MIX_2) & _MASK
     return x ^ (x >> 31)
-
-
-def _top(scores: List[int], k: int) -> Tuple[int, ...]:
-    """Indices of the ``k`` largest non-negative ``scores``, largest
-    first; consumes ``scores``.  ``index`` finds the first maximum, so
-    equal scores rank the lower node id first — the tie rule of a stable
-    descending sort."""
-    ranked = []
-    for _ in range(k):
-        best = scores.index(max(scores))
-        scores[best] = -1
-        ranked.append(best)
-    return tuple(ranked)
 
 
 @dataclass(frozen=True)
@@ -170,12 +158,13 @@ class BoundHashShard(BoundPlacement):
         x = ((x ^ ((x >> 30) & mask)) * _MIX_1) & mask
         x = ((x ^ ((x >> 27) & mask)) * _MIX_2) & mask
         x ^= (x >> 31) & mask
-        row = _top(
-            list(self._unpack_lanes(
-                x.to_bytes(_LANE_BYTES * self.num_nodes, "little")
-            )),
-            self._k,
+        scores = self._unpack_lanes(
+            x.to_bytes(_LANE_BYTES * self.num_nodes, "little")
         )
+        # stable descending sort: equal scores keep the lower node id
+        row = tuple(sorted(
+            range(self.num_nodes), key=scores.__getitem__, reverse=True
+        )[: self._k])
         if page is None:
             page = self._pages[oid >> _PAGE_SHIFT] = bytearray(self._blank_page)
         self._pack_row(page, (oid & _PAGE_MASK) * self._stride, *row)

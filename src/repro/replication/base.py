@@ -1023,20 +1023,18 @@ class ReplicatedSystem:
 
         An object's holders are its replica set plus every node outside
         the placement scope (two-tier mobiles hold full replicas),
-        narrowed to ``node_ids`` when they leave a node out.  An object no
-        compared store has materialised reads ``initial_value`` at every
-        holder, so only the union of materialised oids is visited —
-        O(touched) lookups — and each holder is probed with ``peek``,
-        which materialises nothing and, the directory having just vouched
-        for residency, cannot miss.  The union is marked in one
+        narrowed to ``node_ids`` when given.  An object no compared store
+        has materialised reads ``initial_value`` at every holder, so only
+        the union of materialised oids is visited — O(touched) lookups —
+        and each holder is probed with ``peek``, which materialises
+        nothing and, the directory having just vouched for residency,
+        cannot miss.  The union is marked in one
         ``bytearray(db_size)`` and walked with ``find``, so the audit
         copies no oid set and sorts nothing.
         """
         placement = self.placement
         stores = [node.store for node in self.nodes]
-        every = range(self.num_nodes)
-        compared = every if node_ids is None else set(node_ids)
-        narrow = node_ids is not None and not compared.issuperset(every)
+        compared = range(self.num_nodes) if node_ids is None else set(node_ids)
         extra_holders = tuple(range(placement.num_nodes, self.num_nodes))
         visited = bytearray(self.db_size)
         for node_id in compared:
@@ -1045,7 +1043,7 @@ class ReplicatedSystem:
         oid = visited.find(1)
         while oid >= 0:
             holders = placement.replicas(oid) + extra_holders
-            if narrow:
+            if node_ids is not None:
                 holders = tuple(n for n in holders if n in compared)
             # True = resident: the directory has just named each holder
             values = [stores[node_id].peek(oid, True) for node_id in holders]

@@ -89,7 +89,9 @@ class LazyGroupSystem(Lazy, ReplicatedSystem):
 
         Figure 4's test: if the local replica's timestamp equals the update's
         old timestamp, the update is safe; otherwise it is dangerous and the
-        reconciliation rule decides its fate.
+        reconciliation rule decides its fate.  With ``propagate_ops`` a
+        commutative operation is merged whatever the rule returns, unless
+        it returns ``DEFER`` (see :mod:`repro.replication.reconciliation`).
         """
         if local.ts == update.new_ts:
             return Outcome.DISCARD  # duplicate delivery; already applied

@@ -19,6 +19,13 @@ case).  Outcomes:
 Every conflict is counted as a reconciliation regardless of outcome; the
 rules differ in whether the database still converges and whether updates are
 lost.
+
+Shipping operations (lazy-group's ``propagate_ops``) narrows what a rule
+decides for a commutative operation: it is merged whatever the rule
+returns, unless the rule returns ``DEFER``.  ``APPLY`` and ``DISCARD``
+both become ``MERGE``, because installing the incoming value would lose
+the local increment and dropping the incoming one would lose it at this
+replica only, while its peers apply it.
 """
 
 from __future__ import annotations
