@@ -12,7 +12,7 @@ durations stay flat in N.
 
 import pytest
 
-from benchmarks.conftest import EAGER_REGIME, NODE_SWEEP
+from benchmarks.claims import EAGER_REGIME, NODE_SWEEP
 from repro.analytic import eager
 from repro.analytic.scaling import fit_exponent, sweep
 from repro.metrics.report import format_table

@@ -103,7 +103,7 @@ def payload():
         src = replicas[-1]
         dst = next(
             node for node in range(NODES)
-            if not system.placement.is_replica(oid, node)
+            if node not in system.placement.replicas(oid)
         )
         system.migrate(oid, src, dst)
         moved.append((oid, src, dst))

@@ -15,10 +15,11 @@ produces dilation-corrected danger curves:
 * dilated action time           ``Action_Time / (1 - rho)``
 * dilated deadlock rate         equation 12 x ``1 / (1 - rho)``
 
-The corrected curves grow *faster* than the paper's pure polynomials and
-match the simulator's measured exponents (see
-``benchmarks/test_bench_dilation.py``): the closed forms are a lower bound
-on the instability, which only sharpens the paper's conclusion.
+The corrected curves grow *faster* than the paper's pure polynomials.  The
+claim row ``eq12-dilated`` (``benchmarks/claims.py``) sets them beside the
+simulator: over N = 2-6 the paper's exponent is 3.00, the dilated one 3.90
+and the measured one 3.47, and the row holds the measurement within 0.55 of
+the dilated curve.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ A :class:`~repro.placement.base.Placement` is a pure-data recipe
 (serialisable, hashable, cache-key friendly); calling
 :meth:`~repro.placement.base.Placement.bind` against a concrete
 ``(num_nodes, db_size)`` yields the directory object the system queries:
-``replicas(oid)``, ``master(oid)``, ``objects_at(node_id)``.
+``replicas(oid)`` and ``master(oid)``; ``resident_counts()`` reports the
+objects each node holds.
 
 Three implementations:
 

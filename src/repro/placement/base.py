@@ -20,7 +20,7 @@ hold caches.
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, List, Tuple, Type
 
 from repro.exceptions import ConfigurationError
 from repro.specs import canonical, coerce_int, parse_prefixed_spec
@@ -149,20 +149,9 @@ class BoundPlacement:
         """The owner node for ``oid`` (always a member of its replica set)."""
         return self.replicas(oid)[0]
 
-    def is_replica(self, oid: int, node_id: int) -> bool:
-        return node_id in self.replicas(oid)
-
-    def objects_at(self, node_id: int) -> Optional[Sequence[int]]:
-        """Object ids resident at ``node_id``; ``None`` means *all*."""
-        raise NotImplementedError
-
     def resident_counts(self) -> List[int]:
         """Resident objects per node (index = node id)."""
-        out: List[int] = []
-        for node_id in range(self.num_nodes):
-            resident = self.objects_at(node_id)
-            out.append(self.db_size if resident is None else len(resident))
-        return out
+        raise NotImplementedError
 
     # -- migration ----------------------------------------------------- #
 

@@ -27,7 +27,7 @@ milliseconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.placement.base import BoundPlacement, Placement
@@ -149,17 +149,6 @@ class BoundDirectory(BoundPlacement):
         if override is not None:
             return override
         return self._map[self.shard_of(oid)]
-
-    def is_replica(self, oid: int, node_id: int) -> bool:
-        return node_id in self.replicas(oid)
-
-    def objects_at(self, node_id: int) -> Optional[Sequence[int]]:
-        if self.is_full:
-            return None
-        return [
-            oid for oid in range(self.db_size)
-            if node_id in self.replicas(oid)
-        ]
 
     def _base_shard_sizes(self) -> List[int]:
         if self._shard_sizes is None:

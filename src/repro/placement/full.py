@@ -8,7 +8,7 @@ which is what the master strategies ask for as each object's owner.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.placement.base import BoundPlacement, Placement
 
@@ -43,8 +43,5 @@ class BoundFullReplication(BoundPlacement):
         # the classic round-robin ownership
         return oid % self.num_nodes
 
-    def is_replica(self, oid: int, node_id: int) -> bool:
-        return 0 <= node_id < self.num_nodes
-
-    def objects_at(self, node_id: int) -> Optional[Sequence[int]]:
-        return None
+    def resident_counts(self) -> List[int]:
+        return [self.db_size] * self.num_nodes

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.placement.base import BoundPlacement, Placement
@@ -172,15 +172,6 @@ class BoundHashShard(BoundPlacement):
 
     def master(self, oid: int) -> int:
         return self.replicas(oid)[0]
-
-    def is_replica(self, oid: int, node_id: int) -> bool:
-        return node_id in self.replicas(oid)
-
-    def objects_at(self, node_id: int) -> Optional[Sequence[int]]:
-        if self.is_full:
-            return None
-        replicas = self.replicas
-        return [oid for oid in range(self.db_size) if node_id in replicas(oid)]
 
     def resident_counts(self) -> List[int]:
         if self.is_full:

@@ -23,9 +23,10 @@ class TestEquation14:
     def test_reconciliation_rate_equals_eager_wait_rate(self, p):
         """'the system-wide lazy-group reconciliation rate follows the
         transaction wait rate equation (Equation 10)'"""
-        assert lazy_group.reconciliation_rate(p) == pytest.approx(
-            eager.total_wait_rate(p)
-        )
+        for q in (p, p.with_(nodes=1)):
+            assert lazy_group.reconciliation_rate(q) == pytest.approx(
+                eager.total_wait_rate(q)
+            )
 
     def test_cubic_in_nodes(self, p):
         r = sweep(lazy_group.reconciliation_rate, p, "nodes", [1, 2, 4, 8])

@@ -55,6 +55,7 @@ class TestDilatedRates:
     def test_always_above_the_paper_curve(self, p):
         for nodes in [2, 3, 4, 6, 8]:
             q = p.with_(nodes=nodes)
+            assert dilation.node_utilization(q) < 1.0
             assert dilation.dilated_eager_deadlock_rate(q) > (
                 eager.total_deadlock_rate(q)
             )

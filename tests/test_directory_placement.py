@@ -118,8 +118,6 @@ def test_replicas_are_distinct_master_first():
         assert len(set(replicas)) == 3
         assert all(0 <= node < 10 for node in replicas)
         assert replicas[0] == bound.master(oid)
-        for node in replicas:
-            assert bound.is_replica(oid, node)
 
 
 def test_rotation_spreads_mastership_beyond_stride_residues():
@@ -135,7 +133,7 @@ def test_factor_capped_at_node_count_degrades_to_full():
     bound = DirectoryPlacement(replication_factor=9).bind(3, 50)
     assert bound.is_full
     assert bound.replication_factor == 3
-    assert bound.objects_at(1) is None
+    assert bound.resident_counts() == [50] * 3
 
 
 def test_shard_count_defaults_and_clamps():
@@ -160,14 +158,15 @@ def test_locality_groups_contiguous_ids_hash_scatters_them():
         assert sum(bound.resident_counts()) == 2 * 1000
 
 
-def test_resident_counts_match_objects_at():
+def test_resident_counts_match_replica_sets():
     for grouping in ("locality", "hash"):
         bound = DirectoryPlacement(
             replication_factor=3, grouping=grouping
         ).bind(7, 200)
         counts = bound.resident_counts()
         assert counts == [
-            len(bound.objects_at(node)) for node in range(7)
+            sum(node in bound.replicas(oid) for oid in range(200))
+            for node in range(7)
         ]
         assert sum(counts) == 3 * 200
 
@@ -201,7 +200,7 @@ def test_moving_the_master_transfers_mastership():
     bound = DirectoryPlacement(replication_factor=3).bind(8, 100)
     oid = 40
     src = bound.master(oid)
-    dst = next(n for n in range(8) if not bound.is_replica(oid, n))
+    dst = next(n for n in range(8) if n not in bound.replicas(oid))
     bound.move(oid, src, dst)
     assert bound.master(oid) == dst
 
@@ -211,14 +210,14 @@ def test_move_updates_residency_bookkeeping():
     before = bound.resident_counts()
     oid = 60
     src = bound.replicas(oid)[0]
-    dst = next(n for n in range(6) if not bound.is_replica(oid, n))
+    dst = next(n for n in range(6) if n not in bound.replicas(oid))
     bound.move(oid, src, dst)
     after = bound.resident_counts()
     assert after[src] == before[src] - 1
     assert after[dst] == before[dst] + 1
     assert sum(after) == sum(before)
-    assert oid in bound.objects_at(dst)
-    assert oid not in bound.objects_at(src)
+    assert dst in bound.replicas(oid)
+    assert src not in bound.replicas(oid)
 
 
 def test_move_validates_endpoints():
@@ -270,7 +269,7 @@ def test_migrate_transfers_the_record_and_evicts_the_source():
     src = placement.replicas(oid)[1]
     dst = next(
         n for n in range(system.num_nodes)
-        if not placement.is_replica(oid, n)
+        if n not in placement.replicas(oid)
     )
     system.submit(master, [WriteOp(oid, 777)])
     system.run()
@@ -293,7 +292,7 @@ def test_writes_route_to_the_new_replica_set_after_migration():
     src = placement.replicas(oid)[1]
     dst = next(
         n for n in range(system.num_nodes)
-        if not placement.is_replica(oid, n)
+        if n not in placement.replicas(oid)
     )
     system.migrate(oid, src, dst)
     system.run()
@@ -312,7 +311,7 @@ def test_migrating_the_master_rebinds_ownership():
     src = placement.master(oid)
     dst = next(
         n for n in range(system.num_nodes)
-        if not placement.is_replica(oid, n)
+        if n not in placement.replicas(oid)
     )
     assert system.master_of(oid).node_id == src
     system.migrate(oid, src, dst)
@@ -333,7 +332,7 @@ def test_migrate_rejects_crashed_endpoints_and_computed_placements():
     src = placement.replicas(oid)[1]
     dst = next(
         n for n in range(system.num_nodes)
-        if not placement.is_replica(oid, n)
+        if n not in placement.replicas(oid)
     )
     system.crash_node(src)
     with pytest.raises(InvalidStateError):

@@ -41,7 +41,7 @@ def _move_target(system, oid):
     src = placement.replicas(oid)[1]
     dst = next(
         n for n in range(system.num_nodes)
-        if not placement.is_replica(oid, n)
+        if n not in placement.replicas(oid)
     )
     return src, dst
 
@@ -105,7 +105,7 @@ def test_of_two_moves_of_one_object_issued_at_once_the_second_aborts(second):
     if second == "same source":
         other_dst = next(
             n for n in range(system.num_nodes)
-            if n != dst and not system.placement.is_replica(oid, n)
+            if n != dst and n not in system.placement.replicas(oid)
         )
         later = system.migrate(oid, src, other_dst)
     else:
@@ -143,7 +143,7 @@ def _others_at(system, node, oid, count):
     """``count`` objects besides ``oid`` that ``node`` holds."""
     return [
         o for o in range(system.db_size)
-        if o != oid and system.placement.is_replica(o, node)
+        if o != oid and node in system.placement.replicas(o)
     ][:count]
 
 
@@ -295,7 +295,7 @@ def test_the_new_copy_is_unusable_until_the_record_lands(strategy):
     oid = 9
     master, src = system.placement.replicas(oid)
     dst = next(n for n in range(system.num_nodes)
-               if not system.placement.is_replica(oid, n))
+               if n not in system.placement.replicas(oid))
     system.submit(master, [WriteOp(oid, 50)])
     system.run()
     move = system.migrate(oid, src, dst)

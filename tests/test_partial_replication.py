@@ -58,7 +58,8 @@ def test_each_node_holds_only_its_shard():
     total = 0
     for node in system.nodes:
         resident = set(node.store.oids())
-        expected = set(system.placement.objects_at(node.node_id))
+        expected = {oid for oid in range(60)
+                    if node.node_id in system.placement.replicas(oid)}
         assert resident == expected  # logical residency == the placement
         assert len(resident) < 60  # strictly less than db_size
         # lazy default: nothing is materialised until a transaction touches it
@@ -68,7 +69,7 @@ def test_each_node_holds_only_its_shard():
     for oid in range(60):
         for node_id in range(5):
             held = oid in system.nodes[node_id].store
-            assert held == system.placement.is_replica(oid, node_id)
+            assert held == (node_id in system.placement.replicas(oid))
 
 
 @pytest.mark.parametrize(

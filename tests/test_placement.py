@@ -91,7 +91,7 @@ def test_full_replication_masters_round_robin():
     for oid in range(20):
         assert bound.replicas(oid) == (0, 1, 2, 3)
         assert bound.master(oid) == oid % 4
-    assert bound.objects_at(2) is None  # None means "everything"
+    assert bound.resident_counts() == [20] * 4
 
 
 # --------------------------------------------------------------------- #
@@ -120,15 +120,13 @@ def test_replicas_are_distinct_master_first():
         assert len(replicas) == 3
         assert len(set(replicas)) == 3
         assert replicas[0] == bound.master(oid)
-        for node in replicas:
-            assert bound.is_replica(oid, node)
 
 
 def test_factor_capped_at_node_count_degrades_to_full():
     bound = HashShardPlacement(replication_factor=5).bind(3, 50)
     assert bound.is_full
     assert bound.replication_factor == 3
-    assert bound.objects_at(1) is None
+    assert bound.resident_counts() == [50] * 3
 
 
 # --------------------------------------------------------------------- #
@@ -219,13 +217,14 @@ def test_replica_rows_are_the_score_ranking(nodes, width):
                 assert bound.master(oid) == expected[oid][0]
 
 
-def test_hash_resident_counts_agree_with_objects_at():
+def test_hash_resident_counts_agree_with_replica_sets():
     bound = HashShardPlacement(3).bind(10, 640)
     counts = bound.resident_counts()
     assert sum(counts) == 3 * 640
     for node in range(10):
-        assert counts[node] == len(bound.objects_at(node))
-        assert all(node in bound.replicas(oid) for oid in bound.objects_at(node))
+        assert counts[node] == sum(
+            node in bound.replicas(oid) for oid in range(640)
+        )
 
 
 # --------------------------------------------------------------------- #

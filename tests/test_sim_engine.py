@@ -308,3 +308,18 @@ def test_determinism_two_identical_runs():
         return trace
 
     assert build_and_run() == build_and_run()
+
+
+def test_ten_processes_fire_every_one_of_twenty_thousand_timeouts():
+    engine = Engine()
+    fired = []
+
+    def proc():
+        for _ in range(2_000):
+            yield engine.timeout(0.001)
+            fired.append(engine.now)
+
+    for _ in range(10):
+        engine.process(proc())
+    engine.run()
+    assert len(fired) == 20_000

@@ -496,3 +496,20 @@ class TestBaseReexecutionIsAUserTransaction:
                 + system.metrics.tentative_rejected
                 == len(records(system))
             )
+
+
+@pytest.mark.parametrize("nodes", [2, 4, 8])
+def test_strict_acceptance_adjudicates_every_tentative_transaction(nodes):
+    """Section 7's mobile workload under the strict identical-outputs test:
+    every tentative transaction committed at a mobile is accepted or
+    rejected by the base, none lost and none judged twice."""
+    from repro.analytic import ModelParameters
+    from repro.harness import ExperimentConfig, run_experiment
+
+    params = ModelParameters(db_size=100, nodes=nodes, tps=2, actions=2,
+                             action_time=0.001, disconnect_time=4.0)
+    m = run_experiment(ExperimentConfig(
+        strategy="two-tier", params=params, duration=60.0, seed=1,
+    )).metrics
+    assert m.tentative_rejected > 0
+    assert m.tentative_accepted + m.tentative_rejected == m.tentative_committed

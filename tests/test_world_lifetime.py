@@ -127,7 +127,7 @@ def test_a_world_with_a_completed_migration_frees_itself(no_collector):
     src = system.placement.replicas(oid)[-1]
     dst = next(
         n for n in range(system.num_nodes)
-        if not system.placement.is_replica(oid, n)
+        if n not in system.placement.replicas(oid)
     )
     move = system.migrate(oid, src, dst)
     system.run()
