@@ -46,7 +46,6 @@ from repro.harness.campaign import (
 )
 from repro.harness.stats import RateEstimate, estimate
 from repro.harness.strategies import STRATEGIES
-from repro.metrics.counters import Metrics
 from repro.metrics.report import format_mean_ci, format_table
 
 EAGER_REGIME = ModelParameters(db_size=80, nodes=1, tps=4, actions=3,
@@ -57,8 +56,6 @@ NODE_SWEEP = (2, 3, 4, 6)
 
 #: a check's reference to the row's closed form
 MODEL = "model"
-
-COUNTERS = Metrics.COUNTER_NAMES | Metrics.KNOWN_EXTRAS
 
 
 @dataclass(frozen=True)
@@ -220,8 +217,9 @@ class Claim:
 
     ``values`` sweep ``axis`` from ``base``; ``points`` instead lists
     whole parameter points (``axis`` then names their x coordinate).
-    ``metric`` is a :class:`~repro.metrics.rates.RateSummary` rate, a
-    :class:`~repro.metrics.counters.Metrics` counter or ``"divergence"``.
+    ``metric`` is any name a campaign cell folds
+    (:meth:`~repro.harness.campaign.RunOutcome.measures`): a rate, a
+    counter or ``"divergence"``.
     ``model`` is a closed form evaluated at each point's parameters; a row
     with no strategy needs one.
     """
@@ -268,23 +266,14 @@ class Claim:
             curve = sweep(self.model, self.base, self.axis, self.values)
             fitted = fit_exponent(curve.xs, curve.ys)
             return {MODEL: Series(
-                MODEL, curve.xs, tuple(_estimate(MODEL, [y]) for y in curve.ys),
+                MODEL, curve.xs, tuple(estimate(MODEL, [y]) for y in curve.ys),
                 curve.ys, fitted, fitted,
             )}
-        cells = []
-        for cell in aggregate(outcomes):
-            folded = cell.rates.get(self.metric)
-            if folded is None:  # a counter: aggregate folds rates only
-                folded = _estimate(self.metric, [
-                    _sample(o.payload, self.metric) for o in outcomes
-                    if o.spec.cell() == (cell.strategy, cell.value)
-                ])
-            cells.append(replace(
-                cell,
-                rates={self.metric: folded},
-                reference_rate=self.metric,
-                analytic=self.model(cell.params) if self.model else None,
-            ))
+        cells = [
+            replace(cell, reference_rate=self.metric,
+                    analytic=self.model(cell.params) if self.model else None)
+            for cell in aggregate(outcomes)
+        ]
         fits = {}
         if any(isinstance(check, Exponent) for check in self.checks):
             fits = {fit.strategy: fit for fit in fit_exponents(cells)}
@@ -301,19 +290,6 @@ class Claim:
                 fit.analytic if fit else None,
             )
         return out
-
-
-def _estimate(name: str, samples: Sequence[float]) -> RateEstimate:
-    if len(samples) > 1:
-        return estimate(name, samples)
-    return RateEstimate(name, tuple(samples), samples[0], 0.0, 0.0)
-
-
-def _sample(payload, metric: str) -> float:
-    """One run's counter or divergence (an extra counter never bumped is 0)."""
-    if metric in COUNTERS:
-        return payload["counters"].get(metric, 0)
-    return payload[metric]
 
 
 def measure(claims: Sequence[Claim],

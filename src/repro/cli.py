@@ -4,7 +4,8 @@ Commands:
 
 * ``tables`` — print the paper's Table 1 and Table 2.
 * ``danger`` — print the analytic danger curves (equations 12, 14, 18, 19)
-  for given model parameters; ``--measure`` adds simulated points.
+  for given model parameters; ``sweep --strategy all`` over the same node
+  axis measures them.
 * ``simulate`` — run one simulated experiment and print its markdown
   report (rates, counters, oracle verdict, fault timeline, and sparkline
   series with ``--sample-interval``); ``--json`` saves the run's document,
@@ -57,11 +58,11 @@ from repro.exceptions import ConfigurationError
 from repro.harness.strategies import STRATEGIES
 
 # Which flags reach which path: the analytic commands (``tables``,
-# ``danger`` without --measure) evaluate the closed-form model, which uses
-# every Table-2 flag *except* --message-delay (the paper drops message
-# costs: "These delays and extra processing are ignored").  The simulated
-# commands (``simulate``, ``compare``, ``verify``, ``sweep``, ``danger
-# --measure``) honour --message-delay as real propagation latency.
+# ``danger``) evaluate the closed-form model, which uses every Table-2 flag
+# *except* --message-delay (the paper drops message costs: "These delays
+# and extra processing are ignored").  The simulated commands
+# (``simulate``, ``compare``, ``verify``, ``sweep``) honour
+# --message-delay as real propagation latency.
 _FLAG_PATHS_EPILOG = (
     "flag paths: --db-size/--nodes/--tps/--actions/--action-time/"
     "--disconnect-time feed both the analytic model and the simulator; "
@@ -145,38 +146,7 @@ def cmd_danger(args: argparse.Namespace) -> int:
         exponent = safe_fit_exponent(result.xs, result.ys)
         order = "n/a" if exponent is None else f"N^{exponent:.1f}"
         print(f"  growth order: {order}\n")
-    if args.measure:
-        _print_measured_danger(args, params, node_axis)
     return 0
-
-
-def _print_measured_danger(args: argparse.Namespace, params: ModelParameters,
-                           node_axis: List[int]) -> None:
-    """The danger curves' measured side: a campaign over the node axis."""
-    from repro.harness.campaign import Campaign, campaign_table, run_campaign
-
-    campaign = Campaign(
-        strategies=STRATEGIES,
-        base_params=params,
-        axis="nodes",
-        values=tuple(node_axis),
-        seeds=tuple(range(args.seeds)),
-        duration=args.duration,
-        placement=getattr(args, "placement", None),
-        model=args.model,
-    )
-    outcome = run_campaign(campaign, jobs=args.jobs,
-                           cache_dir=args.cache_dir,
-                           progress=_progress_line(campaign.total_runs))
-    print(campaign_table(
-        outcome.aggregate(),
-        title="measured danger rates (simulated, mean over "
-        f"{args.seeds} seed(s))",
-    ))
-    print()
-    for fit in outcome.fits():
-        print("  " + fit.describe())
-    print(f"\n{outcome.describe()}")
 
 
 def _fault_plan(args: argparse.Namespace, params: ModelParameters):
@@ -430,15 +400,19 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from repro.harness.comparison import strategy_comparison, strategy_table
+    """Every strategy at one load, one seed: a one-point campaign."""
+    from repro.harness.campaign import Campaign, run_campaign, scorecard_table
 
-    params = _params(args)
-    results = strategy_comparison(
-        params, duration=args.duration, seed=args.seed,
-        commutative=args.commutative, jobs=args.jobs,
-        cache_dir=args.cache_dir,
-    )
-    print(strategy_table(results))
+    campaign = Campaign(strategies=STRATEGIES, base_params=_params(args),
+                        seeds=(args.seed,), duration=args.duration,
+                        commutative=args.commutative)
+    outcome = run_campaign(campaign, jobs=args.jobs, cache_dir=args.cache_dir)
+    if outcome.failures:
+        raise SystemExit("\n".join(
+            f"strategy comparison run failed: {run.spec.label()}: {run.error}"
+            for run in outcome.failures
+        ))
+    print(scorecard_table(outcome.aggregate()))
     return 0
 
 
@@ -605,19 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="print the analytic danger curves",
                               epilog=_FLAG_PATHS_EPILOG)
     _add_model_arguments(p_danger)
-    p_danger.add_argument("--measure", action="store_true",
-                          help="also run a simulated campaign along the "
-                          "node axis and print measured rates with CIs")
-    p_danger.add_argument("--seeds", type=int, default=3,
-                          help="seed replicas per measured point")
-    p_danger.add_argument("--duration", type=float, default=30.0,
-                          help="virtual seconds per measured run")
-    p_danger.add_argument("--jobs", type=int, default=1,
-                          help="worker processes for --measure (0 = inline)")
     _add_placement_argument(p_danger)
     _add_model_track_argument(p_danger)
-    p_danger.add_argument("--cache-dir", default=None, metavar="PATH",
-                          help="content-hash result cache for --measure")
     p_danger.set_defaults(fn=cmd_danger)
 
     p_sim = sub.add_parser(

@@ -9,8 +9,8 @@ measured counters, rates, and convergence state.
 
 :mod:`~repro.harness.campaign` runs strategy x axis x seed grids with a
 model column beside the measured one, and is the one way to summarise seed
-replicas (a one-cell campaign over the seeds);
-:mod:`~repro.harness.comparison` is the cross-strategy scorecard at one load.
+replicas (a one-cell campaign over the seeds) and to compare strategies
+(a one-point campaign over them, rendered by ``scorecard_table``).
 """
 
 from repro._exports import lazy_exports
@@ -22,7 +22,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "ExperimentResult": "repro.harness.experiment",
     "build_system": "repro.harness.experiment",
     "run_experiment": "repro.harness.experiment",
-    "strategy_comparison": "repro.harness.comparison",
     "RateEstimate": "repro.harness.stats",
     "result_to_dict": "repro.harness.export",
     "write_json": "repro.harness.export",

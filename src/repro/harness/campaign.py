@@ -16,8 +16,9 @@ not single experiments.  This module is the campaign layer on top of
   hit instead of a re-simulation (simulations are deterministic in their
   configuration, so the config *is* the result's identity);
 * :meth:`CampaignResult.aggregate` folds seed replicas into mean ± 95% CI
-  per cell and attaches the analytic model's prediction for the rate the
-  paper models for that strategy, so every table is measured-vs-model.
+  per cell — every rate, counter and the divergence a run reports — and
+  attaches the analytic model's prediction for the rate the paper models
+  for that strategy, so every table is measured-vs-model.
 
 Example::
 
@@ -61,13 +62,11 @@ from repro.exceptions import ConfigurationError
 from repro.harness.experiment import (
     STRATEGIES,
     ExperimentConfig,
-    ExperimentResult,
     network_size,
     run_experiment,
 )
 from repro.harness.stats import RateEstimate, estimate
 from repro.metrics.counters import Metrics
-from repro.metrics.rates import RateSummary
 from repro.metrics.report import format_mean_ci, format_table
 
 # run outcome states
@@ -89,6 +88,9 @@ TIMEOUT = "timeout"
 #  The *config* half of the key needs no bump: it is a walk of the
 #  ExperimentConfig dataclass, see harness.export.describe_config)
 CACHE_VERSION = 8
+
+#: the counters a cell folds beside the rates, in a fixed order
+COUNTERS = tuple(sorted(Metrics.COUNTER_NAMES | Metrics.KNOWN_EXTRAS))
 
 
 # --------------------------------------------------------------------- #
@@ -298,35 +300,18 @@ class RunOutcome:
             return None
         return self.payload.get("extra", {}).get("oracle_ok")
 
-    def to_result(self) -> ExperimentResult:
-        """Rebuild a full :class:`ExperimentResult` from the payload.
-
-        The live system does not cross process or disk boundaries; the
-        reconstructed result carries ``system=None``.
-        """
+    def measures(self) -> Dict[str, float]:
+        """Every number the run reports, by name: its rates but the
+        horizon, every counter (an extra never bumped is 0) and
+        ``divergence``.  Empty for a run that did not finish."""
         if not self.ok:
-            raise ConfigurationError(
-                f"no result for {self.spec.label()}: {self.status} {self.error}"
-            )
-        return result_from_dict(self.spec.config, self.payload)
-
-
-def result_from_dict(config: ExperimentConfig,
-                     payload: Dict[str, Any]) -> ExperimentResult:
-    """Inverse of :func:`~repro.harness.export.result_to_dict`."""
-    metrics = Metrics()
-    for name, value in payload["counters"].items():
-        metrics.bump(name, value)
-    rates = RateSummary(**payload["rates"])
-    return ExperimentResult(
-        config=config,
-        metrics=metrics,
-        rates=rates,
-        horizon=rates.horizon,
-        divergence=payload["divergence"],
-        end_time=payload["end_time"],
-        extra=dict(payload.get("extra", {})),
-    )
+            return {}
+        out = self.rates()
+        del out["horizon"]
+        counters = self.payload["counters"]
+        out.update((name, counters.get(name, 0)) for name in COUNTERS)
+        out["divergence"] = self.payload["divergence"]
+        return out
 
 
 # --------------------------------------------------------------------- #
@@ -420,10 +405,6 @@ class CampaignResult:
     @property
     def cache_misses(self) -> int:
         return self.total - self.cache_hits
-
-    def results(self) -> List[ExperimentResult]:
-        """Reconstructed results of every successful run."""
-        return [o.to_result() for o in self.outcomes if o.ok]
 
     def aggregate(self, model: Optional[str] = None) -> List["CellStats"]:
         """Cell summaries under ``model`` (default: the campaign's track)."""
@@ -582,7 +563,12 @@ def _run_pool(pending, jobs: int, timeout: Optional[float], finish) -> None:
 
 @dataclass(frozen=True)
 class CellStats:
-    """Seed replicas of one grid cell, folded into mean ± 95% CI."""
+    """Seed replicas of one grid cell, folded into mean ± 95% CI.
+
+    ``rates`` holds an estimate for every name of
+    :meth:`RunOutcome.measures`: each rate, each counter and
+    ``divergence``.
+    """
 
     strategy: str
     axis: str
@@ -612,18 +598,11 @@ class CellStats:
         return self.measured / self.analytic
 
 
-def _estimate(name: str, samples: Sequence[float]) -> RateEstimate:
-    if len(samples) >= 2:
-        return estimate(name, samples)
-    value = float(samples[0])
-    return RateEstimate(name=name, samples=(value,), mean=value, std=0.0,
-                        ci95_half_width=0.0)
-
-
 def aggregate(
     outcomes: Sequence[RunOutcome], model: str = "closed-form"
 ) -> List[CellStats]:
-    """Group outcomes by (strategy, axis value); summarise each rate.
+    """Group outcomes by (strategy, axis value); summarise each of the
+    runs' :meth:`~RunOutcome.measures`.
 
     ``model`` selects the analytic track attached to each cell's
     ``analytic`` column (see
@@ -644,9 +623,7 @@ def aggregate(
         spec = members[0].spec
         samples: Dict[str, List[float]] = {}
         for outcome in members:
-            for name, value in outcome.rates().items():
-                if name == "horizon":
-                    continue
+            for name, value in outcome.measures().items():
                 samples.setdefault(name, []).append(value)
         placement = getattr(spec.config, "placement", None)
         k = getattr(placement, "replication_factor", None)
@@ -663,7 +640,7 @@ def aggregate(
                 params=spec.config.params,
                 n=sum(1 for o in members if o.ok),
                 failures=sum(1 for o in members if not o.ok),
-                rates={name: _estimate(name, values)
+                rates={name: estimate(name, values)
                        for name, values in samples.items()},
                 reference_rate=rate_name,
                 analytic=analytic,
@@ -751,4 +728,26 @@ def campaign_table(cells: Sequence[CellStats], title: str = "") -> str:
          "oracle"],
         rows,
         title=title,
+    )
+
+
+#: the section-8 scorecard's columns: header, then the cell's measure
+SCORECARD = (
+    ("commits", "commits"),
+    ("waits/s", "wait_rate"),
+    ("deadlocks/s", "deadlock_rate"),
+    ("reconcile/s", "reconciliation_rate"),
+    ("rejects", "tentative_rejected"),
+    ("diverged", "divergence"),
+)
+
+
+def scorecard_table(cells: Sequence[CellStats]) -> str:
+    """The section-8 scorecard: one row per strategy at one load, each
+    column the mean of the cell's seeds."""
+    return format_table(
+        ["strategy"] + [header for header, _ in SCORECARD],
+        [[cell.strategy] + [cell.rates[name].mean for _, name in SCORECARD]
+         for cell in cells],
+        title="Strategy comparison at identical load",
     )

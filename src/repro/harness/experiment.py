@@ -155,18 +155,6 @@ class ExperimentResult:
         default=None, repr=False, compare=False
     )
 
-    @property
-    def deadlock_rate(self) -> float:
-        return self.rates.deadlock_rate
-
-    @property
-    def wait_rate(self) -> float:
-        return self.rates.wait_rate
-
-    @property
-    def reconciliation_rate(self) -> float:
-        return self.rates.reconciliation_rate
-
 
 def network_size(strategy: str, nodes: int,
                  num_base: int = ExperimentConfig.num_base) -> int:

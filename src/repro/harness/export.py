@@ -194,7 +194,8 @@ def write_campaign_series(outcome, directory: Union[str, Path]) -> List[Path]:
 
 
 def write_campaign_csv(outcome, path: Union[str, Path]) -> Path:
-    """Flatten a campaign's cell aggregates to CSV (one row per rate)."""
+    """Flatten a campaign's cell aggregates to CSV: one row per rate,
+    counter and divergence of each cell."""
     import csv
 
     target = Path(path)
@@ -215,28 +216,14 @@ def write_campaign_csv(outcome, path: Union[str, Path]) -> Path:
     return target
 
 
-Exportable = Union[ExperimentResult, Dict[str, Any]]
-
-
-def to_dict(obj: Exportable) -> Dict[str, Any]:
-    """Dispatch helper for the supported result types."""
-    from repro.harness.campaign import CampaignResult
-
-    if isinstance(obj, ExperimentResult):
-        return result_to_dict(obj)
-    if isinstance(obj, CampaignResult):
-        return campaign_to_dict(obj)
-    if isinstance(obj, dict):
-        return obj
-    raise TypeError(f"cannot export {type(obj).__name__}")
-
-
-def write_json(obj: Exportable, path: Union[str, Path]) -> Path:
-    """Serialise ``obj`` to ``path`` (pretty-printed, stable key order)."""
+def write_json(document: Dict[str, Any], path: Union[str, Path]) -> Path:
+    """Write ``document`` (:func:`result_to_dict` or
+    :func:`campaign_to_dict`) to ``path``, pretty-printed in stable key
+    order."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     with target.open("w", encoding="utf-8") as fh:
-        json.dump(to_dict(obj), fh, indent=2, sort_keys=True)
+        json.dump(document, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return target
 

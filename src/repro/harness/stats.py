@@ -47,7 +47,7 @@ def t_quantile_95(dof: int) -> float:
 
 @dataclass(frozen=True)
 class RateEstimate:
-    """Mean, dispersion, and 95% CI of one rate across seeds."""
+    """Mean, dispersion, and 95% CI of one quantity across seeds."""
 
     name: str
     samples: tuple
@@ -71,10 +71,14 @@ class RateEstimate:
 
 
 def estimate(name: str, samples: Sequence[float]) -> RateEstimate:
-    """Summarise one rate's samples."""
+    """Summarise one quantity's samples; a single sample is its own mean,
+    with a zero-width interval."""
     n = len(samples)
-    if n < 2:
-        raise ConfigurationError("need >= 2 samples to estimate dispersion")
+    if n == 0:
+        raise ConfigurationError("need at least one sample")
+    if n == 1:
+        return RateEstimate(name=name, samples=tuple(samples),
+                            mean=samples[0], std=0.0, ci95_half_width=0.0)
     mean = sum(samples) / n
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
     std = math.sqrt(variance)

@@ -98,15 +98,6 @@ class Metrics:
         out.update(self.extra)
         return out
 
-    def merged_with(self, other: "Metrics") -> "Metrics":
-        """Element-wise sum (for aggregating repeated runs)."""
-        merged = Metrics()
-        for name, value in self.as_dict().items():
-            merged.bump(name, value)
-        for name, value in other.as_dict().items():
-            merged.bump(name, value)
-        return merged
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         busy = {k: v for k, v in self.as_dict().items() if v}
         return f"Metrics({busy})"

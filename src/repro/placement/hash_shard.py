@@ -148,6 +148,14 @@ class BoundHashShard(BoundPlacement):
             row = self._unpack_row(page, (oid & _PAGE_MASK) * self._stride)
             if row[0] != self._unscored:
                 return row
+        row = self._rank(oid)
+        if page is None:
+            page = self._pages[oid >> _PAGE_SHIFT] = bytearray(self._blank_page)
+        self._pack_row(page, (oid & _PAGE_MASK) * self._stride, *row)
+        return row
+
+    def _rank(self, oid: int) -> Tuple[int, ...]:
+        """``oid``'s replica row, scored afresh; the memo is not touched."""
         # _score for every node at once.  Each right shift is masked
         # before use so a neighbour lane's low bits never leak in, and
         # each product is masked back to 64 bits per lane.
@@ -162,13 +170,9 @@ class BoundHashShard(BoundPlacement):
             x.to_bytes(_LANE_BYTES * self.num_nodes, "little")
         )
         # stable descending sort: equal scores keep the lower node id
-        row = tuple(sorted(
+        return tuple(sorted(
             range(self.num_nodes), key=scores.__getitem__, reverse=True
         )[: self._k])
-        if page is None:
-            page = self._pages[oid >> _PAGE_SHIFT] = bytearray(self._blank_page)
-        self._pack_row(page, (oid & _PAGE_MASK) * self._stride, *row)
-        return row
 
     def master(self, oid: int) -> int:
         return self.replicas(oid)[0]
@@ -177,8 +181,10 @@ class BoundHashShard(BoundPlacement):
         if self.is_full:
             return [self.db_size] * self.num_nodes
         counts = [0] * self.num_nodes
-        replicas = self.replicas
+        # scored past the memo, which keeps rows for looked-up objects
+        # only: counting the whole keyspace must not fill every page
+        rank = self._rank
         for oid in range(self.db_size):
-            for node in replicas(oid):
+            for node in rank(oid):
                 counts[node] += 1
         return counts

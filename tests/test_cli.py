@@ -260,16 +260,14 @@ def test_sweep_strategy_all(capsys):
         assert name in out
 
 
-def test_danger_measure_adds_simulated_points(capsys):
-    assert main([
-        "danger", "--nodes", "2", "--db-size", "60", "--tps", "2",
-        "--actions", "2", "--action-time", "0.001", "--measure",
-        "--seeds", "2", "--jobs", "0", "--duration", "5",
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "eq 12" in out  # analytic curves still printed
-    assert "measured danger rates" in out
-    assert "sim/model" in out
+@pytest.mark.parametrize("flag", ["--measure", "--seeds=2", "--duration=5",
+                                  "--jobs=0", "--cache-dir=cache"])
+def test_danger_runs_no_simulation(flag, capsys):
+    # the measured side of the curves is sweep --strategy all
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["danger", flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_compare_with_jobs_matches_inline(capsys):

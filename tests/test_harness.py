@@ -4,12 +4,8 @@ import pytest
 
 from repro.analytic import ModelParameters
 from repro.exceptions import ConfigurationError
-from repro.harness import (
-    ExperimentConfig,
-    run_experiment,
-    strategy_comparison,
-)
-from repro.harness.comparison import strategy_table
+from repro.harness import ExperimentConfig, run_experiment
+from repro.harness.campaign import Campaign, run_campaign, scorecard_table
 from repro.harness.experiment import STRATEGIES, build_system
 
 
@@ -111,11 +107,17 @@ class TestRunExperiment:
 
 class TestComparisons:
     def test_strategy_comparison_table(self):
-        results = strategy_comparison(
-            small_params(), strategies=("lazy-master", "eager-group"),
-            duration=10.0,
-        )
-        assert set(results) == {"lazy-master", "eager-group"}
-        text = strategy_table(results)
-        assert "lazy-master" in text and "eager-group" in text
+        campaign = Campaign(strategies=("lazy-master", "eager-group"),
+                            base_params=small_params(), duration=10.0)
+        outcome = run_campaign(campaign, jobs=0)
+        text = scorecard_table(outcome.aggregate())
+        lines = text.splitlines()
+        assert lines[0] == "Strategy comparison at identical load"
+        assert lines[1].split() == [
+            "strategy", "|", "commits", "|", "waits/s", "|", "deadlocks/s",
+            "|", "reconcile/s", "|", "rejects", "|", "diverged"]
+        rows = {line.split()[0]: line.split()[2] for line in lines[3:]}
+        for run in outcome.outcomes:
+            commits = run.payload["counters"]["commits"]
+            assert rows[run.spec.config.strategy] == str(commits)
 

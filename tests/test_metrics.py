@@ -26,17 +26,6 @@ class TestMetrics:
         assert m.extra["custom_thing"] == 2
         assert m.as_dict()["custom_thing"] == 2
 
-    def test_merged_with_sums_everything(self):
-        a, b = Metrics(), Metrics()
-        a.bump("waits", 3)
-        a.bump("x", 1)
-        b.bump("waits", 2)
-        b.bump("deadlocks", 1)
-        merged = a.merged_with(b)
-        assert merged.waits == 5
-        assert merged.deadlocks == 1
-        assert merged.extra["x"] == 1
-
 
 class TestRates:
     def test_rates_divide_by_horizon(self):

@@ -7,7 +7,7 @@ import pytest
 from repro.analytic import ModelParameters
 from repro.faults import FaultPlan
 from repro.harness import STRATEGY_CLASSES, ExperimentConfig, run_experiment
-from repro.harness.campaign import result_from_dict
+from repro.harness.campaign import RunSpec, run_campaign
 from repro.harness.export import result_to_dict
 from repro.obs.report import run_report_markdown
 
@@ -72,11 +72,11 @@ def test_report_dict_is_json_serialisable():
 
 
 def test_report_from_serialised_payload():
-    """A campaign payload rebuilt into a result renders like the live run:
-    the series travel inside extra["series"]."""
+    """A campaign worker's payload renders like the live run: the series
+    travel inside extra["series"]."""
     result = _run()
-    rebuilt = result_from_dict(result.config, _saved(result))
-    text = run_report_markdown(result_to_dict(rebuilt))
+    (run,) = run_campaign([RunSpec(result.config)], jobs=1).outcomes
+    text = run_report_markdown(run.payload)
     assert "## Time series (1s windows)" in text
     assert text == run_report_markdown(result_to_dict(result))
 

@@ -227,6 +227,17 @@ def test_hash_resident_counts_agree_with_replica_sets():
         )
 
 
+def test_hash_resident_counts_leave_the_memo_empty():
+    bound = HashShardPlacement(3).bind(32, 6_400)
+    counts = bound.resident_counts()
+    assert not bound._pages  # counting the keyspace allocates no page
+    expected = [0] * 32
+    for oid in range(6_400):
+        for node in bound.replicas(oid):
+            expected[node] += 1
+    assert counts == expected
+
+
 # --------------------------------------------------------------------- #
 # balance
 # --------------------------------------------------------------------- #

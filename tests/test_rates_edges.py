@@ -77,12 +77,3 @@ def test_strict_flag_not_a_counter():
     assert "strict" not in m.as_dict()
     with pytest.raises(KeyError):
         m.bump("strict")
-
-
-def test_merged_with_preserves_extras():
-    a = Metrics(commits=1)
-    a.bump("crashes")
-    b = Metrics(commits=2)
-    merged = a.merged_with(b)
-    assert merged.commits == 3
-    assert merged.extra["crashes"] == 1

@@ -8,6 +8,7 @@ from repro.analytic import ModelParameters
 from repro.exceptions import ConfigurationError
 from repro.harness.campaign import Campaign, run_campaign
 from repro.harness.stats import estimate, t_quantile_95
+from repro.metrics.counters import Metrics
 from repro.metrics.rates import RateSummary
 
 
@@ -39,9 +40,12 @@ class TestEstimate:
         assert est.contains(5.0)
         assert not est.contains(5.1)
 
-    def test_needs_two_samples(self):
+    def test_single_sample_has_zero_width(self):
+        est = estimate("x", [4])
+        assert (est.mean, est.std, est.ci95_half_width) == (4, 0.0, 0.0)
+        assert est.samples == (4,)
         with pytest.raises(ConfigurationError):
-            estimate("x", [1.0])
+            estimate("x", [])
 
     def test_interval_narrows_with_samples(self):
         wide = estimate("x", [1.0, 3.0])
@@ -66,7 +70,8 @@ class TestRepeatExperiment:
     def test_summarises_all_rates(self):
         rates = self.rates([1, 2, 3])
         every = {field.name for field in dataclasses.fields(RateSummary)}
-        assert set(rates) == every - {"horizon"}
+        counters = Metrics.COUNTER_NAMES | Metrics.KNOWN_EXTRAS
+        assert set(rates) == (every - {"horizon"}) | counters | {"divergence"}
         assert rates["commit_rate"].mean > 0
         assert len(rates["commit_rate"].samples) == 3
 

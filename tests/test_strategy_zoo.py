@@ -165,13 +165,12 @@ def test_cli_choices_derive_from_the_registry():
         assert choices == STRATEGIES
 
 
-def test_comparison_default_derives_from_the_registry():
-    import inspect
-
-    from repro.harness.comparison import strategy_comparison
-
-    source = inspect.getsource(strategy_comparison)
-    assert "STRATEGIES" in source
+def test_comparison_default_derives_from_the_registry(capsys):
+    assert main(["compare", "--nodes", "2", "--db-size", "50", "--tps", "2",
+                 "--actions", "2", "--action-time", "0.001",
+                 "--duration", "2"]) == 0
+    rows = capsys.readouterr().out.splitlines()[3:]
+    assert [row.split("|")[0].strip() for row in rows] == list(STRATEGIES)
 
 
 # --------------------------------------------------------------------- #
