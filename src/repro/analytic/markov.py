@@ -7,16 +7,13 @@ This module is the third track: small continuous-time Markov chains over a
 propagating / reconciling for lazy schemes) whose stationary distribution
 yields throughput, abort, and deadlock rates in microseconds per parameter
 cell.  :mod:`repro.analytic.markov_strategies` builds the per-strategy
-chains; this module owns the chain representation and the solvers.
+chains; this module owns the chain representation and the solver.
 
-Two solvers are provided, both dependency-free:
-
-* ``direct`` — dense Gaussian elimination on the balance equations
-  ``pi Q = 0, sum(pi) = 1`` (exact up to float round-off; the chains here
-  have 3-4 states, so a dense solve is the fast path, not a compromise);
-* ``power`` — power iteration on the uniformised discrete-time kernel
-  ``P = I + Q / Lambda``, the classic iterative fallback, also used by the
-  property tests to certify the direct answer (``pi P == pi``).
+The solver is dependency-free dense Gaussian elimination on the balance
+equations ``pi Q = 0, sum(pi) = 1`` (exact up to float round-off; the
+chains here have 3-4 states, so a dense solve is the fast path, not a
+compromise).  The property tests certify its answer against power
+iteration on the uniformised kernel ``P = I + Q / Lambda``.
 """
 
 from __future__ import annotations
@@ -25,10 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
-
-#: safety margin on the uniformisation rate so P keeps a strictly positive
-#: diagonal (aperiodicity, hence power-iteration convergence)
-_UNIFORMIZATION_SLACK = 1.05
 
 
 @dataclass(frozen=True)
@@ -108,67 +101,23 @@ class MarkovChain:
             row[i] = -sum(row)
         return q
 
-    def uniformization_rate(self) -> float:
-        """A rate dominating every state's total exit rate."""
-        heaviest = max(sum(row) for row in self.rates)
-        return heaviest * _UNIFORMIZATION_SLACK if heaviest > 0.0 else 1.0
-
-    def transition_matrix(self) -> List[List[float]]:
-        """The uniformised DTMC kernel ``P = I + Q / Lambda`` (stochastic)."""
-        lam = self.uniformization_rate()
-        p = [[rate / lam for rate in row] for row in self.rates]
-        for i, row in enumerate(p):
-            row[i] = 1.0 - sum(row)
-        return p
-
 
 # --------------------------------------------------------------------- #
-# solvers
+# solver
 # --------------------------------------------------------------------- #
 
 
-def stationary_distribution(
-    chain: MarkovChain,
-    method: str = "direct",
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-) -> Tuple[float, ...]:
-    """The stationary distribution ``pi`` with ``pi Q = 0, sum(pi) = 1``.
-
-    ``method="direct"`` solves the balance equations densely;
-    ``method="power"`` iterates the uniformised kernel until the L1 step
-    falls below ``tol``.  Both return a non-negative vector summing to 1.
-    """
-    if method == "direct":
-        pi = _solve_direct(chain)
-    elif method == "power":
-        pi = _solve_power(chain, tol=tol, max_iter=max_iter)
-    else:
-        raise ConfigurationError(
-            f"unknown method {method!r}; expected 'direct' or 'power'"
-        )
+def stationary_distribution(chain: MarkovChain) -> Tuple[float, ...]:
+    """The stationary distribution ``pi`` with ``pi Q = 0, sum(pi) = 1``:
+    the balance equations solved densely, as a non-negative vector
+    summing to 1."""
+    pi = _solve_direct(chain)
     # squash float-noise negatives and renormalise exactly once
     cleaned = [max(value, 0.0) for value in pi]
     total = sum(cleaned)
     if total <= 0.0:
         raise ConfigurationError("stationary solve produced a zero vector")
     return tuple(value / total for value in cleaned)
-
-
-def residual(chain: MarkovChain, pi: Sequence[float]) -> float:
-    """L1 residual ``||pi P - pi||_1`` of a candidate stationary vector."""
-    p = chain.transition_matrix()
-    n = len(chain.states)
-    if len(pi) != n:
-        raise ConfigurationError(
-            f"pi has {len(pi)} entries for a {n}-state chain"
-        )
-    out = [0.0] * n
-    for i, weight in enumerate(pi):
-        row = p[i]
-        for j in range(n):
-            out[j] += weight * row[j]
-    return sum(abs(out[j] - pi[j]) for j in range(n))
 
 
 def _solve_direct(chain: MarkovChain) -> List[float]:
@@ -213,29 +162,6 @@ def _solve_direct(chain: MarkovChain) -> List[float]:
             acc -= row[c] * pi[c]
         pi[r] = acc / row[r]
     return pi
-
-
-def _solve_power(chain: MarkovChain, tol: float, max_iter: int) -> List[float]:
-    """Power iteration on the uniformised kernel from the uniform vector."""
-    p = chain.transition_matrix()
-    n = len(chain.states)
-    pi = [1.0 / n] * n
-    for _ in range(max_iter):
-        nxt = [0.0] * n
-        for i, weight in enumerate(pi):
-            if weight == 0.0:
-                continue
-            row = p[i]
-            for j in range(n):
-                nxt[j] += weight * row[j]
-        step = sum(abs(nxt[j] - pi[j]) for j in range(n))
-        pi = nxt
-        if step <= tol:
-            return pi
-    raise ConfigurationError(
-        f"power iteration did not converge within {max_iter} steps "
-        f"(tol={tol:g}); use method='direct'"
-    )
 
 
 def state_map(chain: MarkovChain, pi: Sequence[float]) -> Dict[str, float]:

@@ -57,6 +57,11 @@ _EPS = 1e-12
 #: linearisation is meaningful in; rates saturate at the arrival rate anyway
 _CONGESTION_CAP = 1e4
 
+#: the congestion fixed point stops once a damped step moves the
+#: multiplier by less than this (relative), or after this many steps
+_FIXED_POINT_TOL = 1e-10
+_FIXED_POINT_MAX_ITER = 80
+
 
 @dataclass(frozen=True)
 class StrategyChain:
@@ -309,30 +314,34 @@ def _lazy_group_chain(
 
 
 def _certification_chain(
-    strategy: str,
-    p: ModelParameters,
-    run_duration: float,
-    decision_window: float,
-    congestion: float,
+    strategy: str, p: ModelParameters, congestion: float
 ) -> StrategyChain:
     """The certification-strategy chain: running -> certifying -> restarting.
 
-    Execution is coordination-free (no user locks), so there is no waiting
-    state at all.  The transaction's footprint is *exposed* from its first
-    read until the decision point — ``run_duration + decision_window`` —
-    and a conflicting commit landing anywhere in that span surfaces at
-    certification as a clean abort.  The conflict arithmetic is the same
-    birthday construction as equation 2's PW (pool x Actions^2 / 2 x
-    DB_Size), but it stops there: one conflicting pair is enough, no
-    second wait, no ``PD = PW^2`` escalation.  Hence aborts/s grow as
-    ``pool x arrivals ~ N^2`` — the quadratic law the cube-law-escape
-    experiment measures (EXPERIMENTS.md).
+    Execution is local and coordination-free (no user locks), so there is
+    no waiting state at all.  The transaction's footprint is *exposed*
+    from its first read until the decision point — its run of ``Actions x
+    Action_Time`` plus the decision window — and a conflicting commit
+    landing anywhere in that span surfaces at certification as a clean
+    abort.  The decision window is the same for both strategies: ``2 x Message_Delay`` for the round
+    trip (deferred update's request/decision at the certifier, SCAR's
+    master lock round) plus ``Actions x Action_Time`` — deferred update's
+    replication lag (a replica can serve a read that is stale by one
+    in-flight apply, which widens the footprint's vulnerability exactly
+    like an extra message delay), SCAR's install residence at the masters
+    (``execute_install`` pays the action time per write).
+
+    The conflict arithmetic is the same birthday construction as equation
+    2's PW (pool x Actions^2 / 2 x DB_Size), but it stops there: one
+    conflicting pair is enough, no second wait, no ``PD = PW^2``
+    escalation.  Hence aborts/s grow as ``pool x arrivals ~ N^2`` — the
+    quadratic law the cube-law-escape experiment measures (EXPERIMENTS.md).
 
     The aborted transaction resubmits after a restart residence of half a
     lifetime, mirroring the lock chain's victim bookkeeping.
     """
-    duration = max(run_duration, _EPS)
-    window = max(decision_window, _EPS)
+    duration = max(p.actions * p.action_time, _EPS)
+    window = max(2.0 * p.message_delay + p.actions * p.action_time, _EPS)
     exposure = duration + window
     pool = congestion * p.tps * p.nodes * exposure
     pw, _ = _conflict_probabilities(pool, p.actions, p.db_size)
@@ -361,37 +370,6 @@ def _certification_chain(
     )
 
 
-def _deferred_update_chain(
-    p: ModelParameters, k: Optional[int], congestion: float
-) -> StrategyChain:
-    """Deferred update: local execution, one certifier round trip.
-
-    The decision window covers the request/decision round plus the
-    replication lag of the apply stream — a replica can serve a read that
-    is stale by one in-flight apply, which widens the footprint's
-    vulnerability exactly like an extra message delay.
-    """
-    duration = p.actions * p.action_time
-    window = 2.0 * p.message_delay + p.actions * p.action_time
-    return _certification_chain(
-        "deferred-update", p, duration, window, congestion
-    )
-
-
-def _scar_chain(
-    p: ModelParameters, k: Optional[int], congestion: float
-) -> StrategyChain:
-    """SCAR: local execution, master lock round + validation + install.
-
-    The decision window is the master RPC round plus the install residence
-    at the masters (``Actions x Action_Time`` again — ``execute_install``
-    pays the action time per write).
-    """
-    duration = p.actions * p.action_time
-    window = 2.0 * p.message_delay + p.actions * p.action_time
-    return _certification_chain("scar", p, duration, window, congestion)
-
-
 def build_chain(
     strategy: str,
     p: ModelParameters,
@@ -409,10 +387,8 @@ def build_chain(
         return _lazy_group_chain(p, k, congestion)
     if strategy in ("lazy-master", "two-tier"):
         return _master_chain(strategy, p, congestion)
-    if strategy == "deferred-update":
-        return _deferred_update_chain(p, k, congestion)
-    if strategy == "scar":
-        return _scar_chain(p, k, congestion)
+    if strategy in ("deferred-update", "scar"):
+        return _certification_chain(strategy, p, congestion)
     raise ConfigurationError(f"no markov chain for strategy {strategy!r}")
 
 
@@ -422,30 +398,24 @@ def build_chain(
 
 
 def predict(
-    strategy: str,
-    p: ModelParameters,
-    k: Optional[int] = None,
-    feedback: bool = True,
-    tol: float = 1e-10,
-    max_iter: int = 80,
+    strategy: str, p: ModelParameters, k: Optional[int] = None
 ) -> MarkovPrediction:
     """Solve one strategy's chain to a steady-state rate prediction.
 
-    With ``feedback=True`` (the default) the conflict pool is resolved
-    self-consistently: solve the chain, measure the tagged transaction's
-    residence in lock-holding states, scale the pool by
-    ``residence / base_exposure`` (Little's law), and iterate with damping
-    until the congestion multiplier converges.  ``feedback=False`` is the
-    pure closed-form-hazard chain — useful for isolating what the fixed
-    point adds.
+    The conflict pool is resolved self-consistently: solve the chain,
+    measure the tagged transaction's residence in lock-holding states,
+    scale the pool by ``residence / base_exposure`` (Little's law), and
+    iterate with damping until the congestion multiplier moves by less
+    than ``_FIXED_POINT_TOL`` (relative), for at most
+    ``_FIXED_POINT_MAX_ITER`` rounds.
     """
     arrival_rate = p.tps * p.nodes
     congestion = 1.0
     iterations = 0
     sc = build_chain(strategy, p, k, congestion)
     pi = stationary_distribution(sc.chain)
-    if feedback and arrival_rate > 0.0:
-        for iterations in range(1, max_iter + 1):
+    if arrival_rate > 0.0:
+        for iterations in range(1, _FIXED_POINT_MAX_ITER + 1):
             sojourn = _sojourn(sc, pi)
             exposure = sojourn * sum(
                 pi[sc.chain.index(state)] for state in sc.exposure_states
@@ -455,7 +425,8 @@ def predict(
                 _CONGESTION_CAP,
             )
             updated = 0.5 * congestion + 0.5 * target
-            if abs(updated - congestion) <= tol * max(1.0, congestion):
+            if (abs(updated - congestion)
+                    <= _FIXED_POINT_TOL * max(1.0, congestion)):
                 congestion = updated
                 break
             congestion = updated

@@ -98,11 +98,11 @@ def poisson_collision_probability(p: ModelParameters) -> float:
     return 1.0 - math.exp(-k * m / p.db_size)
 
 
-def validity_region(p: ModelParameters, threshold: float = 0.1) -> bool:
+def validity_region(p: ModelParameters) -> bool:
     """True when the linearised model is trustworthy at these parameters.
 
     The criterion is the paper's implicit one: the wait probability must be
-    small (``PW < threshold``) so that ``rare^2`` reasoning about deadlocks
+    small (``PW < 0.1``) so that ``rare^2`` reasoning about deadlocks
     holds.
     """
-    return exact_eager_wait_probability(p) < threshold
+    return exact_eager_wait_probability(p) < 0.1

@@ -419,15 +419,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run a strategy with history recording and judge it against the
     guarantee it declares."""
-    from repro.faults.oracle import evaluate
     from repro.harness.experiment import ExperimentConfig, run_experiment
 
     params = _params(args)
     # the one harness path: history recording and deadlock retries are
     # plain ExperimentConfig fields, and the result keeps the live system
-    # for the judge (propagate_ops stays off — the workload commutes, but
-    # propagation ships values, matching the baseline measurements)
-    system = run_experiment(
+    # and the judge's verdict on it (propagate_ops stays off — the
+    # workload commutes, but propagation ships values, matching the
+    # baseline measurements)
+    result = run_experiment(
         ExperimentConfig(
             strategy=args.strategy,
             params=params,
@@ -438,8 +438,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             retry_deadlocks=True,
             propagate_ops=False,
         )
-    ).system
-    verdict = evaluate(system)
+    )
+    system, verdict = result.system, result.verdict
     print(f"strategy: {args.strategy} (declares {system.guarantee})")
     print(f"committed transactions: {len(system.history.committed_ids)}")
     print(f"one-copy serializable: {verdict.witness is None}")

@@ -299,8 +299,7 @@ class TwoTierSystem(LazyMasterSystem):
     # local transactions on mobile-mastered data
     # ------------------------------------------------------------------ #
 
-    def submit_local(self, mobile_id: int, ops: Sequence[Operation],
-                     label: str = ""):
+    def submit_local(self, mobile_id: int, ops: Sequence[Operation]):
         """A transaction purely over data mastered at this mobile node.
 
         "Local transactions that read and write only local data can be
@@ -316,13 +315,13 @@ class TwoTierSystem(LazyMasterSystem):
                     "use a tentative transaction instead"
                 )
         return self.engine.process(
-            self._run_local_master(mobile_id, ops, label),
+            self._run_local_master(mobile_id, ops),
             name=f"local@{mobile_id}",
         )
 
-    def _run_local_master(self, mobile_id: int, ops: List[Operation], label: str):
+    def _run_local_master(self, mobile_id: int, ops: List[Operation]):
         node = self.nodes[mobile_id]
-        txn = node.tm.begin(label=label)
+        txn = node.tm.begin()
         try:
             for op in ops:
                 yield from node.tm.execute(txn, op)

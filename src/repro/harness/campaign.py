@@ -150,8 +150,8 @@ class Campaign:
         axis: the :class:`ModelParameters` field the campaign sweeps.
         values: axis values; empty means "just the base parameters".
         seeds: independent replica seeds per cell.
-        duration / commutative / num_base / warmup: forwarded to every
-            :class:`ExperimentConfig`.
+        duration / commutative / warmup: forwarded to every
+            :class:`ExperimentConfig` (two-tier cells run one base node).
         faults: optional fault spec string (``"drop=0.05,partition=2"``,
             see :meth:`~repro.faults.plan.FaultPlan.from_spec`) applied to
             every cell; the concrete plan is materialised per cell because
@@ -182,7 +182,6 @@ class Campaign:
     seeds: Tuple[int, ...] = (0,)
     duration: float = 60.0
     commutative: bool = False
-    num_base: int = 1
     warmup: float = 0.0
     faults: Optional[str] = None
     fault_seed: int = 0
@@ -235,7 +234,6 @@ class Campaign:
                                 duration=self.duration,
                                 seed=seed,
                                 commutative=self.commutative,
-                                num_base=self.num_base,
                                 warmup=self.warmup,
                                 faults=plan,
                                 sample_interval=self.sample_interval,
@@ -262,7 +260,7 @@ class Campaign:
 
         return FaultPlan.from_spec(
             self.faults,
-            num_nodes=network_size(strategy, params.nodes, self.num_base),
+            num_nodes=network_size(strategy, params.nodes),
             duration=self.duration,
             fault_seed=self.fault_seed,
         )
@@ -361,18 +359,32 @@ class ResultCache:
 # --------------------------------------------------------------------- #
 
 
-def _campaign_worker(config: ExperimentConfig, conn) -> None:
-    """Child-process entry: run one experiment, ship a plain dict back."""
+def _run_one(config: ExperimentConfig, catch) -> Tuple[str, Any]:
+    """Run one experiment: ``(OK, payload)`` with the plain-dict result,
+    or ``(FAILED, "<Type>: <message>")`` when it raises a ``catch``."""
     from repro.harness.export import result_to_dict
 
     try:
-        payload = result_to_dict(run_experiment(config))
-        conn.send((OK, payload))
-    except BaseException as exc:  # isolate *any* worker failure
-        try:
-            conn.send((FAILED, f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
+        return OK, result_to_dict(run_experiment(config))
+    except catch as exc:
+        return FAILED, f"{type(exc).__name__}: {exc}"
+
+
+def _outcome(spec: RunSpec, status: str, body: Any,
+             elapsed: float) -> RunOutcome:
+    """The outcome of a finished run, from :func:`_run_one`'s pair."""
+    if status == OK:
+        return RunOutcome(spec, OK, body, elapsed=elapsed)
+    return RunOutcome(spec, FAILED, error=body, elapsed=elapsed)
+
+
+def _campaign_worker(config: ExperimentConfig, conn) -> None:
+    """Child-process entry: run one experiment, ship its pair back."""
+    try:
+        # BaseException: isolate *any* worker failure
+        conn.send(_run_one(config, BaseException))
+    except Exception:
+        pass  # the parent reads the closed pipe as a crashed worker
     finally:
         conn.close()
 
@@ -406,15 +418,14 @@ class CampaignResult:
     def cache_misses(self) -> int:
         return self.total - self.cache_hits
 
-    def aggregate(self, model: Optional[str] = None) -> List["CellStats"]:
-        """Cell summaries under ``model`` (default: the campaign's track)."""
-        if model is None:
-            model = (self.campaign.model if self.campaign is not None
-                     else "closed-form")
+    def aggregate(self) -> List["CellStats"]:
+        """Cell summaries under the campaign's analytic track."""
+        model = (self.campaign.model if self.campaign is not None
+                 else "closed-form")
         return aggregate(self.outcomes, model=model)
 
-    def fits(self, model: Optional[str] = None) -> List["ExponentFit"]:
-        return fit_exponents(self.aggregate(model=model))
+    def fits(self) -> List["ExponentFit"]:
+        return fit_exponents(self.aggregate())
 
     def describe(self) -> str:
         """One status line: runs, failures, cache economics, wall clock."""
@@ -473,17 +484,9 @@ def run_campaign(
     if jobs == 0:
         for index, spec in pending:
             t0 = time.monotonic()
-            try:
-                from repro.harness.export import result_to_dict
-
-                payload = result_to_dict(run_experiment(spec.config))
-                outcome = RunOutcome(spec, OK, payload,
-                                     elapsed=time.monotonic() - t0)
-            except Exception as exc:
-                outcome = RunOutcome(spec, FAILED,
-                                     error=f"{type(exc).__name__}: {exc}",
-                                     elapsed=time.monotonic() - t0)
-            finish(index, outcome)
+            # Exception, not BaseException: Ctrl-C still stops the campaign
+            status, body = _run_one(spec.config, Exception)
+            finish(index, _outcome(spec, status, body, time.monotonic() - t0))
     else:
         _run_pool(pending, jobs, timeout, finish)
 
@@ -528,12 +531,7 @@ def _run_pool(pending, jobs: int, timeout: Optional[float], finish) -> None:
                     )
                 conn.close()
                 proc.join()
-                elapsed = now - t0
-                if status == OK:
-                    finish(index, RunOutcome(spec, OK, body, elapsed=elapsed))
-                else:
-                    finish(index, RunOutcome(spec, FAILED, error=body,
-                                             elapsed=elapsed))
+                finish(index, _outcome(spec, status, body, now - t0))
 
             if timeout is not None:
                 for conn in [

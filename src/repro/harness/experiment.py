@@ -13,7 +13,7 @@ from repro.core.acceptance import (
     IdenticalOutputs,
 )
 from repro.exceptions import ConfigurationError
-from repro.faults.oracle import evaluate as evaluate_oracle
+from repro.faults.oracle import OracleVerdict, evaluate as evaluate_oracle
 from repro.faults.plan import FaultPlan
 from repro.harness.strategies import STRATEGIES, STRATEGY_SOURCES
 from repro.metrics.counters import Metrics
@@ -146,14 +146,15 @@ class ExperimentResult:
     horizon: float
     divergence: int
     end_time: float
-    extra: Dict[str, Any] = field(default_factory=dict)
     # The live system, for post-run inspection (history certification,
-    # trace samples).  Dropped when results cross a process boundary.
-    # Keeping the result keeps the whole world (stores, records, WAL); a
-    # sweep that holds its results holds every world it ran.
-    system: Optional[ReplicatedSystem] = field(
-        default=None, repr=False, compare=False
-    )
+    # trace samples), and the one judge's verdict on it.  Both are dropped
+    # when results cross a process boundary (``extra`` carries the
+    # verdict's summary).  Keeping the result keeps the whole world
+    # (stores, records, WAL); a sweep that holds its results holds every
+    # world it ran.
+    system: ReplicatedSystem = field(repr=False, compare=False)
+    verdict: OracleVerdict = field(repr=False, compare=False)
+    extra: Dict[str, Any] = field(default_factory=dict)
 
 
 def network_size(strategy: str, nodes: int,
@@ -342,6 +343,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         horizon=config.duration,
         divergence=system.divergence() if two_tier else audited,
         end_time=system.engine.now,
+        verdict=verdict,
         extra=extra,
         system=system,
     )

@@ -11,6 +11,9 @@ from __future__ import annotations
 import math
 from typing import Any, Iterable, List, Sequence
 
+#: bar columns of :func:`format_series`
+_SERIES_WIDTH = 40
+
 
 def _fmt(value: Any) -> str:
     if isinstance(value, float):
@@ -64,14 +67,12 @@ def format_series(
     ys: Sequence[float],
     x_label: str = "x",
     y_label: str = "y",
-    width: int = 40,
-    log_scale: bool = True,
 ) -> str:
     """Render a horizontal-bar sparkline of ``ys`` against ``xs``.
 
-    With ``log_scale`` (the default) bar length is proportional to
-    ``log10(y)``, so polynomial growth appears as evenly stepped bars whose
-    step size reveals the exponent.
+    Bar length (out of ``_SERIES_WIDTH`` columns) is proportional to
+    ``log10(y)``, so polynomial growth appears as evenly stepped bars
+    whose step size reveals the exponent.
     """
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have equal length")
@@ -81,25 +82,15 @@ def format_series(
         for x, y in zip(xs, ys):
             lines.append(f"{_fmt(x):>10} | {_fmt(y)}")
         return "\n".join(lines)
-    if log_scale:
-        lo = math.log10(min(positive))
-        hi = math.log10(max(positive))
-    else:
-        lo, hi = 0.0, max(positive)
+    lo = math.log10(min(positive))
+    hi = math.log10(max(positive))
     span = (hi - lo) or 1.0
+    width = _SERIES_WIDTH
     for x, y in zip(xs, ys):
         if y <= 0:
             bar = ""
         else:
-            level = (math.log10(y) - lo) / span if log_scale else (y - lo) / span
+            level = (math.log10(y) - lo) / span
             bar = "#" * max(1, int(round(level * width)))
         lines.append(f"{_fmt(x):>10} | {bar:<{width}} {_fmt(y)}")
     return "\n".join(lines)
-
-
-def growth_caption(exponent: float, variable: str = "N") -> str:
-    """Human-readable growth-order caption, e.g. 'cubic in N (fit 2.97)'."""
-    names = {1: "linear", 2: "quadratic", 3: "cubic", 4: "quartic", 5: "quintic"}
-    nearest = round(exponent)
-    name = names.get(nearest, f"order-{nearest}")
-    return f"{name} in {variable} (fitted exponent {exponent:.2f})"

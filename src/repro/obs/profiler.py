@@ -110,7 +110,8 @@ class Profiler:
         )
         return ranked[:top] if top is not None else ranked
 
-    def table(self, top: int = 15) -> str:
+    def table(self) -> str:
+        """The 15 hottest buckets as an aligned table."""
         rows = [
             [
                 b.name,
@@ -120,7 +121,7 @@ class Profiler:
                 (f"{b.seconds / self.total_seconds * 100:.1f}%"
                  if self.total_seconds else "-"),
             ]
-            for b in self.hot_spots(top)
+            for b in self.hot_spots(15)
         ]
         return format_table(
             ["bucket", "calls", "total ms", "mean µs", "share"],

@@ -31,12 +31,12 @@ from repro.exceptions import ConfigurationError
 _SPARK_LEVELS = " .:-=+*#%@"
 
 
-def sparkline(values: List[float], width: int = 48) -> str:
-    """ASCII shape of a series' values, resampled to ``width`` columns."""
+def sparkline(values: List[float]) -> str:
+    """ASCII shape of a series' values, resampled to at most 48 columns."""
     if not values:
         return ""
     n = len(values)
-    columns = min(width, n)
+    columns = min(48, n)
     peak = max(values)
     if peak <= 0:
         return _SPARK_LEVELS[0] * columns

@@ -348,11 +348,6 @@ class ReplicatedSystem:
             ) if sharded else None,
         )
 
-    def _node_holds(self, oid: int, node_id: int) -> bool:
-        """Does ``node_id`` materialise a copy of ``oid``?"""
-        placement = self.placement
-        return node_id >= placement.num_nodes or node_id in placement.replicas(oid)
-
     def _make_node(
         self,
         node_id: int,
@@ -729,7 +724,7 @@ class ReplicatedSystem:
         Not once the object migrated away while the update was in flight
         or parked: the record travelled to its new holder at move time, so
         applying here would resurrect a copy the directory no longer
-        routes to.  (:meth:`_node_holds`, inlined: one call per update.)
+        routes to.
         """
         placement = self.placement
         return (placement.is_full or node_id >= placement.num_nodes
@@ -981,7 +976,10 @@ class ReplicatedSystem:
             if src in self.crashed:  # runnable when the crash came
                 raise CrashAbort(f"node {src} crashed")
             target = self.nodes[dst].locks
-            if (not self._node_holds(oid, src) or self._node_holds(oid, dst)
+            # both endpoints are inside the placement's scope (checked by
+            # replicas_after_move at the call), so the replica set decides
+            replicas = self.placement.replicas(oid)
+            if (src not in replicas or dst in replicas
                     or not target.is_free(oid)):
                 # a concurrent move of oid came first, or a transaction
                 # still holds what an earlier move left at dst
@@ -1010,10 +1008,6 @@ class ReplicatedSystem:
     def run(self, until: Optional[float] = None) -> float:
         """Advance the simulation (delegates to the engine)."""
         return self.engine.run(until=until)
-
-    def quiesce(self, max_time: float = 1e9) -> float:
-        """Run until no events remain (all propagation drained)."""
-        return self.engine.run(until=None if self.engine.peek() else max_time)
 
     def diverged_objects(
         self, node_ids: Optional[Sequence[int]] = None
@@ -1067,8 +1061,10 @@ class ReplicatedSystem:
     def converged(self) -> bool:
         return self.divergence() == 0
 
-    def snapshot(self, node_id: int = 0) -> Dict[int, Any]:
-        return self.nodes[node_id].store.snapshot()
+    def snapshot(self) -> Dict[int, Any]:
+        """Node 0's committed state (``nodes[i].store.snapshot()`` reads
+        node ``i``'s)."""
+        return self.nodes[0].store.snapshot()
 
     def nominal_resident_counts(self) -> List[int]:
         """Logically resident objects per node — the placement's shard

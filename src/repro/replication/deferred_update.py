@@ -52,25 +52,18 @@ _new = tuple.__new__  # ReplicaUpdate(*fields) without the Python frame
 class DeferredUpdateSystem(ReplicatedSystem):
     """Deferred update replication with parallel certification.
 
-    Args:
-        certifier: node hosting the certification service (default 0).
-            Requests and decisions travel the normal network path, so the
-            certifier inherits every fault the plan throws at its node —
-            crash parks certification until recovery, partition stalls it
-            until heal.
+    Node 0 hosts the certification service.  Requests and decisions
+    travel the normal network path, so the certifier inherits every fault
+    the plan throws at its node — crash parks certification until
+    recovery, partition stalls it until heal.
     """
 
     name = "deferred-update"
     PHASES = ("execute", "certify", "commit")
 
-    def __init__(self, spec: SystemSpec, *, certifier: int = 0):
+    def __init__(self, spec: SystemSpec):
         super().__init__(spec)
-        if not 0 <= certifier < self.num_nodes:
-            raise ReplicationError(
-                f"certifier node {certifier} outside the system's "
-                f"{self.num_nodes} nodes"
-            )
-        self.certifier_id = certifier
+        self.certifier_id = 0
         #: the certifier's version table: oid -> last certified write ts.
         #: An absent entry means "still at its initial version", which any
         #: observed genesis timestamp trivially matches.

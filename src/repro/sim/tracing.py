@@ -2,9 +2,8 @@
 
 A :class:`Tracer` collects timestamped, categorised events — transaction
 lifecycle, lock waits, deadlocks, reconciliations, faults — so a run can be
-inspected after the fact (or streamed to stdout while debugging a
-protocol).  Recording is cheap and optional; systems accept a tracer and
-emit into it at the same points the metrics counters tick.
+inspected after the fact.  Recording is cheap and optional; systems accept a
+tracer and emit into it at the same points the metrics counters tick.
 
 Example::
 
@@ -39,7 +38,6 @@ class Tracer:
 
     Args:
         categories: record only these categories (None = record all).
-        echo: print each event as it happens (interactive debugging).
         limit: ring-buffer size; oldest events are dropped beyond it
             (``None`` keeps every event).
     """
@@ -55,13 +53,11 @@ class Tracer:
     def __init__(
         self,
         categories: Optional[Iterable[str]] = None,
-        echo: bool = False,
         limit: Optional[int] = 100_000,
     ):
         self.categories: Optional[Set[str]] = (
             set(categories) if categories is not None else None
         )
-        self.echo = echo
         self.limit = limit
         # deque(maxlen=...) evicts the oldest event in O(1); a plain list's
         # pop(0) is O(n) per event once the buffer is full
@@ -79,17 +75,13 @@ class Tracer:
         if len(self._events) == self.limit:
             self.dropped += 1
         self._events.append(event)
-        if self.echo:
-            print(event.format())
 
     # ------------------------------------------------------------------ #
     # inspection
     # ------------------------------------------------------------------ #
 
-    def events(self, category: Optional[str] = None) -> List[TraceEvent]:
-        if category is None:
-            return list(self._events)
-        return [e for e in self._events if e.category == category]
+    def events(self) -> List[TraceEvent]:
+        return list(self._events)
 
     def count(self, category: str) -> int:
         return sum(1 for e in self._events if e.category == category)
@@ -98,8 +90,8 @@ class Tracer:
         """Every event mentioning one transaction, in time order."""
         return [e for e in self._events if e.detail.get("txn") == txn_id]
 
-    def format_events(self, category: Optional[str] = None) -> str:
-        return "\n".join(e.format() for e in self.events(category))
+    def format_events(self) -> str:
+        return "\n".join(e.format() for e in self._events)
 
     def clear(self) -> None:
         self._events.clear()

@@ -12,7 +12,6 @@ that by rejecting updates that cause an overdraft").
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -35,8 +34,6 @@ class CheckbookScenario:
     accounts: int = 10
     holders: int = 2
     initial_balance: float = 1000.0
-    action_time: float = 0.001
-    seed: int = 0
     system: TwoTierSystem = field(init=False)
 
     def __post_init__(self) -> None:
@@ -46,13 +43,11 @@ class CheckbookScenario:
             SystemSpec(
                 num_nodes=1 + self.holders,
                 db_size=self.accounts,
-                action_time=self.action_time,
-                seed=self.seed,
+                action_time=0.001,
                 initial_value=self.initial_balance,
             ),
             num_base=1,
         )
-        self._rng = random.Random(self.seed)
 
     # ------------------------------------------------------------------ #
     # scenario actions

@@ -137,11 +137,11 @@ class SalesScenario:
             ops, criterion, label=f"order[{salesman}] item={item} qty={quantity}"
         )
 
-    def book_seat(self, salesman: int, seat: int, row: int, letter: str,
-                  passenger: str = "customer"):
-        """Tentatively assign a seat; acceptance demands an aisle seat."""
+    def book_seat(self, salesman: int, seat: int, row: int, letter: str):
+        """Tentatively assign a seat to a customer; acceptance demands an
+        aisle seat."""
         mobile = self.system.mobile(self.salesman_node(salesman))
-        ops = [WriteOp(self.seat_oid(seat), (row, letter, passenger))]
+        ops = [WriteOp(self.seat_oid(seat), (row, letter, "customer"))]
         return mobile.submit_tentative(
             ops, aisle_seats_only(), label=f"seat[{salesman}] {row}{letter}"
         )

@@ -10,7 +10,7 @@ two-tier-specific cycle (tentative work + five-step exchange) lives in
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.exceptions import ConfigurationError
 from repro.replication.base import ReplicatedSystem
@@ -18,7 +18,11 @@ from repro.sim.process import Process
 
 
 class DisconnectScheduler:
-    """Cycles nodes through disconnect/reconnect periods.
+    """Cycles every node through disconnect/reconnect periods.
+
+    The first disconnect of node *i* is offset by ``i * stagger``, with
+    the nodes spread evenly across one disconnect period, so reconnect
+    storms don't synchronize.
 
     Args:
         system: any replicated system.
@@ -27,10 +31,6 @@ class DisconnectScheduler:
         connected_time: dwell time while connected between dark periods
             (Table 2's Time_Between_Disconnects; defaults to a brief sync
             window of one tenth of the disconnect time).
-        node_ids: which nodes cycle (default: all).
-        stagger: offset the first disconnect of node *i* by
-            ``i * stagger`` so reconnect storms don't synchronize
-            (default: evenly spread across one disconnect period).
     """
 
     def __init__(
@@ -38,8 +38,6 @@ class DisconnectScheduler:
         system: ReplicatedSystem,
         disconnect_time: float,
         connected_time: Optional[float] = None,
-        node_ids: Optional[Sequence[int]] = None,
-        stagger: Optional[float] = None,
     ):
         if disconnect_time <= 0:
             raise ConfigurationError("disconnect_time must be positive")
@@ -50,14 +48,7 @@ class DisconnectScheduler:
         )
         if self.connected_time < 0:
             raise ConfigurationError("connected_time must be >= 0")
-        self.node_ids = (
-            list(node_ids) if node_ids is not None else list(range(system.num_nodes))
-        )
-        self.stagger = (
-            stagger
-            if stagger is not None
-            else disconnect_time / max(1, len(self.node_ids))
-        )
+        self.stagger = disconnect_time / max(1, system.num_nodes)
         self.cycles = 0
         self.processes: List[Process] = []
 
@@ -66,17 +57,17 @@ class DisconnectScheduler:
             raise ConfigurationError("duration must be positive")
         self.processes = [
             self.system.engine.process(
-                self._cycle(node_id, index, duration),
+                self._cycle(node_id, duration),
                 name=f"disconnect-cycle@{node_id}",
             )
-            for index, node_id in enumerate(self.node_ids)
+            for node_id in range(self.system.num_nodes)
         ]
         return self.processes
 
-    def _cycle(self, node_id: int, index: int, duration: float):
+    def _cycle(self, node_id: int, duration: float):
         engine = self.system.engine
         deadline = engine.now + duration
-        offset = index * self.stagger
+        offset = node_id * self.stagger
         if offset > 0:
             yield engine.timeout(offset)
         while engine.now < deadline:

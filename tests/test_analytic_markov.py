@@ -2,11 +2,11 @@
 
 Two layers, matching the module split:
 
-* :mod:`repro.analytic.markov` — the solvers.  For random irreducible
+* :mod:`repro.analytic.markov` — the solver.  For random irreducible
   chains the stationary vector must be a probability distribution
   (non-negative, sums to 1), must actually be stationary (the L1 residual
-  ``||pi P - pi||`` below tolerance), and the direct and power solvers
-  must agree on it.
+  ``||pi P - pi||`` below tolerance), and it must agree with power
+  iteration on the uniformised kernel, the reference solver kept here.
 * :mod:`repro.analytic.markov_strategies` — the chains.  Every strategy's
   predicted danger rate must be monotone in node count and transaction
   size (the paper's central claim is that danger *grows* with both), the
@@ -28,7 +28,6 @@ from repro.analytic import (
 )
 from repro.analytic.markov import (
     MarkovChain,
-    residual,
     state_map,
     stationary_distribution,
 )
@@ -38,6 +37,65 @@ from repro.exceptions import ConfigurationError
 from repro.harness.strategies import STRATEGIES
 
 SETTINGS = settings(max_examples=60, deadline=None)
+
+#: safety margin on the uniformisation rate so P keeps a strictly positive
+#: diagonal (aperiodicity, hence power-iteration convergence)
+_UNIFORMIZATION_SLACK = 1.05
+
+
+def uniformization_rate(chain):
+    """A rate dominating every state's total exit rate."""
+    heaviest = max(sum(row) for row in chain.rates)
+    return heaviest * _UNIFORMIZATION_SLACK if heaviest > 0.0 else 1.0
+
+
+def transition_matrix(chain):
+    """The uniformised DTMC kernel ``P = I + Q / Lambda`` (stochastic)."""
+    lam = uniformization_rate(chain)
+    p = [[rate / lam for rate in row] for row in chain.rates]
+    for i, row in enumerate(p):
+        row[i] = 1.0 - sum(row)
+    return p
+
+
+def residual(chain, pi):
+    """L1 residual ``||pi P - pi||_1`` of a candidate stationary vector."""
+    p = transition_matrix(chain)
+    n = len(chain.states)
+    if len(pi) != n:
+        raise ConfigurationError(
+            f"pi has {len(pi)} entries for a {n}-state chain"
+        )
+    out = [0.0] * n
+    for i, weight in enumerate(pi):
+        row = p[i]
+        for j in range(n):
+            out[j] += weight * row[j]
+    return sum(abs(out[j] - pi[j]) for j in range(n))
+
+
+def power_iteration(chain, tol, max_iter=100_000):
+    """The reference solver: power iteration on the uniformised kernel
+    from the uniform vector, until the L1 step falls below ``tol``."""
+    p = transition_matrix(chain)
+    n = len(chain.states)
+    pi = [1.0 / n] * n
+    for _ in range(max_iter):
+        nxt = [0.0] * n
+        for i, weight in enumerate(pi):
+            if weight == 0.0:
+                continue
+            row = p[i]
+            for j in range(n):
+                nxt[j] += weight * row[j]
+        step = sum(abs(nxt[j] - pi[j]) for j in range(n))
+        pi = nxt
+        if step <= tol:
+            return pi
+    raise AssertionError(
+        f"power iteration did not converge within {max_iter} steps "
+        f"(tol={tol:g})"
+    )
 
 
 def reference_rate(strategy, p, k=None):
@@ -98,8 +156,8 @@ class TestStationaryDistribution:
     @SETTINGS
     @given(chain_strategy)
     def test_direct_and_power_solvers_agree(self, chain):
-        direct = stationary_distribution(chain, method="direct")
-        power = stationary_distribution(chain, method="power", tol=1e-14)
+        direct = stationary_distribution(chain)
+        power = power_iteration(chain, tol=1e-14)
         for a, b in zip(direct, power):
             assert a == pytest.approx(b, abs=1e-8)
 
@@ -112,7 +170,7 @@ class TestStationaryDistribution:
     @SETTINGS
     @given(chain_strategy)
     def test_uniformised_kernel_is_stochastic(self, chain):
-        for row in chain.transition_matrix():
+        for row in transition_matrix(chain):
             assert all(entry >= 0.0 for entry in row)
             assert sum(row) == pytest.approx(1.0, abs=1e-12)
 
@@ -136,13 +194,6 @@ class TestSolverErrorPaths:
         )
         with pytest.raises(ConfigurationError, match="reducible"):
             stationary_distribution(chain)
-
-    def test_unknown_method_rejected(self):
-        chain = MarkovChain.from_transitions(
-            ("a", "b"), {("a", "b"): 1.0, ("b", "a"): 1.0}
-        )
-        with pytest.raises(ConfigurationError, match="method"):
-            stationary_distribution(chain, method="magic")
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -215,11 +266,13 @@ class TestStrategyChains:
     def test_feedback_off_keeps_congestion_at_one(self):
         p = ModelParameters(db_size=100, nodes=8, tps=5,
                             actions=4, action_time=0.01)
-        pure = predict("eager-group", p, feedback=False)
-        fed = predict("eager-group", p, feedback=True)
+        fed = predict("eager-group", p)
+        pure = build_chain("eager-group", p)  # the chain without feedback
         assert pure.congestion == 1.0
         assert fed.congestion > 1.0  # dense regime: waiting inflates pool
-        assert fed.deadlock_rate > pure.deadlock_rate
+        fed_chain = build_chain("eager-group", p, congestion=fed.congestion)
+        run, wait = pure.chain.index("running"), pure.chain.index("waiting")
+        assert fed_chain.chain.rates[run][wait] > pure.chain.rates[run][wait]
 
 
 class TestLowContentionLimits:

@@ -154,6 +154,32 @@ def test_verify_command_lazy_group_reports_anomaly(capsys):
     assert "anomaly witness" in out
 
 
+def test_verify_judges_its_run_once(monkeypatch, capsys):
+    """``repro verify`` prints the verdict ``run_experiment`` already
+    reached: the replica audit and the cycle search run once."""
+    import repro.faults.oracle as oracle
+    import repro.harness.experiment as experiment
+
+    calls = []
+    judge = oracle.evaluate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return judge(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "evaluate", counting)
+    monkeypatch.setattr(experiment, "evaluate_oracle", counting)
+    code = main([
+        "verify", "--strategy", "lazy-group", "--nodes", "3",
+        "--db-size", "5", "--tps", "3", "--actions", "2",
+        "--action-time", "0.002", "--message-delay", "0.5",
+        "--duration", "5",
+    ])
+    assert code == 0
+    assert "anomaly witness" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_parser_rejects_unknown_strategy():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["simulate", "--strategy", "psychic"])

@@ -123,18 +123,6 @@ class TestNetworkEdges:
 
 
 class TestReportEdges:
-    def test_growth_caption_fractional_orders(self):
-        from repro.metrics.report import growth_caption
-
-        assert "order-0" in growth_caption(0.2)
-        assert "order-7" in growth_caption(7.1)
-
-    def test_format_series_linear_scale(self):
-        from repro.metrics.report import format_series
-
-        text = format_series([1, 2], [1.0, 2.0], log_scale=False)
-        assert "#" in text
-
     def test_format_table_empty_rows(self):
         from repro.metrics.report import format_table
 

@@ -21,7 +21,12 @@ import functools
 import pytest
 
 from repro.analytic.parameters import ModelParameters
-from repro.harness.campaign import Campaign, run_campaign
+from repro.harness.campaign import (
+    Campaign,
+    aggregate,
+    fit_exponents,
+    run_campaign,
+)
 
 #: DES-vs-model exponent tolerance (the acceptance criterion's ±0.5)
 TOLERANCE = 0.5
@@ -72,7 +77,9 @@ def _validate(strategy):
     assert not outcome.failures, [f.error for f in outcome.failures]
     markov_fit = outcome.fits()[0]
     # the certification strategies have no closed-form law to fit against
-    closed_fits = outcome.fits(model="closed-form")
+    closed_fits = fit_exponents(
+        aggregate(outcome.outcomes, model="closed-form")
+    )
     closed = closed_fits[0].analytic if closed_fits else None
     assert markov_fit.measured is not None, (
         f"{strategy}: validation grid measured no events; regime too sparse"

@@ -4,7 +4,6 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.metrics import Metrics, format_series, format_table, summarize
-from repro.metrics.report import growth_caption
 
 
 class TestMetrics:
@@ -86,9 +85,3 @@ class TestReport:
     def test_format_series_length_mismatch(self):
         with pytest.raises(ValueError):
             format_series([1], [1.0, 2.0])
-
-    def test_growth_caption_names_orders(self):
-        assert "cubic" in growth_caption(2.98)
-        assert "quadratic" in growth_caption(2.1)
-        assert "linear" in growth_caption(1.02)
-        assert "quintic" in growth_caption(4.9)

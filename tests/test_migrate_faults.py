@@ -220,7 +220,7 @@ def test_a_crash_at_the_source_during_the_wait_moves_nothing(parked):
     assert "migrations" not in system.metrics.as_dict()
     # after recovery the same move goes through
     system.recover_node(src)
-    system.quiesce()
+    system.run()
     again = system.migrate(oid, src, dst)
     system.run()
     assert again.value.state is TxnState.COMMITTED

@@ -67,7 +67,7 @@ def test_profile_of_a_real_run():
     assert not any(name[-1].isdigit() and "-" in name
                    for name in profiler.buckets)
 
-    table = profiler.table(top=5)
+    table = profiler.table()
     assert "engine hot spots" in table
     assert "bucket" in table
 

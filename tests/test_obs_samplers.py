@@ -48,7 +48,7 @@ def test_series_roundtrip():
 
 
 def test_sparkline_shape():
-    line = sparkline([float(i) for i in range(10)], width=10)
+    line = sparkline([float(i) for i in range(10)])
     assert len(line) == 10
     assert line[0] == " "  # zero level
     assert line[-1] == "@"  # peak level

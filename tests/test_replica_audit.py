@@ -160,7 +160,8 @@ def test_building_a_full_replica_materialises_nothing(strategy):
     assert system.materialized_counts() == [0] * system.num_nodes
     assert system.nominal_resident_counts() == [5000] * system.num_nodes
     assert system.divergence() == 0
-    assert system.snapshot(system.num_nodes - 1)[4999] == 0  # logically all there
+    last = system.nodes[system.num_nodes - 1].store
+    assert last.snapshot()[4999] == 0  # logically all there
 
 
 def test_no_audit_materialises_a_record():

@@ -10,6 +10,11 @@ from repro.sim.tracing import TraceEvent, Tracer
 from repro.replication import SystemSpec
 
 
+def _of(tracer, category):
+    """The recorded events of one category."""
+    return [e for e in tracer.events() if e.category == category]
+
+
 class TestTracerUnit:
     def test_emit_and_query(self):
         tracer = Tracer()
@@ -17,7 +22,7 @@ class TestTracerUnit:
         tracer.emit(2.0, "abort", txn=6, reason="deadlock")
         assert len(tracer) == 2
         assert tracer.count("commit") == 1
-        assert tracer.events("abort")[0].detail["reason"] == "deadlock"
+        assert _of(tracer, "abort")[0].detail["reason"] == "deadlock"
 
     def test_category_filter(self):
         tracer = Tracer(categories={"deadlock"})
@@ -75,11 +80,6 @@ class TestTracerUnit:
         tracer.clear()
         assert len(tracer) == 0
 
-    def test_echo_prints(self, capsys):
-        tracer = Tracer(echo=True)
-        tracer.emit(1.0, "commit", txn=3)
-        assert "commit" in capsys.readouterr().out
-
 
 class TestSystemTracing:
     def test_lazy_group_reconciliation_traced(self):
@@ -96,7 +96,7 @@ class TestSystemTracing:
         system.run()
         assert tracer.count("commit") == 2
         assert tracer.count("reconcile") >= 1
-        reconcile = tracer.events("reconcile")[0]
+        reconcile = _of(tracer, "reconcile")[0]
         assert reconcile.detail["oid"] == 0
         assert reconcile.detail["outcome"] in ("apply", "discard")
 
@@ -113,8 +113,8 @@ class TestSystemTracing:
         system.run()
         assert tracer.count("deadlock") >= 1
         assert tracer.count("abort") >= 1
-        victim = tracer.events("deadlock")[0].detail["txn"]
-        aborted = tracer.events("abort")[0].detail["txn"]
+        victim = _of(tracer, "deadlock")[0].detail["txn"]
+        aborted = _of(tracer, "abort")[0].detail["txn"]
         assert victim == aborted
 
     def test_two_tier_rejection_traced(self):
@@ -134,6 +134,6 @@ class TestSystemTracing:
         system.run()
         system.reconnect_mobile(1)
         system.run()
-        rejects = tracer.events("reject")
+        rejects = _of(tracer, "reject")
         assert len(rejects) == 1
         assert "negative" in rejects[0].detail["why"]

@@ -386,7 +386,7 @@ class TestBaseReexecutionIsAUserTransaction:
         assert [r.status for r in records(system)] == [TentativeStatus.ACCEPTED] * 2
         assert system.metrics.deadlocks == 1
         assert system.metrics.restarts == system.metrics.aborts == 1
-        [abort] = tracer.events("abort")
+        [abort] = [e for e in tracer.events() if e.category == "abort"]
         assert abort.detail["reason"] == "deadlock"
         assert system.nodes[0].store.value(0) == 98
         assert system.base_divergence() == 0

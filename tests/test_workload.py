@@ -149,14 +149,16 @@ class TestDisconnectScheduler:
         assert all(system.network.is_connected(i) for i in range(3))
 
     def test_stagger_offsets_first_disconnects(self):
+        # two nodes spread across one 10 s period: node 1 starts at 5 s
         system = LazyMasterSystem(SystemSpec(num_nodes=2, db_size=10, seed=0))
         scheduler = DisconnectScheduler(system, disconnect_time=10.0,
-                                        connected_time=0.0, stagger=3.0)
+                                        connected_time=0.0)
+        assert scheduler.stagger == 5.0
         scheduler.start(duration=12.0)
-        system.run(until=1.0)
+        system.run(until=4.0)
         assert not system.network.is_connected(0)
         assert system.network.is_connected(1)  # still in its stagger offset
-        system.run(until=4.0)
+        system.run(until=6.0)
         assert not system.network.is_connected(1)
 
     def test_validation(self):
