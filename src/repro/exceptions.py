@@ -79,41 +79,12 @@ class ReplicationError(ReproError):
     """Base class for replication-protocol failures."""
 
 
-class ReconciliationRequired(ReplicationError):
-    """A lazy replica update conflicts with a committed newer version.
-
-    Carries enough context for a reconciliation rule to decide the outcome.
-    """
-
-    def __init__(self, oid, expected_ts, found_ts, message: str | None = None):
-        super().__init__(
-            message
-            or f"replica update for object {oid!r} expected ts {expected_ts} "
-            f"but found {found_ts}"
-        )
-        self.oid = oid
-        self.expected_ts = expected_ts
-        self.found_ts = found_ts
-
-
 class ScopeViolationError(ReplicationError):
     """A tentative transaction touched data outside its allowed scope.
 
     The two-tier scope rule (paper section 7): a tentative transaction may only
     involve objects mastered at base nodes or at the originating mobile node.
     """
-
-
-class AcceptanceFailure(ReplicationError):
-    """A re-executed base transaction failed its acceptance criterion."""
-
-    def __init__(self, criterion_name: str, detail: str = ""):
-        super().__init__(
-            f"acceptance criterion {criterion_name!r} failed"
-            + (f": {detail}" if detail else "")
-        )
-        self.criterion_name = criterion_name
-        self.detail = detail
 
 
 class DisconnectedError(ReplicationError):

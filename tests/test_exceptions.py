@@ -24,22 +24,6 @@ def test_transaction_aborted_reason():
     assert "boom" in str(error)
 
 
-def test_reconciliation_required_carries_context():
-    from repro.storage.versioning import Timestamp
-
-    error = exc.ReconciliationRequired(7, Timestamp(1, 0), Timestamp(2, 1))
-    assert error.oid == 7
-    assert error.expected_ts == Timestamp(1, 0)
-    assert error.found_ts == Timestamp(2, 1)
-    assert "7" in str(error)
-
-
-def test_acceptance_failure_message():
-    error = exc.AcceptanceFailure("non-negative", detail="balance -5")
-    assert error.criterion_name == "non-negative"
-    assert "balance -5" in str(error)
-
-
 def test_catching_the_root_catches_everything():
     for error_cls in [
         exc.SimulationError,
