@@ -93,7 +93,7 @@ class ExperimentConfig:
             every node's store to its replica set.  Joins the campaign
             cache key via its canonical ``to_dict``.  For two-tier the
             placement spans the base tier only.  Under every placement
-            a store materialises a record on first touch.
+            a store materialises a record on first write.
     """
 
     strategy: str

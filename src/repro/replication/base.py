@@ -94,7 +94,7 @@ class SystemSpec:
             placement (``HashShardPlacement``, ``DirectoryPlacement``)
             shards the stores and restricts propagation to each object's
             replica set.  Either way a store materialises a record on
-            first touch, so building a node allocates none.
+            first write, so building a node allocates none.
         faults: optional :class:`~repro.faults.plan.FaultPlan`; when given
             (and non-empty) the system installs a
             :class:`~repro.faults.injector.FaultInjector` at construction,
@@ -332,9 +332,9 @@ class ReplicatedSystem:
         return self.num_nodes
 
     def _make_store(self, node_id: int, db_size: int, initial_value: Any) -> ObjectStore:
-        # records materialise on first touch, so building a node never
+        # records materialise on first write, so building a node never
         # enumerates the object space — a 10k-node / 1M-object system
-        # allocates only what its transactions actually read.  Only the
+        # allocates only what its transactions actually wrote.  Only the
         # residency predicate varies: None is a full replica (the classic
         # model, or a two-tier mobile), else membership in the replica set
         placement = self.placement
@@ -443,7 +443,7 @@ class ReplicatedSystem:
                     f"wal_active_txns/node{node.node_id}",
                     node.wal.pending_transactions,
                 )
-        # counts *materialised* records: what the run actually touched, not
+        # counts *materialised* records: what the run actually wrote, not
         # the placement's nominal shard sizes (or, full, the database)
         telemetry.gauge(
             "resident_objects",
@@ -618,6 +618,11 @@ class ReplicatedSystem:
         served by its master replica, one RPC round away (same cost model
         as lazy-group).  ``compute_time`` is what each update action costs
         at the origin before anything is installed anywhere.
+
+        An update reads its record *after* that compute: a read of an
+        object never written at the site is a detached record (see
+        :meth:`ObjectStore.read`), so one read before the ``yield`` would
+        miss a ``du-apply`` landing meanwhile and certify a stale version.
         """
         origin, txn = ctx.origin, ctx.txn
         node = self.nodes[origin]
@@ -633,8 +638,8 @@ class ReplicatedSystem:
             site = site_for(origin, oid)
             if site is not node and hop is not None:
                 yield hop
-            record = site.store.read(oid)
             if op.is_read:
+                record = site.store.read(oid)
                 txn.record_read(record.value)
                 if history is not None:
                     history.record_read(site.node_id, txn.txn_id, oid)
@@ -642,6 +647,7 @@ class ReplicatedSystem:
                 continue
             if compute is not None:
                 yield compute
+            record = site.store.read(oid)
             if op.reads_state and history is not None:
                 history.record_read(site.node_id, txn.txn_id, oid)
             writes.append((oid, record.ts, op.apply(record.value), op))
@@ -1019,7 +1025,7 @@ class ReplicatedSystem:
         the placement scope (two-tier mobiles hold full replicas),
         narrowed to ``node_ids`` when given.  An object no compared store
         has materialised reads ``initial_value`` at every holder, so only
-        the union of materialised oids is visited — O(touched) lookups —
+        the union of materialised oids is visited — O(written) lookups —
         and each holder is probed with ``peek``, which materialises
         nothing and, the directory having just vouched for residency,
         cannot miss.  The union is marked in one

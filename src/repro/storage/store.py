@@ -19,14 +19,20 @@ class ObjectStore:
     """The object replicas stored at one node.
 
     Residency is a membership question and a record materialises on first
-    touch from ``initial_value``: ``resident=None`` means the whole
+    write from ``initial_value``: ``resident=None`` means the whole
     ``oid`` space (a full replica, a two-tier mobile), a predicate
     (normally over ``placement.replicas``) means the node's shard.
-    Building a store allocates nothing, so a million-object replica costs
-    only what its transactions read; ``len(store)`` / iteration count
-    *materialised* records while :meth:`oids` / :meth:`snapshot` / ``in``
-    answer for the *logical* replica.  Touching a non-resident object
-    raises ``KeyError``: a routing bug, or a route older than a migration.
+    Building a store allocates nothing, and a read allocates nothing
+    either, so a million-object replica costs only what its transactions
+    wrote; ``len(store)`` / iteration count *materialised* records while
+    :meth:`oids` / :meth:`snapshot` / ``in`` answer for the *logical*
+    replica.  Touching a non-resident object raises ``KeyError``: a
+    routing bug, or a route older than a migration.
+
+    A read of an object never written here returns a *detached* record,
+    a copy of ``initial_value`` that no write will update: read it where
+    it is used, never hold it across a ``yield`` (a write landing in
+    between would not show in it).
 
     Example::
 
@@ -60,45 +66,50 @@ class ObjectStore:
         return 0 <= oid < self.db_size and (resident is None or resident(oid))
 
     def _miss(self, oid: int) -> Record:
-        """Handle a ``_records`` miss: materialise a resident object or
-        re-raise.  (:meth:`_holds`, inlined: every first touch lands here.)"""
+        """Handle a ``_records`` miss: a detached record at
+        ``initial_value`` for a resident object, stored nowhere (so not to
+        be held across a ``yield``), else ``KeyError``.  (:meth:`_holds`,
+        inlined: every read of an unwritten object lands here.)"""
         resident = self._resident
         if 0 <= oid < self.db_size and (resident is None or resident(oid)):
-            record = self._records[oid] = Record(oid, self._initial_value)
-            return record
+            return Record(oid, self._initial_value)
         raise KeyError(oid)
 
     def read(self, oid: int) -> Record:
-        """Return the record for ``oid`` (raises KeyError if non-resident)."""
-        try:
-            return self._records[oid]
-        except KeyError:
+        """Return the record for ``oid`` (raises KeyError if non-resident).
+
+        The live record once ``oid`` has been written here, else a
+        detached one (see :meth:`_miss`): use it before the next
+        ``yield`` and read again after one."""
+        record = self._records.get(oid)  # a miss is common: no exception
+        if record is None:
             return self._miss(oid)
+        return record
 
     def value(self, oid: int) -> Any:
         """Convenience: the committed value of ``oid``."""
-        try:
-            return self._records[oid].value
-        except KeyError:
+        record = self._records.get(oid)
+        if record is None:
             return self._miss(oid).value
+        return record.value
 
     def timestamp(self, oid: int) -> Timestamp:
         """Convenience: the committed timestamp of ``oid``."""
-        try:
-            return self._records[oid].ts
-        except KeyError:
+        record = self._records.get(oid)
+        if record is None:
             return self._miss(oid).ts
+        return record.ts
 
     def peek(self, oid: int, resident: bool = False) -> Any:
         """The committed value of ``oid`` *without* materialising it.
 
         A divergence/oracle audit probes every holder of every object
-        it visits; a plain :meth:`value` would allocate a record per
-        probe and defeat the laziness.  ``peek`` answers from the
-        materialised record when there is one, from ``initial_value``
-        for a resident-but-untouched object, and raises ``KeyError`` for
-        a non-resident one.  ``resident=True`` says the caller has the
-        directory's word already, so the store need not ask again.
+        it visits; a plain :meth:`value` would build a throwaway record
+        per miss.  ``peek`` answers from the materialised record when
+        there is one, from ``initial_value`` for a resident object never
+        written here, and raises ``KeyError`` for a non-resident one.
+        ``resident=True`` says the caller has the directory's word
+        already, so the store need not ask again.
         """
         record = self._records.get(oid)
         if record is not None:
@@ -108,22 +119,23 @@ class ObjectStore:
         raise KeyError(oid)
 
     def write(self, oid: int, value: Any, ts: Timestamp) -> Record:
-        """Install ``value`` with timestamp ``ts`` as the committed version."""
-        record = self.read(oid)
+        """Install ``value`` with timestamp ``ts`` as the committed version
+        (the first write of ``oid`` here materialises its record)."""
+        record = self._records[oid] = self.read(oid)
         record.value = value
         record.ts = ts
         return record
 
     def apply(self, oid: int, transform: Callable[[Any], Any], ts: Timestamp) -> Record:
         """Apply a pure transform to the current value (commutative ops)."""
-        record = self.read(oid)
+        record = self._records[oid] = self.read(oid)
         record.value = transform(record.value)
         record.ts = ts
         return record
 
     def restore(self, oid: int, value: Any, ts: Timestamp) -> None:
         """Undo hook used by the WAL: reinstate an earlier version."""
-        record = self.read(oid)
+        record = self._records[oid] = self.read(oid)
         record.value = value
         record.ts = ts
 
@@ -185,7 +197,7 @@ class ObjectStore:
 
     @property
     def materialized(self) -> int:
-        """Records actually allocated: what has been touched here."""
+        """Records actually allocated: what has been written here."""
         return len(self._records)
 
     def __len__(self) -> int:

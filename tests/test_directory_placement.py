@@ -10,7 +10,7 @@ The :class:`~repro.placement.DirectoryPlacement` contract:
 * :meth:`~repro.placement.directory.BoundDirectory.move` rewrites a single
   object's replica set live, and ``ReplicatedSystem.migrate`` pairs that
   with a record transfer through the normal network path;
-* materialising on first touch is unobservable — the parity class pins
+* materialising on first write is unobservable — the parity class pins
   byte-identical fingerprints between a run whose stores were filled up
   front (the ``fill_stores_up_front`` reference in ``conftest.py``) and
   the lazy stores every system has.
@@ -387,7 +387,7 @@ def test_every_strategy_converges_under_directory_placement(strategy):
     placed_total = 3 * 60
     mobiles = 2 if strategy == "two-tier" else 0
     assert resident["total"] == placed_total + mobiles * 60
-    # lazy stores: the run only materialises what it touched
+    # lazy stores: the run only materialises what it wrote
     assert resident["materialized_total"] <= resident["total"]
 
 

@@ -62,7 +62,7 @@ def test_each_node_holds_only_its_shard():
                     if node.node_id in system.placement.replicas(oid)}
         assert resident == expected  # logical residency == the placement
         assert len(resident) < 60  # strictly less than db_size
-        # lazy default: nothing is materialised until a transaction touches it
+        # lazy default: nothing is materialised until a transaction writes it
         assert node.store.materialized == 0
         total += len(resident)
     assert total == 3 * 60  # k copies of every object, nothing else

@@ -30,12 +30,15 @@ class TestRecord:
 class TestObjectStore:
     def test_initialization(self):
         store = ObjectStore(node_id=0, db_size=5, initial_value=7)
-        # logically the whole keyspace, materially nothing until touched
+        # logically the whole keyspace, materially nothing until written
         assert list(store.oids()) == [0, 1, 2, 3, 4]
         assert len(store) == store.materialized == 0
         assert all(store.value(oid) == 7 for oid in store.oids())
         assert all(store.timestamp(oid) == Timestamp.ZERO for oid in store.oids())
-        assert len(store) == 5  # every read materialised its record
+        assert all(store.read(oid).value == 7 for oid in store.oids())
+        assert len(store) == 0  # a read materialises nothing
+        store.write(3, 8, Timestamp(1, 0))
+        assert list(store.materialized_oids()) == [3]
 
     def test_db_size_must_be_positive(self):
         with pytest.raises(ConfigurationError):
@@ -76,10 +79,12 @@ class TestObjectStore:
     def test_contains_and_iter(self):
         store = ObjectStore(node_id=0, db_size=2)
         # ``in`` answers for the logical replica, iteration for the
-        # records a touch has materialised
+        # records a write has materialised
         assert 0 in store and 1 in store and 2 not in store and -1 not in store
         assert list(store) == []
         store.read(1)
+        assert list(store) == [] and list(store.materialized_oids()) == []
+        store.write(1, 5, Timestamp(1, 0))
         assert [r.oid for r in store] == [1]
         assert list(store.materialized_oids()) == [1]
 
@@ -155,7 +160,7 @@ _steps = st.one_of(
 
 class DictStore:
     """What the store must be indistinguishable from: a dict of the
-    records touched so far, plus the set of logically resident oids."""
+    records written so far, plus the set of logically resident oids."""
 
     def __init__(self, resident):
         self.resident = resident
@@ -164,35 +169,30 @@ class DictStore:
     def holds(self, oid):
         return oid in self.records or oid in self.resident
 
-    def touch(self, oid):
+    def look(self, oid):
         if not self.holds(oid):
             raise KeyError(oid)
-        return self.records.setdefault(oid, (INITIAL, Timestamp.ZERO))
-
-    def peek(self, oid):
-        if not self.holds(oid):
-            raise KeyError(oid)
-        return self.records.get(oid, (INITIAL, None))[0]
+        return self.records.get(oid, (INITIAL, Timestamp.ZERO))
 
     def step(self, name, oid=None, value=None, ts=None):
         if name == "read":
-            return self.touch(oid)
+            return self.look(oid)
         if name == "peek":
-            return self.peek(oid)
+            return self.look(oid)[0]
         if name == "in":
             return self.holds(oid)
         if name == "evict":
             self.records.pop(oid, None)
         elif name in ("write", "restore"):
-            self.touch(oid)
+            self.look(oid)
             self.records[oid] = (value, ts)
         elif name == "apply":
-            self.records[oid] = (self.touch(oid)[0] + value, ts)
+            self.records[oid] = (self.look(oid)[0] + value, ts)
         elif name == "adopt":
             if oid not in self.records or ts > self.records[oid][1]:
                 self.records[oid] = (value, ts)
         elif name == "snapshot":
-            return {o: self.peek(o) for o in range(DB_SIZE) if self.holds(o)}
+            return {o: self.look(o)[0] for o in range(DB_SIZE) if self.holds(o)}
         return None
 
 
@@ -233,7 +233,7 @@ def test_store_is_a_dict_of_what_was_touched(resident, steps):
                 _store_step(store, *step)
         else:
             assert _store_step(store, *step) == expected
-        # materialised view: exactly the records touched, whatever they hold
+        # materialised view: exactly the records written, whatever they hold
         assert len(store) == store.materialized == len(model.records)
         assert {r.oid: (r.value, r.ts) for r in store} == model.records
         assert set(store.materialized_oids()) == set(model.records)

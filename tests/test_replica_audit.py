@@ -7,7 +7,7 @@ oids instead of ``range(db_size)``; ``divergence()``,
 three callers.  A test-local reference that *does* sweep the whole
 keyspace must agree with all of them — count and oids — under full, hash
 and directory placement,
-on stores that hold only what was touched and on stores filled up front
+on stores that hold only what was written and on stores filled up front
 (the ``fill_stores_up_front`` reference: the walk then *is* the whole
 keyspace), for every strategy, after a live migration, and on
 hand-corrupted replicas; and none of the three may materialise a record.
@@ -309,7 +309,7 @@ def test_the_walk_yields_what_set_and_sorted_yielded(
         holders = placement.replicas(oid) + extra
         store = system.nodes[holders[pick % len(holders)]].store
         if value is None:
-            store.read(oid)  # materialised at initial_value
+            store.read(oid)  # materialises nothing
         else:
             store.write(oid, value, Timestamp(1, pick))
     if migrate is not None and shape == "dir":

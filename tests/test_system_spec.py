@@ -88,6 +88,6 @@ def test_spec_carries_placement_through_to_stores():
     system = EagerGroupSystem(spec)
     assert system.placement.replication_factor == 2
     # logical residency follows the placement; records themselves
-    # materialise lazily on first touch
+    # materialise lazily on first write
     assert sum(len(list(node.store.oids())) for node in system.nodes) == 2 * 50
     assert sum(node.store.materialized for node in system.nodes) == 0
