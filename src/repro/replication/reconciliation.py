@@ -34,7 +34,7 @@ import enum
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from repro.storage.record import Record
-from repro.storage.versioning import Timestamp
+from repro.storage.versioning import ZERO, node_of
 
 if TYPE_CHECKING:  # base imports Outcome from here; annotations only
     from repro.replication.base import ReplicaUpdate
@@ -82,8 +82,8 @@ class SitePriorityWins(ReconciliationRule):
         self.priorities = dict(priorities)
 
     def resolve(self, local: Record, update: ReplicaUpdate) -> Outcome:
-        local_rank = self.priorities.get(local.ts.node_id, 0)
-        update_rank = self.priorities.get(update.new_ts.node_id, 0)
+        local_rank = self.priorities.get(node_of(local.ts), 0)
+        update_rank = self.priorities.get(node_of(update.new_ts), 0)
         if update_rank != local_rank:
             return Outcome.APPLY if update_rank > local_rank else Outcome.DISCARD
         return (
@@ -141,7 +141,7 @@ class EarliestTimestampWins(ReconciliationRule):
     name = "earliest-timestamp-wins"
 
     def resolve(self, local: Record, update: ReplicaUpdate) -> Outcome:
-        if local.ts == Timestamp.ZERO:
+        if local.ts == ZERO:
             # never-written local value: the incoming committed write stands
             return Outcome.APPLY
         return Outcome.DISCARD if local.ts < update.new_ts else Outcome.APPLY

@@ -3,7 +3,8 @@
 Each simulated node owns:
 
 * an :class:`~repro.storage.store.ObjectStore` of versioned
-  :class:`~repro.storage.record.Record` objects (value + Lamport timestamp),
+  :class:`~repro.storage.record.Record` objects (value + Lamport timestamp,
+  one int),
 * a strict two-phase-locking :class:`~repro.storage.lock_manager.LockManager`
   with FIFO wait queues,
 * a :class:`~repro.storage.deadlock.DeadlockDetector` maintaining the global

@@ -10,29 +10,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.storage.versioning import Timestamp
+from repro.storage.versioning import ZERO, Timestamp, format_stamp
 
 
 @dataclass(slots=True)
 class Record:
-    """One object replica: value plus versioning metadata.
+    """One object replica: its value and the stamp of that value.
 
-    Slotted, with no default factory: one is built per touched replica.
+    Slotted, with no default factory: one is built per written replica.
+    The object id is the key the store files the record under, so the
+    record does not repeat it.
 
     Attributes:
-        oid: object identifier, stable across all replicas.
         value: the current committed value.
         ts: Lamport timestamp of the most recent committed update.
     """
 
-    oid: int
     value: Any = 0
-    ts: Timestamp = Timestamp.ZERO
-
-    def copy(self) -> "Record":
-        """A shallow snapshot (values in this library are immutable scalars
-        or tuples, so shallow is enough)."""
-        return Record(oid=self.oid, value=self.value, ts=self.ts)
+    ts: Timestamp = ZERO
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Record(oid={self.oid}, value={self.value!r}, ts={self.ts})"
+        return f"Record(value={self.value!r}, ts={format_stamp(self.ts)})"

@@ -8,11 +8,11 @@ the WAL's; the store just holds current committed state.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, Optional
+from typing import Any, Callable, Dict, Iterable, Optional
 
 from repro.exceptions import ConfigurationError
 from repro.storage.record import Record
-from repro.storage.versioning import Timestamp
+from repro.storage.versioning import ZERO, Timestamp
 
 
 class ObjectStore:
@@ -24,9 +24,9 @@ class ObjectStore:
     (normally over ``placement.replicas``) means the node's shard.
     Building a store allocates nothing, and a read allocates nothing
     either, so a million-object replica costs only what its transactions
-    wrote; ``len(store)`` / iteration count *materialised* records while
-    :meth:`oids` / :meth:`snapshot` / ``in`` answer for the *logical*
-    replica.  Touching a non-resident object raises ``KeyError``: a
+    wrote; ``len(store)`` / :meth:`materialized_oids` count *materialised*
+    records while :meth:`oids` / :meth:`snapshot` / ``in`` answer for the
+    *logical* replica.  Touching a non-resident object raises ``KeyError``: a
     routing bug, or a route older than a migration.
 
     A read of an object never written here returns a *detached* record,
@@ -72,7 +72,7 @@ class ObjectStore:
         inlined: every read of an unwritten object lands here.)"""
         resident = self._resident
         if 0 <= oid < self.db_size and (resident is None or resident(oid)):
-            return Record(oid, self._initial_value)
+            return Record(self._initial_value)
         raise KeyError(oid)
 
     def read(self, oid: int) -> Record:
@@ -87,29 +87,33 @@ class ObjectStore:
         return record
 
     def value(self, oid: int) -> Any:
-        """Convenience: the committed value of ``oid``."""
+        """The committed value of ``oid``: ``initial_value`` for a resident
+        object never written here (allocating nothing), ``KeyError`` for
+        a non-resident one."""
         record = self._records.get(oid)
-        if record is None:
-            return self._miss(oid).value
-        return record.value
+        if record is not None:
+            return record.value
+        if self._holds(oid):
+            return self._initial_value
+        raise KeyError(oid)
 
     def timestamp(self, oid: int) -> Timestamp:
-        """Convenience: the committed timestamp of ``oid``."""
+        """The committed timestamp of ``oid``, as :meth:`value` answers:
+        ``ZERO`` for a resident object never written here."""
         record = self._records.get(oid)
-        if record is None:
-            return self._miss(oid).ts
-        return record.ts
+        if record is not None:
+            return record.ts
+        if self._holds(oid):
+            return ZERO
+        raise KeyError(oid)
 
     def peek(self, oid: int, resident: bool = False) -> Any:
-        """The committed value of ``oid`` *without* materialising it.
+        """The committed value of ``oid`` as :meth:`value` answers it, for
+        an audit.
 
-        A divergence/oracle audit probes every holder of every object
-        it visits; a plain :meth:`value` would build a throwaway record
-        per miss.  ``peek`` answers from the materialised record when
-        there is one, from ``initial_value`` for a resident object never
-        written here, and raises ``KeyError`` for a non-resident one.
-        ``resident=True`` says the caller has the directory's word
-        already, so the store need not ask again.
+        A divergence/oracle audit probes every holder of every object it
+        visits.  ``resident=True`` says the caller has the directory's
+        word already, so the store need not ask again.
         """
         record = self._records.get(oid)
         if record is not None:
@@ -154,7 +158,7 @@ class ObjectStore:
         """
         record = self._records.get(oid)
         if record is None:
-            record = self._records[oid] = Record(oid=oid, value=value, ts=ts)
+            record = self._records[oid] = Record(value, ts)
         elif ts > record.ts:
             record.value = value
             record.ts = ts
@@ -203,9 +207,6 @@ class ObjectStore:
     def __len__(self) -> int:
         """Materialised records, not the logical resident count."""
         return len(self._records)
-
-    def __iter__(self) -> Iterator[Record]:
-        return iter(self._records.values())
 
     def __contains__(self, oid: int) -> bool:
         return oid in self._records or self._holds(oid)

@@ -5,37 +5,61 @@ timestamp so the receiver can tell whether applying the update is safe.  For
 that test to be meaningful across nodes the timestamps must be unique and
 totally ordered; wall-clock time is neither in a simulation nor in practice,
 so we use Lamport pairs ``(counter, node_id)``.
+
+A pair is packed into one ``int``, ``(counter << NODE_BITS) | (node_id +
+1)``: int order is exactly the pairs' lexicographic order, so stamps
+compare, hash and ``max`` as plain ints, and every replica of one write
+holds the same small object rather than a tuple of its own.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from repro.exceptions import ConfigurationError
+
+#: a Lamport timestamp: ``(counter << NODE_BITS) | (node_id + 1)``
+Timestamp = int
+
+#: bits holding ``node_id + 1``: node ids ``-1 .. MAX_NODE_ID`` fit, which
+#: covers every network the library builds (the placement sweep's 10 000
+#: nodes included); a stamp with a counter below ``2**44`` is one 32-byte int
+NODE_BITS = 16
+_NODE_MASK = (1 << NODE_BITS) - 1
+MAX_NODE_ID = _NODE_MASK - 1
+
+#: the genesis stamp ``(0, -1)``: precedes every tick at every node
+ZERO: Timestamp = 0
 
 
-class Timestamp(NamedTuple):
-    """A Lamport timestamp: ``(counter, node_id)``.
-
-    Ordering is lexicographic, so timestamps are totally ordered and two
-    distinct events never compare equal (node id breaks counter ties).
-    ``Timestamp.ZERO``, assigned below the class, precedes every tick.
-    """
-
-    counter: int
-    node_id: int
-
-    def next_at(self, node_id: int) -> "Timestamp":
-        """The smallest timestamp at ``node_id`` strictly after ``self``."""
-        return Timestamp(self.counter + 1, node_id)
-
-    def __str__(self) -> str:
-        return f"{self.counter}@{self.node_id}"
+def _node_low(node_id: int) -> int:
+    """``node_id + 1``, the low bits of every stamp ``node_id`` makes."""
+    if not -1 <= node_id <= MAX_NODE_ID:
+        raise ConfigurationError(
+            f"node id {node_id} does not fit a timestamp's {NODE_BITS} "
+            f"node bits (-1 .. {MAX_NODE_ID})"
+        )
+    return node_id + 1
 
 
-Timestamp.ZERO = Timestamp(0, -1)
+def stamp(counter: int, node_id: int) -> Timestamp:
+    """The timestamp of the pair ``(counter, node_id)``."""
+    if counter < 0:
+        raise ConfigurationError(f"timestamp counter must be >= 0, got {counter}")
+    return (counter << NODE_BITS) | _node_low(node_id)
 
-#: the C constructor behind every ``NamedTuple``: ``_new(T, fields)`` is
-#: ``T(*fields)`` without the generated ``__new__``'s Python frame
-_new = tuple.__new__
+
+def counter_of(ts: Timestamp) -> int:
+    """The Lamport counter of ``ts``."""
+    return ts >> NODE_BITS
+
+
+def node_of(ts: Timestamp) -> int:
+    """The node that made ``ts`` (``-1`` for :data:`ZERO`)."""
+    return (ts & _NODE_MASK) - 1
+
+
+def format_stamp(ts: Timestamp) -> str:
+    """``ts`` as ``"counter@node"``."""
+    return f"{counter_of(ts)}@{node_of(ts)}"
 
 
 class TimestampGenerator:
@@ -43,24 +67,26 @@ class TimestampGenerator:
 
     ``tick()`` produces a fresh local timestamp; ``witness(ts)`` advances the
     clock past any timestamp observed on an incoming message, preserving the
-    happened-before order of the paper's lazy update streams.
+    happened-before order of the paper's lazy update streams.  A node id
+    that does not fit :data:`NODE_BITS` raises ``ConfigurationError``.
     """
 
     def __init__(self, node_id: int):
+        self._low = _node_low(node_id)
         self.node_id = node_id
         self._counter = 0
 
     def tick(self) -> Timestamp:
         """Produce the next local timestamp."""
         self._counter += 1
-        return _new(Timestamp, (self._counter, self.node_id))
+        return (self._counter << NODE_BITS) | self._low
 
     def witness(self, ts: Timestamp) -> None:
-        """Advance the local clock to at least ``ts.counter``."""
-        if ts.counter > self._counter:
-            self._counter = ts.counter
+        """Advance the local clock to at least ``ts``'s counter."""
+        counter = ts >> NODE_BITS
+        if counter > self._counter:
+            self._counter = counter
 
     @property
     def current_counter(self) -> int:
         return self._counter
-

@@ -204,7 +204,7 @@ class TransactionManager:
         no undo record is written and ``root_txn_id`` must name the write.
         """
         return self._write_shipped(
-            txn, self.store.read(oid), value, new_ts, new_ts, root_txn_id
+            txn, oid, self.store.read(oid), value, new_ts, new_ts, root_txn_id
         )
 
     def transform(
@@ -222,14 +222,14 @@ class TransactionManager:
         timestamp regardless of application order.  ``txn`` is as for
         :meth:`install`.
         """
-        record = self.store.read(op.oid)
+        oid = op.oid
+        record = self.store.read(oid)
         return self._write_shipped(
-            txn, record, op.apply(record.value), max(record.ts, new_ts),
+            txn, oid, record, op.apply(record.value), max(record.ts, new_ts),
             new_ts, root_txn_id,
         )
 
-    def _write_shipped(self, txn, record, value, ts, shipped_ts, root_txn_id):
-        oid = record.oid
+    def _write_shipped(self, txn, oid, record, value, ts, shipped_ts, root_txn_id):
         if txn is not None:
             self.wal.record(txn.txn_id, oid, record.value, record.ts, value, ts)
         self.store.write(oid, value, ts)

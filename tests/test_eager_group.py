@@ -7,7 +7,7 @@ from repro.network.message import Message
 from repro.replication.eager_group import EagerGroupSystem
 from repro.replication.eager_master import EagerMasterSystem
 from repro.replication import ReplicaUpdate, SystemSpec
-from repro.storage.versioning import Timestamp
+from repro.storage.versioning import ZERO, stamp
 from repro.txn.ops import IncrementOp, ReadOp, WriteOp
 
 
@@ -172,7 +172,7 @@ def test_catchup_is_idempotent_under_duplicate_timestamps():
 def test_same_catchup_delivered_twice_is_a_duplicate_not_a_stale_update():
     system = make(num_nodes=3, quorum=True)
     update = ReplicaUpdate(
-        oid=1, old_ts=Timestamp.ZERO, new_ts=Timestamp(4, 0), new_value=5,
+        oid=1, old_ts=ZERO, new_ts=stamp(4, 0), new_value=5,
         op=None, root_txn_id=1,
     )
     for _delivery in range(2):

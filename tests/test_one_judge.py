@@ -19,7 +19,7 @@ from repro.faults.oracle import evaluate
 from repro.harness import ExperimentConfig, run_experiment
 from repro.harness.experiment import STRATEGIES, STRATEGY_CLASSES, build_system
 from repro.placement import Placement
-from repro.storage.versioning import Timestamp
+from repro.storage.versioning import ZERO, stamp
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.profiles import uniform_update_profile
 
@@ -168,7 +168,7 @@ def test_a_base_store_corrupted_after_the_drain_fails_the_verdict():
         system.run()
         assert evaluate(system).ok
         base = system.base_ids[-1] if system.base_ids else 0
-        system.nodes[base].store.write(0, 987_654, Timestamp(10**6, base))
+        system.nodes[base].store.write(0, 987_654, stamp(10**6, base))
         verdict = evaluate(system)
         assert not verdict.ok
         assert verdict.diverged == 1
@@ -195,7 +195,7 @@ def test_a_forced_cycle_fails_a_serializable_strategy_only():
 def test_a_lossy_plan_excuses_divergence_and_nothing_else():
     system, plan = build("lazy-master", plan_spec="drop=0.3")
     system.run()
-    system.nodes[1].store.write(0, 987_654, Timestamp(10**6, 1))
+    system.nodes[1].store.write(0, 987_654, stamp(10**6, 1))
     verdict = evaluate(system, plan)
     assert not verdict.expected_convergence
     assert verdict.ok and verdict.diverged is None
@@ -205,7 +205,7 @@ def test_a_lossy_plan_excuses_divergence_and_nothing_else():
     # and quiescence is never excused
     txn = system.nodes[0].tm.begin()
     system.nodes[0].wal.record(
-        txn.txn_id, 1, 0, Timestamp.ZERO, 1, Timestamp(1, 0)
+        txn.txn_id, 1, 0, ZERO, 1, stamp(1, 0)
     )
     assert not evaluate(system, plan).quiescent
 

@@ -18,7 +18,7 @@ from repro.harness.experiment import STRATEGIES, STRATEGY_CLASSES
 from repro.placement import HashShardPlacement, Placement
 from repro.placement.hash_shard import BoundHashShard
 from repro.replication import LazyGroupSystem, SystemSpec
-from repro.storage.versioning import Timestamp
+from repro.storage.versioning import stamp
 
 from tests.determinism_helpers import (
     fingerprint_partial,
@@ -145,7 +145,7 @@ def test_dropped_update_to_replica_set_is_flagged():
     # the update reaches the first two replicas; the third never sees it
     for node_id in replicas[:2]:
         store = system.nodes[node_id].store
-        store.write(oid, 123, Timestamp(1, node_id))
+        store.write(oid, 123, stamp(1, node_id))
     assert system.divergence() == 1
     verdict = evaluate_oracle(system)
     assert not verdict.ok
@@ -153,7 +153,7 @@ def test_dropped_update_to_replica_set_is_flagged():
     # non-replicas holding nothing is not divergence: healing the straggler
     # clears the flag even though the other 2 nodes never store the object
     straggler = replicas[2]
-    system.nodes[straggler].store.write(oid, 123, Timestamp(1, straggler))
+    system.nodes[straggler].store.write(oid, 123, stamp(1, straggler))
     assert system.divergence() == 0
     assert evaluate_oracle(system).ok
 

@@ -12,16 +12,16 @@ from repro.replication.reconciliation import (
     default_rule,
 )
 from repro.storage.record import Record
-from repro.storage.versioning import Timestamp
+from repro.storage.versioning import ZERO, stamp
 from repro.txn.ops import IncrementOp, WriteOp
 from repro.replication import SystemSpec
 
 
-def local(value=10, ts=Timestamp(5, 0)):
-    return Record(oid=0, value=value, ts=ts)
+def local(value=10, ts=stamp(5, 0)):
+    return Record(value=value, ts=ts)
 
 
-def update(new_value=20, new_ts=Timestamp(6, 1), old_ts=Timestamp(1, 1), op=None):
+def update(new_value=20, new_ts=stamp(6, 1), old_ts=stamp(1, 1), op=None):
     return ReplicaUpdate(oid=0, old_ts=old_ts, new_ts=new_ts,
                          new_value=new_value, op=op, root_txn_id=1)
 
@@ -29,13 +29,13 @@ def update(new_value=20, new_ts=Timestamp(6, 1), old_ts=Timestamp(1, 1), op=None
 class TestLatestTimestampWins:
     def test_newer_update_applies(self):
         rule = LatestTimestampWins()
-        assert rule.resolve(local(ts=Timestamp(5, 0)),
-                            update(new_ts=Timestamp(6, 1))) is Outcome.APPLY
+        assert rule.resolve(local(ts=stamp(5, 0)),
+                            update(new_ts=stamp(6, 1))) is Outcome.APPLY
 
     def test_older_update_discarded(self):
         rule = LatestTimestampWins()
-        assert rule.resolve(local(ts=Timestamp(9, 0)),
-                            update(new_ts=Timestamp(6, 1))) is Outcome.DISCARD
+        assert rule.resolve(local(ts=stamp(9, 0)),
+                            update(new_ts=stamp(6, 1))) is Outcome.DISCARD
 
     def test_is_the_default_rule(self):
         assert isinstance(default_rule(), LatestTimestampWins)
@@ -45,20 +45,20 @@ class TestSitePriority:
     def test_high_priority_site_wins(self):
         rule = SitePriorityWins({0: 10, 1: 1})
         # local version written by node 0 (priority 10) beats newer node-1 update
-        assert rule.resolve(local(ts=Timestamp(5, 0)),
-                            update(new_ts=Timestamp(99, 1))) is Outcome.DISCARD
+        assert rule.resolve(local(ts=stamp(5, 0)),
+                            update(new_ts=stamp(99, 1))) is Outcome.DISCARD
 
     def test_low_priority_local_loses(self):
         rule = SitePriorityWins({0: 1, 1: 10})
-        assert rule.resolve(local(ts=Timestamp(5, 0)),
-                            update(new_ts=Timestamp(2, 1))) is Outcome.APPLY
+        assert rule.resolve(local(ts=stamp(5, 0)),
+                            update(new_ts=stamp(2, 1))) is Outcome.APPLY
 
     def test_equal_priority_falls_back_to_timestamp(self):
         rule = SitePriorityWins({})
-        assert rule.resolve(local(ts=Timestamp(5, 0)),
-                            update(new_ts=Timestamp(6, 1))) is Outcome.APPLY
-        assert rule.resolve(local(ts=Timestamp(7, 0)),
-                            update(new_ts=Timestamp(6, 1))) is Outcome.DISCARD
+        assert rule.resolve(local(ts=stamp(5, 0)),
+                            update(new_ts=stamp(6, 1))) is Outcome.APPLY
+        assert rule.resolve(local(ts=stamp(7, 0)),
+                            update(new_ts=stamp(6, 1))) is Outcome.DISCARD
 
 
 class TestValuePriority:
@@ -74,8 +74,8 @@ class TestValuePriority:
     def test_incomparable_values_fall_back_to_time(self):
         rule = ValuePriorityWins()
         assert rule.resolve(
-            local(value="abc", ts=Timestamp(5, 0)),
-            update(new_value=7, new_ts=Timestamp(6, 1)),
+            local(value="abc", ts=stamp(5, 0)),
+            update(new_value=7, new_ts=stamp(6, 1)),
         ) is Outcome.APPLY
 
 
@@ -89,14 +89,14 @@ class TestMergeCommutative:
     def test_non_commutative_falls_back_to_time(self):
         rule = MergeCommutative()
         assert rule.resolve(
-            local(ts=Timestamp(5, 0)),
-            update(new_ts=Timestamp(6, 1), op=WriteOp(0, 9)),
+            local(ts=stamp(5, 0)),
+            update(new_ts=stamp(6, 1), op=WriteOp(0, 9)),
         ) is Outcome.APPLY
 
     def test_missing_op_falls_back(self):
         rule = MergeCommutative()
         assert rule.resolve(
-            local(ts=Timestamp(9, 0)), update(new_ts=Timestamp(6, 1))
+            local(ts=stamp(9, 0)), update(new_ts=stamp(6, 1))
         ) is Outcome.DISCARD
 
 
@@ -105,22 +105,22 @@ class TestEarliestTimestampWins:
         from repro.replication.reconciliation import EarliestTimestampWins
 
         rule = EarliestTimestampWins()
-        assert rule.resolve(local(ts=Timestamp(2, 0)),
-                            update(new_ts=Timestamp(6, 1))) is Outcome.DISCARD
+        assert rule.resolve(local(ts=stamp(2, 0)),
+                            update(new_ts=stamp(6, 1))) is Outcome.DISCARD
 
     def test_older_incoming_applied(self):
         from repro.replication.reconciliation import EarliestTimestampWins
 
         rule = EarliestTimestampWins()
-        assert rule.resolve(local(ts=Timestamp(9, 0)),
-                            update(new_ts=Timestamp(6, 1))) is Outcome.APPLY
+        assert rule.resolve(local(ts=stamp(9, 0)),
+                            update(new_ts=stamp(6, 1))) is Outcome.APPLY
 
     def test_unwritten_local_always_yields(self):
         from repro.replication.reconciliation import EarliestTimestampWins
 
         rule = EarliestTimestampWins()
-        assert rule.resolve(local(ts=Timestamp.ZERO),
-                            update(new_ts=Timestamp(6, 1))) is Outcome.APPLY
+        assert rule.resolve(local(ts=ZERO),
+                            update(new_ts=stamp(6, 1))) is Outcome.APPLY
 
 
 class TestValueRules:
@@ -136,8 +136,8 @@ class TestValueRules:
 
         rule = MinimumWins()
         assert rule.resolve(
-            local(value="x", ts=Timestamp(1, 0)),
-            update(new_value=5, new_ts=Timestamp(2, 1)),
+            local(value="x", ts=stamp(1, 0)),
+            update(new_value=5, new_ts=stamp(2, 1)),
         ) is Outcome.APPLY
 
     def test_maximum_wins_alias(self):
@@ -190,15 +190,14 @@ class TestAdditiveDifference:
         from repro.replication.base import ReplicaUpdate
         from repro.replication.lazy_group import LazyGroupSystem
         from repro.replication.reconciliation import AdditiveDifference
-        from repro.storage.versioning import Timestamp as TS
-
+        
         system = LazyGroupSystem(
             SystemSpec(num_nodes=2, db_size=3, action_time=0.001),
             rule=AdditiveDifference(),
         )
         system.submit(1, [IncrementOp(0, 1)])
         system.run()
-        stale = ReplicaUpdate(oid=0, old_ts=TS(99, 0), new_ts=TS(100, 0),
+        stale = ReplicaUpdate(oid=0, old_ts=stamp(99, 0), new_ts=stamp(100, 0),
                               new_value=77, op=None, root_txn_id=1)
         system.network.send(0, 1, "replica-update", ([stale], 0))
         system.run()

@@ -1,20 +1,25 @@
 """The per-update value records and the per-message objects keep their
 contract.
 
-``Timestamp``, ``LogEntry``, ``UpdateRecord`` and ``ReplicaUpdate`` are built
-once or more per write, so their representation is a performance decision;
-what the rest of the code (and these tests) may rely on is only this:
-immutable, compared and hashed by value, constructed by keyword or by
-position in the declared field order, picklable, and named as they always
-were.  The hot construction sites skip the generated ``__new__`` (they call
+``LogEntry``, ``UpdateRecord`` and ``ReplicaUpdate`` are built once or more
+per write, so their representation is a performance decision; what the
+rest of the code (and these tests) may rely on is only this: immutable,
+compared and hashed by value, constructed by keyword or by position in the
+declared field order, picklable, and named as they always were.  The hot
+construction sites skip the generated ``__new__`` (they call
 ``tuple.__new__`` directly), so each one is checked to hand out exactly
 the record its keyword constructor would.
 
+A Lamport timestamp is one ``int`` made by ``stamp(counter, node_id)``:
+ordered as the ``(counter, node)`` pairs are, printed ``"counter@node"``
+by ``format_stamp`` alone, and one object shared by every replica of a
+write.
+
 ``Record``, ``Transaction`` and ``Message`` are the mutable per-object
-state of the replica-update stream (one per touched replica, per attempt,
+state of the replica-update stream (one per written replica, per attempt,
 per send).  They are slotted — no instance ``__dict__`` — and keep their
-equality, ``repr``, copying and pickling; message ids stay a global, monotone
-send order.
+equality, ``repr``, copying and pickling; a ``Record`` holds only its
+value and its stamp.  Message ids stay a global, monotone send order.
 """
 
 import copy
@@ -24,6 +29,7 @@ import pytest
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, LinkFaults
+from repro.placement import Placement
 from repro.network import Network
 from repro.network.message import Message, reset_message_ids
 from repro.replication import (
@@ -35,17 +41,22 @@ from repro.replication import (
 from repro.sim import Engine
 from repro.sim.random_source import RandomSource
 from repro.storage.record import Record
-from repro.storage.versioning import Timestamp, TimestampGenerator
+from repro.storage.versioning import (
+    ZERO,
+    TimestampGenerator,
+    format_stamp,
+    node_of,
+    stamp,
+)
 from repro.storage.wal import LogEntry, WriteAheadLog
 from repro.txn.ops import IncrementOp, WriteOp
 from repro.txn.transaction import Transaction, TxnState, UpdateRecord
 
 OP = IncrementOp(2, 5)
-OLD, NEW = Timestamp(1, 0), Timestamp(2, 0)
+OLD, NEW = stamp(1, 0), stamp(2, 0)
 
 #: (type, required fields in declared order, defaulted fields in order)
 RECORDS = [
-    (Timestamp, {"counter": 3, "node_id": 1}, {}),
     (
         LogEntry,
         {"txn_id": 7, "oid": 2, "before_value": 10, "before_ts": OLD,
@@ -93,14 +104,32 @@ def test_record_is_an_immutable_value(cls, required, defaults):
 
 
 def test_timestamp_order_and_rendering():
-    assert Timestamp(1, 9) < Timestamp(2, 0) < Timestamp(2, 1)
-    assert max(Timestamp(2, 1), Timestamp(2, 0)) == Timestamp(2, 1)
-    assert sorted([Timestamp(2, 0), Timestamp(1, 5), Timestamp.ZERO]) == [
-        Timestamp.ZERO, Timestamp(1, 5), Timestamp(2, 0),
+    assert type(stamp(2, 1)) is int
+    assert stamp(1, 9) < stamp(2, 0) < stamp(2, 1)
+    assert max(stamp(2, 1), stamp(2, 0)) == stamp(2, 1)
+    assert sorted([stamp(2, 0), stamp(1, 5), ZERO]) == [
+        ZERO, stamp(1, 5), stamp(2, 0),
     ]
-    assert Timestamp.ZERO == Timestamp(0, -1)
-    assert str(Timestamp(3, 1)) == "3@1"
-    assert Timestamp(3, 1).next_at(0) == Timestamp(4, 0)
+    assert ZERO == stamp(0, -1) == 0
+    assert format_stamp(stamp(3, 1)) == "3@1"
+
+
+def test_every_replica_of_a_certified_write_shares_one_stamp():
+    """The certifier ticks one stamp per write and ships it; each holder
+    files that int, not a copy of it."""
+    system = DeferredUpdateSystem(SystemSpec(
+        num_nodes=6, db_size=12, action_time=0.001, message_delay=0.001,
+        placement=Placement.from_spec("hash:k=3"),
+    ))
+    proc = system.submit(0, [WriteOp(5, 9), WriteOp(7, 4)])
+    system.run()
+    assert proc.value.state.value == "committed"
+    for oid in (5, 7):
+        holders = system.placement.replicas(oid)
+        stamps = [system.nodes[n].store.read(oid).ts for n in holders]
+        assert len(holders) == 3 and type(stamps[0]) is int
+        assert all(ts is stamps[0] for ts in stamps)
+        assert node_of(stamps[0]) == 0  # the certifier's clock
 
 
 def test_a_shipped_update_always_names_its_root_transaction():
@@ -115,25 +144,25 @@ def test_the_update_path_hands_out_the_same_field_names():
     node = system.nodes[0]
     txn = node.tm.begin()
     assert list(node.tm.execute(txn, OP)) == []  # free lock, no action time
-    new_ts = Timestamp(1, 0)
+    new_ts = stamp(1, 0)
 
     assert node.wal.entries_for(txn.txn_id) == [
         LogEntry(txn_id=txn.txn_id, oid=2, before_value=0,
-                 before_ts=Timestamp.ZERO, after_value=5, after_ts=new_ts,
+                 before_ts=ZERO, after_value=5, after_ts=new_ts,
                  seq=0)
     ]
     assert txn.updates == [
-        UpdateRecord(oid=2, op=OP, old_value=0, old_ts=Timestamp.ZERO,
+        UpdateRecord(oid=2, op=OP, old_value=0, old_ts=ZERO,
                      new_value=5, new_ts=new_ts)
     ]
     assert system._shipped_updates(txn) == [
-        ReplicaUpdate(oid=2, old_ts=Timestamp.ZERO, new_ts=new_ts,
+        ReplicaUpdate(oid=2, old_ts=ZERO, new_ts=new_ts,
                       new_value=5, op=OP, root_txn_id=txn.txn_id)
     ]
 
 
 def _tick():
-    return TimestampGenerator(3).tick(), Timestamp(counter=1, node_id=3)
+    return TimestampGenerator(3).tick(), stamp(1, 3)
 
 
 def _wal_record():
@@ -156,15 +185,15 @@ def _executed():
 def _execute_update():
     _system, txn = _executed()
     return txn.updates[0], UpdateRecord(
-        oid=2, op=OP, old_value=0, old_ts=Timestamp.ZERO, new_value=5,
-        new_ts=Timestamp(counter=1, node_id=0),
+        oid=2, op=OP, old_value=0, old_ts=ZERO, new_value=5,
+        new_ts=stamp(1, 0),
     )
 
 
 def _shipped_update():
     system, txn = _executed()
     return system._shipped_updates(txn)[0], ReplicaUpdate(
-        oid=2, old_ts=Timestamp.ZERO, new_ts=Timestamp(counter=1, node_id=0),
+        oid=2, old_ts=ZERO, new_ts=stamp(1, 0),
         new_value=5, op=OP, root_txn_id=txn.txn_id,
     )
 
@@ -176,7 +205,7 @@ def _certified_update():
     write = WriteOp(3, 9)
     system._certify(system.nodes[0], (1, 42, (), ((3, OLD, 9, write),)))
     return shipped[0], ReplicaUpdate(
-        oid=3, old_ts=OLD, new_ts=Timestamp(counter=1, node_id=0),
+        oid=3, old_ts=OLD, new_ts=stamp(1, 0),
         new_value=9, op=write, root_txn_id=42,
     )
 
@@ -199,7 +228,7 @@ def test_fast_construction_site_builds_the_declared_record(site):
     assert repr(built) == repr(expected)
     names = {
         name: globals()[name]
-        for name in ("Timestamp", "LogEntry", "UpdateRecord", "ReplicaUpdate",
+        for name in ("LogEntry", "UpdateRecord", "ReplicaUpdate",
                      "IncrementOp", "WriteOp")
     }
     assert eval(repr(built), names) == expected
@@ -228,7 +257,7 @@ def _transaction_state(txn):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: Record(oid=3, value=7, ts=NEW),
+    lambda: Record(value=7, ts=NEW),
     _transaction,
     lambda: Message(0, 1, "du-apply", ("payload", 1), 0.5, 1.5),
 ], ids=["Record", "Transaction", "Message"])
@@ -240,25 +269,24 @@ def test_per_object_state_has_no_instance_dict(build):
 
 
 def test_record_keeps_its_defaults_equality_repr_and_copies():
-    record = Record(5)
-    assert Record.__slots__ == ("oid", "value", "ts")
-    assert (record.oid, record.value, record.ts) == (5, 0, Timestamp.ZERO)
-    assert record.ts is Timestamp.ZERO  # the shared immutable default
-    assert Record(5, 0) == record == Record(oid=5, value=0, ts=Timestamp.ZERO)
-    assert Record(5, 1) != record and Record(6) != record
-    assert Record(5, 0, NEW) != record
-    assert repr(Record(3, 7, NEW)) == "Record(oid=3, value=7, ts=2@0)"
-    for clone in (record.copy(), copy.copy(record),
-                  pickle.loads(pickle.dumps(record))):
+    record = Record()
+    assert Record.__slots__ == ("value", "ts")
+    assert (record.value, record.ts) == (0, ZERO)
+    assert Record(0) == record == Record(value=0, ts=ZERO)
+    assert Record(1) != record
+    assert Record(0, NEW) != record
+    assert repr(Record(7, NEW)) == f"Record(value=7, ts={format_stamp(NEW)})"
+    assert repr(Record(7, NEW)) == "Record(value=7, ts=2@0)"
+    for clone in (copy.copy(record), pickle.loads(pickle.dumps(record))):
         assert type(clone) is Record and clone == record
         assert clone is not record
     # a copy is a snapshot: writing the original leaves it alone
-    snapshot = record.copy()
+    snapshot = copy.copy(record)
     record.value, record.ts = 9, NEW
-    assert (snapshot.oid, snapshot.value, snapshot.ts) == (5, 0, Timestamp.ZERO)
-    # and copy() carries every slot
-    copied = record.copy()
-    assert (copied.oid, copied.value, copied.ts) == (5, 9, NEW)
+    assert (snapshot.value, snapshot.ts) == (0, ZERO)
+    # and a copy carries every slot
+    copied = copy.copy(record)
+    assert (copied.value, copied.ts) == (9, NEW)
 
 
 def test_transaction_keeps_identity_equality_repr_and_pickles():

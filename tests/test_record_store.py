@@ -1,5 +1,8 @@
 """Tests for Record and ObjectStore."""
 
+import copy
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,23 +11,22 @@ from repro.exceptions import ConfigurationError
 from repro.replication import LazyGroupSystem, SystemSpec
 from repro.storage.record import Record
 from repro.storage.store import ObjectStore
-from repro.storage.versioning import Timestamp
+from repro.storage.versioning import ZERO, stamp
 
 
 class TestRecord:
     def test_defaults(self):
-        record = Record(oid=3)
+        record = Record()
         assert record.value == 0
-        assert record.ts == Timestamp.ZERO
-        assert Record.__slots__ == ("oid", "value", "ts")
+        assert record.ts == ZERO
+        assert Record.__slots__ == ("value", "ts")
 
     def test_copy_is_independent(self):
-        record = Record(oid=1, value=10, ts=Timestamp(1, 0))
-        snapshot = record.copy()
+        record = Record(value=10, ts=stamp(1, 0))
+        snapshot = copy.copy(record)
         record.value = 20
         assert snapshot.value == 10
-        assert snapshot.ts == Timestamp(1, 0)
-        assert snapshot.oid == 1
+        assert snapshot.ts == stamp(1, 0)
 
 
 class TestObjectStore:
@@ -34,10 +36,10 @@ class TestObjectStore:
         assert list(store.oids()) == [0, 1, 2, 3, 4]
         assert len(store) == store.materialized == 0
         assert all(store.value(oid) == 7 for oid in store.oids())
-        assert all(store.timestamp(oid) == Timestamp.ZERO for oid in store.oids())
+        assert all(store.timestamp(oid) == ZERO for oid in store.oids())
         assert all(store.read(oid).value == 7 for oid in store.oids())
         assert len(store) == 0  # a read materialises nothing
-        store.write(3, 8, Timestamp(1, 0))
+        store.write(3, 8, stamp(1, 0))
         assert list(store.materialized_oids()) == [3]
 
     def test_db_size_must_be_positive(self):
@@ -46,7 +48,7 @@ class TestObjectStore:
 
     def test_write_and_read(self):
         store = ObjectStore(node_id=0, db_size=3)
-        ts = Timestamp(1, 0)
+        ts = stamp(1, 0)
         store.write(1, 42, ts)
         assert store.value(1) == 42
         assert store.timestamp(1) == ts
@@ -59,34 +61,34 @@ class TestObjectStore:
 
     def test_apply_transform(self):
         store = ObjectStore(node_id=0, db_size=3, initial_value=10)
-        store.apply(0, lambda v: v * 2, Timestamp(1, 0))
+        store.apply(0, lambda v: v * 2, stamp(1, 0))
         assert store.value(0) == 20
 
     def test_restore_rolls_back(self):
         store = ObjectStore(node_id=0, db_size=3)
-        store.write(0, 5, Timestamp(1, 0))
-        store.restore(0, 0, Timestamp.ZERO)
+        store.write(0, 5, stamp(1, 0))
+        store.restore(0, 0, ZERO)
         assert store.value(0) == 0
-        assert store.timestamp(0) == Timestamp.ZERO
+        assert store.timestamp(0) == ZERO
 
     def test_snapshot(self):
         store = ObjectStore(node_id=0, db_size=3)
-        store.write(2, 9, Timestamp(1, 0))
+        store.write(2, 9, stamp(1, 0))
         # the logical view: untouched objects read initial_value ...
         assert store.snapshot() == {0: 0, 1: 0, 2: 9}
         assert len(store) == 1  # ... and taking it allocates nothing
 
     def test_contains_and_iter(self):
         store = ObjectStore(node_id=0, db_size=2)
-        # ``in`` answers for the logical replica, iteration for the
-        # records a write has materialised
+        # ``in`` answers for the logical replica, materialized_oids for
+        # the records a write has materialised
         assert 0 in store and 1 in store and 2 not in store and -1 not in store
-        assert list(store) == []
+        assert list(store.materialized_oids()) == []
         store.read(1)
-        assert list(store) == [] and list(store.materialized_oids()) == []
-        store.write(1, 5, Timestamp(1, 0))
-        assert [r.oid for r in store] == [1]
+        assert list(store.materialized_oids()) == []
+        store.write(1, 5, stamp(1, 0))
         assert list(store.materialized_oids()) == [1]
+        assert (store.read(1).value, store.read(1).ts) == (5, stamp(1, 0))
 
     def test_predicate_residency(self):
         store = ObjectStore(node_id=0, db_size=6, resident=lambda oid: oid % 2 == 0)
@@ -98,6 +100,47 @@ class TestObjectStore:
         with pytest.raises(KeyError):
             store.peek(3)
         assert store.peek(2) == 0 and len(store) == 0
+
+    def test_value_and_timestamp_of_a_non_resident_oid_raise(self):
+        store = ObjectStore(node_id=0, db_size=6, resident=lambda oid: oid % 2 == 0)
+        for oid in (3, 6, -1):
+            with pytest.raises(KeyError):
+                store.value(oid)
+            with pytest.raises(KeyError):
+                store.timestamp(oid)
+        assert (store.value(2), store.timestamp(2)) == (0, ZERO)
+        assert len(store) == 0
+
+
+@pytest.mark.parametrize(
+    "resident", [None, {0, 2, 4, 6}.__contains__], ids=["whole", "predicate"]
+)
+def test_answering_an_unwritten_object_allocates_nothing(resident):
+    """``value`` / ``timestamp`` of a resident object never written here
+    answer from ``initial_value`` / ``ZERO``: no record, not even a
+    throwaway one, is built."""
+    store = ObjectStore(node_id=0, db_size=8, initial_value=7, resident=resident)
+    store.write(4, 1, stamp(1, 0))
+    unwritten = [0, 2, 6] * 200
+    value, timestamp = store.value, store.timestamp
+    tracemalloc.start()
+    try:
+        for oid in unwritten:  # warm: the measured loop runs as it will
+            value(oid), timestamp(oid)
+        storage = tracemalloc.Filter(True, "*/repro/storage/*")
+        before = tracemalloc.take_snapshot().filter_traces([storage])
+        loop = iter(unwritten)
+        tracemalloc.reset_peak()
+        for oid in loop:
+            value(oid)
+            timestamp(oid)
+        current, peak = tracemalloc.get_traced_memory()
+        after = tracemalloc.take_snapshot().filter_traces([storage])
+    finally:
+        tracemalloc.stop()
+    assert peak == current  # nothing was allocated, even for a moment
+    assert [s for s in after.compare_to(before, "filename") if s.size_diff] == []
+    assert (value(0), timestamp(0)) == (7, ZERO) and len(store) == 1
 
 
 class TestDivergence:
@@ -115,27 +158,27 @@ class TestDivergence:
 
     def test_single_store_trivially_converged(self):
         system, stores = self._system(1)
-        stores[0].write(2, 99, Timestamp(1, 0))
+        stores[0].write(2, 99, stamp(1, 0))
         assert system.divergence() == 0
 
     def test_one_differing_object(self):
         system, stores = self._system(3)
-        stores[1].write(2, 99, Timestamp(1, 1))
+        stores[1].write(2, 99, stamp(1, 1))
         assert system.divergence() == 1
         # the other two holders never materialised object 2
         assert [len(store) for store in stores] == [0, 1, 0]
 
     def test_multiple_differing_objects(self):
         system, stores = self._system(2)
-        stores[0].write(0, 1, Timestamp(1, 0))
-        stores[0].write(3, 1, Timestamp(2, 0))
+        stores[0].write(0, 1, stamp(1, 0))
+        stores[0].write(3, 1, stamp(2, 0))
         assert system.divergence() == 2
         assert system.divergence([0]) == 0  # one compared store agrees with itself
 
     def test_same_writes_everywhere_converged(self):
         system, stores = self._system(3)
         for store in stores:
-            store.write(1, 55, Timestamp(1, 0))
+            store.write(1, 55, stamp(1, 0))
         assert system.divergence() == 0
 
 
@@ -148,7 +191,7 @@ INITIAL = 7
 
 _oids = st.integers(min_value=-1, max_value=DB_SIZE)  # one past either end
 _values = st.integers(min_value=-50, max_value=50)
-_stamps = st.builds(Timestamp, st.integers(0, 4), st.integers(0, 2))
+_stamps = st.builds(stamp, st.integers(0, 4), st.integers(0, 2))
 _steps = st.one_of(
     st.tuples(st.sampled_from(["read", "peek", "in", "evict"]), _oids),
     st.tuples(st.sampled_from(["write", "apply", "restore"]), _oids, _values, _stamps),
@@ -172,7 +215,7 @@ class DictStore:
     def look(self, oid):
         if not self.holds(oid):
             raise KeyError(oid)
-        return self.records.get(oid, (INITIAL, Timestamp.ZERO))
+        return self.records.get(oid, (INITIAL, ZERO))
 
     def step(self, name, oid=None, value=None, ts=None):
         if name == "read":
@@ -235,7 +278,10 @@ def test_store_is_a_dict_of_what_was_touched(resident, steps):
             assert _store_step(store, *step) == expected
         # materialised view: exactly the records written, whatever they hold
         assert len(store) == store.materialized == len(model.records)
-        assert {r.oid: (r.value, r.ts) for r in store} == model.records
+        assert {
+            oid: (store.read(oid).value, store.read(oid).ts)
+            for oid in store.materialized_oids()
+        } == model.records
         assert set(store.materialized_oids()) == set(model.records)
         # logical view: the resident oids, touched or not, in oid order
         assert list(store.oids()) == [o for o in range(DB_SIZE) if model.holds(o)]

@@ -39,7 +39,7 @@ from repro.replication.reconciliation import (
 )
 from repro.sim.events import EventState
 from repro.storage.lock_manager import LockMode
-from repro.storage.versioning import Timestamp
+from repro.storage.versioning import ZERO, stamp
 from repro.txn.ops import IncrementOp, WriteOp
 from repro.txn.transaction import Transaction
 
@@ -71,7 +71,7 @@ def deliver_under_deadlock(kind, attempt, monkeypatch):
     )
     # object 0 is mastered at node 0, so node 1 holds a slave copy
     update = ReplicaUpdate(
-        oid=0, old_ts=Timestamp.ZERO, new_ts=Timestamp(5, 0), new_value=9,
+        oid=0, old_ts=ZERO, new_ts=stamp(5, 0), new_value=9,
         op=None, root_txn_id=1,
     )
     payload = ([update], attempt)
@@ -190,7 +190,7 @@ def receiver_state(system):
 
 
 timestamps = st.builds(
-    Timestamp, st.integers(1, 6), st.sampled_from([0, 2])
+    stamp, st.integers(1, 6), st.sampled_from([0, 2])
 )
 
 
@@ -203,13 +203,13 @@ def shipped_messages(draw):
     updates = []
     for index in range(draw(st.integers(1, 4))):
         oid = draw(st.integers(0, DB_SIZE - 1))
-        seen = local.get(oid, (0, Timestamp.ZERO))[1]
+        seen = local.get(oid, (0, ZERO))[1]
         value = draw(st.integers(-5, 5))
         updates.append(ReplicaUpdate(
             oid=oid,
             # the version the root saw: this replica's (safe) or another
             old_ts=draw(
-                st.sampled_from([seen, Timestamp.ZERO, Timestamp(3, 2)])
+                st.sampled_from([seen, ZERO, stamp(3, 2)])
             ),
             new_ts=draw(timestamps),  # older, equal or newer than local
             new_value=value,
@@ -236,7 +236,7 @@ def test_on_the_spot_and_under_lock_install_the_same_thing(judge, message):
 
 def one_update(oid=0, counter=5, value=9, root_txn_id=77):
     return ReplicaUpdate(
-        oid=oid, old_ts=Timestamp.ZERO, new_ts=Timestamp(counter, 0),
+        oid=oid, old_ts=ZERO, new_ts=stamp(counter, 0),
         new_value=value, op=None, root_txn_id=root_txn_id,
     )
 
@@ -274,7 +274,7 @@ def test_refresh_of_a_locked_object_queues_fifo_behind_earlier_waiters():
     node.locks.release_all(holder)
     system.run()
     assert node.store.value(0) == 70
-    assert node.store.timestamp(0) == Timestamp(7, 0)
+    assert node.store.timestamp(0) == stamp(7, 0)
     assert system.metrics.stale_updates == 1
     assert system.metrics.replica_updates == 3
     assert node.locks.is_free(0)
@@ -318,7 +318,7 @@ def test_exception_on_the_spot_is_a_failed_handler_process():
         raise RuntimeError("rule fell over")
 
     system = LazyGroupSystem(spec(), rule=CustomRule(broken_rule))
-    conflicting = one_update()._replace(old_ts=Timestamp(3, 2))
+    conflicting = one_update()._replace(old_ts=stamp(3, 2))
     [handler] = deliver(
         system, "replica-update", {}, [one_update(oid=1), conflicting]
     )

@@ -25,7 +25,7 @@ from repro.harness import ExperimentConfig, run_experiment
 from repro.harness.experiment import STRATEGIES, build_system
 from repro.placement import Placement
 from repro.replication import LazyGroupSystem, SystemSpec
-from repro.storage.versioning import Timestamp
+from repro.storage.versioning import stamp
 from repro.txn.ops import WriteOp
 from repro.faults.oracle import divergence_report
 
@@ -63,7 +63,7 @@ def assert_audit_matches_reference(system):
 
 def corrupt(system, oid, holder_index=-1, value=987_654):
     node_id = system.placement.replicas(oid)[holder_index]
-    system.nodes[node_id].store.write(oid, value, Timestamp(10**6, node_id))
+    system.nodes[node_id].store.write(oid, value, stamp(10**6, node_id))
     return node_id
 
 
@@ -311,7 +311,7 @@ def test_the_walk_yields_what_set_and_sorted_yielded(
         if value is None:
             store.read(oid)  # materialises nothing
         else:
-            store.write(oid, value, Timestamp(1, pick))
+            store.write(oid, value, stamp(1, pick))
     if migrate is not None and shape == "dir":
         src = placement.replicas(migrate)[1]
         dst = next(n for n in range(system.num_nodes)

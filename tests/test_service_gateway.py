@@ -23,7 +23,7 @@ from repro.replication import SystemSpec
 from repro.service import GatewayConfig, ServiceGateway
 from repro.service.gateway import _Connection
 from repro.service.protocol import MAX_LINE_BYTES, encode_line
-from repro.storage.versioning import Timestamp
+from repro.storage.versioning import ZERO, stamp
 from repro.txn.ops import IncrementOp
 
 
@@ -796,7 +796,7 @@ class TestDrainedVerdict:
 
     def test_a_base_store_corrupted_after_the_drain_fails_the_verdict(self):
         gateway = ServiceGateway(GatewayConfig(num_base=2, db_size=50))
-        gateway.system.nodes[1].store.write(3, 999, Timestamp(10**6, 1))
+        gateway.system.nodes[1].store.write(3, 999, stamp(10**6, 1))
         drained = gateway.drained_report()
         assert drained["ok"] is False
         assert drained["base_divergence"] == 1
@@ -808,7 +808,7 @@ class TestDrainedVerdict:
         gateway = ServiceGateway(GatewayConfig(db_size=50))
         node = gateway.system.nodes[0]
         txn = node.tm.begin()
-        node.wal.record(txn.txn_id, 0, 0, Timestamp.ZERO, 1, Timestamp(1, 0))
+        node.wal.record(txn.txn_id, 0, 0, ZERO, 1, stamp(1, 0))
         drained = gateway.drained_report()
         assert drained["ok"] is False
         assert drained["wal_quiescent"] is False

@@ -24,7 +24,7 @@ from repro.service.protocol import (
     encode_line,
     encode_op,
 )
-from repro.storage.versioning import Timestamp
+from repro.storage.versioning import stamp
 from repro.txn.ops import AppendOp, IncrementOp, MultiplyOp, ReadOp, WriteOp
 from repro.workload import ZipfProfile, ZipfSampler
 
@@ -306,7 +306,7 @@ class TestLiveLoadtest:
         real = ServiceGateway.drained_report
 
         def corrupted(gateway):
-            gateway.system.nodes[1].store.write(0, 987_654, Timestamp(10**6, 1))
+            gateway.system.nodes[1].store.write(0, 987_654, stamp(10**6, 1))
             return real(gateway)
 
         monkeypatch.setattr(ServiceGateway, "drained_report", corrupted)

@@ -11,7 +11,7 @@ import random
 
 from repro.placement import Placement
 from repro.replication import DeferredUpdateSystem, SystemSpec
-from repro.storage.versioning import Timestamp
+from repro.storage.versioning import ZERO
 from repro.txn.ops import IncrementOp, ReadOp, WriteOp
 
 DB = 60
@@ -52,8 +52,8 @@ def test_a_read_only_run_materialises_nothing():
         for node_id in system.placement.replicas(oid):
             store = system.nodes[node_id].store
             record = store.read(oid)
-            assert (record.value, record.ts) == (INITIAL, Timestamp.ZERO)
-            assert store.timestamp(oid) == Timestamp.ZERO
+            assert (record.value, record.ts) == (INITIAL, ZERO)
+            assert store.timestamp(oid) == ZERO
     assert system.materialized_counts() == [0] * 8
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import InvalidStateError
-from repro.storage.versioning import Timestamp
+from repro.storage.versioning import ZERO, stamp
 from repro.txn.ops import WriteOp
 from repro.txn.transaction import Transaction, TxnState, UpdateRecord
 
@@ -13,9 +13,9 @@ def make_update(oid, new_value=1):
         oid=oid,
         op=WriteOp(oid, new_value),
         old_value=0,
-        old_ts=Timestamp.ZERO,
+        old_ts=ZERO,
         new_value=new_value,
-        new_ts=Timestamp(1, 0),
+        new_ts=stamp(1, 0),
     )
 
 

@@ -7,7 +7,7 @@ from repro.sim import Engine
 from repro.storage.deadlock import DeadlockDetector
 from repro.storage.lock_manager import LockManager, LockMode
 from repro.storage.store import ObjectStore
-from repro.storage.versioning import Timestamp, TimestampGenerator
+from repro.storage.versioning import TimestampGenerator, stamp
 from repro.storage.wal import WriteAheadLog
 from repro.txn.manager import TransactionManager
 from repro.txn.ops import IncrementOp, ReadOp, WriteOp
@@ -201,7 +201,7 @@ def test_execute_on_finished_txn_rejected():
 
 def test_execute_install_sets_foreign_timestamp():
     tm, engine = make_tm()
-    foreign_ts = Timestamp(100, 9)
+    foreign_ts = stamp(100, 9)
 
     def proc():
         txn = tm.begin()
@@ -220,7 +220,7 @@ def test_execute_transform_applies_op_and_max_timestamp():
     tm, engine = make_tm()
     run_txn(tm, engine, [WriteOp(2, 10)])
     local_ts = tm.store.timestamp(2)
-    older_foreign = Timestamp(0, 5)
+    older_foreign = stamp(0, 5)
 
     txn = tm.begin()
     tm.transform(txn, IncrementOp(2, 5), older_foreign, None)

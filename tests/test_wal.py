@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import CrashAbort, InvalidStateError
 from repro.storage.store import ObjectStore
-from repro.storage.versioning import Timestamp
+from repro.storage.versioning import ZERO, stamp
 from repro.storage.wal import ACTIVE, CRASHED, RECOVERING, WriteAheadLog
 
 
@@ -15,7 +15,7 @@ def store():
 
 def test_record_and_forget(store):
     wal = WriteAheadLog()
-    wal.record(1, 0, 0, Timestamp.ZERO, 5, Timestamp(1, 0))
+    wal.record(1, 0, 0, ZERO, 5, stamp(1, 0))
     assert wal.pending_transactions() == 1
     assert wal.forget(1) == 1
     assert wal.pending_transactions() == 0
@@ -23,32 +23,32 @@ def test_record_and_forget(store):
 
 def test_undo_restores_value_and_timestamp(store):
     wal = WriteAheadLog()
-    ts = Timestamp(1, 0)
-    wal.record(1, 0, 0, Timestamp.ZERO, 5, ts)
+    ts = stamp(1, 0)
+    wal.record(1, 0, 0, ZERO, 5, ts)
     store.write(0, 5, ts)
     undone = wal.undo(1, store)
     assert undone == 1
     assert store.value(0) == 0
-    assert store.timestamp(0) == Timestamp.ZERO
+    assert store.timestamp(0) == ZERO
 
 
 def test_undo_multiple_writes_reverse_order(store):
     wal = WriteAheadLog()
     # txn writes object 0 twice: 0 -> 5 -> 9
-    wal.record(1, 0, 0, Timestamp.ZERO, 5, Timestamp(1, 0))
-    store.write(0, 5, Timestamp(1, 0))
-    wal.record(1, 0, 5, Timestamp(1, 0), 9, Timestamp(2, 0))
-    store.write(0, 9, Timestamp(2, 0))
+    wal.record(1, 0, 0, ZERO, 5, stamp(1, 0))
+    store.write(0, 5, stamp(1, 0))
+    wal.record(1, 0, 5, stamp(1, 0), 9, stamp(2, 0))
+    store.write(0, 9, stamp(2, 0))
     wal.undo(1, store)
     assert store.value(0) == 0  # fully back to the beginning
 
 
 def test_undo_only_touches_own_txn(store):
     wal = WriteAheadLog()
-    wal.record(1, 0, 0, Timestamp.ZERO, 5, Timestamp(1, 0))
-    wal.record(2, 1, 0, Timestamp.ZERO, 7, Timestamp(2, 0))
-    store.write(0, 5, Timestamp(1, 0))
-    store.write(1, 7, Timestamp(2, 0))
+    wal.record(1, 0, 0, ZERO, 5, stamp(1, 0))
+    wal.record(2, 1, 0, ZERO, 7, stamp(2, 0))
+    store.write(0, 5, stamp(1, 0))
+    store.write(1, 7, stamp(2, 0))
     wal.undo(1, store)
     assert store.value(0) == 0
     assert store.value(1) == 7  # txn 2 untouched
@@ -62,8 +62,8 @@ def test_undo_unknown_txn_is_noop(store):
 
 def test_entries_for_preserves_order(store):
     wal = WriteAheadLog()
-    wal.record(1, 3, 0, Timestamp.ZERO, 1, Timestamp(1, 0))
-    wal.record(1, 4, 0, Timestamp.ZERO, 2, Timestamp(2, 0))
+    wal.record(1, 3, 0, ZERO, 1, stamp(1, 0))
+    wal.record(1, 4, 0, ZERO, 2, stamp(2, 0))
     oids = [e.oid for e in wal.entries_for(1)]
     assert oids == [3, 4]
 
@@ -71,7 +71,7 @@ def test_entries_for_preserves_order(store):
 def test_total_entries_counts_all(store):
     wal = WriteAheadLog()
     for i in range(5):
-        wal.record(1, i, 0, Timestamp.ZERO, i, Timestamp(i + 1, 0))
+        wal.record(1, i, 0, ZERO, i, stamp(i + 1, 0))
     wal.forget(1)
     assert wal.total_entries == 5  # historical count survives forget
 
@@ -79,7 +79,7 @@ def test_total_entries_counts_all(store):
 def test_assert_quiescent(store):
     wal = WriteAheadLog()
     wal.assert_quiescent()  # empty: fine
-    wal.record(1, 0, 0, Timestamp.ZERO, 5, Timestamp(1, 0))
+    wal.record(1, 0, 0, ZERO, 5, stamp(1, 0))
     with pytest.raises(InvalidStateError):
         wal.assert_quiescent()
     wal.forget(1)
@@ -93,12 +93,12 @@ def test_assert_quiescent(store):
 
 def test_crash_rolls_back_in_flight_transaction(store):
     wal = WriteAheadLog()
-    wal.record(1, 0, 0, Timestamp.ZERO, 5, Timestamp(1, 0))
-    store.write(0, 5, Timestamp(1, 0))
+    wal.record(1, 0, 0, ZERO, 5, stamp(1, 0))
+    store.write(0, 5, stamp(1, 0))
     undone = wal.crash(store)
     assert undone == 1
     assert store.value(0) == 0
-    assert store.timestamp(0) == Timestamp.ZERO
+    assert store.timestamp(0) == ZERO
     assert wal.pending_transactions() == 0
     assert wal.state == CRASHED
 
@@ -107,20 +107,20 @@ def test_crash_undoes_across_transactions_in_reverse_global_order(store):
     wal = WriteAheadLog()
     # txn 1 then txn 2 both write object 0: 0 -> 5 -> 9; reverse global
     # order must restore 9 -> 5 -> 0, ending at the original image
-    wal.record(1, 0, 0, Timestamp.ZERO, 5, Timestamp(1, 0))
-    store.write(0, 5, Timestamp(1, 0))
-    wal.record(2, 0, 5, Timestamp(1, 0), 9, Timestamp(2, 1))
-    store.write(0, 9, Timestamp(2, 1))
+    wal.record(1, 0, 0, ZERO, 5, stamp(1, 0))
+    store.write(0, 5, stamp(1, 0))
+    wal.record(2, 0, 5, stamp(1, 0), 9, stamp(2, 1))
+    store.write(0, 9, stamp(2, 1))
     assert wal.crash(store) == 2
     assert store.value(0) == 0
-    assert store.timestamp(0) == Timestamp.ZERO
+    assert store.timestamp(0) == ZERO
 
 
 def test_record_while_crashed_raises_crash_abort(store):
     wal = WriteAheadLog()
     wal.crash(store)
     with pytest.raises(CrashAbort):
-        wal.record(1, 0, 0, Timestamp.ZERO, 5, Timestamp(1, 0))
+        wal.record(1, 0, 0, ZERO, 5, stamp(1, 0))
     assert wal.pending_transactions() == 0  # the rejected write left no undo
 
 
@@ -152,7 +152,7 @@ def test_recovery_lifecycle(store):
     wal.complete_recovery()
     assert wal.state == ACTIVE
     # the log accepts writes again
-    wal.record(3, 1, 0, Timestamp.ZERO, 2, Timestamp(3, 0))
+    wal.record(3, 1, 0, ZERO, 2, stamp(3, 0))
     assert wal.pending_transactions() == 1
 
 
